@@ -11,10 +11,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
-from parakenmotsu.connection import koszul_connection
 from parakenmotsu.dsl import DocumentError, load_manifold
 from parakenmotsu.report import emit_report, exit_code
 from parakenmotsu.scalar import ExprSyntaxError
@@ -23,14 +20,12 @@ from parakenmotsu.soliton import (
     FactorError,
     NoConstantSolution,
     condition_check,
-    condition_residual,
     phi_ricci_prefactor,
     rational_roots,
-    solve_soliton,
     symbolic_factor_check,
     theorem_expected,
 )
-from parakenmotsu.suite import run_suite, selectable_names
+from parakenmotsu.suite import Products, run_suite, selectable_names
 
 _KINDS = tuple(kind.value for kind in ConditionKind)
 
@@ -121,19 +116,11 @@ def _cmd_check(args) -> int:
     return exit_code(result.checks)
 
 
-def _pipeline(doc):
-    s = doc.to_structure()
-    conn = koszul_connection(s.frame)
-    riem = riemann(conn)
-    ricci_tensor = ricci(riem)
-    return s, conn, riem, ricci_tensor
-
-
 def _cmd_solve(args) -> int:
     doc = load_manifold(args.file)
-    s, _, _, ricci_tensor = _pipeline(doc)
+    products = Products(doc.to_structure())
     try:
-        sol = solve_soliton(s, ricci_tensor)
+        sol = products.sol
     except NoConstantSolution as err:
         print(f"no constant soliton solution: {err}", file=sys.stderr)
         return 1
@@ -160,25 +147,19 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _pairs_sorted(pairs) -> list[tuple[Fraction, Fraction]]:
-    return sorted(pairs)
-
-
 def _cmd_condition(args) -> int:
     doc = load_manifold(args.file)
     kind = ConditionKind(args.kind)
-    s, conn, riem, ricci_tensor = _pipeline(doc)
+    products = Products(doc.to_structure())
     try:
-        sol = solve_soliton(s, ricci_tensor)
+        sol = products.sol
     except NoConstantSolution as err:
         print(f"no constant soliton solution: {err}", file=sys.stderr)
         return 1
-    w2 = None
-    if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
-        w2 = w2_tensor(riem, ricci_operator(ricci_tensor), s.n)
-    report = condition_check(kind, s, riem, ricci_tensor, sol, w2=w2)
-    residual_zero = condition_residual(kind, s, riem, ricci_tensor, w2).is_zero()
-    advertised = _pairs_sorted(theorem_expected(kind, s.n))
+    residual = products.residual(kind)
+    report = condition_check(kind, products.s, residual, sol)
+    residual_zero = residual.is_zero()
+    advertised = sorted(theorem_expected(kind, products.s.n))
     consistent = report.status == "pass"
     if args.format == "json-like":
         payload = {
@@ -217,7 +198,7 @@ def _cmd_factors(args) -> int:
         for kind in ConditionKind:
             result = symbolic_factor_check(kind, n)
             roots = sorted(rational_roots(result.polynomial))
-            pairs = _pairs_sorted(theorem_expected(kind, n))
+            pairs = sorted(theorem_expected(kind, n))
             entries.append((kind.value, result, roots, pairs))
         prefactor = phi_ricci_prefactor(n)
     except FactorError as err:

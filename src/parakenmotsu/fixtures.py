@@ -129,18 +129,13 @@ REFERENCE_RICCI_DIM3: dict[tuple[int, int], int] = {
 REFERENCE_SOLITON_DIM3: tuple[int, int] = (-1, 3)
 
 
-def render_member_combo(comps) -> str:
+def render_member_combo(comps: list[ScalarExpr]) -> str:
     """Render frame components as a readable combination of E1, E2, ..."""
     parts: list[str] = []
     for k, c in enumerate(comps):
-        if hasattr(c, "is_zero"):
-            if c.is_zero():
-                continue
-            text = str(c)
-        else:
-            if c == 0:
-                continue
-            text = str(c)
+        if c.is_zero():
+            continue
+        text = str(c)
         if text == "1":
             parts.append(f"E{k + 1}")
         elif text == "-1":
@@ -187,7 +182,7 @@ def reference_conflict_notes(
         if not matches(computed, expected):
             notes.append(
                 f"reference table lists nabla_{{E{i + 1}}} E{j + 1}"
-                f" = {render_member_combo(expected)};"
+                f" = {render_member_combo([chart.const(q) for q in expected])};"
                 f" computed value is {render_member_combo(computed)}"
             )
     for (i, j, k), expected in sorted(REFERENCE_RIEMANN_DIM3.items()):
@@ -195,7 +190,7 @@ def reference_conflict_notes(
         if not matches(computed, expected):
             notes.append(
                 f"reference table lists R(E{i + 1}, E{j + 1})E{k + 1}"
-                f" = {render_member_combo(expected)};"
+                f" = {render_member_combo([chart.const(q) for q in expected])};"
                 f" computed value is {render_member_combo(computed)}"
             )
     for (i, j), expected in sorted(REFERENCE_RICCI_DIM3.items()):

@@ -343,16 +343,11 @@ def condition_residual(
 
 
 def condition_residual_xi_paired(
-    kind: ConditionKind,
-    s: ParacontactStructure,
-    riem: Tensor,
-    ricci_tensor: Tensor,
-    w2: Tensor | None = None,
+    kind: ConditionKind, s: ParacontactStructure, full: Tensor
 ) -> Tensor:
-    """(0,4) inner product of the eight-term residual with xi."""
+    """(0,4) inner product of the eight-term residual `full` with xi."""
     if kind not in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
         raise ValenceError("xi pairing applies to the eight-term conditions")
-    full = condition_residual(kind, s, riem, ricci_tensor, w2)
     frame = s.frame
     d = frame.dim
     eta = [s.eta.on_member(i) for i in range(d)]
@@ -385,25 +380,23 @@ def theorem_expected(
 def condition_check(
     kind: ConditionKind,
     s: ParacontactStructure,
-    riem: Tensor,
-    ricci_tensor: Tensor,
+    residual: Tensor,
     sol: SolitonSolution,
-    w2: Tensor | None = None,
 ) -> CheckReport:
-    """Consistency of the residual with the advertised solution set.
+    """Consistency of the kind's residual with the advertised solution set.
 
-    The check passes iff the residual vanishes exactly when the solved
-    (lambda, mu) lies in theorem_expected; for the eight-term kinds the
-    full residual and its xi-paired form must also vanish together.
+    The check passes iff `residual` (from condition_residual) vanishes
+    exactly when the solved (lambda, mu) lies in theorem_expected; for the
+    eight-term kinds the residual and its xi-paired form must also vanish
+    together.
     """
     name = f"condition/{kind.value}"
     ref = f"D{list(ConditionKind).index(kind) + 1}"
     with Stopwatch() as t:
-        residual = condition_residual(kind, s, riem, ricci_tensor, w2)
         vanishes = residual.is_zero()
         problem = None
         if kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
-            paired = condition_residual_xi_paired(kind, s, riem, ricci_tensor, w2)
+            paired = condition_residual_xi_paired(kind, s, residual)
             if paired.is_zero() != vanishes:
                 problem = (
                     "full residual and xi-paired residual disagree:"
@@ -524,10 +517,6 @@ def _ratio_against_shape(entries) -> ScalarExpr:
     return poly
 
 
-def _rational(expr: ScalarExpr) -> Fraction:
-    return expr.as_rational()
-
-
 def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     """Extract the condition's scalar factor on the generic structure.
 
@@ -539,8 +528,8 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
     frame = s.frame
     d = frame.dim
-    eta = [_rational(s.eta.on_member(i)) for i in range(d)]
-    gram = [[_rational(frame.gram[i][j]) for j in range(d)] for i in range(d)]
+    eta = [s.eta.on_member(i).as_rational() for i in range(d)]
+    gram = [[frame.gram[i][j].as_rational() for j in range(d)] for i in range(d)]
 
     if kind is ConditionKind.R_DOT_S:
         residual = _derivation_residual(s, riem, ricci_sym)
@@ -558,7 +547,7 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     elif kind is ConditionKind.W2_DOT_S:
         w2 = w2_tensor(riem, q_sym, n)
         residual = _derivation_residual(s, w2, ricci_sym)
-        xif = [_rational(c) for c in s.xi_components()]
+        xif = [c.as_rational() for c in s.xi_components()]
         entries = [
             (
                 sum(
@@ -576,7 +565,7 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
         ]
     else:
         op = riem if kind is ConditionKind.S_DOT_R else w2_tensor(riem, q_sym, n)
-        xif = [_rational(c) for c in s.xi_components()]
+        xif = [c.as_rational() for c in s.xi_components()]
         entry = _eight_term_entry(s, op, ricci_sym)
         entries = []
         for x in range(d):
@@ -618,8 +607,8 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
     frame = s.frame
     d = frame.dim
-    eta = [_rational(s.eta.on_member(i)) for i in range(d)]
-    xif = [_rational(c) for c in s.xi_components()]
+    eta = [s.eta.on_member(i).as_rational() for i in range(d)]
+    xif = [c.as_rational() for c in s.xi_components()]
     entries = []
     for i in range(d):
         nabla_q = conn.nabla_tensor(q_sym, frame.members[i])

@@ -1,18 +1,29 @@
 """Dependency-ordered verification suite for a manifold document.
 
-Checks run in stages.  A stage runs only when every stage it depends on
-has computed and passed; otherwise its checks are reported as skipped.
-Selection by name or by group prefix controls which checks are reported
-(and count toward the exit status), not which stages are computed:
-unselected checks still run when a selected check needs their results,
-but always appear as skipped.
+Checks run in stages.  Selection by name or by group prefix decides what
+is computed: the stages of the selected checks run, together with every
+stage they depend on, and no other stage is computed.  A stage that runs
+still needs every stage it depends on to have passed; otherwise its
+checks are reported as skipped.  Unselected checks always appear as
+skipped, even when their stage ran because a selected check needs it.
+On 3-dimensional documents the reference-table notes read the
+connection, the curvature and the soliton constants, so those stages
+run whatever the selection.
+
+The tensors the stages share live in one `Products` object, which
+builds each on first use and keeps it for every later reader.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from parakenmotsu.connection import ConnectionError_, koszul_connection
+from parakenmotsu.connection import (
+    ConnectionError_,
+    FrameConnection,
+    koszul_connection,
+)
 from parakenmotsu.curvature import (
     CurvatureError,
     ricci,
@@ -22,7 +33,7 @@ from parakenmotsu.curvature import (
 )
 from parakenmotsu.dsl import ManifoldDocument
 from parakenmotsu.fixtures import reference_conflict_notes
-from parakenmotsu.geometry import ValenceError
+from parakenmotsu.geometry import Tensor, ValenceError
 from parakenmotsu.report import (
     CheckReport,
     SolitonSummary,
@@ -35,7 +46,9 @@ from parakenmotsu.soliton import (
     FactorError,
     NoConstantSolution,
     NotInSpan,
+    SolitonSolution,
     condition_check,
+    condition_residual,
     mu_zero_variant_check,
     phi_ricci_prefactor,
     phi_ricci_symmetric_check,
@@ -120,6 +133,55 @@ _STAGE_DEPS: dict[str, tuple[str, ...]] = {
 _STAGE_ORDER = tuple(dict.fromkeys(stage for stage, _, _ in CATALOG))
 
 
+class Products:
+    """Derived products of one structure, each built on first use and kept.
+
+    The chain structure -> Koszul connection -> Riemann -> Ricci and Q ->
+    W2 -> soliton constants -> condition residuals is read through these
+    attributes, so whichever reader asks first pays for a product and
+    every later reader shares it.  A builder's exception is not kept:
+    reading the attribute again retries the build.
+    """
+
+    def __init__(self, structure: ParacontactStructure):
+        self.s = structure
+        self._residuals: dict[ConditionKind, Tensor] = {}
+
+    @cached_property
+    def conn(self) -> FrameConnection:
+        return koszul_connection(self.s.frame)
+
+    @cached_property
+    def riem(self) -> Tensor:
+        return riemann(self.conn)
+
+    @cached_property
+    def ricci(self) -> Tensor:
+        return ricci(self.riem)
+
+    @cached_property
+    def q(self) -> Tensor:
+        return ricci_operator(self.ricci)
+
+    @cached_property
+    def w2(self) -> Tensor:
+        return w2_tensor(self.riem, self.q, self.s.n)
+
+    @cached_property
+    def sol(self) -> SolitonSolution:
+        return solve_soliton(self.s, self.ricci)
+
+    def residual(self, kind: ConditionKind) -> Tensor:
+        if kind not in self._residuals:
+            w2 = None
+            if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
+                w2 = self.w2
+            self._residuals[kind] = condition_residual(
+                kind, self.s, self.riem, self.ricci, w2
+            )
+        return self._residuals[kind]
+
+
 def check_names() -> tuple[str, ...]:
     return tuple(name for _, name, _ in CATALOG)
 
@@ -136,6 +198,18 @@ def _selected(name: str, selection: frozenset[str] | None) -> bool:
     return name in selection or name.split("/")[0] in selection
 
 
+def _needed_stages(selection: frozenset[str] | None, dim: int) -> set[str]:
+    """Stages of the selected checks, closed over `_STAGE_DEPS`."""
+    needed = {stage for stage, name, _ in CATALOG if _selected(name, selection)}
+    if dim == 3:
+        needed.update(("curvature", "soliton"))  # read by the notes
+    # _STAGE_ORDER lists every stage after the stages it depends on
+    for stage in reversed(_STAGE_ORDER):
+        if stage in needed:
+            needed.update(_STAGE_DEPS[stage])
+    return needed
+
+
 def run_suite(
     source: ManifoldDocument | ParacontactStructure,
     selection=None,
@@ -149,45 +223,42 @@ def run_suite(
         manifold_name = name or "manifold"
     sel = None if selection is None else frozenset(selection)
 
-    s = structure
-    n = s.n
-    ctx: dict[str, object] = {}
+    p = Products(structure)
+    needed = _needed_stages(sel, structure.dim)
     stage_passed: dict[str, bool] = {}
-    computed: dict[str, list[CheckReport]] = {}
-
+    computed: dict[str, CheckReport] = {}
     for stage in _STAGE_ORDER:
-        if all(stage_passed.get(dep, False) for dep in _STAGE_DEPS[stage]):
-            reports = _RUNNERS[stage](s, n, ctx)
-            computed[stage] = reports
+        if stage in needed and all(
+            stage_passed.get(dep, False) for dep in _STAGE_DEPS[stage]
+        ):
+            reports = _RUNNERS[stage](p)
+            computed.update((r.name, r) for r in reports)
             stage_passed[stage] = all(r.status == "pass" for r in reports)
 
-    checks: list[CheckReport] = []
-    for stage, check_name, ref in CATALOG:
-        if stage not in computed or not _selected(check_name, sel):
-            checks.append(CheckReport.skipped(check_name, ref))
-            continue
-        match = next(r for r in computed[stage] if r.name == check_name)
-        checks.append(match)
+    checks = tuple(
+        computed[check_name]
+        if check_name in computed and _selected(check_name, sel)
+        else CheckReport.skipped(check_name, ref)
+        for _, check_name, ref in CATALOG
+    )
 
+    constants = computed.get("soliton/constants")
+    solved = constants is not None and constants.status == "pass"
     notes: tuple[str, ...] = ()
-    if "conn" in ctx and "riem" in ctx and "ricci" in ctx:
-        sol = ctx.get("sol")
-        pair = (sol.lam, sol.mu) if sol is not None else None
-        notes = tuple(
-            reference_conflict_notes(ctx["conn"], ctx["riem"], ctx["ricci"], pair)
-        )
+    if stage_passed.get("curvature"):
+        pair = (p.sol.lam, p.sol.mu) if solved else None
+        notes = tuple(reference_conflict_notes(p.conn, p.riem, p.ricci, pair))
 
     soliton = None
-    sol = ctx.get("sol")
-    reported = {r.name: r.status for r in checks}
-    if sol is not None and reported.get("soliton/constants") == "pass":
+    if solved and _selected("soliton/constants", sel):
+        sol = p.sol
         soliton = SolitonSummary(str(sol.lam), str(sol.mu), sol.classification)
 
     return SuiteResult(
         manifold=manifold_name,
-        dimension=s.dim,
-        n=n,
-        checks=tuple(checks),
+        dimension=structure.dim,
+        n=structure.n,
+        checks=checks,
         notes=notes,
         soliton=soliton,
     )
@@ -196,73 +267,63 @@ def run_suite(
 # -- stage runners -----------------------------------------------------------
 
 
-def _run_axioms(s, n, ctx):
-    return list(check_axioms(s))
-
-
-def _run_connection(s, n, ctx):
+def _attempt(name: str, ref: str, build, errors) -> CheckReport:
+    """Pass when build() returns; fail with the message of one of errors."""
     with Stopwatch() as t:
         try:
-            conn = koszul_connection(s.frame)
-        except ConnectionError_ as err:
-            conn = None
+            build()
+            message = None
+        except errors as err:
             message = str(err)
-    if conn is None:
-        return [CheckReport.failed("connection/koszul", "C1", message, t.elapsed)]
-    ctx["conn"] = conn
-    return [CheckReport.passed("connection/koszul", "C1", t.elapsed)]
+    if message is None:
+        return CheckReport.passed(name, ref, t.elapsed)
+    return CheckReport.failed(name, ref, message, t.elapsed)
 
 
-def _run_para_kenmotsu(s, n, ctx):
-    return [check_para_kenmotsu(s, ctx["conn"])]
+def _run_axioms(p):
+    return list(check_axioms(p.s))
 
 
-def _run_identities(s, n, ctx):
-    return list(kenmotsu_identity_suite(s, ctx["conn"], ctx.get("riem")))
+def _run_connection(p):
+    return [_attempt("connection/koszul", "C1", lambda: p.conn, ConnectionError_)]
 
 
-def _run_curvature(s, n, ctx):
-    reports = []
-    with Stopwatch() as t:
-        try:
-            riem = riemann(ctx["conn"])
-        except CurvatureError as err:
-            riem = None
-            message = str(err)
-    if riem is None:
-        reports.append(
-            CheckReport.failed("curvature/riemann-symmetries", "C2", message, t.elapsed)
-        )
-        reports.append(CheckReport.skipped("curvature/ricci-symmetric", "C3"))
-        return reports
-    ctx["riem"] = riem
-    reports.append(CheckReport.passed("curvature/riemann-symmetries", "C2", t.elapsed))
-
-    with Stopwatch() as t:
-        try:
-            ricci_tensor = ricci(riem)
-        except (CurvatureError, ValenceError) as err:
-            ricci_tensor = None
-            message = str(err)
-    if ricci_tensor is None:
-        reports.append(
-            CheckReport.failed("curvature/ricci-symmetric", "C3", message, t.elapsed)
-        )
-        return reports
-    ctx["ricci"] = ricci_tensor
-    ctx["q"] = ricci_operator(ricci_tensor)
-    reports.append(CheckReport.passed("curvature/ricci-symmetric", "C3", t.elapsed))
-    return reports
+def _run_para_kenmotsu(p):
+    return [check_para_kenmotsu(p.s, p.conn)]
 
 
-def _run_curvature_pk(s, n, ctx):
+def _run_identities(p):
+    try:
+        riem = p.riem
+    except CurvatureError:
+        riem = None  # reported by the curvature stage; identities need no check
+    return list(kenmotsu_identity_suite(p.s, p.conn, riem))
+
+
+def _run_curvature(p):
+    symmetries = _attempt(
+        "curvature/riemann-symmetries", "C2", lambda: p.riem, CurvatureError
+    )
+    if symmetries.status == "fail":
+        return [symmetries, CheckReport.skipped("curvature/ricci-symmetric", "C3")]
+    symmetric = _attempt(
+        "curvature/ricci-symmetric",
+        "C3",
+        lambda: p.ricci,
+        (CurvatureError, ValenceError),
+    )
+    return [symmetries, symmetric]
+
+
+def _run_curvature_pk(p):
+    s = p.s
     frame = s.frame
     d = frame.dim
-    ricci_tensor = ctx["ricci"]
-    q = ctx["q"]
+    ricci_tensor = p.ricci
+    q = p.q
     phi = s.phi
     xif = s.xi_components()
-    two_n = frame.chart.const(2 * n)
+    two_n = frame.chart.const(2 * s.n)
 
     with Stopwatch() as t:
         bad = None
@@ -306,96 +367,63 @@ def _run_curvature_pk(s, n, ctx):
     return [on_xi, commute]
 
 
-def _run_soliton(s, n, ctx):
-    reports = []
-    with Stopwatch() as t:
-        try:
-            sol = solve_soliton(s, ctx["ricci"])
-        except (NoConstantSolution, ValueError) as err:
-            sol = None
-            message = str(err)
-    if sol is None:
-        reports.append(CheckReport.failed("soliton/constants", "L1", message, t.elapsed))
-        reports.append(CheckReport.skipped("soliton/quasi-einstein-split", "L2"))
-        return reports
-    ctx["sol"] = sol
-    reports.append(CheckReport.passed("soliton/constants", "L1", t.elapsed))
+def _run_soliton(p):
+    constants = _attempt(
+        "soliton/constants", "L1", lambda: p.sol, (NoConstantSolution, ValueError)
+    )
+    if constants.status == "fail":
+        return [constants, CheckReport.skipped("soliton/quasi-einstein-split", "L2")]
 
+    s, sol = p.s, p.sol
     with Stopwatch() as t:
         witness = None
         try:
-            a, b = quasi_einstein_decompose(ctx["ricci"], s.metric(), s.eta)
+            a, b = quasi_einstein_decompose(p.ricci, s.metric(), s.eta)
             expected = (Fraction(-(sol.lam + 1)), Fraction(-(sol.mu - 1)))
             if (a, b) != expected:
                 witness = f"split gives ({a}, {b}), soliton implies {expected}"
         except NotInSpan as err:
             witness = str(err)
-    reports.append(
+    split = (
         CheckReport.passed("soliton/quasi-einstein-split", "L2", t.elapsed)
         if witness is None
         else CheckReport.failed("soliton/quasi-einstein-split", "L2", witness, t.elapsed)
     )
-    return reports
+    return [constants, split]
 
 
-def _run_condition(s, n, ctx):
-    riem = ctx["riem"]
-    ricci_tensor = ctx["ricci"]
-    sol = ctx["sol"]
-    w2 = w2_tensor(riem, ctx["q"], n)
+def _run_condition(p):
     return [
-        condition_check(kind, s, riem, ricci_tensor, sol, w2=w2)
-        for kind in ConditionKind
+        condition_check(kind, p.s, p.residual(kind), p.sol) for kind in ConditionKind
     ]
 
 
-_FACTOR_REFS = {
-    ConditionKind.R_DOT_S: "F1",
-    ConditionKind.S_DOT_R: "F2",
-    ConditionKind.W2_DOT_S: "F3",
-    ConditionKind.S_DOT_W2: "F4",
-}
-
-
-def _run_factors(s, n, ctx):
-    reports = []
-    for kind in ConditionKind:
-        ref = _FACTOR_REFS[kind]
-        name = f"factors/{kind.value}"
-        with Stopwatch() as t:
-            try:
-                result = symbolic_factor_check(kind, n)
-            except FactorError as err:
-                result = None
-                message = str(err)
-        reports.append(
-            CheckReport.passed(name, ref, t.elapsed)
-            if result is not None
-            else CheckReport.failed(name, ref, message, t.elapsed)
+def _run_factors(p):
+    n = p.s.n
+    reports = [
+        _attempt(
+            f"factors/{kind.value}",
+            f"F{i}",
+            lambda kind=kind: symbolic_factor_check(kind, n),
+            FactorError,
         )
-    with Stopwatch() as t:
-        try:
-            result = phi_ricci_prefactor(n)
-        except FactorError as err:
-            result = None
-            message = str(err)
+        for i, kind in enumerate(ConditionKind, 1)
+    ]
     reports.append(
-        CheckReport.passed("factors/phi-ricci", "F5", t.elapsed)
-        if result is not None
-        else CheckReport.failed("factors/phi-ricci", "F5", message, t.elapsed)
+        _attempt("factors/phi-ricci", "F5", lambda: phi_ricci_prefactor(n), FactorError)
     )
     return reports
 
 
-def _run_parallel(s, n, ctx):
+def _run_parallel(p):
     return [
-        soliton_from_parallel_check(s, ctx["conn"], ctx["ricci"], ctx["sol"]),
-        mu_zero_variant_check(s, ctx["conn"], ctx["ricci"]),
+        soliton_from_parallel_check(p.s, p.conn, p.ricci, p.sol),
+        mu_zero_variant_check(p.s, p.conn, p.ricci),
     ]
 
 
-def _run_phi_ricci(s, n, ctx):
-    return list(phi_ricci_symmetric_check(s, ctx["conn"], ctx["ricci"], ctx["sol"]))
+def _run_phi_ricci(p):
+    return list(phi_ricci_symmetric_check(p.s, p.conn, p.ricci, p.sol))
 
 
 _RUNNERS = {

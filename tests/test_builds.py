@@ -1,0 +1,60 @@
+"""How often check, solve and condition build each derived product.
+
+Calls are counted by rebinding a function's module-level names in every
+module that imported it, so the count sees each caller.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from pathlib import Path
+
+from parakenmotsu import cli, connection, curvature, soliton, structure, suite
+from parakenmotsu.fixtures import build_warped
+
+ROOT = Path(__file__).parent.parent
+MODULES = (cli, connection, curvature, soliton, structure, suite)
+
+
+def _count(monkeypatch, module, name, counts: Counter, where=lambda *args: True):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if where(*args):
+            counts[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in MODULES:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_full_suite_builds_each_residual_and_the_riemann_tensor_once(monkeypatch):
+    s = build_warped(2)
+    counts = Counter()
+    _count(monkeypatch, soliton, "condition_residual", counts)
+    _count(
+        monkeypatch, curvature, "riemann", counts, lambda conn, *_: conn.frame is s.frame
+    )
+    result = suite.run_suite(s)
+    assert all(c.status == "pass" for c in result.checks)
+    assert counts == {"condition_residual": 4, "riemann": 1}
+
+
+def test_condition_command_builds_its_residual_once(monkeypatch, capsys):
+    counts = Counter()
+    _count(monkeypatch, soliton, "condition_residual", counts)
+    doc = str(ROOT / "manifolds" / "example_r3.pk")
+    assert cli.main(["condition", doc, "--kind", "S.W2"]) == 0
+    assert "consistent: yes" in capsys.readouterr().out
+    assert counts["condition_residual"] == 1
+
+
+def test_axioms_selection_builds_no_connection(monkeypatch):
+    counts = Counter()
+    _count(monkeypatch, connection, "koszul_connection", counts)
+    result = suite.run_suite(build_warped(2), selection={"axioms"})
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses["axioms/phi-square"] == "pass"
+    assert statuses["connection/koszul"] == "skipped"
+    assert counts["koszul_connection"] == 0

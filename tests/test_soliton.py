@@ -110,7 +110,7 @@ def test_condition_residual_vanishing_pattern(pipeline):
         residual = condition_residual(kind, s, riem, S, w2=w2)
         assert residual.is_zero() == want, kind
         assert ((sol.lam, sol.mu) in theorem_expected(kind, n)) == want
-        report = condition_check(kind, s, riem, S, sol, w2=w2)
+        report = condition_check(kind, s, residual, sol)
         assert report.status == "pass", (kind, report.witness)
 
 
@@ -118,7 +118,7 @@ def test_xi_paired_residual_vanishes_with_full(pipeline):
     n, s, conn, riem, S = pipeline
     for kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
         full = condition_residual(kind, s, riem, S)
-        paired = condition_residual_xi_paired(kind, s, riem, S)
+        paired = condition_residual_xi_paired(kind, s, full)
         assert full.is_zero() == paired.is_zero()
 
 
