@@ -8,16 +8,25 @@ obtained by evaluating 2 g(nabla_X Y, Z) on frame triples and contracting
 with the inverse gram matrix.  The only divisions involved are by the
 rational 2 and by the gram determinant, so everything stays inside the
 scalar ring.  Both defining invariants (zero torsion and metric
-compatibility) are re-checked symbolically after construction.
+compatibility) are re-checked symbolically after construction.  Every
+frame-index sum is one `geometry.contract` call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from parakenmotsu.geometry import Frame, OneForm, Tensor, ValenceError, VectorField
+from parakenmotsu.geometry import (
+    Frame,
+    OneForm,
+    Tensor,
+    VectorField,
+    contract,
+    derivatives,
+)
 from parakenmotsu.scalar import ScalarExpr
 
 
@@ -45,78 +54,53 @@ class FrameConnection:
         self, i: int, comps: Sequence[ScalarExpr]
     ) -> tuple[ScalarExpr, ...]:
         """Frame components of nabla_{E_i} applied to sum(comps[j] E_j)."""
-        frame = self.frame
-        d = frame.dim
-        ei = frame.members[i]
-        out = []
-        for a in range(d):
-            acc = ei(comps[a])
-            for m in range(d):
-                if comps[m].is_zero() or self.gamma[i][m][a].is_zero():
-                    continue
-                acc = acc + comps[m] * self.gamma[i][m][a]
-            out.append(acc)
-        return tuple(out)
+        return contract(
+            "dv[a] + v[m] gam[ma] -> a",
+            dv=derivatives((self.frame.members[i],), comps),
+            v=comps,
+            gam=self.gamma[i],
+        )
 
     def nabla_vv(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_X Y for arbitrary vector fields."""
         frame = self.frame
-        d = frame.dim
-        xf = frame.to_frame(x)
         yf = frame.to_frame(y)
-        out = [frame.chart.zero()] * d
-        for i in range(d):
-            if xf[i].is_zero():
-                continue
-            direction = self.nabla_frame_components(i, yf)
-            for a in range(d):
-                if not direction[a].is_zero():
-                    out[a] = out[a] + xf[i] * direction[a]
+        out = contract(
+            "dy[a] + x[i] y[m] gam[ima] -> a",
+            dy=derivatives((x,), yf),
+            x=frame.to_frame(x),
+            y=yf,
+            gam=self.gamma,
+        )
         return frame.from_frame(out)
 
     # -- covariant derivatives of tensors --------------------------------
 
     def nabla_tensor_dir(self, t: Tensor, i: int) -> Tensor:
-        """nabla_{E_i} T for covariant T of valence (0, s), s <= 3."""
-        if t.r != 0:
-            raise ValenceError("nabla_tensor_dir expects a covariant tensor")
-        if t.s > 3:
-            raise ValenceError("covariant derivative supports s <= 3")
-        frame = self.frame
-        d = frame.dim
-        ei = frame.members[i]
-
-        def entry(*idx: int) -> ScalarExpr:
-            acc = ei(t[idx])
-            for slot in range(t.s):
-                for m in range(d):
-                    c = self.gamma[i][idx[slot]][m]
-                    if c.is_zero():
-                        continue
-                    replaced = idx[:slot] + (m,) + idx[slot + 1 :]
-                    acc = acc - c * t[replaced]
-            return acc
-
-        return Tensor.build(frame, 0, t.s, entry)
+        """nabla_{E_i} T for T of valence (0, s) or (1, s)."""
+        return self._nabla_along(t, self.frame.members[i], self.gamma[i])
 
     def nabla_tensor(self, t: Tensor, x: VectorField) -> Tensor:
-        """nabla_X T; valence (1, s) goes through the metric-lowered form."""
-        frame = self.frame
-        if t.r == 1:
-            lowered = lower_first(t)
-            derived = self.nabla_tensor(lowered, x)
-            return raise_first(derived)
-        xf = frame.to_frame(x)
-        out = None
-        for i in range(frame.dim):
-            if xf[i].is_zero():
-                continue
-            part = self.nabla_tensor_dir(t, i).scale(xf[i])
-            out = part if out is None else out + part
-        if out is None:
-            zero = frame.chart.zero()
-            out = Tensor(frame, 0, t.s, (zero,) * (frame.dim ** t.s))
-        return out
+        """nabla_X T for T of valence (0, s) or (1, s)."""
+        along = contract(
+            "x[i] gam[ijm] -> jm", x=self.frame.to_frame(x), gam=self.gamma
+        )
+        return self._nabla_along(t, x, along)
+
+    def _nabla_along(self, t: Tensor, x: VectorField, along) -> Tensor:
+        """nabla_X T, with along[j][m] the coefficient of E_m in nabla_X E_j."""
+        letters = "abcdefghijklmnopqrstuvwxy"[: t.rank]
+        terms = [f"dt[{letters}]"]
+        for p, l in enumerate(letters):
+            moved = f"t[{letters[:p]}z{letters[p + 1:]}]"
+            terms.append(f"+ c[z{l}] {moved}" if p < t.r else f"- c[{l}z] {moved}")
+        comps = contract(
+            " ".join(terms) + f" -> {letters}",
+            dt=derivatives((x,), t.components),
+            c=along,
+            t=t,
+        )
+        return Tensor.build(self.frame, t.r, t.s, comps)
 
     def nabla_oneform(self, omega: OneForm, x: VectorField) -> OneForm:
         """(nabla_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y)."""
@@ -126,48 +110,9 @@ class FrameConnection:
         return OneForm(frame, derived.components)
 
 
-def lower_first(t: Tensor) -> Tensor:
-    """Lower the contravariant index with the gram matrix."""
-    if t.r != 1:
-        raise ValenceError("lower_first expects valence (1, s)")
-    frame = t.frame
-    d = frame.dim
-    gram = frame.gram
-
-    def entry(*idx: int) -> ScalarExpr:
-        l, rest = idx[0], idx[1:]
-        acc = frame.chart.zero()
-        for a in range(d):
-            if gram[l][a].is_zero():
-                continue
-            c = t[(a,) + rest]
-            if not c.is_zero():
-                acc = acc + gram[l][a] * c
-        return acc
-
-    return Tensor.build(frame, 0, t.s + 1, entry)
-
-
-def raise_first(t: Tensor) -> Tensor:
-    """Raise the first covariant index with the inverse gram matrix."""
-    if t.r != 0 or t.s < 1:
-        raise ValenceError("raise_first expects valence (0, s) with s >= 1")
-    frame = t.frame
-    d = frame.dim
-    ginv = frame.gram_inverse()
-
-    def entry(*idx: int) -> ScalarExpr:
-        a, rest = idx[0], idx[1:]
-        acc = frame.chart.zero()
-        for l in range(d):
-            if ginv[a][l].is_zero():
-                continue
-            c = t[(l,) + rest]
-            if not c.is_zero():
-                acc = acc + ginv[a][l] * c
-        return acc
-
-    return Tensor.build(frame, 1, t.s - 1, entry)
+def _gram_derivatives(frame: Frame) -> tuple[ScalarExpr, ...]:
+    """E_i(g(E_j, E_k)), row-major over (i, j, k)."""
+    return derivatives(frame.members, [c for row in frame.gram for c in row])
 
 
 def koszul_connection(frame: Frame, verify: bool = True) -> FrameConnection:
@@ -177,46 +122,22 @@ def koszul_connection(frame: Frame, verify: bool = True) -> FrameConnection:
                         - g(X,[Y,Z]) + g(Y,[Z,X]) + g(Z,[X,Y])
     """
     d = frame.dim
-    chart = frame.chart
-    gram = frame.gram
-    ginv = frame.gram_inverse()
-
-    def pair(comps: Sequence[ScalarExpr], j: int) -> ScalarExpr:
-        """g(E_j, vector given by frame components)."""
-        acc = chart.zero()
-        for k in range(d):
-            if comps[k].is_zero() or gram[j][k].is_zero():
-                continue
-            acc = acc + gram[j][k] * comps[k]
-        return acc
-
-    # K[i][j][l] = g(nabla_{E_i} E_j, E_l)
-    K = [[[chart.zero()] * d for _ in range(d)] for _ in range(d)]
-    members = frame.members
-    for i in range(d):
-        for j in range(d):
-            for l in range(d):
-                value = (
-                    members[i](gram[j][l])
-                    + members[j](gram[l][i])
-                    - members[l](gram[i][j])
-                )
-                value = value - pair(frame.bracket_members(j, l), i)
-                value = value + pair(frame.bracket_members(l, i), j)
-                value = value + pair(frame.bracket_members(i, j), l)
-                K[i][j][l] = value * Fraction(1, 2)
-
+    # K[i, j, l] = 2 g(nabla_{E_i} E_j, E_l)
+    K = contract(
+        "dg[ijl] + dg[jli] - dg[lij] - g[im] c[jlm] + g[jm] c[lim] + g[lm] c[ijm]"
+        " -> ijl",
+        dg=_gram_derivatives(frame),
+        g=frame.gram,
+        c=frame.brackets(),
+    )
+    flat = contract(
+        "half ginv[kl] K[ijl] -> ijk",
+        half=Fraction(1, 2),
+        ginv=frame.gram_inverse(),
+        K=K,
+    )
     gamma = tuple(
-        tuple(
-            tuple(
-                sum(
-                    (ginv[k][l] * K[i][j][l] for l in range(d) if not ginv[k][l].is_zero()),
-                    chart.zero(),
-                )
-                for k in range(d)
-            )
-            for j in range(d)
-        )
+        tuple(flat[(i * d + j) * d : (i * d + j + 1) * d] for j in range(d))
         for i in range(d)
     )
     conn = FrameConnection(frame, gamma)
@@ -227,28 +148,23 @@ def koszul_connection(frame: Frame, verify: bool = True) -> FrameConnection:
 
 def _verify_connection(conn: FrameConnection) -> None:
     frame = conn.frame
-    d = frame.dim
-    gram = frame.gram
-    for i in range(d):
-        for j in range(d):
-            br = frame.bracket_members(i, j)
-            for k in range(d):
-                torsion = conn.gamma[i][j][k] - conn.gamma[j][i][k] - br[k]
-                if not torsion.is_zero():
-                    raise ConnectionError_(
-                        f"torsion does not vanish at ({i},{j},{k}): {torsion}"
-                    )
-    for i in range(d):
-        ei = frame.members[i]
-        for j in range(d):
-            for k in range(d):
-                value = ei(gram[j][k])
-                for m in range(d):
-                    if not conn.gamma[i][j][m].is_zero():
-                        value = value - conn.gamma[i][j][m] * gram[m][k]
-                    if not conn.gamma[i][k][m].is_zero():
-                        value = value - gram[j][m] * conn.gamma[i][k][m]
-                if not value.is_zero():
-                    raise ConnectionError_(
-                        f"metric compatibility fails at ({i},{j},{k}): {value}"
-                    )
+    index = list(itertools.product(range(frame.dim), repeat=3))
+    torsion = contract(
+        "gam[ijk] - gam[jik] - c[ijk] -> ijk", gam=conn.gamma, c=frame.brackets()
+    )
+    for (i, j, k), value in zip(index, torsion):
+        if not value.is_zero():
+            raise ConnectionError_(
+                f"torsion does not vanish at ({i},{j},{k}): {value}"
+            )
+    compatibility = contract(
+        "dg[ijk] - gam[ijm] g[mk] - g[jm] gam[ikm] -> ijk",
+        dg=_gram_derivatives(frame),
+        gam=conn.gamma,
+        g=frame.gram,
+    )
+    for (i, j, k), value in zip(index, compatibility):
+        if not value.is_zero():
+            raise ConnectionError_(
+                f"metric compatibility fails at ({i},{j},{k}): {value}"
+            )

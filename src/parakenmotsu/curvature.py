@@ -12,9 +12,10 @@ under which the warped fixtures have S = -2n g.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from parakenmotsu.connection import FrameConnection, raise_first
+from parakenmotsu.connection import FrameConnection
 from parakenmotsu.geometry import (
     Frame,
     OneForm,
@@ -22,6 +23,8 @@ from parakenmotsu.geometry import (
     ValenceError,
     VectorField,
     bracket,
+    contract,
+    derivatives,
 )
 from parakenmotsu.scalar import ScalarExpr
 
@@ -33,23 +36,16 @@ class CurvatureError(ValueError):
 def riemann(conn: FrameConnection, verify: bool = True) -> Tensor:
     """(1,3) curvature tensor of the connection, in frame components."""
     frame = conn.frame
-    d = frame.dim
     gamma = conn.gamma
-    members = frame.members
-
-    def entry(a: int, i: int, j: int, k: int) -> ScalarExpr:
-        acc = members[i](gamma[j][k][a]) - members[j](gamma[i][k][a])
-        c = frame.bracket_members(i, j)
-        for m in range(d):
-            if not gamma[j][k][m].is_zero() and not gamma[i][m][a].is_zero():
-                acc = acc + gamma[j][k][m] * gamma[i][m][a]
-            if not gamma[i][k][m].is_zero() and not gamma[j][m][a].is_zero():
-                acc = acc - gamma[i][k][m] * gamma[j][m][a]
-            if not c[m].is_zero() and not gamma[m][k][a].is_zero():
-                acc = acc - c[m] * gamma[m][k][a]
-        return acc
-
-    riem = Tensor.build(frame, 1, 3, entry)
+    flat = [c for plane in gamma for row in plane for c in row]
+    comps = contract(
+        "dgam[ijka] - dgam[jika] + gam[jkm] gam[ima] - gam[ikm] gam[jma]"
+        " - c[ijm] gam[mka] -> aijk",
+        dgam=derivatives(frame.members, flat),  # [i, j, k, a] = E_i(gamma[j][k][a])
+        gam=gamma,
+        c=frame.brackets(),
+    )
+    riem = Tensor.build(frame, 1, 3, comps)
     if verify:
         _verify_riemann(riem)
     return riem
@@ -57,37 +53,22 @@ def riemann(conn: FrameConnection, verify: bool = True) -> Tensor:
 
 def _verify_riemann(riem: Tensor) -> None:
     frame = riem.frame
-    d = frame.dim
-    gram = frame.gram
-    for a in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(d):
-                    if not (riem[a, i, j, k] + riem[a, j, i, k]).is_zero():
-                        raise CurvatureError(
-                            f"curvature not antisymmetric at ({a},{i},{j},{k})"
-                        )
-                    cyc = riem[a, i, j, k] + riem[a, j, k, i] + riem[a, k, i, j]
-                    if not cyc.is_zero():
-                        raise CurvatureError(
-                            f"first Bianchi identity fails at ({a},{i},{j},{k})"
-                        )
+    index = list(itertools.product(range(frame.dim), repeat=4))
+    antisymmetry = contract("R[aijk] + R[ajik] -> aijk", R=riem)
+    bianchi = contract("R[aijk] + R[ajki] + R[akij] -> aijk", R=riem)
+    for (a, i, j, k), anti, cyc in zip(index, antisymmetry, bianchi):
+        if j < i:
+            continue
+        if not anti.is_zero():
+            raise CurvatureError(f"curvature not antisymmetric at ({a},{i},{j},{k})")
+        if not cyc.is_zero():
+            raise CurvatureError(f"first Bianchi identity fails at ({a},{i},{j},{k})")
 
-    def lowered(i: int, j: int, k: int, l: int) -> ScalarExpr:
-        acc = frame.chart.zero()
-        for a in range(d):
-            if not gram[l][a].is_zero() and not riem[a, i, j, k].is_zero():
-                acc = acc + gram[l][a] * riem[a, i, j, k]
-        return acc
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(k + 1, d):
-                    if not (lowered(i, j, k, l) - lowered(k, l, i, j)).is_zero():
-                        raise CurvatureError(
-                            f"pair symmetry fails at ({i},{j},{k},{l})"
-                        )
+    # g(R(E_i,E_j)E_k, E_l) - g(R(E_k,E_l)E_i, E_j)
+    pairs = contract("g[la] R[aijk] - g[ja] R[akli] -> ijkl", g=frame.gram, R=riem)
+    for (i, j, k, l), value in zip(index, pairs):
+        if j > i and l > k and not value.is_zero():
+            raise CurvatureError(f"pair symmetry fails at ({i},{j},{k},{l})")
 
 
 def ricci(riem: Tensor, verify: bool = True) -> Tensor:
@@ -99,16 +80,7 @@ def ricci(riem: Tensor, verify: bool = True) -> Tensor:
     frame = riem.frame
     d = frame.dim
     frame.gram_signs()
-
-    def entry(j: int, k: int) -> ScalarExpr:
-        acc = frame.chart.zero()
-        for i in range(d):
-            c = riem[i, i, j, k]
-            if not c.is_zero():
-                acc = acc + c
-        return acc
-
-    s = Tensor.build(frame, 0, 2, entry)
+    s = Tensor.build(frame, 0, 2, contract("R[iijk] -> jk", R=riem))
     if verify:
         for j in range(d):
             for k in range(j + 1, d):
@@ -121,7 +93,8 @@ def ricci_operator(s: Tensor) -> Tensor:
     """(1,1) operator Q with g(QX, Y) = S(X, Y)."""
     if s.r != 0 or s.s != 2:
         raise ValenceError("ricci_operator expects a (0,2) tensor")
-    return raise_first(s)
+    comps = contract("ginv[am] S[mb] -> ab", ginv=s.frame.gram_inverse(), S=s)
+    return Tensor.build(s.frame, 1, 1, comps)
 
 
 def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
@@ -129,29 +102,21 @@ def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
     if n < 1:
         raise ValueError("w2_tensor needs n >= 1")
     frame = riem.frame
-    gram = frame.gram
-    inv2n = Fraction(1, 2 * n)
-
-    def entry(a: int, i: int, j: int, k: int) -> ScalarExpr:
-        acc = riem[a, i, j, k]
-        if not gram[i][k].is_zero() and not q[a, j].is_zero():
-            acc = acc + gram[i][k] * q[a, j] * inv2n
-        if not gram[j][k].is_zero() and not q[a, i].is_zero():
-            acc = acc - gram[j][k] * q[a, i] * inv2n
-        return acc
-
-    return Tensor.build(frame, 1, 3, entry)
+    comps = contract(
+        "R[aijk] + c g[ik] Q[aj] - c g[jk] Q[ai] -> aijk",
+        R=riem,
+        c=Fraction(1, 2 * n),
+        g=frame.gram,
+        Q=q,
+    )
+    return Tensor.build(frame, 1, 3, comps)
 
 
 def scalar_curvature(q: Tensor) -> ScalarExpr:
     """Trace of the Ricci operator."""
     if q.r != 1 or q.s != 1:
         raise ValenceError("scalar_curvature expects a (1,1) tensor")
-    frame = q.frame
-    acc = frame.chart.zero()
-    for a in range(frame.dim):
-        acc = acc + q[a, a]
-    return acc
+    return contract("Q[aa] ->", Q=q)
 
 
 def lie_derivative(x: VectorField, t):
@@ -165,59 +130,46 @@ def lie_derivative(x: VectorField, t):
     raise ValenceError("lie_derivative supports (0,2), (1,1), and one-forms")
 
 
-def _bracket_components(frame: Frame, x: VectorField, i: int) -> tuple[ScalarExpr, ...]:
-    return frame.to_frame(bracket(x, frame.members[i]))
+def _bracket_table(frame: Frame, x: VectorField) -> list[tuple[ScalarExpr, ...]]:
+    """Frame components of [X, E_i] for every i."""
+    return [frame.to_frame(bracket(x, e)) for e in frame.members]
 
 
 def _lie_covariant2(x: VectorField, t: Tensor) -> Tensor:
     frame = t.frame
-    d = frame.dim
-    brackets = [_bracket_components(frame, x, i) for i in range(d)]
-
-    def entry(i: int, j: int) -> ScalarExpr:
-        acc = x(t[i, j])
-        for m in range(d):
-            if not brackets[i][m].is_zero():
-                acc = acc - brackets[i][m] * t[m, j]
-            if not brackets[j][m].is_zero():
-                acc = acc - t[i, m] * brackets[j][m]
-        return acc
-
-    return Tensor.build(frame, 0, 2, entry)
+    comps = contract(
+        "dt[ij] - b[im] t[mj] - t[im] b[jm] -> ij",
+        dt=derivatives((x,), t.components),
+        b=_bracket_table(frame, x),
+        t=t,
+    )
+    return Tensor.build(frame, 0, 2, comps)
 
 
 def _lie_oneform(x: VectorField, omega: OneForm) -> OneForm:
     frame = omega.frame
-    d = frame.dim
-    comps = []
-    for i in range(d):
-        acc = x(omega.on_member(i))
-        br = _bracket_components(frame, x, i)
-        for m in range(d):
-            if not br[m].is_zero():
-                acc = acc - br[m] * omega.on_member(m)
-        comps.append(acc)
-    return OneForm(frame, tuple(comps))
+    comps = contract(
+        "dw[i] - b[im] w[m] -> i",
+        dw=derivatives((x,), omega.components),
+        b=_bracket_table(frame, x),
+        w=omega.components,
+    )
+    return OneForm(frame, comps)
 
 
 def _lie_endomorphism(x: VectorField, t: Tensor) -> Tensor:
     """(L_X T)(Y) = [X, T(Y)] - T([X, Y])."""
     frame = t.frame
     d = frame.dim
-    columns = []
-    for i in range(d):
-        ty = frame.from_frame(tuple(t[a, i] for a in range(d)))
-        first = frame.to_frame(bracket(x, ty))
-        br = _bracket_components(frame, x, i)
-        col = []
-        for a in range(d):
-            acc = first[a]
-            for m in range(d):
-                if not br[m].is_zero() and not t[a, m].is_zero():
-                    acc = acc - br[m] * t[a, m]
-            col.append(acc)
-        columns.append(col)
-    return Tensor.build(frame, 1, 1, lambda a, i: columns[i][a])
+    # [X, T(E_i)] for every i; column i of T holds T(E_i)
+    first = [
+        frame.to_frame(bracket(x, frame.from_frame(t.components[i::d])))
+        for i in range(d)
+    ]
+    comps = contract(
+        "f[ia] - b[im] t[am] -> ai", f=first, b=_bracket_table(frame, x), t=t
+    )
+    return Tensor.build(frame, 1, 1, comps)
 
 
 def nijenhuis(phi: Tensor) -> Tensor:
@@ -226,33 +178,20 @@ def nijenhuis(phi: Tensor) -> Tensor:
         raise ValenceError("nijenhuis expects a (1,1) tensor")
     frame = phi.frame
     d = frame.dim
-    images = [
-        frame.from_frame(tuple(phi[a, i] for a in range(d))) for i in range(d)
-    ]
+    members = frame.members
+    images = [frame.from_frame(phi.components[i::d]) for i in range(d)]
 
-    def apply_phi(comps) -> list[ScalarExpr]:
-        out = []
-        for a in range(d):
-            acc = frame.chart.zero()
-            for m in range(d):
-                if not phi[a, m].is_zero() and not comps[m].is_zero():
-                    acc = acc + phi[a, m] * comps[m]
-            out.append(acc)
-        return out
+    def table(left, right):
+        """Frame components of [left[i], right[j]], nested [i][j]."""
+        return [[frame.to_frame(bracket(u, v)) for v in right] for u in left]
 
-    def column(i: int, j: int) -> list[ScalarExpr]:
-        plain = frame.bracket_members(i, j)
-        term1 = apply_phi(apply_phi(plain))
-        term2 = frame.to_frame(bracket(images[i], images[j]))
-        term3 = apply_phi(frame.to_frame(bracket(images[i], frame.members[j])))
-        term4 = apply_phi(frame.to_frame(bracket(frame.members[i], images[j])))
-        return [term1[a] + term2[a] - term3[a] - term4[a] for a in range(d)]
-
-    cache: dict[tuple[int, int], list[ScalarExpr]] = {}
-
-    def entry(a: int, i: int, j: int) -> ScalarExpr:
-        if (i, j) not in cache:
-            cache[(i, j)] = column(i, j)
-        return cache[(i, j)][a]
-
-    return Tensor.build(frame, 1, 2, entry)
+    comps = contract(
+        "phi[am] phi[mb] c[ijb] + pp[ija] - phi[am] pe[ijm] - phi[am] ep[ijm]"
+        " -> aij",
+        phi=phi,
+        c=frame.brackets(),
+        pp=table(images, images),
+        pe=table(images, members),
+        ep=table(members, images),
+    )
+    return Tensor.build(frame, 1, 2, comps)

@@ -6,16 +6,39 @@ frame, which for the structures handled here is pseudo-orthonormal: the
 gram matrix of the frame is a constant diagonal of +1/-1 entries.  Inputs
 given in the coordinate basis are converted once, by solving against the
 frame's invertible component matrix.
+
+Every sum over frame indices goes through one primitive, `contract`.  Its
+spec is a signed sum of products of named factors, then the output
+indices:
+
+    contract("S[xm] R[myzw] xi[a] - S[xy] xi[m] R[amzw] -> axyzw",
+             S=ricci, R=riem, xi=xi_components)
+
+- A factor is `name[letters]`, one lowercase letter per frame index, with
+  the operand passed as the keyword `name`: a `Tensor`, a sequence of
+  frame components (flat row-major, or nested one level per index, like
+  the gram matrix or the connection coefficients), or for a factor
+  without brackets a `ScalarExpr` or a rational.  `delta[ij]` is the
+  identity, and a bare integer such as `2` is a constant coefficient.
+- A letter that is not an output index is summed over `range(d)`; a
+  letter repeated inside one factor takes its diagonal.  Every term must
+  carry every output index.
+- Only nonzero operand components are visited.  All product terms of an
+  output component are collected first and normalized once.
+- The result is the tuple of components in row-major order over the
+  output letters, or one `ScalarExpr` when there are none.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from parakenmotsu.scalar import NonInvertible, ScalarExpr
+from parakenmotsu.scalar import NonInvertible, ScalarExpr, Term, mul_terms
 
 
 class ValenceError(ValueError):
@@ -283,48 +306,39 @@ class Frame:
             if x is member:
                 return self.unit_components(i)
         inv = self.component_inverse()
-        d = self.dim
-        return tuple(
-            sum(
-                (inv[i][a] * x.components[a] for a in range(d)),
-                self.chart.zero(),
-            )
-            for i in range(d)
-        )
+        return contract("inv[ia] x[a] -> i", inv=inv, x=x.components)
 
     def from_frame(self, comps: Sequence[ScalarExpr]) -> VectorField:
-        out = VectorField.zero(self.chart)
-        for c, e in zip(comps, self.members):
-            if not c.is_zero():
-                out = out + e.scale(c)
-        return out
+        members = [e.components for e in self.members]
+        return VectorField(self.chart, contract("c[i] e[ia] -> a", c=comps, e=members))
 
     def metric_vv(self, x: VectorField, y: VectorField) -> ScalarExpr:
         """g(X, Y) through frame components and the gram matrix."""
-        cx = self.to_frame(x)
-        cy = self.to_frame(y)
-        acc = self.chart.zero()
-        d = self.dim
-        for i in range(d):
-            if cx[i].is_zero():
-                continue
-            for j in range(d):
-                if self.gram[i][j].is_zero() or cy[j].is_zero():
-                    continue
-                acc = acc + cx[i] * self.gram[i][j] * cy[j]
-        return acc
+        return contract(
+            "x[i] g[ij] y[j] ->", x=self.to_frame(x), g=self.gram, y=self.to_frame(y)
+        )
 
     def metric_tensor(self) -> "Tensor":
         return Tensor(self, 0, 2, _flatten(self.gram), symmetric=True)
 
-    def bracket_members(self, i: int, j: int) -> tuple[ScalarExpr, ...]:
-        """Frame components of [E_i, E_j], cached."""
-        key = ("bracket", i, j)
-        if key not in self._cache:
-            b = bracket(self.members[i], self.members[j])
-            self._cache[key] = self.to_frame(b)
-            self._cache[("bracket", j, i)] = tuple(-c for c in self._cache[key])
-        return self._cache[key]
+    def brackets(self) -> tuple[tuple[tuple[ScalarExpr, ...], ...], ...]:
+        """Frame components of every [E_i, E_j], nested [i][j][k], cached."""
+        if "brackets" not in self._cache:
+            d, members = self.dim, self.members
+            table = [[()] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    table[i][j] = self.to_frame(bracket(members[i], members[j]))
+                    table[j][i] = tuple(-c for c in table[i][j])
+            self._cache["brackets"] = tuple(map(tuple, table))
+        return self._cache["brackets"]
+
+
+def derivatives(
+    fields: Sequence[VectorField], comps: Sequence[ScalarExpr]
+) -> tuple[ScalarExpr, ...]:
+    """X(c) for every field X and component c, the field index first."""
+    return tuple(c if c.is_zero() else x(c) for x in fields for c in comps)
 
 
 def _flatten(rows: Matrix) -> tuple[ScalarExpr, ...]:
@@ -379,6 +393,8 @@ class Tensor:
         d = self.frame.dim
         flat = 0
         for i in idx:
+            if not 0 <= i < d:
+                raise ValenceError(f"frame index {i} outside range({d})")
             flat = flat * d + i
         return self.components[flat]
 
@@ -387,14 +403,14 @@ class Tensor:
         frame: Frame,
         r: int,
         s: int,
-        entry: Callable[..., ScalarExpr],
+        entry: Callable[..., ScalarExpr] | Sequence[ScalarExpr],
         symmetric: bool = False,
     ) -> "Tensor":
-        d = frame.dim
-        comps = tuple(
-            entry(*idx) for idx in itertools.product(range(d), repeat=r + s)
-        )
-        return Tensor(frame, r, s, comps, symmetric=symmetric)
+        """Tensor from entry(*idx), or from its components in row-major order."""
+        if callable(entry):
+            idx = itertools.product(range(frame.dim), repeat=r + s)
+            entry = [entry(*i) for i in idx]
+        return Tensor(frame, r, s, tuple(entry), symmetric=symmetric)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._match(other)
@@ -430,12 +446,173 @@ class Tensor:
         return all(c.is_zero() for c in self.components)
 
     def first_nonzero(self) -> tuple[tuple[int, ...], ScalarExpr] | None:
-        d = self.frame.dim
-        for idx in itertools.product(range(d), repeat=self.rank):
-            c = self[idx]
-            if not c.is_zero():
-                return idx, c
-        return None
+        idx = itertools.product(range(self.frame.dim), repeat=self.rank)
+        return next(((i, c) for i, c in zip(idx, self.components) if c.terms), None)
+
+
+# ---------------------------------------------------------------------------
+# The contraction primitive (see the module docstring for the spec).
+# ---------------------------------------------------------------------------
+
+_FACTOR = re.compile(r"([A-Za-z_]\w*)(?:\[([a-z]+)\])?|(\d+)")
+_ONE = (Term(Fraction(1)),)
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_spec(spec: str):
+    """(output letters, terms), a term being (sign, ((name, letters), ...))."""
+    lhs, arrow, out = spec.partition("->")
+    out = out.strip()
+    tokens = lhs.split()
+    if tokens and tokens[0] not in "+-":
+        tokens.insert(0, "+")
+    terms: list[tuple[int, list]] = []
+    for token in tokens:
+        if token in ("+", "-"):
+            terms.append((-1 if token == "-" else 1, []))
+            continue
+        m = _FACTOR.fullmatch(token)
+        if m is None:
+            raise ValueError(f"bad factor {token!r} in contraction {spec!r}")
+        terms[-1][1].append((m.group(1) or m.group(3), m.group(2) or ""))
+    distinct = len(set(out)) == len(out)
+    if not (arrow and terms and distinct and re.fullmatch(r"[a-z]*", out)):
+        raise ValueError(f"malformed contraction {spec!r}")
+    for _, factors in terms:
+        letters = "".join(l for _, l in factors)
+        if not factors or not set(out) <= set(letters):
+            raise ValueError(f"a term of {spec!r} lacks an output index")
+    return out, tuple((sign, tuple(factors)) for sign, factors in terms)
+
+
+def _components(value, rank: int):
+    """(flat components, dimension) of a Tensor, ScalarExpr or sequence operand."""
+    if isinstance(value, Tensor):
+        if value.rank != rank:
+            raise ValenceError(f"tensor of rank {value.rank} given {rank} indices")
+        return value.components, value.frame.dim
+    if isinstance(value, ScalarExpr) != (rank == 0):
+        raise ValenceError("a scalar takes no indices, a sequence at least one")
+    if isinstance(value, ScalarExpr):
+        return (value,), None
+    comps, depth = list(value), 1
+    while comps and not isinstance(comps[0], ScalarExpr):
+        comps, depth = [c for row in comps for c in row], depth + 1
+    if depth not in (1, rank):
+        raise ValenceError(f"operand nested {depth} deep given {rank} indices")
+    d = len(value) if depth == rank else round(len(comps) ** (1 / rank))
+    if len(comps) != d**rank:
+        raise ValenceError(f"{len(comps)} components do not fit {rank} indices")
+    return comps, d
+
+
+def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
+    """Evaluate a signed sum of index contractions; see the module docstring."""
+    out, terms = _parse_spec(spec)
+    flat: dict[str, Sequence[ScalarExpr]] = {}
+    dims, symbols = set(), set()
+    for _, factors in terms:
+        for name, letters in factors:
+            if name in flat or name.isdigit() or name == "delta":
+                continue
+            value = operands.get(name)
+            if value is None:
+                raise ValueError(f"contraction {spec!r} has no operand {name!r}")
+            if isinstance(value, (int, Fraction)) and not letters:
+                continue
+            flat[name], d = _components(value, len(letters))
+            dims.add(d)
+            if flat[name]:
+                symbols.add(flat[name][0].symbols)
+    dims.discard(None)
+    if len(dims) != 1 or len(symbols) != 1:
+        raise ValenceError(f"operands of {spec!r} disagree on dimension or chart")
+    (d,), (syms,) = dims, symbols
+
+    sparse: dict = {}
+
+    def entries(name: str, letters: str):
+        """Nonzero (index, terms) pairs, diagonal taken for a repeated letter."""
+        key = (name, letters)
+        if key not in sparse:
+            unique = "".join(dict.fromkeys(letters))
+            if name == "delta":
+                pairs = [((i,) * len(letters), _ONE) for i in range(d)]
+            else:
+                idx = itertools.product(range(d), repeat=len(letters))
+                pairs = [(i, c.terms) for i, c in zip(idx, flat[name]) if c.terms]
+            if len(unique) < len(letters):
+                first = [letters.index(l) for l in letters]
+                keep = [letters.index(l) for l in unique]
+                pairs = [
+                    (tuple(i[p] for p in keep), t)
+                    for i, t in pairs
+                    if all(i[p] == i[q] for p, q in enumerate(first))
+                ]
+            sparse[key] = (unique, pairs)
+        return sparse[key]
+
+    acc: dict[int, list[Term]] = {}
+    for sign, factors in terms:
+        coeff = Fraction(sign)
+        parts = []
+        for name, letters in factors:
+            value = operands.get(name)
+            if name.isdigit():
+                coeff *= int(name)
+            elif not letters and isinstance(value, (int, Fraction)):
+                coeff *= value
+            else:
+                parts.append(entries(name, letters))
+        if coeff == 0 or any(not pairs for _, pairs in parts):
+            continue
+        # Join the sparsest factor first; each later one is grouped by the
+        # letters already bound, so only matching components are visited.
+        parts.sort(key=lambda part: len(part[1]))
+        slot: dict[str, int] = {}
+        plan = []
+        for letters, pairs in parts:
+            bound = [p for p, l in enumerate(letters) if l in slot]
+            free = [p for p, l in enumerate(letters) if l not in slot]
+            groups: dict[tuple, list] = {}
+            for i, t in pairs:
+                groups.setdefault(tuple(i[p] for p in bound), []).append(
+                    (tuple(i[p] for p in free), t)
+                )
+            for p in free:
+                slot[letters[p]] = len(slot)
+            bound_slots = [slot[letters[p]] for p in bound]
+            plan.append((bound_slots, [slot[letters[p]] for p in free], groups))
+        out_slots = [slot[l] for l in out]
+        vals = [0] * len(slot)
+
+        def walk(k: int, product):
+            if k == len(plan):
+                at = 0
+                for s in out_slots:
+                    at = at * d + vals[s]
+                bucket = acc.setdefault(at, [])
+                if coeff == 1:
+                    bucket.extend(product)
+                else:
+                    bucket.extend(
+                        Term(coeff * t.coeff, t.monomial, t.exponent) for t in product
+                    )
+                return
+            bound, free, groups = plan[k]
+            for free_vals, t in groups.get(tuple(vals[s] for s in bound), ()):
+                for s, v in zip(free, free_vals):
+                    vals[s] = v
+                walk(k + 1, mul_terms(product, t))
+
+        walk(0, _ONE)
+
+    zero = ScalarExpr.zero(syms)
+    comps = tuple(
+        ScalarExpr.normalize(syms, acc[at]) if at in acc else zero
+        for at in range(d ** len(out))
+    )
+    return comps if out else comps[0]
 
 
 def tensor_apply(t: Tensor, args: Sequence[VectorField]):
@@ -446,31 +623,15 @@ def tensor_apply(t: Tensor, args: Sequence[VectorField]):
     if len(args) != t.s:
         raise ValenceError(f"tensor of valence ({t.r},{t.s}) takes {t.s} arguments")
     frame = t.frame
-    d = frame.dim
-    arg_comps = [frame.to_frame(x) for x in args]
-    width = d ** t.r
-    cov_size = d ** t.s
-    flat = [frame.chart.zero()] * width
-
-    def walk(depth: int, offset: int, scale: ScalarExpr | None):
-        if depth == t.s:
-            for a in range(width):
-                c = t.components[a * cov_size + offset]
-                if c.is_zero():
-                    continue
-                flat[a] = flat[a] + (c if scale is None else c * scale)
-            return
-        stride = d ** (t.s - depth - 1)
-        for j in range(d):
-            cj = arg_comps[depth][j]
-            if cj.is_zero():
-                continue
-            walk(depth + 1, offset + j * stride, cj if scale is None else scale * cj)
-
-    walk(0, 0, None)
-    if t.r == 0:
-        return flat[0]
-    return frame.from_frame(flat)
+    upper = "a" * t.r
+    letters = "bcdefghijklmnopqrstuvwxyz"[: t.s]
+    factors = "".join(f" x{l}[{l}]" for l in letters)
+    value = contract(
+        f"t[{upper}{letters}]{factors} -> {upper}" if t.rank else "t ->",
+        t=t,
+        **{f"x{l}": frame.to_frame(x) for l, x in zip(letters, args)},
+    )
+    return frame.from_frame(value) if t.r else value
 
 
 @dataclass(frozen=True, slots=True)
@@ -485,11 +646,7 @@ class OneForm:
             raise ValenceError("one-form component count does not match frame")
 
     def __call__(self, x: VectorField) -> ScalarExpr:
-        comps = self.frame.to_frame(x)
-        return sum(
-            (a * b for a, b in zip(self.components, comps) if not a.is_zero()),
-            self.frame.chart.zero(),
-        )
+        return contract("w[i] x[i] ->", w=self.components, x=self.frame.to_frame(x))
 
     def on_member(self, i: int) -> ScalarExpr:
         return self.components[i]
@@ -516,15 +673,10 @@ def differential(f: ScalarExpr, frame: Frame) -> OneForm:
 def exterior_derivative(omega: OneForm) -> Tensor:
     """d(omega) on frame pairs: X(w(Y)) - Y(w(X)) - w([X, Y])."""
     frame = omega.frame
-    d = frame.dim
-
-    def entry(i: int, j: int) -> ScalarExpr:
-        ei, ej = frame.members[i], frame.members[j]
-        value = ei(omega.components[j]) - ej(omega.components[i])
-        br = frame.bracket_members(i, j)
-        for k in range(d):
-            if not br[k].is_zero():
-                value = value - omega.components[k] * br[k]
-        return value
-
-    return Tensor.build(frame, 0, 2, entry)
+    comps = contract(
+        "dw[ij] - dw[ji] - w[k] c[ijk] -> ij",
+        dw=derivatives(frame.members, omega.components),
+        w=omega.components,
+        c=frame.brackets(),
+    )
+    return Tensor.build(frame, 0, 2, comps)

@@ -122,6 +122,24 @@ class Term:
         return sum(k for _, k in self.monomial)
 
 
+def mul_terms(a: Sequence[Term], b: Sequence[Term]) -> Sequence[Term]:
+    """Every product of a term of `a` with a term of `b`, not yet normalized."""
+    if len(b) == 1 and not b[0].monomial and not b[0].exponent.coeffs:
+        a, b = b, a
+    if len(a) == 1 and not a[0].monomial and not a[0].exponent.coeffs:
+        q = a[0].coeff  # a rational constant only rescales
+        return b if q == 1 else [Term(q * t.coeff, t.monomial, t.exponent) for t in b]
+    return [
+        Term(
+            s.coeff * t.coeff,
+            _mul_monomials(s.monomial, t.monomial),
+            s.exponent + t.exponent,
+        )
+        for s in a
+        for t in b
+    ]
+
+
 def _mul_monomials(
     a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
@@ -257,17 +275,7 @@ class ScalarExpr:
         if not isinstance(other, ScalarExpr):
             return NotImplemented
         self._check(other)
-        out: list[Term] = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(
-                    Term(
-                        a.coeff * b.coeff,
-                        _mul_monomials(a.monomial, b.monomial),
-                        a.exponent + b.exponent,
-                    )
-                )
-        return ScalarExpr.normalize(self.symbols, out)
+        return ScalarExpr.normalize(self.symbols, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -276,8 +284,13 @@ class ScalarExpr:
         if not isinstance(power, int) or power < 0:
             raise ValueError("powers must be non-negative integers")
         result = ScalarExpr.const(1, self.symbols)
-        for _ in range(power):
-            result = result * self
+        base = self
+        while power:  # repeated squaring
+            if power & 1:
+                result = result * base
+            power >>= 1
+            if power:
+                base = base * base
         return result
 
     def invert(self) -> "ScalarExpr":

@@ -21,6 +21,7 @@ invariant under this normalization.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,15 +35,10 @@ from parakenmotsu.curvature import (
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, ValenceError, tensor_apply
-from parakenmotsu.report import (
-    CheckReport,
-    Stopwatch,
-    report_from_failures,
-    witness_at,
-)
+from parakenmotsu.geometry import Tensor, ValenceError, contract, tensor_apply
+from parakenmotsu.report import CheckReport, Stopwatch, witness_at
 from parakenmotsu.scalar import ScalarExpr
-from parakenmotsu.structure import ParacontactStructure
+from parakenmotsu.structure import ParacontactStructure, vanishing_check
 
 
 class NoConstantSolution(ValueError):
@@ -207,111 +203,45 @@ def quasi_einstein_decompose(
 # -- condition residuals ---------------------------------------------------
 
 
-def _xi_slot(s: ParacontactStructure, op: Tensor, slot: int):
-    """Contract the covariant slot (1-based) of a (1,3) operator with xi."""
-    frame = s.frame
-    d = frame.dim
-    xif = s.xi_components()
+# Each residual is a sum of contractions of the operator `op` (R or W2, so
+# op[a, i, j, k] is the E_a component of op(E_i, E_j)E_k), the Ricci tensor
+# S and xi.
 
-    def entry(a: int, p: int, q: int) -> ScalarExpr:
-        acc = frame.chart.zero()
-        for m in range(d):
-            if xif[m].is_zero():
-                continue
-            idx = {1: (a, m, p, q), 2: (a, p, m, q), 3: (a, p, q, m)}[slot]
-            if not op[idx].is_zero():
-                acc = acc + xif[m] * op[idx]
-        return acc
+# (0,3): S(op(xi,X)Y, Z) + S(Y, op(xi,X)Z)
+_DERIVATION = ("+ xi[b] op[mbxy] S[mz]", "+ S[ym] xi[b] op[mbxz]")
 
-    return [
-        [[entry(a, p, q) for q in range(d)] for p in range(d)] for a in range(d)
-    ]
-
-
-def _derivation_residual(
-    s: ParacontactStructure, op: Tensor, ricci_tensor: Tensor
-) -> Tensor:
-    """(0,3) residual S(op(xi,X)Y, Z) + S(Y, op(xi,X)Z)."""
-    frame = s.frame
-    d = frame.dim
-    chart = frame.chart
-    op_xi = _xi_slot(s, op, 1)
-
-    def entry(x: int, y: int, z: int) -> ScalarExpr:
-        acc = chart.zero()
-        for m in range(d):
-            v = op_xi[m][x][y]
-            if not v.is_zero() and not ricci_tensor[m, z].is_zero():
-                acc = acc + v * ricci_tensor[m, z]
-            w = op_xi[m][x][z]
-            if not w.is_zero() and not ricci_tensor[y, m].is_zero():
-                acc = acc + ricci_tensor[y, m] * w
-        return acc
-
-    return Tensor.build(frame, 0, 3, entry)
+# (1,4), at (X,Y,Z,W) = (E_x, E_y, E_z, E_w):
+#     S(X, op(Y,Z)W) xi - S(xi, op(Y,Z)W) X
+#   + S(X,Y) op(xi,Z)W - S(xi,Y) op(X,Z)W
+#   + S(X,Z) op(Y,xi)W - S(xi,Z) op(Y,X)W
+#   + S(X,W) op(Y,Z)xi - S(xi,W) op(Y,Z)X
+_EIGHT_TERM = (
+    "+ S[xm] op[myzw] xi[a]",
+    "- xi[b] S[bm] op[myzw] delta[ax]",
+    "+ S[xy] xi[m] op[amzw]",
+    "- xi[b] S[by] op[axzw]",
+    "+ S[xz] xi[m] op[aymw]",
+    "- xi[b] S[bz] op[ayxw]",
+    "+ S[xw] xi[m] op[ayzm]",
+    "- xi[b] S[bw] op[ayzx]",
+)
 
 
-def _eight_term_entry(s: ParacontactStructure, op: Tensor, ricci_tensor: Tensor):
-    """Entry function of the (1,4) Ricci-derivation residual against op.
-
-    Component at (X,Y,Z,W) = frame members (x,y,z,w):
-
-        S(X, op(Y,Z)W) xi - S(xi, op(Y,Z)W) X
-      + S(X,Y) op(xi,Z)W - S(xi,Y) op(X,Z)W
-      + S(X,Z) op(Y,xi)W - S(xi,Z) op(Y,X)W
-      + S(X,W) op(Y,Z)xi - S(xi,W) op(Y,Z)X
-    """
-    frame = s.frame
-    d = frame.dim
-    chart = frame.chart
-    xif = s.xi_components()
-    s_xi = [
-        sum(
-            (xif[i] * ricci_tensor[i, m] for i in range(d) if not xif[i].is_zero()),
-            chart.zero(),
-        )
-        for m in range(d)
-    ]
-    op_xi1 = _xi_slot(s, op, 1)
-    op_xi2 = _xi_slot(s, op, 2)
-    op_xi3 = _xi_slot(s, op, 3)
-
-    def entry(a: int, x: int, y: int, z: int, w: int) -> ScalarExpr:
-        acc = chart.zero()
-        if not xif[a].is_zero():
-            inner = sum(
-                (
-                    ricci_tensor[x, m] * op[m, y, z, w]
-                    for m in range(d)
-                    if not op[m, y, z, w].is_zero()
-                ),
-                chart.zero(),
-            )
-            acc = acc + inner * xif[a]
-        if a == x:
-            acc = acc - sum(
-                (
-                    s_xi[m] * op[m, y, z, w]
-                    for m in range(d)
-                    if not op[m, y, z, w].is_zero()
-                ),
-                chart.zero(),
-            )
-        acc = acc + ricci_tensor[x, y] * op_xi1[a][z][w]
-        acc = acc - s_xi[y] * op[a, x, z, w]
-        acc = acc + ricci_tensor[x, z] * op_xi2[a][y][w]
-        acc = acc - s_xi[z] * op[a, y, x, w]
-        acc = acc + ricci_tensor[x, w] * op_xi3[a][y][z]
-        acc = acc - s_xi[w] * op[a, y, z, x]
-        return acc
-
-    return entry
-
-
-def _eight_term_residual(
-    s: ParacontactStructure, op: Tensor, ricci_tensor: Tensor
-) -> Tensor:
-    return Tensor.build(s.frame, 1, 4, _eight_term_entry(s, op, ricci_tensor))
+def _residual_components(
+    kind: ConditionKind,
+    s: ParacontactStructure,
+    op: Tensor,
+    ricci_tensor: Tensor,
+    paired: str,
+    out: str,
+):
+    """Components of the kind's residual with every term times `paired`."""
+    derivation = kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S)
+    terms = _DERIVATION if derivation else _EIGHT_TERM
+    spec = " ".join(f"{term} {paired}" for term in terms) + f" -> {out}"
+    return contract(
+        spec, op=op, S=ricci_tensor, xi=s.xi_components(), eta=s.eta.components
+    )
 
 
 def _operator_for(
@@ -338,8 +268,12 @@ def condition_residual(
     """Full residual tensor of the selected curvature condition."""
     op = _operator_for(kind, s, riem, ricci_tensor, w2)
     if kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S):
-        return _derivation_residual(s, op, ricci_tensor)
-    return _eight_term_residual(s, op, ricci_tensor)
+        return Tensor.build(
+            s.frame, 0, 3, _residual_components(kind, s, op, ricci_tensor, "", "xyz")
+        )
+    return Tensor.build(
+        s.frame, 1, 4, _residual_components(kind, s, op, ricci_tensor, "", "axyzw")
+    )
 
 
 def condition_residual_xi_paired(
@@ -348,18 +282,8 @@ def condition_residual_xi_paired(
     """(0,4) inner product of the eight-term residual `full` with xi."""
     if kind not in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
         raise ValenceError("xi pairing applies to the eight-term conditions")
-    frame = s.frame
-    d = frame.dim
-    eta = [s.eta.on_member(i) for i in range(d)]
-
-    def entry(x: int, y: int, z: int, w: int) -> ScalarExpr:
-        acc = frame.chart.zero()
-        for a in range(d):
-            if not eta[a].is_zero() and not full[a, x, y, z, w].is_zero():
-                acc = acc + eta[a] * full[a, x, y, z, w]
-        return acc
-
-    return Tensor.build(frame, 0, 4, entry)
+    comps = contract("eta[a] F[axyzw] -> xyzw", eta=s.eta.components, F=full)
+    return Tensor.build(s.frame, 0, 4, comps)
 
 
 def theorem_expected(
@@ -531,59 +455,33 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     eta = [s.eta.on_member(i).as_rational() for i in range(d)]
     gram = [[frame.gram[i][j].as_rational() for j in range(d)] for i in range(d)]
 
+    op = riem
+    if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
+        op = w2_tensor(riem, q_sym, n)
     if kind is ConditionKind.R_DOT_S:
-        residual = _derivation_residual(s, riem, ricci_sym)
-        entries = [
-            (
-                residual[x, y, z],
-                eta[y] * gram[x][z]
-                + eta[z] * gram[x][y]
-                - 2 * eta[x] * eta[y] * eta[z],
-            )
-            for x in range(d)
-            for y in range(d)
-            for z in range(d)
-        ]
-    elif kind is ConditionKind.W2_DOT_S:
-        w2 = w2_tensor(riem, q_sym, n)
-        residual = _derivation_residual(s, w2, ricci_sym)
-        xif = [c.as_rational() for c in s.xi_components()]
-        entries = [
-            (
-                sum(
-                    (
-                        residual[x, y, z] * xif[z]
-                        for z in range(d)
-                        if xif[z] != 0
-                    ),
-                    s.chart.zero(),
-                ),
-                -gram[x][y] + eta[x] * eta[y],
-            )
-            for x in range(d)
-            for y in range(d)
-        ]
-    else:
-        op = riem if kind is ConditionKind.S_DOT_R else w2_tensor(riem, q_sym, n)
-        xif = [c.as_rational() for c in s.xi_components()]
-        entry = _eight_term_entry(s, op, ricci_sym)
-        entries = []
-        for x in range(d):
-            for y in range(d):
-                for z in range(d):
-                    value = s.chart.zero()
-                    for w in range(d):
-                        if xif[w] == 0:
-                            continue
-                        for a in range(d):
-                            if eta[a] == 0:
-                                continue
-                            c = entry(a, x, y, z, w)
-                            if not c.is_zero():
-                                value = value + c * (eta[a] * xif[w])
-                    shape = eta[y] * gram[x][z] - eta[z] * gram[x][y]
-                    entries.append((value, shape))
+        paired, out = "", "xyz"
 
+        def shape(x, y, z):
+            return (
+                eta[y] * gram[x][z] + eta[z] * gram[x][y] - 2 * eta[x] * eta[y] * eta[z]
+            )
+
+    elif kind is ConditionKind.W2_DOT_S:
+        paired, out = "xi[z]", "xy"
+
+        def shape(x, y):
+            return -gram[x][y] + eta[x] * eta[y]
+
+    else:
+        # eta and xi enter every term, so the (1,4) residual is never built
+        paired, out = "eta[a] xi[w]", "xyz"
+
+        def shape(x, y, z):
+            return eta[y] * gram[x][z] - eta[z] * gram[x][y]
+
+    values = _residual_components(kind, s, op, ricci_sym, paired, out)
+    index = itertools.product(range(d), repeat=len(out))
+    entries = [(value, shape(*idx)) for idx, value in zip(index, values)]
     raw = _ratio_against_shape(entries)
     c0, c1, c2 = _mu_coefficients(raw)
     target = canonical_factor(kind, n)
@@ -602,6 +500,13 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     return FactorResult(kind.value, n, target, scale)
 
 
+def _nabla_all(conn: FrameConnection, t: Tensor) -> tuple[ScalarExpr, ...]:
+    """Components of nabla T with the direction index first."""
+    return tuple(
+        c for i in range(conn.frame.dim) for c in conn.nabla_tensor_dir(t, i).components
+    )
+
+
 def phi_ricci_prefactor(n: int) -> FactorResult:
     """Factor of phi^2((nabla_X Q)Y) against eta(Y)[X - eta(X) xi]."""
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
@@ -609,17 +514,13 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
     d = frame.dim
     eta = [s.eta.on_member(i).as_rational() for i in range(d)]
     xif = [c.as_rational() for c in s.xi_components()]
-    entries = []
-    for i in range(d):
-        nabla_q = conn.nabla_tensor(q_sym, frame.members[i])
-        for j in range(d):
-            column = [nabla_q[a, j] for a in range(d)]
-            image = s.phi_components(s.phi_components(column))
-            for a in range(d):
-                shape = eta[j] * (
-                    (1 if a == i else 0) - eta[i] * Fraction(xif[a])
-                )
-                entries.append((image[a], shape))
+    image = contract(
+        "phi[ab] phi[bm] nq[imj] -> ija", phi=s.phi, nq=_nabla_all(conn, q_sym)
+    )
+    entries = [
+        (value, eta[j] * ((1 if a == i else 0) - eta[i] * Fraction(xif[a])))
+        for (i, j, a), value in zip(itertools.product(range(d), repeat=3), image)
+    ]
     raw = _ratio_against_shape(entries)
     c0, c1, c2 = _mu_coefficients(raw)
     target = _mu_expr(Fraction(-1), Fraction(1), Fraction(0))
@@ -653,17 +554,17 @@ def parallel_tensor_classify(
     c = _as_rational(
         tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
     )
-    eta = [s.eta.on_member(i) for i in range(d)]
-    xif = s.xi_components()
-    for j in range(d):
-        against_xi = sum(
-            (alpha[j, m] * xif[m] for m in range(d) if not xif[m].is_zero()),
-            frame.chart.zero(),
-        )
-        if not (against_xi - eta[j] * c).is_zero():
+    against_xi = contract(
+        "alpha[jm] xi[m] - c eta[j] -> j",
+        alpha=alpha,
+        xi=s.xi_components(),
+        c=c,
+        eta=s.eta.components,
+    )
+    for j, value in enumerate(against_xi):
+        if not value.is_zero():
             raise NotMultiple(
-                f"alpha(E{j + 1}, xi) - eta(E{j + 1}) alpha(xi, xi) ="
-                f" {against_xi - eta[j] * c}"
+                f"alpha(E{j + 1}, xi) - eta(E{j + 1}) alpha(xi, xi) = {value}"
             )
     residual = alpha - s.metric().scale(c)
     bad = residual.first_nonzero()
@@ -746,34 +647,18 @@ def phi_ricci_symmetric_check(
     sol: SolitonSolution,
 ) -> list[CheckReport]:
     """phi^2(nabla Q), and parallelism of Q and S along xi."""
-    frame = s.frame
-    d = s.dim
-    chart = s.chart
-    eta = [s.eta.on_member(i) for i in range(d)]
-    xif = s.xi_components()
     q = ricci_operator(ricci_tensor)
-    reports = []
-
-    with Stopwatch() as t:
-        failures = []
-        for i in range(d):
-            nabla_q = conn.nabla_tensor(q, frame.members[i])
-            for j in range(d):
-                column = [nabla_q[a, j] for a in range(d)]
-                image = s.phi_components(s.phi_components(column))
-                for a in range(d):
-                    unit = chart.const(1) if a == i else chart.zero()
-                    expected = (
-                        eta[j] * (unit - eta[i] * xif[a]) * (1 - sol.mu)
-                    )
-                    res = image[a] - expected
-                    if not res.is_zero():
-                        failures.append(((a, i, j), res))
-        reports.append(
-            report_from_failures(
-                "phi-ricci/phi-square-of-nabla-q", "P1", failures, t.elapsed
-            )
+    # phi^2((nabla_{E_i} Q)E_j) = (1 - mu) eta(E_j) [E_i - eta(E_i) xi]
+    reports = [
+        vanishing_check(
+            "phi-ricci/phi-square-of-nabla-q",
+            "P1",
+            "phi[ab] phi[bm] nq[imj] - c eta[j] delta[ai] + c eta[j] eta[i] xi[a]"
+            " -> ija",
+            dict(s.operands(), nq=_nabla_all(conn, q), c=1 - sol.mu),
+            labels="aij",
         )
+    ]
 
     with Stopwatch() as t:
         nabla_q_xi = conn.nabla_tensor(q, s.xi)

@@ -5,11 +5,13 @@ A structure packages the frame together with the endomorphism phi (a
 xi, and its metric-dual one-form eta.  All checks below are exact: a
 check passes only when the residual normalizes to the zero element of
 the scalar ring, and a failing check carries the first nonzero residual
-as a printable witness instead of aborting the run.
+as a printable witness instead of aborting the run.  Most checks are one
+`geometry.contract` spec whose every component must vanish.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from parakenmotsu.connection import FrameConnection
@@ -20,6 +22,8 @@ from parakenmotsu.geometry import (
     Tensor,
     ValenceError,
     VectorField,
+    contract,
+    derivatives,
     exterior_derivative,
     mat_rank,
 )
@@ -71,17 +75,52 @@ class ParacontactStructure:
             )
         return self._cache["ee"]
 
-    def phi_components(self, comps) -> list[ScalarExpr]:
-        """Apply phi to a vector given by frame components."""
-        d = self.dim
-        out = []
-        for a in range(d):
-            acc = self.chart.zero()
-            for m in range(d):
-                if not self.phi[a, m].is_zero() and not comps[m].is_zero():
-                    acc = acc + self.phi[a, m] * comps[m]
-            out.append(acc)
-        return out
+    def operands(self) -> dict:
+        """The structure's contraction operands: g, phi, eta and xi."""
+        return dict(
+            g=self.frame.gram,
+            phi=self.phi,
+            eta=self.eta.components,
+            xi=self.xi_components(),
+        )
+
+
+def vanishing_check(
+    name: str, ref: str, spec: str, operands: dict, labels: str | None = None
+) -> CheckReport:
+    """Pass when every component of the contraction `spec` vanishes.
+
+    The witness is the first nonzero component in the order of the output
+    letters; its index is spelled in the order of `labels` when given.
+    """
+    with Stopwatch() as t:
+        value = contract(spec, **operands)
+        out = spec.partition("->")[2].strip()
+        comps = value if out else (value,)
+        d = round(len(comps) ** (1 / len(out))) if out else 1
+        order = [out.index(l) for l in labels or out]
+        failures = [
+            (tuple(idx[p] for p in order), c)
+            for idx, c in zip(itertools.product(range(d), repeat=len(out)), comps)
+            if not c.is_zero()
+        ]
+    return report_from_failures(name, ref, failures, t.elapsed)
+
+
+_AXIOMS = (
+    ("axioms/eta-xi-pairing", "A1", "eta[m] xi[m] - 1 ->"),
+    ("axioms/phi-annihilates-xi", "A2", "phi[am] xi[m] -> a"),
+    ("axioms/eta-annihilates-phi", "A3", "eta[a] phi[ai] -> i"),
+    ("axioms/phi-square", "A4", "phi[am] phi[mi] - delta[ai] + xi[a] eta[i] -> ai"),
+    (
+        "axioms/metric-phi-compatibility",
+        "A5",
+        "phi[mi] g[ml] phi[lj] + g[ij] - eta[i] eta[j] -> ij",
+    ),
+    ("axioms/phi-skew-adjoint", "A6", "phi[mi] g[mj] + g[im] phi[mj] -> ij"),
+    ("axioms/eta-is-metric-dual", "A7", "eta[i] - g[im] xi[m] -> i"),
+    ("axioms/unit-xi", "A8", "xi[i] g[ij] xi[j] - 1 ->"),
+)
 
 
 def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
@@ -89,104 +128,12 @@ def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
     frame = s.frame
     d = s.dim
     chart = s.chart
-    gram = frame.gram
     phi = s.phi
-    eta = [s.eta.on_member(i) for i in range(d)]
-    xif = s.xi_components()
-    reports: list[CheckReport] = []
-
-    def run(name, ref, residuals):
-        with Stopwatch() as t:
-            failures = [(idx, r) for idx, r in residuals if not r.is_zero()]
-        reports.append(report_from_failures(name, ref, failures, t.elapsed))
-
-    pairing = sum((eta[m] * xif[m] for m in range(d)), chart.zero())
-    run("axioms/eta-xi-pairing", "A1", [((), pairing - 1)])
-
-    run(
-        "axioms/phi-annihilates-xi",
-        "A2",
-        [((a,), c) for a, c in enumerate(s.phi_components(xif))],
-    )
-
-    run(
-        "axioms/eta-annihilates-phi",
-        "A3",
-        [
-            ((i,), sum((eta[a] * phi[a, i] for a in range(d)), chart.zero()))
-            for i in range(d)
-        ],
-    )
-
-    def phi_square(a, i):
-        acc = sum(
-            (phi[a, m] * phi[m, i] for m in range(d) if not phi[a, m].is_zero()),
-            chart.zero(),
-        )
-        target = chart.const(1) if a == i else chart.zero()
-        return acc - target + xif[a] * eta[i]
-
-    run(
-        "axioms/phi-square",
-        "A4",
-        [((a, i), phi_square(a, i)) for a in range(d) for i in range(d)],
-    )
-
-    def metric_compat(i, j):
-        acc = chart.zero()
-        for m in range(d):
-            if phi[m, i].is_zero():
-                continue
-            for l in range(d):
-                if not gram[m][l].is_zero() and not phi[l, j].is_zero():
-                    acc = acc + phi[m, i] * gram[m][l] * phi[l, j]
-        return acc + gram[i][j] - eta[i] * eta[j]
-
-    run(
-        "axioms/metric-phi-compatibility",
-        "A5",
-        [((i, j), metric_compat(i, j)) for i in range(d) for j in range(d)],
-    )
-
-    def skew(i, j):
-        left = sum(
-            (phi[m, i] * gram[m][j] for m in range(d) if not phi[m, i].is_zero()),
-            chart.zero(),
-        )
-        right = sum(
-            (gram[i][m] * phi[m, j] for m in range(d) if not phi[m, j].is_zero()),
-            chart.zero(),
-        )
-        return left + right
-
-    run(
-        "axioms/phi-skew-adjoint",
-        "A6",
-        [((i, j), skew(i, j)) for i in range(d) for j in range(d)],
-    )
-
-    run(
-        "axioms/eta-is-metric-dual",
-        "A7",
-        [
-            (
-                (i,),
-                eta[i]
-                - sum(
-                    (gram[i][m] * xif[m] for m in range(d) if not xif[m].is_zero()),
-                    chart.zero(),
-                ),
-            )
-            for i in range(d)
-        ],
-    )
-
-    unit = chart.zero()
-    for i in range(d):
-        for j in range(d):
-            if not xif[i].is_zero() and not gram[i][j].is_zero():
-                unit = unit + xif[i] * gram[i][j] * xif[j]
-    run("axioms/unit-xi", "A8", [((), unit - 1)])
+    eta = s.eta.components
+    operands = s.operands()
+    reports = [
+        vanishing_check(name, ref, spec, operands) for name, ref, spec in _AXIOMS
+    ]
 
     with Stopwatch() as t:
         try:
@@ -244,28 +191,20 @@ def check_para_kenmotsu(
     s: ParacontactStructure, conn: FrameConnection
 ) -> CheckReport:
     """Defining condition: (nabla_X phi)Y = g(phi X, Y) xi - eta(Y) phi X."""
-    frame = s.frame
-    d = s.dim
-    chart = s.chart
-    gram = frame.gram
-    phi = s.phi
-    xif = s.xi_components()
-    eta = [s.eta.on_member(i) for i in range(d)]
-    with Stopwatch() as t:
-        failures = []
-        for i in range(d):
-            nabla_phi = conn.nabla_tensor(s.phi, frame.members[i])
-            phi_ei = [phi[m, i] for m in range(d)]
-            for j in range(d):
-                pairing = chart.zero()
-                for m in range(d):
-                    if not phi_ei[m].is_zero() and not gram[m][j].is_zero():
-                        pairing = pairing + phi_ei[m] * gram[m][j]
-                for a in range(d):
-                    res = nabla_phi[a, j] - pairing * xif[a] + eta[j] * phi[a, i]
-                    if not res.is_zero():
-                        failures.append(((a, i, j), res))
-    return report_from_failures("para-kenmotsu/covariant-phi", "K1", failures, t.elapsed)
+    # (nabla_{E_i} phi)^a_j
+    #     = E_i(phi^a_j) + gamma[i][m][a] phi^m_j - phi^a_m gamma[i][j][m]
+    return vanishing_check(
+        "para-kenmotsu/covariant-phi",
+        "K1",
+        "dphi[iaj] + gam[ima] phi[mj] - phi[am] gam[ijm]"
+        " - phi[mi] g[mj] xi[a] + eta[j] phi[ai] -> ija",
+        dict(
+            s.operands(),
+            dphi=derivatives(s.frame.members, s.phi.components),
+            gam=conn.gamma,
+        ),
+        labels="aij",
+    )
 
 
 def kenmotsu_identity_suite(
@@ -274,192 +213,66 @@ def kenmotsu_identity_suite(
     riem: Tensor | None = None,
 ) -> list[CheckReport]:
     """The fourteen structural identities satisfied by the defining condition."""
-    frame = s.frame
-    d = s.dim
-    chart = s.chart
-    gram = frame.gram
-    xif = s.xi_components()
-    eta = [s.eta.on_member(i) for i in range(d)]
+    members = s.frame.members
     if riem is None:
         riem = riemann(conn, verify=False)
-    reports: list[CheckReport] = []
-
-    def run(name, ref, residuals):
-        with Stopwatch() as t:
-            failures = [(idx, r) for idx, r in residuals if not r.is_zero()]
-        reports.append(report_from_failures(name, ref, failures, t.elapsed))
-
-    # nabla_X xi = X - eta(X) xi
-    nabla_xi = [conn.nabla_frame_components(i, xif) for i in range(d)]
-    run(
-        "identities/xi-covariant-derivative",
-        "I1",
-        [
-            (
-                (a, i),
-                nabla_xi[i][a]
-                - (chart.const(1) if a == i else chart.zero())
-                + eta[i] * xif[a],
-            )
-            for i in range(d)
-            for a in range(d)
-        ],
+    ops = dict(s.operands(), gam=conn.gamma, R=riem)
+    # [i, a]: nabla_{E_i} xi; [i, j]: (nabla_{E_i} eta)(E_j)
+    ops["nxi"] = contract(
+        "dxi[ia] + xi[m] gam[ima] -> ia", dxi=derivatives(members, ops["xi"]), **ops
     )
-
-    run(
-        "identities/eta-of-nabla-xi",
-        "I2",
-        [
-            (
-                (i,),
-                sum(
-                    (eta[a] * nabla_xi[i][a] for a in range(d)),
-                    chart.zero(),
-                ),
-            )
-            for i in range(d)
-        ],
+    ops["neta"] = contract(
+        "deta[ij] - gam[ijm] eta[m] -> ij", deta=derivatives(members, ops["eta"]), **ops
     )
-
-    nabla_xi_xi = frame.to_frame(conn.nabla_vv(s.xi, s.xi))
-    run(
-        "identities/xi-parallel-along-xi",
-        "I3",
-        [((a,), nabla_xi_xi[a]) for a in range(d)],
+    ops["lie_phi"] = lie_derivative(s.xi, s.phi)
+    ops["lie_eta"] = lie_derivative(s.xi, s.eta).components
+    ops["lie_ee"] = lie_derivative(s.xi, s.eta_square())
+    ops["lie_g"] = lie_derivative(s.xi, s.metric())
+    ops["d_eta"] = exterior_derivative(s.eta)
+    ops["nij"] = nijenhuis(s.phi)
+    checks = (
+        # nabla_X xi = X - eta(X) xi
+        (
+            "xi-covariant-derivative",
+            "I1",
+            "nxi[ia] - delta[ai] + eta[i] xi[a] -> ia",
+            "ai",
+        ),
+        ("eta-of-nabla-xi", "I2", "eta[a] nxi[ia] -> i", None),
+        ("xi-parallel-along-xi", "I3", "xi[i] nxi[ia] -> a", None),
+        (
+            "curvature-on-xi",
+            "I4",
+            "R[aijk] xi[k] - eta[i] delta[aj] + eta[j] delta[ai] -> aij",
+            None,
+        ),
+        (
+            "eta-of-curvature",
+            "I5",
+            "eta[a] R[aijk] + eta[i] g[jk] - eta[j] g[ik] -> ijk",
+            None,
+        ),
+        ("eta-of-curvature-on-xi", "I6", "eta[a] R[aijk] xi[k] -> ij", None),
+        (
+            "eta-covariant-derivative",
+            "I7",
+            "neta[ij] - g[ij] + eta[i] eta[j] -> ij",
+            None,
+        ),
+        ("eta-parallel-along-xi", "I8", "xi[i] neta[ij] -> j", None),
+        ("lie-phi-along-xi", "I9", "lie_phi[ai] -> ai", None),
+        ("lie-eta-along-xi", "I10", "lie_eta[i] -> i", None),
+        ("lie-eta-square-along-xi", "I11", "lie_ee[ij] -> ij", None),
+        (
+            "lie-metric-along-xi",
+            "I12",
+            "lie_g[ij] - 2 g[ij] + 2 eta[i] eta[j] -> ij",
+            None,
+        ),
+        ("eta-closed", "I13", "d_eta[ij] -> ij", None),
+        ("nijenhuis-vanishes", "I14", "nij[aij] -> aij", None),
     )
-
-    def r_on_xi(a, i, j):
-        acc = chart.zero()
-        for k in range(d):
-            if not xif[k].is_zero() and not riem[a, i, j, k].is_zero():
-                acc = acc + riem[a, i, j, k] * xif[k]
-        return acc
-
-    run(
-        "identities/curvature-on-xi",
-        "I4",
-        [
-            (
-                (a, i, j),
-                r_on_xi(a, i, j)
-                - eta[i] * (chart.const(1) if a == j else chart.zero())
-                + eta[j] * (chart.const(1) if a == i else chart.zero()),
-            )
-            for a in range(d)
-            for i in range(d)
-            for j in range(d)
-        ],
-    )
-
-    def eta_of_r(i, j, k):
-        acc = chart.zero()
-        for a in range(d):
-            if not eta[a].is_zero() and not riem[a, i, j, k].is_zero():
-                acc = acc + eta[a] * riem[a, i, j, k]
-        return acc
-
-    run(
-        "identities/eta-of-curvature",
-        "I5",
-        [
-            (
-                (i, j, k),
-                eta_of_r(i, j, k) + eta[i] * gram[j][k] - eta[j] * gram[i][k],
-            )
-            for i in range(d)
-            for j in range(d)
-            for k in range(d)
-        ],
-    )
-
-    run(
-        "identities/eta-of-curvature-on-xi",
-        "I6",
-        [
-            (
-                (i, j),
-                sum((eta[a] * r_on_xi(a, i, j) for a in range(d)), chart.zero()),
-            )
-            for i in range(d)
-            for j in range(d)
-        ],
-    )
-
-    eta_tensor = Tensor(frame, 0, 1, tuple(eta))
-    nabla_eta = [conn.nabla_tensor_dir(eta_tensor, i) for i in range(d)]
-    run(
-        "identities/eta-covariant-derivative",
-        "I7",
-        [
-            ((i, j), nabla_eta[i][j] - gram[i][j] + eta[i] * eta[j])
-            for i in range(d)
-            for j in range(d)
-        ],
-    )
-
-    run(
-        "identities/eta-parallel-along-xi",
-        "I8",
-        [
-            (
-                (j,),
-                sum(
-                    (xif[i] * nabla_eta[i][j] for i in range(d)),
-                    chart.zero(),
-                ),
-            )
-            for j in range(d)
-        ],
-    )
-
-    lie_phi = lie_derivative(s.xi, s.phi)
-    run(
-        "identities/lie-phi-along-xi",
-        "I9",
-        [((a, i), lie_phi[a, i]) for a in range(d) for i in range(d)],
-    )
-
-    lie_eta = lie_derivative(s.xi, s.eta)
-    run(
-        "identities/lie-eta-along-xi",
-        "I10",
-        [((i,), lie_eta.on_member(i)) for i in range(d)],
-    )
-
-    lie_ee = lie_derivative(s.xi, s.eta_square())
-    run(
-        "identities/lie-eta-square-along-xi",
-        "I11",
-        [((i, j), lie_ee[i, j]) for i in range(d) for j in range(d)],
-    )
-
-    lie_g = lie_derivative(s.xi, s.metric())
-    run(
-        "identities/lie-metric-along-xi",
-        "I12",
-        [
-            ((i, j), lie_g[i, j] - (gram[i][j] - eta[i] * eta[j]) * 2)
-            for i in range(d)
-            for j in range(d)
-        ],
-    )
-
-    d_eta = exterior_derivative(s.eta)
-    run(
-        "identities/eta-closed",
-        "I13",
-        [((i, j), d_eta[i, j]) for i in range(d) for j in range(d)],
-    )
-
-    nij = nijenhuis(s.phi)
-    run(
-        "identities/nijenhuis-vanishes",
-        "I14",
-        [
-            ((a, i, j), nij[a, i, j])
-            for a in range(d)
-            for i in range(d)
-            for j in range(d)
-        ],
-    )
-    return reports
+    return [
+        vanishing_check(f"identities/{name}", ref, spec, ops, labels)
+        for name, ref, spec, labels in checks
+    ]

@@ -39,7 +39,6 @@ from parakenmotsu.report import (
     SolitonSummary,
     Stopwatch,
     SuiteResult,
-    witness_at,
 )
 from parakenmotsu.soliton import (
     ConditionKind,
@@ -62,6 +61,7 @@ from parakenmotsu.structure import (
     check_axioms,
     check_para_kenmotsu,
     kenmotsu_identity_suite,
+    vanishing_check,
 )
 
 # (stage, check name, catalog tag), in report order.  The skip path
@@ -316,55 +316,18 @@ def _run_curvature(p):
 
 
 def _run_curvature_pk(p):
-    s = p.s
-    frame = s.frame
-    d = frame.dim
-    ricci_tensor = p.ricci
-    q = p.q
-    phi = s.phi
-    xif = s.xi_components()
-    two_n = frame.chart.const(2 * s.n)
-
-    with Stopwatch() as t:
-        bad = None
-        for j in range(d):
-            value = sum(
-                (ricci_tensor[j, m] * xif[m] for m in range(d) if not xif[m].is_zero()),
-                frame.chart.zero(),
-            )
-            residual = value + two_n * s.eta.on_member(j)
-            if not residual.is_zero():
-                bad = ((j,), residual)
-                break
-    on_xi = (
-        CheckReport.passed("curvature/ricci-on-xi", "C4", t.elapsed)
-        if bad is None
-        else CheckReport.failed(
-            "curvature/ricci-on-xi", "C4", witness_at(*bad), t.elapsed
-        )
-    )
-
-    with Stopwatch() as t:
-        bad = None
-        for a in range(d):
-            for i in range(d):
-                residual = sum(
-                    (q[a, m] * phi[m, i] - phi[a, m] * q[m, i] for m in range(d)),
-                    frame.chart.zero(),
-                )
-                if not residual.is_zero():
-                    bad = ((a, i), residual)
-                    break
-            if bad is not None:
-                break
-    commute = (
-        CheckReport.passed("curvature/q-commutes-with-phi", "C5", t.elapsed)
-        if bad is None
-        else CheckReport.failed(
-            "curvature/q-commutes-with-phi", "C5", witness_at(*bad), t.elapsed
-        )
-    )
-    return [on_xi, commute]
+    ops = dict(p.s.operands(), S=p.ricci, Q=p.q, two_n=2 * p.s.n)
+    return [
+        vanishing_check(
+            "curvature/ricci-on-xi", "C4", "S[jm] xi[m] + two_n eta[j] -> j", ops
+        ),
+        vanishing_check(
+            "curvature/q-commutes-with-phi",
+            "C5",
+            "Q[am] phi[mi] - phi[am] Q[mi] -> ai",
+            ops,
+        ),
+    ]
 
 
 def _run_soliton(p):

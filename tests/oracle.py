@@ -168,3 +168,100 @@ def frame_scalar_curvature(coords, members, gram):
     G_frame = sp.Matrix(d, d, lambda a, b: gram[a][b])
     Ginv = G_frame.inv()
     return canon(sum(Ginv[a, b] * S[a, b] for a in range(d) for b in range(d)))
+
+
+# -- condition residuals ------------------------------------------------------
+#
+# op[i][j][k][a] is component a of op(E_i, E_j)E_k (the layout of
+# frame_riemann), S[a][b] = S(E_a, E_b), xi the frame components of xi.
+
+
+def frame_w2(riem, ricci, gram, n):
+    """W2(X,Y)Z = R(X,Y)Z + (1/2n) [g(X,Z) QY - g(Y,Z) QX], g(QX, Y) = S(X, Y)."""
+    d = len(gram)
+    G = sp.Matrix(gram)
+    Q = G.inv() * sp.Matrix(ricci)  # column b holds the components of Q E_b
+    return [
+        [
+            [
+                [
+                    canon(
+                        riem[i][j][k][a]
+                        + (G[i, k] * Q[a, j] - G[j, k] * Q[a, i]) / (2 * n)
+                    )
+                    for a in range(d)
+                ]
+                for k in range(d)
+            ]
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+
+def _on_xi(op, xi, slot):
+    """op with its argument in `slot` (0, 1 or 2) set to xi: a d x d x d array."""
+    d = len(xi)
+    out = {}
+    for p in range(d):
+        for q in range(d):
+            for a in range(d):
+                acc = sp.S.Zero
+                for m in range(d):
+                    idx = [p, q]
+                    idx.insert(slot, m)
+                    acc += xi[m] * op[idx[0]][idx[1]][idx[2]][a]
+                out[p, q, a] = acc
+    return out
+
+
+def derivation_residual(op, ricci, xi):
+    """D[x, y, z] = S(op(xi, E_x)E_y, E_z) + S(E_y, op(xi, E_x)E_z)."""
+    d = len(xi)
+    S = sp.Matrix(ricci)
+    first = _on_xi(op, xi, 0)
+    return {
+        (x, y, z): canon(
+            sum(first[x, y, a] * S[a, z] + S[y, a] * first[x, z, a] for a in range(d))
+        )
+        for x in range(d)
+        for y in range(d)
+        for z in range(d)
+    }
+
+
+def eight_term_residual(op, ricci, xi):
+    """Frame components [a, x, y, z, w] of the Ricci derivation against op:
+
+        S(X, op(Y,Z)W) xi - S(xi, op(Y,Z)W) X
+      + S(X,Y) op(xi,Z)W - S(xi,Y) op(X,Z)W
+      + S(X,Z) op(Y,xi)W - S(xi,Z) op(Y,X)W
+      + S(X,W) op(Y,Z)xi - S(xi,W) op(Y,Z)X
+    """
+    d = len(xi)
+    S = sp.Matrix(ricci)
+    xi_vec = sp.Matrix(xi)
+    s_xi = (xi_vec.T * S).T  # S(xi, E_m)
+    slots = [_on_xi(op, xi, slot) for slot in range(3)]
+    out = {}
+    for x in range(d):
+        unit_x = [1 if a == x else 0 for a in range(d)]
+        for y in range(d):
+            for z in range(d):
+                for w in range(d):
+                    v = op[y][z][w]
+                    s_xv = sum(S[x, m] * v[m] for m in range(d))
+                    s_xiv = sum(s_xi[m] * v[m] for m in range(d))
+                    for a in range(d):
+                        value = (
+                            s_xv * xi[a]
+                            - s_xiv * unit_x[a]
+                            + S[x, y] * slots[0][z, w, a]
+                            - s_xi[y] * op[x][z][w][a]
+                            + S[x, z] * slots[1][y, w, a]
+                            - s_xi[z] * op[y][x][w][a]
+                            + S[x, w] * slots[2][y, z, a]
+                            - s_xi[w] * op[y][z][x][a]
+                        )
+                        out[a, x, y, z, w] = canon(value)
+    return out

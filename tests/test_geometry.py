@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import CHART3, frames3, scalars, vector_fields
 from parakenmotsu.geometry import (
@@ -12,6 +15,7 @@ from parakenmotsu.geometry import (
     ValenceError,
     VectorField,
     bracket,
+    contract,
     differential,
     exterior_derivative,
     mat_det,
@@ -218,3 +222,78 @@ def test_one_form_evaluates_against_frame_expansion():
     eta = OneForm(frame, (sc("0"), sc("0"), sc("1")))
     assert eta(vf("x", "y", "z")) == sc("z")
     assert eta.on_member(2) == sc("1")
+
+
+def test_tensor_getitem_rejects_indices_outside_the_frame():
+    frame = _coordinate_frame()
+    t = Tensor.build(frame, 0, 2, lambda i, j: sc("x") if (i, j) == (1, 0) else sc("0"))
+    assert t[1, 0] == sc("x")
+    for idx in ((0, 3), (3, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValenceError):
+            t[idx]
+
+
+# -- the contraction primitive ------------------------------------------------
+
+
+def _matrices():
+    return st.lists(scalars(), min_size=9, max_size=9).map(
+        lambda xs: (tuple(xs[0:3]), tuple(xs[3:6]), tuple(xs[6:9]))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), _matrices(), st.lists(scalars(), min_size=3, max_size=3))
+def test_contract_agrees_with_written_out_sums(a, b, v):
+    got = contract(
+        "a[ij] b[jk] v[k] - 2 a[ki] v[k] delta[ij] + c b[ij] -> ij",
+        a=a,
+        b=Tensor(_coordinate_frame(), 0, 2, tuple(c for row in b for c in row)),
+        v=v,
+        c=Fraction(1, 3),
+    )
+    for (i, j), value in zip(itertools.product(range(3), repeat=2), got):
+        want = a[i][j] * sum((b[j][k] * v[k] for k in range(3)), CHART3.zero())
+        if i == j:
+            want = want - sum((a[k][i] * v[k] for k in range(3)), CHART3.zero()) * 2
+        want = want + b[i][j] * Fraction(1, 3)
+        assert value == want
+
+
+def test_contract_traces_repeated_letters_and_returns_scalars():
+    m = (
+        (sc("x"), sc("1"), sc("0")),
+        (sc("y"), sc("exp(z)"), sc("0")),
+        (sc("0"), sc("0"), sc("-1")),
+    )
+    assert contract("m[ii] ->", m=m) == sc("x + exp(z) - 1")
+    assert contract("m[ij] delta[ij] - 1 ->", m=m) == sc("x + exp(z) - 2")
+    flat = tuple(c for row in m for c in row)
+    transposed = tuple(m[j][i] for i in range(3) for j in range(3))
+    assert contract("m[ji] -> ij", m=flat) == transposed
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "m[ij]",  # no output part
+        "m[ij] -> ik",  # output letter missing from the term
+        "m[ij] + m[ii] -> ij",  # second term lacks j
+        "m[ij] -> ii",  # repeated output letter
+        "m[iJ] -> i",  # bad factor
+        "m[ij] + -> ij",  # empty term
+        "q[ij] -> ij",  # no such operand
+    ],
+)
+def test_contract_rejects_malformed_specs(spec):
+    m = ((sc("x"),) * 3,) * 3
+    with pytest.raises(ValueError):
+        contract(spec, m=m)
+
+
+def test_contract_rejects_operands_that_do_not_fit():
+    frame = _coordinate_frame()
+    with pytest.raises(ValenceError):
+        contract("g[ijk] -> i", g=frame.metric_tensor())
+    with pytest.raises(ValenceError):
+        contract("u[i] v[i] ->", u=(sc("x"),) * 3, v=(sc("x"),) * 5)

@@ -206,3 +206,19 @@ def test_evaluation_is_a_homomorphism(a, b, point):
     for r in keys:
         lhs = pa.get(r, Fraction(0)) + pb.get(r, Fraction(0))
         assert lhs == psum.get(r, Fraction(0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(exprs(), st.integers(0, 4), st.integers(0, 4))
+def test_powers_add_exponents(a, j, k):
+    assert a**j * a**k == a ** (j + k)
+    product = ScalarExpr.const(1, SYMS)
+    for _ in range(j):
+        product = product * a
+    assert a**j == product
+
+
+def test_large_power_is_a_single_term():
+    e = sc("x^100000")
+    assert e.terms == (Term(Fraction(1), ((0, 100000),)),)
+    assert str(e) == "x^100000"

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
+import oracle
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
@@ -14,6 +17,7 @@ from parakenmotsu.soliton import (
     NotMultiple,
     NotParallel,
     SolitonSolution,
+    _generic,
     canonical_factor,
     condition_check,
     condition_residual,
@@ -120,6 +124,39 @@ def test_xi_paired_residual_vanishes_with_full(pipeline):
         full = condition_residual(kind, s, riem, S)
         paired = condition_residual_xi_paired(kind, s, full)
         assert full.is_zero() == paired.is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_condition_residuals_match_oracle_on_generic_structure(n):
+    # symbolic mu in the Ricci tensor keeps every residual nonzero
+    s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
+    chart = s.frame.chart
+    d = s.dim
+    members = [
+        [oracle.to_sympy(c, chart.coords) for c in m.components]
+        for m in s.frame.members
+    ]
+    gram = [[int(s.frame.gram[i][j].as_rational()) for j in range(d)] for i in range(d)]
+    R = oracle.frame_riemann(chart.coords, members, gram)
+    S = [
+        [oracle.to_sympy(ricci_sym[i, j], chart.symbols) for j in range(d)]
+        for i in range(d)
+    ]
+    xi = [oracle.to_sympy(c, chart.symbols) for c in s.xi_components()]
+    W = oracle.frame_w2(R, S, gram, n)
+    expected = {
+        ConditionKind.R_DOT_S: oracle.derivation_residual(R, S, xi),
+        ConditionKind.S_DOT_R: oracle.eight_term_residual(R, S, xi),
+        ConditionKind.W2_DOT_S: oracle.derivation_residual(W, S, xi),
+        ConditionKind.S_DOT_W2: oracle.eight_term_residual(W, S, xi),
+    }
+    for kind, want in expected.items():
+        got = condition_residual(kind, s, riem, ricci_sym)
+        assert not got.is_zero(), kind
+        assert set(want) == set(itertools.product(range(d), repeat=got.rank))
+        for idx, value in want.items():
+            have = oracle.to_sympy(got[idx], chart.symbols)
+            assert oracle.is_zero(have - value), (kind, idx)
 
 
 def test_condition_r_dot_s_is_trivial_for_metric(pipeline):

@@ -1,5 +1,6 @@
 import pytest
 
+from parakenmotsu import suite
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import riemann
 from parakenmotsu.fixtures import build_flat, build_warped
@@ -51,6 +52,53 @@ def test_identity_phi_square_fails_for_identity_phi():
     assert by_ref["A4"].status == "fail"
     assert by_ref["A4"].witness == "[E3, E3]: 1"
     assert by_ref["A2"].status == "fail"  # phi xi = xi != 0
+    assert {r.ref: r.witness for r in by_ref.values() if r.status != "pass"} == {
+        "A2": "[E3]: 1",
+        "A3": "[E3]: 1",
+        "A4": "[E3, E3]: 1",
+        "A5": "[E1, E1]: 2",
+        "A6": "[E1, E1]: 2",
+        "A10": "eigendistribution ranks (0, 2), expected (1, 1)",
+    }
+
+
+# First failing index of every check the flat fixture fails; each pins the
+# order in which its check walks the frame indices.
+FLAT_WITNESSES = {
+    1: {
+        "K1": "[E3, E1, E2]: 1",
+        "I1": "[E1, E1]: -1",
+        "I4": "[E1, E1, E3]: 1",
+        "I5": "[E1, E3, E1]: -1",
+        "I7": "[E1, E1]: -1",
+        "I12": "[E1, E1]: -2",
+        "C4": "[E3]: 2",
+    },
+    2: {
+        "K1": "[E5, E1, E2]: 1",
+        "I1": "[E1, E1]: -1",
+        "I4": "[E1, E1, E5]: 1",
+        "I5": "[E1, E5, E1]: -1",
+        "I7": "[E1, E1]: -1",
+        "I12": "[E1, E1]: -2",
+        "C4": "[E5]: 4",
+    },
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_fixture_witnesses_of_every_failing_check(n):
+    s = build_flat(n)
+    conn = koszul_connection(s.frame)
+    reports = [
+        *check_axioms(s),
+        check_para_kenmotsu(s, conn),
+        *kenmotsu_identity_suite(s, conn, riemann(conn)),
+        *suite._run_curvature_pk(suite.Products(s)),
+    ]
+    assert len(reports) == 10 + 1 + 14 + 2
+    failing = {r.ref: r.witness for r in reports if r.status != "pass"}
+    assert failing == FLAT_WITNESSES[n]
 
 
 def test_flat_fixture_fails_para_kenmotsu_with_witness():
