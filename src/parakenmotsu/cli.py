@@ -106,6 +106,8 @@ def _cmd_check(args) -> int:
     selection = None
     if args.select is not None:
         tokens = [tok.strip() for tok in args.select.split(",") if tok.strip()]
+        if not tokens:
+            raise DocumentError("--select names no check")
         known = selectable_names()
         for tok in tokens:
             if tok not in known:

@@ -8,6 +8,16 @@ coefficient of E_a in T(E_i, E_j)E_k.  The curvature convention is
 and the Ricci trace S(X,Y) = sum_i eps_i g(R(E_i,X)Y, E_i) over a
 pseudo-orthonormal frame with signs eps_i.  This pairing is the one
 under which the warped fixtures have S = -2n g.
+
+Lie brackets never leave frame components.  With the structure constants
+[E_i, E_j] = c[ijk] E_k from `Frame.brackets()` and the frame derivatives
+E_i(f) of the components, the bracket of two frame-expanded fields is
+
+    [f E_i, h E_j] = f h c[ijk] E_k + f E_i(h) E_j - h E_j(f) E_i,
+
+so `lie_derivative` and `nijenhuis` are single contractions over c, the
+components and their derivatives.  The only coordinate-basis brackets
+are those of the frame members, taken once when c is built.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ from parakenmotsu.geometry import (
     Tensor,
     ValenceError,
     VectorField,
-    bracket,
     contract,
     derivatives,
 )
@@ -130,9 +139,15 @@ def lie_derivative(x: VectorField, t):
     raise ValenceError("lie_derivative supports (0,2), (1,1), and one-forms")
 
 
-def _bracket_table(frame: Frame, x: VectorField) -> list[tuple[ScalarExpr, ...]]:
-    """Frame components of [X, E_i] for every i."""
-    return [frame.to_frame(bracket(x, e)) for e in frame.members]
+def _bracket_table(frame: Frame, x: VectorField) -> tuple[ScalarExpr, ...]:
+    """Frame components b[i, k] of [X, E_i], from X = x^m E_m and c[m i k]."""
+    xf = frame.to_frame(x)
+    return contract(
+        "x[m] c[mik] - dx[ik] -> ik",
+        x=xf,
+        c=frame.brackets(),
+        dx=derivatives(frame.members, xf),  # [i, k] = E_i(x^k)
+    )
 
 
 def _lie_covariant2(x: VectorField, t: Tensor) -> Tensor:
@@ -158,40 +173,38 @@ def _lie_oneform(x: VectorField, omega: OneForm) -> OneForm:
 
 
 def _lie_endomorphism(x: VectorField, t: Tensor) -> Tensor:
-    """(L_X T)(Y) = [X, T(Y)] - T([X, Y])."""
+    """(L_X T)(Y) = [X, T(Y)] - T([X, Y]).
+
+    [X, T(E_i)] = [X, t^m_i E_m] = X(t^a_i) E_a + t^m_i [X, E_m].
+    """
     frame = t.frame
-    d = frame.dim
-    # [X, T(E_i)] for every i; column i of T holds T(E_i)
-    first = [
-        frame.to_frame(bracket(x, frame.from_frame(t.components[i::d])))
-        for i in range(d)
-    ]
     comps = contract(
-        "f[ia] - b[im] t[am] -> ai", f=first, b=_bracket_table(frame, x), t=t
+        "dt[ai] + t[mi] b[ma] - t[am] b[im] -> ai",
+        dt=derivatives((x,), t.components),
+        b=_bracket_table(frame, x),
+        t=t,
     )
     return Tensor.build(frame, 1, 1, comps)
 
 
 def nijenhuis(phi: Tensor) -> Tensor:
-    """N(X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y]."""
+    """N(X,Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y].
+
+    With phi E_i = phi^p_i E_p, each bracket expands by the product rule:
+    [phi E_i, phi E_j] = phi^p_i phi^q_j c[pq.] + phi^p_i E_p(phi^._j)
+    - phi^q_j E_q(phi^._i), and likewise for the two mixed brackets.
+    """
     if phi.r != 1 or phi.s != 1:
         raise ValenceError("nijenhuis expects a (1,1) tensor")
     frame = phi.frame
-    d = frame.dim
-    members = frame.members
-    images = [frame.from_frame(phi.components[i::d]) for i in range(d)]
-
-    def table(left, right):
-        """Frame components of [left[i], right[j]], nested [i][j]."""
-        return [[frame.to_frame(bracket(u, v)) for v in right] for u in left]
-
     comps = contract(
-        "phi[am] phi[mb] c[ijb] + pp[ija] - phi[am] pe[ijm] - phi[am] ep[ijm]"
+        "phi[am] phi[mb] c[ijb]"
+        " + phi[pi] phi[qj] c[pqa] + phi[pi] dphi[paj] - phi[qj] dphi[qai]"
+        " - phi[am] phi[pi] c[pjm] + phi[am] dphi[jmi]"
+        " - phi[am] phi[qj] c[iqm] - phi[am] dphi[imj]"
         " -> aij",
         phi=phi,
         c=frame.brackets(),
-        pp=table(images, images),
-        pe=table(images, members),
-        ep=table(members, images),
+        dphi=derivatives(frame.members, phi.components),  # [p, a, j] = E_p(phi^a_j)
     )
     return Tensor.build(frame, 1, 2, comps)

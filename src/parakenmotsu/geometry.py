@@ -130,29 +130,43 @@ class VectorField:
 
     def __call__(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative X(f)."""
-        out = ScalarExpr.zero(self.chart.symbols)
-        for name, comp in zip(self.chart.coords, self.components):
-            if not comp.is_zero():
-                out = out + comp * f.diff(name)
-        return out
+        return ScalarExpr.normalize(self.chart.symbols, _derivative_terms(self, f))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
 
+def _derivative_terms(x: VectorField, f: ScalarExpr) -> list[Term]:
+    """The product terms of X(f) = sum x^a df/dx^a, not yet normalized."""
+    out: list[Term] = []
+    if f.terms:
+        for name, comp in zip(x.chart.coords, x.components):
+            if comp.terms:
+                out.extend(mul_terms(comp.terms, f.diff(name).terms))
+    return out
+
+
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X, Y] in coordinate components."""
+    """Lie bracket [X, Y] in coordinate components.
+
+    In the package only `Frame.brackets()` calls it, once per pair of
+    frame members, to build the structure constants; every other bracket
+    is expanded from those in frame components.
+    """
     chart = x.chart
     if chart != y.chart:
         raise ValenceError("bracket arguments live on different charts")
-    comps = []
-    for i in range(chart.dim):
-        acc = chart.zero()
-        for j, name in enumerate(chart.coords):
-            acc = acc + x.components[j] * y.components[i].diff(name)
-            acc = acc - y.components[j] * x.components[i].diff(name)
-        comps.append(acc)
-    return VectorField(chart, tuple(comps))
+    minus_y = -y
+    return VectorField(
+        chart,
+        tuple(
+            ScalarExpr.normalize(
+                chart.symbols,
+                _derivative_terms(x, yc) + _derivative_terms(minus_y, xc),
+            )
+            for xc, yc in zip(x.components, y.components)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,121 @@ def eight_term_residual(op, ricci, xi):
                         )
                         out[a, x, y, z, w] = canon(value)
     return out
+
+
+# -- Nijenhuis torsion and Lie derivatives --------------------------------------
+#
+# These work in the coordinate basis with the textbook component formulas
+# and convert to the frame only at the end.  phi[a][i] and t[a][i] are
+# frame components (the coefficient of E_a in phi E_i), w[i] = w(E_i),
+# t[i][j] = t(E_i, E_j); X is given by its coordinate components.
+
+
+def _frame_change(coords, members):
+    symbols = [sp.Symbol(c) for c in coords]
+    d = len(coords)
+    P = sp.Matrix(d, d, lambda i, a: members[a][i])
+    return symbols, P, P.inv().applyfunc(canon)
+
+
+def frame_nijenhuis(coords, members, phi):
+    """N[a][i][j]: component a of N(E_i, E_j), from
+
+    N^k_ij = F^m_i d_m F^k_j - F^m_j d_m F^k_i - F^k_m (d_i F^m_j - d_j F^m_i)
+
+    with F the coordinate matrix of phi.
+    """
+    symbols, P, P_inv = _frame_change(coords, members)
+    d = len(coords)
+    F = (P * sp.Matrix(phi) * P_inv).applyfunc(canon)
+    dF = [F.diff(x) for x in symbols]  # dF[m][k, j] = d_m F^k_j
+    N = [
+        [
+            [
+                canon(
+                    sum(
+                        F[m, i] * dF[m][k, j]
+                        - F[m, j] * dF[m][k, i]
+                        - F[k, m] * (dF[i][m, j] - dF[j][m, i])
+                        for m in range(d)
+                    )
+                )
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+        for k in range(d)
+    ]
+    out = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            # N(E_i, E_j) in coordinates, then expanded over the frame
+            v = sp.Matrix(
+                [
+                    sum(
+                        N[k][p][q] * P[p, i] * P[q, j]
+                        for p in range(d)
+                        for q in range(d)
+                    )
+                    for k in range(d)
+                ]
+            )
+            expansion = P_inv * v
+            for a in range(d):
+                out[a][i][j] = canon(expansion[a])
+    return out
+
+
+def _lie_parts(symbols, x):
+    d = len(symbols)
+    dX = sp.Matrix(d, d, lambda m, a: sp.diff(x[m], symbols[a]))  # d_a X^m
+
+    def along(f):
+        return sum(x[m] * sp.diff(f, symbols[m]) for m in range(d))
+
+    return dX, along
+
+
+def frame_lie_covariant2(coords, members, x, t):
+    """(L_X t)(E_i, E_j) from (L_X T)_ab = X(T_ab) + T_mb d_a X^m + T_am d_b X^m."""
+    symbols, P, P_inv = _frame_change(coords, members)
+    d = len(coords)
+    dX, along = _lie_parts(symbols, x)
+    T = (P_inv.T * sp.Matrix(t) * P_inv).applyfunc(canon)
+    L = sp.Matrix(
+        d,
+        d,
+        lambda a, b: along(T[a, b])
+        + sum(T[m, b] * dX[m, a] + T[a, m] * dX[m, b] for m in range(d)),
+    )
+    return (P.T * L * P).applyfunc(canon)
+
+
+def frame_lie_oneform(coords, members, x, w):
+    """(L_X w)(E_i) from (L_X w)_a = X(w_a) + w_m d_a X^m."""
+    symbols, P, P_inv = _frame_change(coords, members)
+    d = len(coords)
+    dX, along = _lie_parts(symbols, x)
+    W = (P_inv.T * sp.Matrix(w)).applyfunc(canon)
+    L = sp.Matrix(
+        [along(W[a]) + sum(W[m] * dX[m, a] for m in range(d)) for a in range(d)]
+    )
+    return (P.T * L).applyfunc(canon)
+
+
+def frame_lie_endomorphism(coords, members, x, t):
+    """Frame matrix of L_X T, from the coordinate formula
+
+    (L_X T)^k_a = X(T^k_a) - T^m_a d_m X^k + T^k_m d_a X^m.
+    """
+    symbols, P, P_inv = _frame_change(coords, members)
+    d = len(coords)
+    dX, along = _lie_parts(symbols, x)
+    T = (P * sp.Matrix(t) * P_inv).applyfunc(canon)
+    L = sp.Matrix(
+        d,
+        d,
+        lambda k, a: along(T[k, a])
+        + sum(-T[m, a] * dX[k, m] + T[k, m] * dX[m, a] for m in range(d)),
+    )
+    return (P_inv * L * P).applyfunc(canon)

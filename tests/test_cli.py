@@ -84,6 +84,14 @@ def test_check_unknown_select_token_is_usage_error():
     assert proc.stderr.decode("utf-8").startswith("error:")
 
 
+@pytest.mark.parametrize("select", ["", ",", " , "])
+def test_check_empty_select_is_usage_error(select):
+    proc = run_cli("check", MANIFOLDS / "example_r3.pk", "--select", select)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode("utf-8") == "error: --select names no check\n"
+
+
 @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
 def test_malformed_documents_exit_two(path):
     proc = run_cli("check", path)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
-from strategies import CHART3, frames3, vector_fields
+from strategies import CHART3, frames3, scalars, vector_fields
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import (
     lie_derivative,
@@ -16,7 +17,7 @@ from parakenmotsu.curvature import (
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, tensor_apply
+from parakenmotsu.geometry import OneForm, Tensor, tensor_apply
 from parakenmotsu.scalar import parse_scalar
 
 
@@ -208,3 +209,69 @@ def test_nijenhuis_antisymmetry_on_phi_like_tensors():
         for i in range(d):
             for j in range(d):
                 assert (t[a, i, j] + t[a, j, i]).is_zero()
+
+
+def _sympy_frame(frame):
+    coords = frame.chart.coords
+    members = [
+        [oracle.to_sympy(c, coords) for c in m.components] for m in frame.members
+    ]
+    return coords, members
+
+
+def _sympy_matrix(t, coords):
+    d = t.frame.dim
+    return [[oracle.to_sympy(t[a, i], coords) for i in range(d)] for a in range(d)]
+
+
+def _nonconstant(entries):
+    return any(not c.is_constant() for c in entries)
+
+
+@settings(max_examples=8, deadline=None)
+@given(frames3(), st.lists(scalars(), min_size=9, max_size=9).filter(_nonconstant))
+def test_nijenhuis_matches_oracle_on_random_frames(frame, entries):
+    phi = Tensor(frame, 1, 1, tuple(entries))
+    coords, members = _sympy_frame(frame)
+    expected = oracle.frame_nijenhuis(coords, members, _sympy_matrix(phi, coords))
+    got = nijenhuis(phi)
+    d = frame.dim
+    for a in range(d):
+        for i in range(d):
+            for j in range(d):
+                value = oracle.to_sympy(got[a, i, j], coords)
+                assert oracle.is_zero(value - expected[a][i][j])
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    frames3(),
+    vector_fields(),
+    st.lists(scalars(), min_size=9, max_size=9).filter(_nonconstant),
+    st.lists(scalars(), min_size=9, max_size=9),
+    st.lists(scalars(), min_size=3, max_size=3),
+)
+def test_lie_derivatives_match_oracle_on_random_frames(frame, x, phi, t, w):
+    assume(x not in frame.members)
+    phi = Tensor(frame, 1, 1, tuple(phi))
+    t = Tensor(frame, 0, 2, tuple(t))
+    w = OneForm(frame, tuple(w))
+    coords, members = _sympy_frame(frame)
+    xs = [oracle.to_sympy(c, coords) for c in x.components]
+    d = frame.dim
+    for tensor, formula in (
+        (phi, oracle.frame_lie_endomorphism),
+        (t, oracle.frame_lie_covariant2),
+    ):
+        got = lie_derivative(x, tensor)
+        expected = formula(coords, members, xs, _sympy_matrix(tensor, coords))
+        for a in range(d):
+            for i in range(d):
+                value = oracle.to_sympy(got[a, i], coords)
+                assert oracle.is_zero(value - expected[a, i])
+    got = lie_derivative(x, w)
+    expected = oracle.frame_lie_oneform(
+        coords, members, xs, [oracle.to_sympy(c, coords) for c in w.components]
+    )
+    for i in range(d):
+        assert oracle.is_zero(oracle.to_sympy(got.components[i], coords) - expected[i])
