@@ -8,12 +8,11 @@ parse or semantic error in the document or the arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from parakenmotsu.dsl import DocumentError, load_manifold
-from parakenmotsu.report import emit_report, exit_code
+from parakenmotsu.report import emit_report, exit_code, json_bytes
 from parakenmotsu.scalar import ExprSyntaxError
 from parakenmotsu.soliton import (
     ConditionKind,
@@ -137,7 +136,7 @@ def _cmd_solve(args) -> int:
                 "classification": sol.classification,
             },
         }
-        _write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        _write(json_bytes(payload))
     else:
         lines = [
             f"manifold {doc.name}  (dimension {doc.dimension}, n = {doc.n})",
@@ -175,7 +174,7 @@ def _cmd_condition(args) -> int:
         }
         if report.witness is not None:
             payload["witness"] = report.witness
-        _write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        _write(json_bytes(payload))
     else:
         pair_text = ", ".join(f"({a}, {b})" for a, b in advertised)
         lines = [
@@ -228,7 +227,7 @@ def _cmd_factors(args) -> int:
                 "mu_roots": [str(r) for r in prefactor_roots],
             },
         }
-        _write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        _write(json_bytes(payload))
     else:
         lines = [f"factor analysis at n = {n}  (dimension {2 * n + 1})"]
         width = max(len(v) for v, _, _, _ in entries)

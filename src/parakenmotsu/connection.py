@@ -15,7 +15,6 @@ frame-index sum is one `geometry.contract` call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,21 +33,16 @@ class ConnectionError_(ValueError):
     """Raised when a constructed connection violates a defining invariant."""
 
 
-@dataclass(frozen=True)
 class FrameConnection:
-    frame: Frame
-    gamma: tuple[tuple[tuple[ScalarExpr, ...], ...], ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(
+        self, frame: Frame, gamma: tuple[tuple[tuple[ScalarExpr, ...], ...], ...]
+    ):
+        self.frame = frame
+        self.gamma = gamma
 
     def coefficient(self, i: int, j: int, k: int) -> ScalarExpr:
         """Coefficient of E_k in nabla_{E_i} E_j."""
         return self.gamma[i][j][k]
-
-    def nabla_member(self, i: int, j: int) -> VectorField:
-        key = (i, j)
-        if key not in self._cache:
-            self._cache[key] = self.frame.from_frame(self.gamma[i][j])
-        return self._cache[key]
 
     def nabla_frame_components(
         self, i: int, comps: Sequence[ScalarExpr]

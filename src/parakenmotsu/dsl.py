@@ -19,7 +19,6 @@ sections must appear in the order listed above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from parakenmotsu.scalar import (
     Token,
     parse_expr_tokens,
     parse_scalar,
+    read_only,
     tokenize,
 )
 from parakenmotsu.structure import ParacontactStructure
@@ -49,17 +49,40 @@ class DocumentError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
 class ManifoldDocument:
-    name: str
-    coords: tuple[str, ...]
-    n: int
-    frames: tuple[tuple[str, Combo], ...]
-    gram: tuple[Fraction, ...] | None
-    metric: tuple[tuple[int, int, str], ...] | None
-    phi: tuple[tuple[str, Combo], ...]
-    xi: Combo
-    eta: Combo | None
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(
+        self,
+        name: str,
+        coords: tuple[str, ...],
+        n: int,
+        frames: tuple[tuple[str, Combo], ...],
+        gram: tuple[Fraction, ...] | None,
+        metric: tuple[tuple[int, int, str], ...] | None,
+        phi: tuple[tuple[str, Combo], ...],
+        xi: Combo,
+        eta: Combo | None,
+    ):
+        vars(self).update(  # the instance dict, past the read-only __setattr__
+            name=name,
+            coords=coords,
+            n=n,
+            frames=frames,
+            gram=gram,
+            metric=metric,
+            phi=phi,
+            xi=xi,
+            eta=eta,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @property
     def dimension(self) -> int:
@@ -459,7 +482,18 @@ def parse_manifold(text: str) -> ManifoldDocument:
 
 
 def load_manifold(path: str | Path) -> ManifoldDocument:
-    return parse_manifold(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # number lines as parse_manifold does; the sentinel "x" keeps the
+        # line of the bad byte last even when a line break precedes it
+        *above, line = (data[: err.start].decode("utf-8") + "x").splitlines()
+        col = len(line[:-1].encode("utf-8")) + 1
+        raise DocumentError(
+            f"byte 0x{data[err.start]:02x} is not valid UTF-8", len(above) + 1, col
+        ) from None
+    return parse_manifold(text)
 
 
 # -- building the structure --------------------------------------------------

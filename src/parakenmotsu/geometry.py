@@ -34,11 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from parakenmotsu.scalar import NonInvertible, ScalarExpr, Term, mul_terms
+from parakenmotsu.scalar import NonInvertible, ScalarExpr, Term, mul_terms, read_only
 
 
 class ValenceError(ValueError):
@@ -48,7 +47,6 @@ class ValenceError(ValueError):
 Matrix = tuple[tuple[ScalarExpr, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
 class Chart:
     """Named coordinates plus optional constant parameters.
 
@@ -58,17 +56,25 @@ class Chart:
     algebra symbolically.
     """
 
-    coords: tuple[str, ...]
-    params: tuple[str, ...] = ()
+    __slots__ = ("coords", "params")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        names = self.coords + self.params
+    def __init__(self, coords: tuple[str, ...], params: tuple[str, ...] = ()):
+        names = coords + params
         if len(set(names)) != len(names):
             raise ValueError("chart symbols must be distinct")
-        if len(self.coords) % 2 == 0 or not self.coords:
-            raise ValueError(
-                f"chart dimension must be odd (2n+1), got {len(self.coords)}"
-            )
+        if len(coords) % 2 == 0 or not coords:
+            raise ValueError(f"chart dimension must be odd (2n+1), got {len(coords)}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coords, self.params) == (other.coords, other.params)
+
+    def __hash__(self):
+        return hash((self.coords, self.params))
 
     @property
     def dim(self) -> int:
@@ -95,16 +101,25 @@ class Chart:
         return ScalarExpr.exponential(coeffs, self.symbols)
 
 
-@dataclass(frozen=True, slots=True)
 class VectorField:
     """Coordinate-basis vector field: sum of components[i] * d/d(coords[i])."""
 
-    chart: Chart
-    components: tuple[ScalarExpr, ...]
+    __slots__ = ("chart", "components")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.dim:
+    def __init__(self, chart: Chart, components: tuple[ScalarExpr, ...]):
+        if len(components) != chart.dim:
             raise ValenceError("component count does not match chart dimension")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chart, self.components) == (other.chart, other.components)
+
+    def __hash__(self):
+        return hash((self.chart, self.components))
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
@@ -248,32 +263,45 @@ def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Frame:
     """Ordered frame with its gram matrix g(E_i, E_j).
 
     The member component matrix must be invertible over the ring, which is
     the pointwise linear-independence check.  The gram matrix is kept as
     given; the pseudo-orthonormal helpers below insist on a constant
-    diagonal of +1/-1 when a computation needs it.
+    diagonal of +1/-1 when a computation needs it.  Equality and the hash
+    ignore `_cache`, which holds values derived from the other fields.
     """
 
-    chart: Chart
-    members: tuple[VectorField, ...]
-    gram: Matrix
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        d = self.chart.dim
-        if len(self.members) != d:
-            raise ValenceError(f"expected {d} frame members, got {len(self.members)}")
-        if len(self.gram) != d or any(len(row) != d for row in self.gram):
+    def __init__(self, chart: Chart, members: tuple[VectorField, ...], gram: Matrix):
+        d = chart.dim
+        if len(members) != d:
+            raise ValenceError(f"expected {d} frame members, got {len(members)}")
+        if len(gram) != d or any(len(row) != d for row in gram):
             raise ValenceError("gram matrix shape does not match the frame")
         for i in range(d):
             for j in range(i, d):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValenceError("gram matrix must be symmetric")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_cache", {})
         self.component_inverse()  # raises NonInvertible for dependent members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chart, self.members, self.gram) == (
+            other.chart,
+            other.members,
+            other.gram,
+        )
+
+    def __hash__(self):
+        return hash((self.chart, self.members, self.gram))
 
     @property
     def dim(self) -> int:
@@ -364,7 +392,6 @@ def _flatten(rows: Matrix) -> tuple[ScalarExpr, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Tensor:
     """Frame-component tensor of valence (r, s) with r in {0, 1}.
 
@@ -372,20 +399,29 @@ class Tensor:
     indices; for r = 1 the contravariant index comes first.
     """
 
-    frame: Frame
-    r: int
-    s: int
-    components: tuple[ScalarExpr, ...]
-    symmetric: bool = False
+    __slots__ = ("frame", "r", "s", "components", "symmetric")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if self.r not in (0, 1):
+    def __init__(
+        self,
+        frame: Frame,
+        r: int,
+        s: int,
+        components: tuple[ScalarExpr, ...],
+        symmetric: bool = False,
+    ):
+        if r not in (0, 1):
             raise ValenceError("only valences (0,s) and (1,s) are supported")
-        d = self.frame.dim
-        if len(self.components) != d ** (self.r + self.s):
+        d = frame.dim
+        if len(components) != d ** (r + s):
             raise ValenceError("component count does not match valence")
-        if self.symmetric:
-            if (self.r, self.s) != (0, 2):
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "symmetric", symmetric)
+        if symmetric:
+            if (r, s) != (0, 2):
                 raise ValenceError("symmetry enforcement is for (0,2) tensors")
             for i in range(d):
                 for j in range(i + 1, d):
@@ -648,16 +684,17 @@ def tensor_apply(t: Tensor, args: Sequence[VectorField]):
     return frame.from_frame(value) if t.r else value
 
 
-@dataclass(frozen=True, slots=True)
 class OneForm:
     """One-form stored by its values on the frame members."""
 
-    frame: Frame
-    components: tuple[ScalarExpr, ...]
+    __slots__ = ("frame", "components")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if len(self.components) != self.frame.dim:
+    def __init__(self, frame: Frame, components: tuple[ScalarExpr, ...]):
+        if len(components) != frame.dim:
             raise ValenceError("one-form component count does not match frame")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "components", components)
 
     def __call__(self, x: VectorField) -> ScalarExpr:
         return contract("w[i] x[i] ->", w=self.components, x=self.frame.to_frame(x))

@@ -6,23 +6,26 @@ elapsed field is carried for interactive display but never serialized.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    ref: str  # catalog tag, e.g. "A4"; see README for the tag table
-    witness: str | None = None
-    elapsed: float = 0.0
-
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped"):
-            raise ValueError(f"unknown check status {self.status!r}")
+    def __init__(
+        self,
+        name: str,
+        status: str,  # "pass" | "fail" | "skipped"
+        ref: str,  # catalog tag, e.g. "A4"; see README for the tag table
+        witness: str | None = None,
+        elapsed: float = 0.0,
+    ):
+        if status not in ("pass", "fail", "skipped"):
+            raise ValueError(f"unknown check status {status!r}")
+        self.name = name
+        self.status = status
+        self.ref = ref
+        self.witness = witness
+        self.elapsed = elapsed
 
     @staticmethod
     def passed(name: str, ref: str, elapsed: float = 0.0) -> "CheckReport":
@@ -68,21 +71,29 @@ def report_from_failures(
     return CheckReport.passed(name, ref, elapsed)
 
 
-@dataclass(frozen=True)
 class SolitonSummary:
-    lam: str
-    mu: str
-    classification: str
+    def __init__(self, lam: str, mu: str, classification: str):
+        self.lam = lam
+        self.mu = mu
+        self.classification = classification
 
 
-@dataclass(frozen=True)
 class SuiteResult:
-    manifold: str
-    dimension: int
-    n: int
-    checks: tuple[CheckReport, ...]
-    notes: tuple[str, ...] = ()
-    soliton: SolitonSummary | None = None
+    def __init__(
+        self,
+        manifold: str,
+        dimension: int,
+        n: int,
+        checks: tuple[CheckReport, ...],
+        notes: tuple[str, ...] = (),
+        soliton: SolitonSummary | None = None,
+    ):
+        self.manifold = manifold
+        self.dimension = dimension
+        self.n = n
+        self.checks = checks
+        self.notes = notes
+        self.soliton = soliton
 
 
 def any_failed(checks: Iterable[CheckReport]) -> bool:
@@ -153,4 +164,11 @@ def emit_structured(result: SuiteResult) -> bytes:
         "notes": list(result.notes),
         "soliton": soliton,
     }
-    return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode("utf-8")
+    return json_bytes(doc)
+
+
+def json_bytes(payload) -> bytes:
+    """The bytes of every json-like output: `payload` indented by 2, newline."""
+    import json  # only json-like output needs it; keeps it off the start-up path
+
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")

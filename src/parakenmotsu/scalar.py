@@ -20,7 +20,6 @@ Expression text such as ``2*x^2*exp(-2*z)`` round-trips through
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -45,16 +44,37 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
+def read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of the immutable value types.
+
+    Their `__init__` sets each field once, bypassing this method.
+    """
+    raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+
 class LinearForm:
     """Rational linear form sum(c_i * x_i); the l of exp(l).
 
     Coefficients are stored sparsely as (symbol index, coefficient) pairs,
     sorted by index, with zero coefficients dropped.  The empty tuple is
-    the zero form.
+    the zero form.  The hash is computed once, since hashing Fractions is
+    slow and every normalize hashes the exponent of each term.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("coeffs", "_hash")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...] = ()):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_hash", hash((coeffs,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def build(mapping: Mapping[int, Fraction]) -> "LinearForm":
@@ -104,13 +124,33 @@ class LinearForm:
         return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
 class Term:
     """One canonical summand: coeff * monomial * exp(linear form)."""
 
-    coeff: Fraction
-    monomial: tuple[tuple[int, int], ...] = ()
-    exponent: LinearForm = LinearForm()
+    __slots__ = ("coeff", "monomial", "exponent")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(
+        self,
+        coeff: Fraction,
+        monomial: tuple[tuple[int, int], ...] = (),
+        exponent: LinearForm = LinearForm(),
+    ):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.monomial, self.exponent) == (
+            other.coeff,
+            other.monomial,
+            other.exponent,
+        )
+
+    def __hash__(self):
+        return hash((self.coeff, self.monomial, self.exponent))
 
     def key(self, width: int) -> tuple:
         mono = [0] * width
@@ -149,11 +189,14 @@ def _mul_monomials(
     return tuple(sorted((i, k) for i, k in acc.items() if k))
 
 
-@dataclass(frozen=True, slots=True)
 class ExactValue:
     """Exact result of a point substitution: sum of q_i * e^{r_i}."""
 
-    parts: tuple[tuple[Fraction, Fraction], ...]  # (exponent r, coefficient q)
+    __slots__ = ("parts",)
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, parts: tuple[tuple[Fraction, Fraction], ...]):
+        object.__setattr__(self, "parts", parts)  # (exponent r, coefficient q)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -165,11 +208,6 @@ class ExactValue:
         if len(self.parts) == 1 and self.parts[0][0] == 0:
             return self.parts[0][1]
         raise NonInvertible("value is not rational: " + str(self))
-
-    def approx(self) -> float:
-        from math import exp
-
-        return sum(float(q) * exp(float(r)) for r, q in self.parts)
 
     def __str__(self) -> str:
         if not self.parts:
@@ -183,12 +221,23 @@ class ExactValue:
         return " + ".join(chunks)
 
 
-@dataclass(frozen=True, slots=True)
 class ScalarExpr:
     """Canonical element of the scalar ring over a fixed symbol tuple."""
 
-    symbols: tuple[str, ...]
-    terms: tuple[Term, ...] = ()
+    __slots__ = ("symbols", "terms")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, symbols: tuple[str, ...], terms: tuple[Term, ...] = ()):
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.terms) == (other.symbols, other.terms)
+
+    def __hash__(self):
+        return hash((self.symbols, self.terms))
 
     # -- constructors -------------------------------------------------
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -61,25 +60,21 @@ class FactorError(ValueError):
     """The condition residual is not a scalar multiple of its shape."""
 
 
-@dataclass(frozen=True)
 class SolitonSolution:
-    lam: Fraction
-    mu: Fraction
-    n: int
-    classification: str
-
-    def __post_init__(self):
-        if self.lam + self.mu != 2 * self.n:
+    def __init__(self, lam: Fraction, mu: Fraction, n: int, classification: str):
+        if lam + mu != 2 * n:
             raise ValueError(
-                f"soliton constants ({self.lam}, {self.mu}) violate"
-                f" lambda + mu = 2n = {2 * self.n}"
+                f"soliton constants ({lam}, {mu}) violate lambda + mu = 2n = {2 * n}"
             )
-        expected = "Einstein" if self.mu == 1 else "quasi-Einstein"
-        if self.classification != expected:
+        expected = "Einstein" if mu == 1 else "quasi-Einstein"
+        if classification != expected:
             raise ValueError(
-                f"classification {self.classification!r} inconsistent with"
-                f" mu = {self.mu}"
+                f"classification {classification!r} inconsistent with mu = {mu}"
             )
+        self.lam = lam
+        self.mu = mu
+        self.n = n
+        self.classification = classification
 
     @staticmethod
     def from_constants(lam: Fraction, mu: Fraction, n: int) -> "SolitonSolution":
@@ -343,12 +338,12 @@ def condition_check(
 # -- symbolic factor extraction --------------------------------------------
 
 
-@dataclass(frozen=True)
 class FactorResult:
-    label: str
-    n: int
-    polynomial: ScalarExpr  # integer-primitive polynomial in mu
-    scale: Fraction  # residual = scale * polynomial * shape
+    def __init__(self, label: str, n: int, polynomial: ScalarExpr, scale: Fraction):
+        self.label = label
+        self.n = n
+        self.polynomial = polynomial  # integer-primitive polynomial in mu
+        self.scale = scale  # residual = scale * polynomial * shape
 
 
 _MU = ("mu",)

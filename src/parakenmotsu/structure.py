@@ -12,7 +12,6 @@ as a printable witness instead of aborting the run.  Most checks are one
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.curvature import lie_derivative, nijenhuis, riemann
@@ -31,22 +30,20 @@ from parakenmotsu.report import CheckReport, Stopwatch, report_from_failures
 from parakenmotsu.scalar import ScalarExpr
 
 
-@dataclass(frozen=True)
 class ParacontactStructure:
-    frame: Frame
-    phi: Tensor
-    xi: VectorField
-    eta: OneForm
-    n: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        if (self.phi.r, self.phi.s) != (1, 1):
+    def __init__(
+        self, frame: Frame, phi: Tensor, xi: VectorField, eta: OneForm, n: int
+    ):
+        if (phi.r, phi.s) != (1, 1):
             raise ValenceError("phi must be a (1,1) tensor")
-        if self.frame.dim != 2 * self.n + 1:
-            raise ValenceError(
-                f"dimension {self.frame.dim} does not equal 2n+1 for n={self.n}"
-            )
+        if frame.dim != 2 * n + 1:
+            raise ValenceError(f"dimension {frame.dim} does not equal 2n+1 for n={n}")
+        self.frame = frame
+        self.phi = phi
+        self.xi = xi
+        self.eta = eta
+        self.n = n
+        self._cache: dict = {}
 
     @property
     def chart(self):

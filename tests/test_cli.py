@@ -107,6 +107,7 @@ def test_parse_errors_carry_positions():
         "missing_equals.pk": "error: 10:4:",
         "unknown_member.pk": "error: 7:11:",
         "bad_gram_entry.pk": "error: 6:1:",
+        "not_utf8.pk": "error: 4:12:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

@@ -85,6 +85,7 @@ PARSE_ERRORS = {
     "bad_gram_entry.pk": "6:1: gram diagonal entry -2 must be 1 or -1",
     "duplicate_section.pk": "11:1: section 'xi' out of order or duplicated",
     "n_mismatch.pk": "declared n = 2 but dimension 3 gives n = 1",
+    "not_utf8.pk": "4:12: byte 0xff is not valid UTF-8",
 }
 
 
