@@ -259,6 +259,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
     xi: Combo | None = None
     eta: Combo | None = None
     rank = -1
+    at: dict[str, tuple[int, int]] = {}  # keyword -> position of its first line
 
     def is_dderiv(tok: Token) -> bool:
         return tok.kind == "DDERIV"
@@ -301,6 +302,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 head.col,
             )
         rank = new_rank
+        at.setdefault(keyword, (head.line, head.col))
         if keyword != "manifold" and name is None:
             raise DocumentError("document must start with 'manifold <name>'", lineno, 1)
         if keyword in ("frame", "metric", "phi", "xi", "eta") and coords is None:
@@ -446,17 +448,17 @@ def parse_manifold(text: str) -> ManifoldDocument:
     inferred_n = (dim - 1) // 2
     if declared_n is not None and declared_n != inferred_n:
         raise DocumentError(
-            f"declared n = {declared_n} but dimension {dim} gives n = {inferred_n}"
+            f"declared n = {declared_n} but dimension {dim} gives n = {inferred_n}", *at["n"]
         )
     if len(frames) != dim:
         raise DocumentError(
-            f"{len(frames)} frame members declared for dimension {dim}"
+            f"{len(frames)} frame members declared for dimension {dim}", *at["coords"]
         )
     if gram is None and not metric:
         raise DocumentError("missing 'gram diag' or 'metric' section")
     if gram is not None and len(gram) != dim:
         raise DocumentError(
-            f"gram diagonal has {len(gram)} entries for dimension {dim}"
+            f"gram diagonal has {len(gram)} entries for dimension {dim}", *at["gram"]
         )
     missing = [m for m in frame_ids if m not in phi_ids]
     if missing:

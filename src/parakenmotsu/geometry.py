@@ -185,50 +185,82 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the scalar ring.
+# Exact linear algebra over the scalar ring, block by block: each square
+# irreducible block gets Berkowitz's division-free characteristic polynomial
+# (Inf. Proc. Letters 18, 1984), hence its determinant and, by Cayley-Hamilton,
+# its inverse.  On a whole rotated frame Berkowitz takes several times longer.
 # ---------------------------------------------------------------------------
 
 
+def _blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
+    """(rows, columns) of each component of the graph joining row i to column j
+    when m[i][j] is nonzero; quick-find labels, column j being node d + j."""
+    d, label = len(m), list(range(2 * len(m)))
+    for i, j in itertools.product(range(d), repeat=2):
+        if m[i][j].terms and label[i] != label[d + j]:
+            old, new = label[d + j], label[i]
+            label = [new if x == old else x for x in label]
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for node, root in enumerate(label):
+        blocks.setdefault(root, ([], []))[node >= d].append(node % d)
+    return list(blocks.values())
+
+
+def _charpoly(a: Matrix, zero: ScalarExpr) -> list[ScalarExpr]:
+    """1, c1, ..., ck of det(x I - a).  Bordering the leading block A by a row R,
+    a column C and a corner e multiplies them by the lower-triangular Toeplitz
+    matrix with first column 1, -e, -RC, -RAC, ..., -RA^(k-1)C."""
+    poly = [ScalarExpr.const(1, zero.symbols), -a[0][0]]
+    for k in range(1, len(a)):
+        lead, row, v = [r[:k] for r in a[:k]], a[k][:k], [r[k] for r in a[:k]]
+        column = poly[:1] + [-a[k][k]]
+        for power in range(k):
+            v = contract("a[ij] v[j] -> i", a=lead, v=v) if power else v
+            column.append(-contract("r[i] v[i] ->", r=row, v=v))
+        t = [[column[i - j] if i >= j else zero for j in range(k + 2)] for i in range(k + 2)]
+        poly = list(contract("t[ij] p[j] -> i", t=t, p=poly + [zero]))
+    return poly
+
+
+def _factor(m: Matrix, zero: ScalarExpr):
+    """det m and (rows, columns, block, charpoly) per block; a non-square block gives (0, [])."""
+    blocks = _blocks(m)
+    if any(len(rows) != len(cols) for rows, cols in blocks):
+        return zero, []
+    perm = dict(pair for rows, cols in blocks for pair in zip(rows, cols))
+    swaps = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+    det, out = ScalarExpr.const((-1) ** swaps, zero.symbols), []
+    for rows, cols in blocks:
+        block = tuple(tuple(m[i][j] for j in cols) for i in rows)
+        poly = _charpoly(block, zero)
+        det = det * (poly[-1] if len(rows) % 2 == 0 else -poly[-1])
+        out.append((rows, cols, block, poly))
+    return det, out
+
+
 def mat_det(m: Matrix, zero: ScalarExpr) -> ScalarExpr:
-    """Determinant by cofactor expansion; fine at the dimensions used here."""
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    det = zero
-    for j in range(size):
-        if m[0][j].is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        cofactor = mat_det(minor, zero)
-        term = m[0][j] * cofactor
-        det = det + term if j % 2 == 0 else det - term
-    return det
+    """The permutation sign of the blocks times their determinants."""
+    return _factor(m, zero)[0]
 
 
 def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
-    """Adjugate inverse; requires the determinant to be a ring unit."""
-    size = len(m)
-    det = mat_det(m, zero)
+    """Inverse; det m must be a unit (the units are q*exp(l), so every block
+    determinant is one).  A block with characteristic polynomial x^k + c1
+    x^(k-1) + ... + ck has the inverse -(A^(k-1) + ... + c(k-1) I) / ck."""
+    det, blocks = _factor(m, zero)
     try:
-        det_inv = det.invert()
+        det.invert()
     except NonInvertible as exc:
         raise NonInvertible(f"matrix is not invertible over the ring: det = {det}") from exc
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            minor = tuple(
-                tuple(m[r][c] for c in range(size) if c != i)
-                for r in range(size)
-                if r != j
-            )
-            cof = mat_det(minor, zero) if size > 1 else None
-            entry = cof if size > 1 else ScalarExpr.const(1, zero.symbols)
-            if (i + j) % 2 == 1:
-                entry = -entry
-            row.append(entry * det_inv)
-        out.append(tuple(row))
-    return tuple(out)
+    out = [[zero] * len(m) for _ in m]
+    for rows, cols, block, poly in blocks:
+        k, u = len(rows), -poly[-1].invert()
+        inv = [u if i == j else zero for i, j in itertools.product(range(k), repeat=2)]
+        for c in poly[1:k]:  # Horner, with every coefficient scaled by u
+            inv = contract("a[ij] b[jl] + u c delta[il] -> il", a=block, b=inv, u=u, c=c)
+        for (t, s), value in zip(itertools.product(range(k), repeat=2), inv):
+            out[cols[t]][rows[s]] = value
+    return tuple(map(tuple, out))
 
 
 def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:

@@ -416,6 +416,12 @@ def _generic(n: int):
     return s, conn, riem, mu, ricci_sym, q_sym
 
 
+@functools.lru_cache(maxsize=None)
+def _generic_w2(n: int) -> Tensor:  # shared by the W2.S and S.W2 factors
+    _, _, riem, _, _, q_sym = _generic(n)
+    return w2_tensor(riem, q_sym, n)
+
+
 def _ratio_against_shape(entries) -> ScalarExpr:
     """Common polynomial p with residual = p * shape, over rational shapes."""
     poly = None
@@ -452,7 +458,7 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
 
     op = riem
     if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
-        op = w2_tensor(riem, q_sym, n)
+        op = _generic_w2(n)
     if kind is ConditionKind.R_DOT_S:
         paired, out = "", "xyz"
 

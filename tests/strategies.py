@@ -56,7 +56,7 @@ def vector_fields():
     )
 
 
-def _unit_scalars():
+def unit_scalars():
     """Invertible single-term entries q * e^(linear form)."""
     return st.builds(
         lambda q, form: ScalarExpr(SYMS, (Term(q, (), form),)),
@@ -87,7 +87,7 @@ def frames3():
 
     return st.builds(
         build,
-        st.tuples(_unit_scalars(), _unit_scalars(), _unit_scalars()),
+        st.tuples(unit_scalars(), unit_scalars(), unit_scalars()),
         st.tuples(_sparse_scalars(), _sparse_scalars(), _sparse_scalars()),
         st.tuples(*(st.sampled_from((1, -1)) for _ in range(3))),
     )

@@ -58,3 +58,16 @@ def test_axioms_selection_builds_no_connection(monkeypatch):
     assert statuses["axioms/phi-square"] == "pass"
     assert statuses["connection/koszul"] == "skipped"
     assert counts["koszul_connection"] == 0
+
+
+def test_factor_extraction_builds_the_generic_w2_once(monkeypatch):
+    soliton._generic.cache_clear()
+    soliton._generic_w2.cache_clear()
+    counts = Counter()
+    _count(monkeypatch, curvature, "w2_tensor", counts)
+    soliton.symbolic_factor_check(soliton.ConditionKind.R_DOT_S, 1)
+    soliton.phi_ricci_prefactor(1)
+    assert counts["w2_tensor"] == 0
+    soliton.symbolic_factor_check(soliton.ConditionKind.W2_DOT_S, 1)
+    soliton.symbolic_factor_check(soliton.ConditionKind.S_DOT_W2, 1)
+    assert counts["w2_tensor"] == 1

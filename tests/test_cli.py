@@ -11,11 +11,12 @@ MALFORMED = sorted((ROOT / "tests" / "data" / "malformed").glob("*.pk"))
 FLAT = ROOT / "tests" / "data" / "failing_flat3.pk"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "parakenmotsu.cli", *map(str, args)],
         capture_output=True,
         cwd=ROOT,
+        timeout=timeout,
     )
 
 
@@ -78,6 +79,16 @@ def test_check_select_accepts_multiple_tokens():
     assert b"summary: 11 pass, 0 fail, 35 skipped" in proc.stdout
 
 
+def test_dense_frame_inverts_quickly():
+    # every member of this 9-dimensional frame combines all nine coordinate
+    # fields; an inverse whose cost grows factorially with the dimension
+    # takes minutes here
+    dense = ROOT / "tests" / "data" / "dense9.pk"
+    proc = run_cli("check", dense, "--select", "axioms", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert b"summary: 10 pass, 0 fail, 36 skipped" in proc.stdout
+
+
 def test_check_unknown_select_token_is_usage_error():
     proc = run_cli("check", MANIFOLDS / "example_r3.pk", "--select", "nonsense")
     assert proc.returncode == 2
@@ -108,6 +119,9 @@ def test_parse_errors_carry_positions():
         "unknown_member.pk": "error: 7:11:",
         "bad_gram_entry.pk": "error: 6:1:",
         "not_utf8.pk": "error: 4:12:",
+        "n_mismatch.pk": "error: 3:1:",
+        "gram_count.pk": "error: 6:1:",
+        "frame_count.pk": "error: 2:1:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

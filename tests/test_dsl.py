@@ -84,7 +84,9 @@ PARSE_ERRORS = {
     "unknown_member.pk": "7:11: expected frame member target, got 'E9'",
     "bad_gram_entry.pk": "6:1: gram diagonal entry -2 must be 1 or -1",
     "duplicate_section.pk": "11:1: section 'xi' out of order or duplicated",
-    "n_mismatch.pk": "declared n = 2 but dimension 3 gives n = 1",
+    "n_mismatch.pk": "3:1: declared n = 2 but dimension 3 gives n = 1",
+    "gram_count.pk": "6:1: gram diagonal has 4 entries for dimension 3",
+    "frame_count.pk": "2:1: 2 frame members declared for dimension 3",
     "not_utf8.pk": "4:12: byte 0xff is not valid UTF-8",
 }
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 import itertools
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import CHART3, frames3, scalars, vector_fields
+from oracle import to_sympy
+from strategies import CHART3, frames3, scalars, unit_scalars, vector_fields
 from parakenmotsu.geometry import (
     Chart,
     Frame,
@@ -109,6 +111,121 @@ def test_mat_inverse_rejects_singular():
     m = [[sc("x"), sc("x")], [sc("1"), sc("1")]]
     with pytest.raises(NonInvertible):
         mat_inverse(m, zero)
+
+
+# -- determinant and inverse against sympy ------------------------------------
+#
+# The oracle writes exp(a*x + b*y + c*z) as E_x^a * E_y^b * E_z^c, so every
+# entry is a Laurent polynomial, and takes sympy's determinant by Gaussian
+# elimination over the fraction field, which shares nothing with the
+# package's block split and Berkowitz recurrence.
+
+_EXP = dict(zip(CHART3.symbols, sp.symbols("E_x E_y E_z")))
+
+
+def _sympy(expr):
+    def unwrap(arg):
+        return sp.Mul(*(e ** arg.coeff(sp.Symbol(s)) for s, e in _EXP.items()))
+
+    return to_sympy(expr, CHART3.symbols).replace(sp.exp, unwrap)
+
+
+def _sympy_matrix(m):
+    return sp.Matrix([[_sympy(e) for e in row] for row in m])
+
+
+def _entries(exp_monomials: bool):
+    """Small integers, or also single terms q * x^k * exp(l)."""
+    integers = st.integers(-2, 2).map(CHART3.const)
+    return st.one_of(integers, scalars(max_terms=1)) if exp_monomials else integers
+
+
+@st.composite
+def _unit_triangular_product(draw, d: int, exp_monomials: bool):
+    """L*U for lower and upper triangular L, U whose diagonal entries are units."""
+    zero = CHART3.zero()
+    diagonal = unit_scalars() if exp_monomials else st.sampled_from((1, -1)).map(CHART3.const)
+    entries = _entries(exp_monomials)
+
+    def triangular(lower: bool):
+        return tuple(
+            tuple(
+                draw(diagonal) if i == j else draw(entries) if (j < i) == lower else zero
+                for j in range(d)
+            )
+            for i in range(d)
+        )
+
+    prod = contract("l[ij] u[jk] -> ik", l=triangular(True), u=triangular(False))
+    return tuple(prod[i * d : (i + 1) * d] for i in range(d))
+
+
+@st.composite
+def _permuted_block_diagonal(draw):
+    """Exp-monomial blocks of size 1..3 on the diagonal, rows and columns shuffled."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8))
+    d, zero = sum(sizes), CHART3.zero()
+    m, at = [[zero] * d for _ in range(d)], 0
+    for size in sizes:
+        block = draw(_unit_triangular_product(size, exp_monomials=True))
+        for i, j in itertools.product(range(size), repeat=2):
+            m[at + i][at + j] = block[i][j]
+        at += size
+    rows, cols = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
+    return tuple(tuple(m[r][c] for c in cols) for r in rows)
+
+
+def _invertible_matrices():
+    return st.one_of(
+        st.integers(1, 8).flatmap(lambda d: _unit_triangular_product(d, exp_monomials=False)),
+        st.integers(1, 4).flatmap(lambda d: _unit_triangular_product(d, exp_monomials=True)),
+        _permuted_block_diagonal(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_invertible_matrices())
+def test_mat_det_and_inverse_agree_with_sympy(m):
+    zero = CHART3.zero()
+    d = len(m)
+    assert sp.cancel(_sympy_matrix(m).det(method="domain-ge") - _sympy(mat_det(m, zero))) == 0
+    product = (_sympy_matrix(m) * _sympy_matrix(mat_inverse(m, zero))).applyfunc(sp.expand)
+    assert product == sp.eye(d)
+
+
+@st.composite
+def _singular_matrices(draw):
+    """An invertible matrix broken in one of four ways."""
+    m = [list(row) for row in draw(_invertible_matrices())]
+    d, zero = len(m), CHART3.zero()
+    how = draw(st.sampled_from(("zero row", "non-square block", "dependent rows", "non-unit")))
+    r, s = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if how == "zero row" or d == 1:
+        m[r] = [zero] * d
+    elif how == "non-square block":
+        # as in dependent_frame.pk: two columns supported on one row only
+        s = (r + 1) % d if r == s else s
+        for i, j in itertools.product(range(d), (r, s)):
+            m[i][j] = draw(unit_scalars()) if i == r else zero
+        m[r] = [m[r][j] if j in (r, s) else zero for j in range(d)]
+    elif how == "dependent rows":
+        s = (r + 1) % d if r == s else s
+        factor = draw(scalars(max_terms=1).filter(lambda f: not f.is_zero()))
+        m[s] = [factor * e for e in m[r]]
+    else:
+        m[r] = [CHART3.coordinate("x") * e for e in m[r]]
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_singular_matrices())
+def test_singular_matrices_report_their_determinant(m):
+    zero = CHART3.zero()
+    det = mat_det(m, zero)
+    assert sp.cancel(_sympy_matrix(m).det(method="domain-ge") - _sympy(det)) == 0
+    with pytest.raises(NonInvertible) as info:
+        mat_inverse(m, zero)
+    assert str(info.value) == f"matrix is not invertible over the ring: det = {det}"
 
 
 def test_mat_rank_counts_independent_rows():
