@@ -15,6 +15,10 @@ Grammar, one section per line, `#` starting a comment:
 A combo is a sum of terms `<coeff> <target>` with the coefficient an
 expression in the coordinates; a bare target means coefficient 1.  The
 sections must appear in the order listed above.
+
+A parsed document holds each coefficient and metric entry as a
+`ScalarExpr` over the coordinates, parsed once; `emit` renders them back
+to text and `to_structure` builds from them directly.
 """
 
 from __future__ import annotations
@@ -22,20 +26,26 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from parakenmotsu.geometry import Chart, Frame, OneForm, Tensor, VectorField
+from parakenmotsu.geometry import (
+    Chart,
+    Frame,
+    OneForm,
+    Tensor,
+    VectorField,
+    contract,
+)
 from parakenmotsu.scalar import (
     ExprSyntaxError,
     NonInvertible,
     ScalarExpr,
     Token,
     parse_expr_tokens,
-    parse_scalar,
     read_only,
     tokenize,
 )
 from parakenmotsu.structure import ParacontactStructure
 
-Combo = tuple[tuple[str, str], ...]  # ((coefficient text, target text), ...)
+Combo = tuple[tuple[ScalarExpr, str], ...]  # ((coefficient, target text), ...)
 
 
 class DocumentError(ValueError):
@@ -59,7 +69,7 @@ class ManifoldDocument:
         n: int,
         frames: tuple[tuple[str, Combo], ...],
         gram: tuple[Fraction, ...] | None,
-        metric: tuple[tuple[int, int, str], ...] | None,
+        metric: tuple[tuple[int, int, ScalarExpr], ...] | None,
         phi: tuple[tuple[str, Combo], ...],
         xi: Combo,
         eta: Combo | None,
@@ -96,8 +106,8 @@ class ManifoldDocument:
         if self.gram is not None:
             lines.append("gram diag " + " ".join(str(q) for q in self.gram))
         else:
-            for i, j, text in self.metric:
-                lines.append(f"metric {i} {j} {text}")
+            for i, j, value in self.metric:
+                lines.append(f"metric {i} {j} {value}")
         for member, combo in self.phi:
             value = _render_combo(combo) if combo else "0"
             lines.append(f"phi {member} -> {value}")
@@ -113,12 +123,13 @@ class ManifoldDocument:
 def _render_combo(combo: Combo) -> str:
     parts = []
     for coeff, target in combo:
-        if coeff == "1":
+        text = str(coeff)
+        if text == "1":
             parts.append(target)
-        elif coeff == "-1":
+        elif text == "-1":
             parts.append(f"-{target}")
         else:
-            parts.append(f"{coeff} {target}")
+            parts.append(f"{text} {target}")
     if not parts:
         return "0"
     out = parts[0]
@@ -199,15 +210,15 @@ def _parse_combo(
         if coeff_tokens and coeff_tokens[-1].kind == "OP" and coeff_tokens[-1].text == "*":
             coeff_tokens = coeff_tokens[:-1]
         if not coeff_tokens:
-            coeff = "1"
+            coeff = ScalarExpr.const(1, symbols)
         elif (
             len(coeff_tokens) == 1
             and coeff_tokens[0].kind == "OP"
             and coeff_tokens[0].text == "-"
         ):
-            coeff = "-1"
+            coeff = ScalarExpr.const(-1, symbols)
         else:
-            expr, end = parse_expr_tokens(coeff_tokens, 0, symbols, lineno)
+            coeff, end = parse_expr_tokens(coeff_tokens, 0, symbols, lineno)
             if end != len(coeff_tokens):
                 bad = coeff_tokens[end]
                 raise DocumentError(
@@ -215,7 +226,6 @@ def _parse_combo(
                     bad.line,
                     bad.col,
                 )
-            coeff = str(expr)
         combo.append((coeff, target.text))
     return tuple(combo)
 
@@ -253,7 +263,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
     frames: list[tuple[str, Combo]] = []
     frame_ids: list[str] = []
     gram: tuple[Fraction, ...] | None = None
-    metric: dict[tuple[int, int], tuple[str, int]] = {}
+    metric: dict[tuple[int, int], ScalarExpr] = {}
     phi: list[tuple[str, Combo]] = []
     phi_ids: set[str] = set()
     xi: Combo | None = None
@@ -269,6 +279,11 @@ def parse_manifold(text: str) -> ManifoldDocument:
 
     def is_member_or_dderiv(tok: Token) -> bool:
         return is_member(tok) or is_dderiv(tok)
+
+    def check_coordinates(combo: Combo, lineno: int, col: int) -> None:
+        for _, target in combo:
+            if target not in frame_ids and target[3:] not in coords:
+                raise DocumentError(f"unknown coordinate in {target!r}", lineno, col)
 
     def is_differential(tok: Token) -> bool:
         return (
@@ -355,11 +370,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 combo = _parse_combo(
                     tokens, pos, coords, is_dderiv, "d/d<coord>", lineno
                 )
-                for _, target in combo:
-                    if target[3:] not in coords:
-                        raise DocumentError(
-                            f"unknown coordinate in {target!r}", lineno, head.col
-                        )
+                check_coordinates(combo, lineno, head.col)
                 frames.append((member, combo))
                 frame_ids.append(member)
             elif keyword == "gram":
@@ -404,7 +415,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                     raise DocumentError(
                         f"duplicate metric entry ({i}, {j})", lineno, head.col
                     )
-                metric[key] = (str(expr), lineno)
+                metric[key] = expr
             elif keyword == "phi":
                 if len(tokens) < 3 or tokens[1].kind != "IDENT":
                     raise DocumentError(
@@ -432,6 +443,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                     tokens, pos, coords, is_member_or_dderiv,
                     "frame member or d/d<coord>", lineno,
                 )
+                check_coordinates(xi, lineno, head.col)
             elif keyword == "eta":
                 pos = _expect_equals(tokens, 1, lineno)
                 eta = _parse_combo(
@@ -468,7 +480,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
     metric_tuple = (
         None
         if gram is not None
-        else tuple((i, j, text) for (i, j), (text, _) in sorted(metric.items()))
+        else tuple((i, j, value) for (i, j), value in sorted(metric.items()))
     )
     return ManifoldDocument(
         name=name,
@@ -514,8 +526,9 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         comps = [zero] * d
         for coeff, target in combo:
             index = doc.coords.index(target[3:])
-            comps[index] = comps[index] + parse_scalar(coeff, chart.symbols)
+            comps[index] = comps[index] + coeff
         members.append(VectorField(chart, tuple(comps)))
+    rows = [m.components for m in members]
 
     if doc.gram is not None:
         gram_rows = tuple(
@@ -524,25 +537,11 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         )
     else:
         coord_metric = [[zero] * d for _ in range(d)]
-        for i, j, text in doc.metric:
-            value = parse_scalar(text, chart.symbols)
+        for i, j, value in doc.metric:
             coord_metric[i - 1][j - 1] = value
             coord_metric[j - 1][i - 1] = value
-        gram_rows = tuple(
-            tuple(
-                sum(
-                    (
-                        members[a].components[i] * coord_metric[i][j] * members[b].components[j]
-                        for i in range(d)
-                        for j in range(d)
-                        if not coord_metric[i][j].is_zero()
-                    ),
-                    zero,
-                )
-                for b in range(d)
-            )
-            for a in range(d)
-        )
+        flat = contract("e[ai] g[ij] e[bj] -> ab", e=rows, g=coord_metric)
+        gram_rows = tuple(flat[a * d : (a + 1) * d] for a in range(d))
         for i in range(d):
             for j in range(d):
                 entry = gram_rows[i][j]
@@ -565,47 +564,33 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
     for member, combo in doc.phi:
         col = [zero] * d
         for coeff, target in combo:
-            col[index_of[target]] = col[index_of[target]] + parse_scalar(
-                coeff, chart.symbols
-            )
+            col[index_of[target]] = col[index_of[target]] + coeff
         phi_cols[index_of[member]] = col
     phi = Tensor.build(frame, 1, 1, lambda a, i: phi_cols[i][a])
 
     xi = VectorField.zero(chart)
     for coeff, target in doc.xi:
-        value = parse_scalar(coeff, chart.symbols)
         if target in index_of:
-            xi = xi + members[index_of[target]].scale(value)
+            xi = xi + members[index_of[target]].scale(coeff)
         else:
             comps = [zero] * d
-            comps[doc.coords.index(target[3:])] = value
+            comps[doc.coords.index(target[3:])] = coeff
             xi = xi + VectorField(chart, tuple(comps))
 
-    xif = frame.to_frame(xi)
-    dual = tuple(
-        sum(
-            (gram_rows[j][m] * xif[m] for m in range(d) if not xif[m].is_zero()),
-            zero,
-        )
-        for j in range(d)
-    )
+    dual = contract("g[jm] x[m] -> j", g=gram_rows, x=frame.to_frame(xi))
     if doc.eta is not None:
-        eta_frame = []
-        for j in range(d):
-            acc = zero
-            for coeff, target in doc.eta:
-                index = doc.coords.index(target[1:])
-                component = members[j].components[index]
-                if not component.is_zero():
-                    acc = acc + parse_scalar(coeff, chart.symbols) * component
-            eta_frame.append(acc)
+        coord_eta = [zero] * d
+        for coeff, target in doc.eta:
+            index = doc.coords.index(target[1:])
+            coord_eta[index] = coord_eta[index] + coeff
+        eta_frame = contract("e[ji] w[i] -> j", e=rows, w=coord_eta)
         for j in range(d):
             if not (eta_frame[j] - dual[j]).is_zero():
                 raise DocumentError(
                     "eta does not equal the metric dual of xi:"
                     f" eta(E{j + 1}) = {eta_frame[j]}, dual gives {dual[j]}"
                 )
-        eta = OneForm(frame, tuple(eta_frame))
+        eta = OneForm(frame, eta_frame)
     else:
         eta = OneForm(frame, dual)
 

@@ -1,12 +1,10 @@
 """Check reports and deterministic text / structured serialization.
 
-Serialized bytes must be identical across runs on identical input, so the
-elapsed field is carried for interactive display but never serialized.
+Serialized bytes must be identical across runs on identical input.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 
@@ -17,7 +15,6 @@ class CheckReport:
         status: str,  # "pass" | "fail" | "skipped"
         ref: str,  # catalog tag, e.g. "A4"; see README for the tag table
         witness: str | None = None,
-        elapsed: float = 0.0,
     ):
         if status not in ("pass", "fail", "skipped"):
             raise ValueError(f"unknown check status {status!r}")
@@ -25,34 +22,18 @@ class CheckReport:
         self.status = status
         self.ref = ref
         self.witness = witness
-        self.elapsed = elapsed
 
     @staticmethod
-    def passed(name: str, ref: str, elapsed: float = 0.0) -> "CheckReport":
-        return CheckReport(name, "pass", ref, None, elapsed)
+    def passed(name: str, ref: str) -> "CheckReport":
+        return CheckReport(name, "pass", ref)
 
     @staticmethod
-    def failed(
-        name: str, ref: str, witness: str, elapsed: float = 0.0
-    ) -> "CheckReport":
-        return CheckReport(name, "fail", ref, witness, elapsed)
+    def failed(name: str, ref: str, witness: str) -> "CheckReport":
+        return CheckReport(name, "fail", ref, witness)
 
     @staticmethod
     def skipped(name: str, ref: str) -> "CheckReport":
-        return CheckReport(name, "skipped", ref, None, 0.0)
-
-
-class Stopwatch:
-    """Context manager measuring wall time into .elapsed."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        self.elapsed = 0.0
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False
+        return CheckReport(name, "skipped", ref)
 
 
 def witness_at(idx: tuple[int, ...], expr) -> str:
@@ -61,14 +42,12 @@ def witness_at(idx: tuple[int, ...], expr) -> str:
     return f"[{place}]: {expr}"
 
 
-def report_from_failures(
-    name: str, ref: str, failures: list, elapsed: float
-) -> CheckReport:
+def report_from_failures(name: str, ref: str, failures: list) -> CheckReport:
     """Pass unless failures is nonempty; first failure becomes the witness."""
     if failures:
         idx, expr = failures[0]
-        return CheckReport.failed(name, ref, witness_at(idx, expr), elapsed)
-    return CheckReport.passed(name, ref, elapsed)
+        return CheckReport.failed(name, ref, witness_at(idx, expr))
+    return CheckReport.passed(name, ref)
 
 
 class SolitonSummary:

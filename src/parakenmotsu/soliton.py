@@ -35,7 +35,7 @@ from parakenmotsu.curvature import (
 )
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor, ValenceError, contract, tensor_apply
-from parakenmotsu.report import CheckReport, Stopwatch, witness_at
+from parakenmotsu.report import CheckReport, witness_at
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.structure import ParacontactStructure, vanishing_check
 
@@ -311,28 +311,27 @@ def condition_check(
     """
     name = f"condition/{kind.value}"
     ref = f"D{list(ConditionKind).index(kind) + 1}"
-    with Stopwatch() as t:
-        vanishes = residual.is_zero()
-        problem = None
-        if kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
-            paired = condition_residual_xi_paired(kind, s, residual)
-            if paired.is_zero() != vanishes:
-                problem = (
-                    "full residual and xi-paired residual disagree:"
-                    f" {vanishes} vs {paired.is_zero()}"
-                )
-        expected = (sol.lam, sol.mu) in theorem_expected(kind, s.n)
-        if problem is None and vanishes != expected:
-            state = "vanishes" if vanishes else "does not vanish"
-            bad = residual.first_nonzero()
-            detail = "" if bad is None else f"; first nonzero {witness_at(*bad)}"
+    vanishes = residual.is_zero()
+    problem = None
+    if kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
+        paired = condition_residual_xi_paired(kind, s, residual)
+        if paired.is_zero() != vanishes:
             problem = (
-                f"residual {state} but (lambda, mu) = ({sol.lam}, {sol.mu})"
-                f" {'is' if expected else 'is not'} an advertised solution{detail}"
+                "full residual and xi-paired residual disagree:"
+                f" {vanishes} vs {paired.is_zero()}"
             )
+    expected = (sol.lam, sol.mu) in theorem_expected(kind, s.n)
+    if problem is None and vanishes != expected:
+        state = "vanishes" if vanishes else "does not vanish"
+        bad = residual.first_nonzero()
+        detail = "" if bad is None else f"; first nonzero {witness_at(*bad)}"
+        problem = (
+            f"residual {state} but (lambda, mu) = ({sol.lam}, {sol.mu})"
+            f" {'is' if expected else 'is not'} an advertised solution{detail}"
+        )
     if problem is not None:
-        return CheckReport.failed(name, ref, problem, t.elapsed)
-    return CheckReport.passed(name, ref, t.elapsed)
+        return CheckReport.failed(name, ref, problem)
+    return CheckReport.passed(name, ref)
 
 
 # -- symbolic factor extraction --------------------------------------------
@@ -587,31 +586,28 @@ def soliton_from_parallel_check(
     solver's value.
     """
     name = "soliton/parallel-deformation-recovery"
-    with Stopwatch() as t:
-        alpha = (
-            lie_derivative(s.xi, s.metric())
-            + ricci_tensor.scale(2)
-            + s.eta_square().scale(2 * sol.mu)
-        )
-        problem = None
-        try:
-            for i in range(s.dim):
-                derivative = conn.nabla_tensor_dir(alpha, i)
-                bad = derivative.first_nonzero()
-                if bad is not None:
-                    raise NotParallel(
-                        f"nabla along E{i + 1} at {witness_at(*bad)}"
-                    )
-            lam = -_as_rational(
-                tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
-            ) / 2
-            if lam != sol.lam:
-                problem = f"recovered lambda {lam} differs from solved {sol.lam}"
-        except (NotParallel, NotMultiple) as exc:
-            problem = str(exc)
+    alpha = (
+        lie_derivative(s.xi, s.metric())
+        + ricci_tensor.scale(2)
+        + s.eta_square().scale(2 * sol.mu)
+    )
+    problem = None
+    try:
+        for i in range(s.dim):
+            derivative = conn.nabla_tensor_dir(alpha, i)
+            bad = derivative.first_nonzero()
+            if bad is not None:
+                raise NotParallel(f"nabla along E{i + 1} at {witness_at(*bad)}")
+        lam = -_as_rational(
+            tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
+        ) / 2
+        if lam != sol.lam:
+            problem = f"recovered lambda {lam} differs from solved {sol.lam}"
+    except (NotParallel, NotMultiple) as exc:
+        problem = str(exc)
     if problem is not None:
-        return CheckReport.failed(name, "T1", problem, t.elapsed)
-    return CheckReport.passed(name, "T1", t.elapsed)
+        return CheckReport.failed(name, "T1", problem)
+    return CheckReport.passed(name, "T1")
 
 
 def mu_zero_variant_check(
@@ -621,24 +617,22 @@ def mu_zero_variant_check(
 ) -> CheckReport:
     """mu = 0 deformation must NOT be parallel (no plain Ricci soliton)."""
     name = "soliton/mu-zero-deformation-not-parallel"
-    with Stopwatch() as t:
-        alpha = lie_derivative(s.xi, s.metric()) + ricci_tensor.scale(2)
-        witness = None
-        for i in range(s.dim):
-            derivative = conn.nabla_tensor_dir(alpha, i)
-            bad = derivative.first_nonzero()
-            if bad is not None:
-                witness = f"nabla along E{i + 1} at {witness_at(*bad)}"
-                break
+    alpha = lie_derivative(s.xi, s.metric()) + ricci_tensor.scale(2)
+    witness = None
+    for i in range(s.dim):
+        derivative = conn.nabla_tensor_dir(alpha, i)
+        bad = derivative.first_nonzero()
+        if bad is not None:
+            witness = f"nabla along E{i + 1} at {witness_at(*bad)}"
+            break
     if witness is None:
         return CheckReport.failed(
             name,
             "T2",
             "mu = 0 deformation is parallel, so a plain Ricci soliton"
             " would exist",
-            t.elapsed,
         )
-    return CheckReport.passed(name, "T2", t.elapsed)
+    return CheckReport.passed(name, "T2")
 
 
 def phi_ricci_symmetric_check(
@@ -661,25 +655,23 @@ def phi_ricci_symmetric_check(
         )
     ]
 
-    with Stopwatch() as t:
-        nabla_q_xi = conn.nabla_tensor(q, s.xi)
-        bad = nabla_q_xi.first_nonzero()
+    nabla_q_xi = conn.nabla_tensor(q, s.xi)
+    bad = nabla_q_xi.first_nonzero()
     reports.append(
-        CheckReport.passed("phi-ricci/q-parallel-along-xi", "P2", t.elapsed)
+        CheckReport.passed("phi-ricci/q-parallel-along-xi", "P2")
         if bad is None
         else CheckReport.failed(
-            "phi-ricci/q-parallel-along-xi", "P2", witness_at(*bad), t.elapsed
+            "phi-ricci/q-parallel-along-xi", "P2", witness_at(*bad)
         )
     )
 
-    with Stopwatch() as t:
-        nabla_s_xi = conn.nabla_tensor(ricci_tensor, s.xi)
-        bad = nabla_s_xi.first_nonzero()
+    nabla_s_xi = conn.nabla_tensor(ricci_tensor, s.xi)
+    bad = nabla_s_xi.first_nonzero()
     reports.append(
-        CheckReport.passed("phi-ricci/s-parallel-along-xi", "P3", t.elapsed)
+        CheckReport.passed("phi-ricci/s-parallel-along-xi", "P3")
         if bad is None
         else CheckReport.failed(
-            "phi-ricci/s-parallel-along-xi", "P3", witness_at(*bad), t.elapsed
+            "phi-ricci/s-parallel-along-xi", "P3", witness_at(*bad)
         )
     )
     return reports

@@ -34,12 +34,7 @@ from parakenmotsu.curvature import (
 from parakenmotsu.dsl import ManifoldDocument
 from parakenmotsu.fixtures import reference_conflict_notes
 from parakenmotsu.geometry import Tensor, ValenceError
-from parakenmotsu.report import (
-    CheckReport,
-    SolitonSummary,
-    Stopwatch,
-    SuiteResult,
-)
+from parakenmotsu.report import CheckReport, SolitonSummary, SuiteResult
 from parakenmotsu.soliton import (
     ConditionKind,
     FactorError,
@@ -140,11 +135,13 @@ class Products:
     W2 -> soliton constants -> condition residuals is read through these
     attributes, so whichever reader asks first pays for a product and
     every later reader shares it.  A builder's exception is not kept:
-    reading the attribute again retries the build.
+    reading the attribute again retries the build.  `selection` is the
+    check selection, for stages whose checks share no product.
     """
 
-    def __init__(self, structure: ParacontactStructure):
+    def __init__(self, structure: ParacontactStructure, selection=None):
         self.s = structure
+        self.selection = selection
         self._residuals: dict[ConditionKind, Tensor] = {}
 
     @cached_property
@@ -223,7 +220,7 @@ def run_suite(
         manifold_name = name or "manifold"
     sel = None if selection is None else frozenset(selection)
 
-    p = Products(structure)
+    p = Products(structure, sel)
     needed = _needed_stages(sel, structure.dim)
     stage_passed: dict[str, bool] = {}
     computed: dict[str, CheckReport] = {}
@@ -269,15 +266,14 @@ def run_suite(
 
 def _attempt(name: str, ref: str, build, errors) -> CheckReport:
     """Pass when build() returns; fail with the message of one of errors."""
-    with Stopwatch() as t:
-        try:
-            build()
-            message = None
-        except errors as err:
-            message = str(err)
+    try:
+        build()
+        message = None
+    except errors as err:
+        message = str(err)
     if message is None:
-        return CheckReport.passed(name, ref, t.elapsed)
-    return CheckReport.failed(name, ref, message, t.elapsed)
+        return CheckReport.passed(name, ref)
+    return CheckReport.failed(name, ref, message)
 
 
 def _run_axioms(p):
@@ -338,19 +334,18 @@ def _run_soliton(p):
         return [constants, CheckReport.skipped("soliton/quasi-einstein-split", "L2")]
 
     s, sol = p.s, p.sol
-    with Stopwatch() as t:
-        witness = None
-        try:
-            a, b = quasi_einstein_decompose(p.ricci, s.metric(), s.eta)
-            expected = (Fraction(-(sol.lam + 1)), Fraction(-(sol.mu - 1)))
-            if (a, b) != expected:
-                witness = f"split gives ({a}, {b}), soliton implies {expected}"
-        except NotInSpan as err:
-            witness = str(err)
+    witness = None
+    try:
+        a, b = quasi_einstein_decompose(p.ricci, s.metric(), s.eta)
+        expected = (Fraction(-(sol.lam + 1)), Fraction(-(sol.mu - 1)))
+        if (a, b) != expected:
+            witness = f"split gives ({a}, {b}), soliton implies {expected}"
+    except NotInSpan as err:
+        witness = str(err)
     split = (
-        CheckReport.passed("soliton/quasi-einstein-split", "L2", t.elapsed)
+        CheckReport.passed("soliton/quasi-einstein-split", "L2")
         if witness is None
-        else CheckReport.failed("soliton/quasi-einstein-split", "L2", witness, t.elapsed)
+        else CheckReport.failed("soliton/quasi-einstein-split", "L2", witness)
     )
     return [constants, split]
 
@@ -362,20 +357,18 @@ def _run_condition(p):
 
 
 def _run_factors(p):
+    """Only the selected extractions: each one builds its own generic tensors."""
     n = p.s.n
-    reports = [
-        _attempt(
-            f"factors/{kind.value}",
-            f"F{i}",
-            lambda kind=kind: symbolic_factor_check(kind, n),
-            FactorError,
-        )
-        for i, kind in enumerate(ConditionKind, 1)
+    builds = [
+        (kind.value, lambda kind=kind: symbolic_factor_check(kind, n))
+        for kind in ConditionKind
     ]
-    reports.append(
-        _attempt("factors/phi-ricci", "F5", lambda: phi_ricci_prefactor(n), FactorError)
-    )
-    return reports
+    builds.append(("phi-ricci", lambda: phi_ricci_prefactor(n)))
+    return [
+        _attempt(f"factors/{label}", f"F{i}", build, FactorError)
+        for i, (label, build) in enumerate(builds, 1)
+        if _selected(f"factors/{label}", p.selection)
+    ]
 
 
 def _run_parallel(p):

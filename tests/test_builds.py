@@ -60,6 +60,20 @@ def test_axioms_selection_builds_no_connection(monkeypatch):
     assert counts["koszul_connection"] == 0
 
 
+def test_factors_selection_extracts_only_the_selected_factor(monkeypatch, capsys):
+    soliton._generic.cache_clear()
+    soliton._generic_w2.cache_clear()
+    counts = Counter()
+    _count(monkeypatch, soliton, "symbolic_factor_check", counts)
+    _count(monkeypatch, curvature, "w2_tensor", counts)
+    doc = str(ROOT / "manifolds" / "example_r3.pk")
+    assert cli.main(["check", doc, "--select", "factors/R.S"]) == 0
+    out = capsys.readouterr().out
+    assert "  pass  factors/R.S" in out
+    assert "  skip  factors/W2.S" in out
+    assert counts == {"symbolic_factor_check": 1}
+
+
 def test_factor_extraction_builds_the_generic_w2_once(monkeypatch):
     soliton._generic.cache_clear()
     soliton._generic_w2.cache_clear()

@@ -122,6 +122,7 @@ def test_parse_errors_carry_positions():
         "n_mismatch.pk": "error: 3:1:",
         "gram_count.pk": "error: 6:1:",
         "frame_count.pk": "error: 2:1:",
+        "xi_unknown_coord.pk": "error: 10:1:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

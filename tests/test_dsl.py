@@ -1,7 +1,9 @@
+import sys
 from pathlib import Path
 
 import pytest
 
+from parakenmotsu import scalar
 from parakenmotsu.dsl import DocumentError, load_manifold, parse_manifold
 
 DATA = Path(__file__).parent / "data"
@@ -17,6 +19,34 @@ def test_shipped_documents_round_trip(stem):
     assert parse_manifold(doc.emit()) == doc
     assert doc.name == stem
     assert doc.dimension == 2 * doc.n + 1
+    built, rebuilt = doc.to_structure(), parse_manifold(doc.emit()).to_structure()
+    assert (built.frame.members, built.frame.gram, built.phi.components) == (
+        rebuilt.frame.members,
+        rebuilt.frame.gram,
+        rebuilt.phi.components,
+    )
+
+
+@pytest.mark.parametrize("stem", ["example_r3", "example_r5"])
+def test_structure_build_parses_nothing(monkeypatch, stem):
+    calls = []
+    for name in ("parse_scalar", "parse_expr_tokens"):
+        original = getattr(scalar, name)
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("parakenmotsu") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    doc = load_manifold(MANIFOLDS / f"{stem}.pk")
+    assert calls  # the wrappers see the parser's callers
+    calls.clear()
+    doc.to_structure()
+    assert calls == []
 
 
 def test_round_trip_normalizes_coefficients():
@@ -88,6 +118,7 @@ PARSE_ERRORS = {
     "gram_count.pk": "6:1: gram diagonal has 4 entries for dimension 3",
     "frame_count.pk": "2:1: 2 frame members declared for dimension 3",
     "not_utf8.pk": "4:12: byte 0xff is not valid UTF-8",
+    "xi_unknown_coord.pk": "10:1: unknown coordinate in 'd/dw'",
 }
 
 

@@ -13,35 +13,38 @@ from fractions import Fraction
 
 from parakenmotsu.dsl import ManifoldDocument, parse_manifold
 from parakenmotsu.fixtures import build_warped
+from parakenmotsu.geometry import Chart
 from parakenmotsu.suite import run_suite
 
 COORDS = ("x1", "x2", "x3", "x4", "z")
-COSH, SINH = "5/4", "3/4"  # (5/4)^2 - (3/4)^2 = 1
+COSH, SINH = Fraction(5, 4), Fraction(3, 4)  # (5/4)^2 - (3/4)^2 = 1
 
 
 def _warped2_document(rotate: bool, rename: dict[str, str]) -> ManifoldDocument:
     """The warped n = 2 document, optionally rotated, on renamed coordinates."""
-    scale = f"exp({rename['z']})"
+    chart = Chart(tuple(sorted(rename.values())))  # declared order follows the names
+    scale = chart.exponential({rename["z"]: 1})
+    one = chart.const(1)
     frames = []
     for k in (1, 3):
         u, v = f"d/d{rename[f'x{k}']}", f"d/d{rename[f'x{k + 1}']}"
         if rotate:
-            first = ((f"{COSH}*{scale}", u), (f"{SINH}*{scale}", v))
-            second = ((f"{SINH}*{scale}", u), (f"{COSH}*{scale}", v))
+            first = ((COSH * scale, u), (SINH * scale, v))
+            second = ((SINH * scale, u), (COSH * scale, v))
         else:
             first, second = ((scale, u),), ((scale, v),)
         frames += [(f"E{k}", first), (f"E{k + 1}", second)]
-    frames.append(("E5", (("-1", f"d/d{rename['z']}"),)))
+    frames.append(("E5", ((-one, f"d/d{rename['z']}"),)))
     pairs = {"E1": "E2", "E2": "E1", "E3": "E4", "E4": "E3"}
     return ManifoldDocument(
         name="warped2",
-        coords=tuple(sorted(rename.values())),  # declared order follows the names
+        coords=chart.coords,
         n=2,
         frames=tuple(frames),
         gram=tuple(Fraction(q) for q in (1, -1, 1, -1, 1)),
         metric=None,
-        phi=tuple((m, (("1", pairs[m]),)) for m in pairs) + (("E5", ()),),
-        xi=(("1", "E5"),),
+        phi=tuple((m, ((one, pairs[m]),)) for m in pairs) + (("E5", ()),),
+        xi=((one, "E5"),),
         eta=None,
     )
 

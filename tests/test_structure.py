@@ -145,8 +145,7 @@ def test_signature_axiom_counts_signs():
     assert report.status == "fail"
 
 
-def test_reports_carry_names_and_elapsed():
+def test_reports_carry_names():
     s = build_warped(1)
     for r in check_axioms(s):
         assert r.name.startswith("axioms/")
-        assert r.elapsed >= 0.0
