@@ -10,6 +10,14 @@ rational 2 and by the gram determinant, so everything stays inside the
 scalar ring.  Both defining invariants (zero torsion and metric
 compatibility) are re-checked symbolically after construction.  Every
 frame-index sum is one `geometry.contract` call.
+
+The covariant derivative is one derivation of the tensor algebra: along X
+it is fixed by X(f) on functions and by nabla_X E_j on the frame, and
+`geometry.leibniz_spec` expands it over a tensor of any valence.  Vectors,
+one-forms, phi, the metric and Q all go through that one spec, along a
+single field (`nabla_tensor`) or along every frame member at once
+(`nabla`).  The Lie derivative in `curvature` is the same derivation with
+the table of [X, E_j].
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from parakenmotsu.geometry import (
     VectorField,
     contract,
     derivatives,
+    derive_along,
+    leibniz_spec,
 )
 from parakenmotsu.scalar import ScalarExpr
 
@@ -44,84 +54,60 @@ class FrameConnection:
         """Coefficient of E_k in nabla_{E_i} E_j."""
         return self.gamma[i][j][k]
 
-    def nabla_frame_components(
-        self, i: int, comps: Sequence[ScalarExpr]
-    ) -> tuple[ScalarExpr, ...]:
-        """Frame components of nabla_{E_i} applied to sum(comps[j] E_j)."""
+    def nabla(self, t: Tensor) -> tuple[ScalarExpr, ...]:
+        """Components of nabla T, the direction index first."""
         return contract(
-            "dv[a] + v[m] gam[ma] -> a",
-            dv=derivatives((self.frame.members[i],), comps),
-            v=comps,
-            gam=self.gamma[i],
+            leibniz_spec(t.r, t.s, directed=True),
+            dt=derivatives(self.frame.members, t.components),
+            c=self.gamma,
+            t=t,
         )
-
-    def nabla_vv(self, x: VectorField, y: VectorField) -> VectorField:
-        """nabla_X Y for arbitrary vector fields."""
-        frame = self.frame
-        yf = frame.to_frame(y)
-        out = contract(
-            "dy[a] + x[i] y[m] gam[ima] -> a",
-            dy=derivatives((x,), yf),
-            x=frame.to_frame(x),
-            y=yf,
-            gam=self.gamma,
-        )
-        return frame.from_frame(out)
-
-    # -- covariant derivatives of tensors --------------------------------
 
     def nabla_tensor_dir(self, t: Tensor, i: int) -> Tensor:
         """nabla_{E_i} T for T of valence (0, s) or (1, s)."""
-        return self._nabla_along(t, self.frame.members[i], self.gamma[i])
+        return derive_along(t, self.frame.members[i], self.gamma[i])
 
     def nabla_tensor(self, t: Tensor, x: VectorField) -> Tensor:
         """nabla_X T for T of valence (0, s) or (1, s)."""
         along = contract(
             "x[i] gam[ijm] -> jm", x=self.frame.to_frame(x), gam=self.gamma
         )
-        return self._nabla_along(t, x, along)
+        return derive_along(t, x, along)
 
-    def _nabla_along(self, t: Tensor, x: VectorField, along) -> Tensor:
-        """nabla_X T, with along[j][m] the coefficient of E_m in nabla_X E_j."""
-        letters = "abcdefghijklmnopqrstuvwxy"[: t.rank]
-        terms = [f"dt[{letters}]"]
-        for p, l in enumerate(letters):
-            moved = f"t[{letters[:p]}z{letters[p + 1:]}]"
-            terms.append(f"+ c[z{l}] {moved}" if p < t.r else f"- c[{l}z] {moved}")
-        comps = contract(
-            " ".join(terms) + f" -> {letters}",
-            dt=derivatives((x,), t.components),
-            c=along,
-            t=t,
-        )
-        return Tensor.build(self.frame, t.r, t.s, comps)
+    def nabla_frame_components(
+        self, i: int, comps: Sequence[ScalarExpr]
+    ) -> tuple[ScalarExpr, ...]:
+        """Frame components of nabla_{E_i} applied to sum(comps[j] E_j)."""
+        vector = Tensor(self.frame, 1, 0, tuple(comps))
+        return self.nabla_tensor_dir(vector, i).components
+
+    def nabla_vv(self, x: VectorField, y: VectorField) -> VectorField:
+        """nabla_X Y for arbitrary vector fields."""
+        frame = self.frame
+        vector = Tensor(frame, 1, 0, frame.to_frame(y))
+        return frame.from_frame(self.nabla_tensor(vector, x).components)
 
     def nabla_oneform(self, omega: OneForm, x: VectorField) -> OneForm:
         """(nabla_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y)."""
         frame = self.frame
         as_tensor = Tensor(frame, 0, 1, omega.components)
-        derived = self.nabla_tensor(as_tensor, x)
-        return OneForm(frame, derived.components)
+        return OneForm(frame, self.nabla_tensor(as_tensor, x).components)
 
 
-def _gram_derivatives(frame: Frame) -> tuple[ScalarExpr, ...]:
-    """E_i(g(E_j, E_k)), row-major over (i, j, k)."""
-    return derivatives(frame.members, [c for row in frame.gram for c in row])
-
-
-def koszul_connection(frame: Frame, verify: bool = True) -> FrameConnection:
-    """Solve the Koszul formula on frame triples.
+def koszul_connection(frame: Frame) -> FrameConnection:
+    """Solve the Koszul formula on frame triples, then check both invariants.
 
     2 g(nabla_X Y, Z) = X(g(Y,Z)) + Y(g(Z,X)) - Z(g(X,Y))
                         - g(X,[Y,Z]) + g(Y,[Z,X]) + g(Z,[X,Y])
     """
     d = frame.dim
+    g = frame.metric_tensor()
     # K[i, j, l] = 2 g(nabla_{E_i} E_j, E_l)
     K = contract(
         "dg[ijl] + dg[jli] - dg[lij] - g[im] c[jlm] + g[jm] c[lim] + g[lm] c[ijm]"
         " -> ijl",
-        dg=_gram_derivatives(frame),
-        g=frame.gram,
+        dg=derivatives(frame.members, g.components),
+        g=g,
         c=frame.brackets(),
     )
     flat = contract(
@@ -135,12 +121,11 @@ def koszul_connection(frame: Frame, verify: bool = True) -> FrameConnection:
         for i in range(d)
     )
     conn = FrameConnection(frame, gamma)
-    if verify:
-        _verify_connection(conn)
+    _verify_connection(conn, g)
     return conn
 
 
-def _verify_connection(conn: FrameConnection) -> None:
+def _verify_connection(conn: FrameConnection, g: Tensor) -> None:
     frame = conn.frame
     index = list(itertools.product(range(frame.dim), repeat=3))
     torsion = contract(
@@ -151,13 +136,7 @@ def _verify_connection(conn: FrameConnection) -> None:
             raise ConnectionError_(
                 f"torsion does not vanish at ({i},{j},{k}): {value}"
             )
-    compatibility = contract(
-        "dg[ijk] - gam[ijm] g[mk] - g[jm] gam[ikm] -> ijk",
-        dg=_gram_derivatives(frame),
-        gam=conn.gamma,
-        g=frame.gram,
-    )
-    for (i, j, k), value in zip(index, compatibility):
+    for (i, j, k), value in zip(index, conn.nabla(g)):
         if not value.is_zero():
             raise ConnectionError_(
                 f"metric compatibility fails at ({i},{j},{k}): {value}"

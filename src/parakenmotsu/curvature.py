@@ -15,9 +15,14 @@ E_i(f) of the components, the bracket of two frame-expanded fields is
 
     [f E_i, h E_j] = f h c[ijk] E_k + f E_i(h) E_j - h E_j(f) E_i,
 
-so `lie_derivative` and `nijenhuis` are single contractions over c, the
-components and their derivatives.  The only coordinate-basis brackets
-are those of the frame members, taken once when c is built.
+so `nijenhuis` is a single contraction over c, the components and their
+derivatives.  The only coordinate-basis brackets are those of the frame
+members, taken once when c is built.
+
+L_X is the same derivation of the tensor algebra as the covariant
+derivative nabla_X, with the table of [X, E_j] in place of nabla_X E_j:
+both are `geometry.derive_along`, so a tensor of any valence and a
+one-form take the same Leibniz expansion.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from parakenmotsu.geometry import (
     VectorField,
     contract,
     derivatives,
+    derive_along,
 )
 from parakenmotsu.scalar import ScalarExpr
 
@@ -80,8 +86,8 @@ def _verify_riemann(riem: Tensor) -> None:
             raise CurvatureError(f"pair symmetry fails at ({i},{j},{k},{l})")
 
 
-def ricci(riem: Tensor, verify: bool = True) -> Tensor:
-    """Ricci tensor S(X,Y) = sum_i eps_i g(R(E_i,X)Y, E_i).
+def ricci(riem: Tensor) -> Tensor:
+    """Ricci tensor S(X,Y) = sum_i eps_i g(R(E_i,X)Y, E_i), checked symmetric.
 
     With the diagonal +1/-1 gram the metric pairing contributes the same
     sign eps_i, so the component formula collapses to sum_i R[i,i,j,k].
@@ -90,12 +96,11 @@ def ricci(riem: Tensor, verify: bool = True) -> Tensor:
     d = frame.dim
     frame.gram_signs()
     s = Tensor.build(frame, 0, 2, contract("R[iijk] -> jk", R=riem))
-    if verify:
-        for j in range(d):
-            for k in range(j + 1, d):
-                if not (s[j, k] - s[k, j]).is_zero():
-                    raise CurvatureError(f"Ricci tensor not symmetric at ({j},{k})")
-    return Tensor(frame, 0, 2, s.components, symmetric=True)
+    for j in range(d):
+        for k in range(j + 1, d):
+            if not (s[j, k] - s[k, j]).is_zero():
+                raise CurvatureError(f"Ricci tensor not symmetric at ({j},{k})")
+    return s
 
 
 def ricci_operator(s: Tensor) -> Tensor:
@@ -129,14 +134,13 @@ def scalar_curvature(q: Tensor) -> ScalarExpr:
 
 
 def lie_derivative(x: VectorField, t):
-    """Lie derivative along X of a (0,2) tensor, a one-form, or a (1,1) tensor."""
+    """L_X of a tensor or a one-form: the derivation with L_X E_j = [X, E_j]."""
     if isinstance(t, OneForm):
-        return _lie_oneform(x, t)
-    if isinstance(t, Tensor) and (t.r, t.s) == (0, 2):
-        return _lie_covariant2(x, t)
-    if isinstance(t, Tensor) and (t.r, t.s) == (1, 1):
-        return _lie_endomorphism(x, t)
-    raise ValenceError("lie_derivative supports (0,2), (1,1), and one-forms")
+        as_tensor = Tensor(t.frame, 0, 1, t.components)
+        return OneForm(t.frame, lie_derivative(x, as_tensor).components)
+    if not isinstance(t, Tensor):
+        raise ValenceError("lie_derivative takes a Tensor or a OneForm")
+    return derive_along(t, x, _bracket_table(t.frame, x))
 
 
 def _bracket_table(frame: Frame, x: VectorField) -> tuple[ScalarExpr, ...]:
@@ -148,43 +152,6 @@ def _bracket_table(frame: Frame, x: VectorField) -> tuple[ScalarExpr, ...]:
         c=frame.brackets(),
         dx=derivatives(frame.members, xf),  # [i, k] = E_i(x^k)
     )
-
-
-def _lie_covariant2(x: VectorField, t: Tensor) -> Tensor:
-    frame = t.frame
-    comps = contract(
-        "dt[ij] - b[im] t[mj] - t[im] b[jm] -> ij",
-        dt=derivatives((x,), t.components),
-        b=_bracket_table(frame, x),
-        t=t,
-    )
-    return Tensor.build(frame, 0, 2, comps)
-
-
-def _lie_oneform(x: VectorField, omega: OneForm) -> OneForm:
-    frame = omega.frame
-    comps = contract(
-        "dw[i] - b[im] w[m] -> i",
-        dw=derivatives((x,), omega.components),
-        b=_bracket_table(frame, x),
-        w=omega.components,
-    )
-    return OneForm(frame, comps)
-
-
-def _lie_endomorphism(x: VectorField, t: Tensor) -> Tensor:
-    """(L_X T)(Y) = [X, T(Y)] - T([X, Y]).
-
-    [X, T(E_i)] = [X, t^m_i E_m] = X(t^a_i) E_a + t^m_i [X, E_m].
-    """
-    frame = t.frame
-    comps = contract(
-        "dt[ai] + t[mi] b[ma] - t[am] b[im] -> ai",
-        dt=derivatives((x,), t.components),
-        b=_bracket_table(frame, x),
-        t=t,
-    )
-    return Tensor.build(frame, 1, 1, comps)
 
 
 def nijenhuis(phi: Tensor) -> Tensor:

@@ -181,6 +181,7 @@ def _parse_combo(
         ):
             segments.append(current)
             current = [tok] if tok.text == "-" else []
+            separator = tok
             previous_was_target = False
             continue
         current.append(tok)
@@ -197,8 +198,8 @@ def _parse_combo(
 
     combo = []
     for seg in segments:
-        if not seg:
-            raise DocumentError(f"empty term in {what}", lineno)
+        if not seg:  # only the last segment can be empty: a dangling '+'
+            raise DocumentError(f"empty term in {what}", separator.line, separator.col)
         target = seg[-1]
         if not is_target(target):
             raise DocumentError(

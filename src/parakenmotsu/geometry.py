@@ -393,7 +393,7 @@ class Frame:
         )
 
     def metric_tensor(self) -> "Tensor":
-        return Tensor(self, 0, 2, _flatten(self.gram), symmetric=True)
+        return Tensor(self, 0, 2, _flatten(self.gram))
 
     def brackets(self) -> tuple[tuple[tuple[ScalarExpr, ...], ...], ...]:
         """Frame components of every [E_i, E_j], nested [i][j][k], cached."""
@@ -431,17 +431,10 @@ class Tensor:
     indices; for r = 1 the contravariant index comes first.
     """
 
-    __slots__ = ("frame", "r", "s", "components", "symmetric")
+    __slots__ = ("frame", "r", "s", "components")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(
-        self,
-        frame: Frame,
-        r: int,
-        s: int,
-        components: tuple[ScalarExpr, ...],
-        symmetric: bool = False,
-    ):
+    def __init__(self, frame: Frame, r: int, s: int, components: tuple[ScalarExpr, ...]):
         if r not in (0, 1):
             raise ValenceError("only valences (0,s) and (1,s) are supported")
         d = frame.dim
@@ -451,17 +444,6 @@ class Tensor:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "symmetric", symmetric)
-        if symmetric:
-            if (r, s) != (0, 2):
-                raise ValenceError("symmetry enforcement is for (0,2) tensors")
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if self[i, j] != self[j, i]:
-                        raise ValenceError(
-                            f"tensor is not symmetric at ({i}, {j}):"
-                            f" {self[i, j]} vs {self[j, i]}"
-                        )
 
     @property
     def rank(self) -> int:
@@ -486,13 +468,12 @@ class Tensor:
         r: int,
         s: int,
         entry: Callable[..., ScalarExpr] | Sequence[ScalarExpr],
-        symmetric: bool = False,
     ) -> "Tensor":
         """Tensor from entry(*idx), or from its components in row-major order."""
         if callable(entry):
             idx = itertools.product(range(frame.dim), repeat=r + s)
             entry = [entry(*i) for i in idx]
-        return Tensor(frame, r, s, tuple(entry), symmetric=symmetric)
+        return Tensor(frame, r, s, tuple(entry))
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._match(other)
@@ -695,6 +676,45 @@ def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
         for at in range(d ** len(out))
     )
     return comps if out else comps[0]
+
+
+# ---------------------------------------------------------------------------
+# Derivations of the tensor algebra.  A derivation D that commutes with
+# contractions (a covariant derivative or a Lie derivative) is fixed by D on
+# functions and on the frame members, D E_j = c[jm] E_m; on the dual coframe
+# it is then D E^j = -c[mj] E^m, and on a tensor the Leibniz rule gives
+#
+#     (D t)[ab] = D(t[ab]) + c[za] t[zb] - c[bz] t[az]     for (1, 1),
+#
+# one signed term per index.  `leibniz_spec` writes that spec for any valence.
+# ---------------------------------------------------------------------------
+
+_LEIBNIZ_INDEX = "abcdefghjklmnopqrstuvwxy"  # i is the direction, z is summed
+
+
+@functools.lru_cache(maxsize=None)
+def leibniz_spec(r: int, s: int, directed: bool = False) -> str:
+    """Contraction spec of D t for a valence (r, s) tensor t.
+
+    Operands: `t`, `dt` the derivatives D of its components and `c` the
+    table of D on the frame.  When `directed`, `dt`, `c` and the output carry
+    a leading direction index i: one derivation per frame member.
+    """
+    i = "i" if directed else ""
+    letters = _LEIBNIZ_INDEX[: r + s]
+    terms = [f"dt[{i}{letters}]"]
+    for p, l in enumerate(letters):
+        moved = f"t[{letters[:p]}z{letters[p + 1:]}]"
+        terms.append(f"+ c[{i}z{l}] {moved}" if p < r else f"- c[{i}{l}z] {moved}")
+    return " ".join(terms) + f" -> {i}{letters}"
+
+
+def derive_along(t: Tensor, x: VectorField, along) -> Tensor:
+    """D_X t for the derivation with D_X f = X(f) and D_X E_j = along[j][m] E_m."""
+    comps = contract(
+        leibniz_spec(t.r, t.s), dt=derivatives((x,), t.components), c=along, t=t
+    )
+    return Tensor.build(t.frame, t.r, t.s, comps)
 
 
 def tensor_apply(t: Tensor, args: Sequence[VectorField]):

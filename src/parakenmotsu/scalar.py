@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ChartMismatch(ValueError):
@@ -504,6 +504,10 @@ def tokenize(text: str, line: int = 1, dsl: bool = False) -> list[Token]:
 
 _EXPR_TOKENS = {"NUM", "IDENT"}
 _EXPR_OPS = set("-+*^/()")
+# Deepest nesting of parentheses, exp( and unary minus in one expression.
+# The parser recurses once per level, so this keeps hostile input far from
+# Python's recursion limit and far above what a real coefficient needs.
+MAX_NESTING = 64
 
 
 class _Parser:
@@ -512,6 +516,7 @@ class _Parser:
         self.pos = pos
         self.symbols = symbols
         self.line = line
+        self.depth = 0
 
     def peek(self) -> Token | None:
         if self.pos < len(self.tokens):
@@ -524,7 +529,21 @@ class _Parser:
         if self.pos < len(self.tokens):
             t = self.tokens[self.pos]
             return ExprSyntaxError(message + f" (near {t.text!r})", t.line, t.col)
+        if self.pos:  # point at the dangling last token
+            t = self.tokens[self.pos - 1]
+            return ExprSyntaxError(message + " (at end of input)", t.line, t.col)
         return ExprSyntaxError(message + " (at end of input)", self.line, 0)
+
+    def nested(self, at: Token, parse: Callable[[], ScalarExpr]) -> ScalarExpr:
+        """parse() one nesting level below `at`, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", at.line, at.col
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def take_op(self, ops: str) -> Token | None:
         t = self.peek()
@@ -555,8 +574,9 @@ class _Parser:
         return value
 
     def parse_factor(self) -> ScalarExpr:
-        if self.take_op("-"):
-            return -self.parse_factor()
+        minus = self.take_op("-")
+        if minus is not None:
+            return -self.nested(minus, self.parse_factor)
         atom = self.parse_atom()
         if self.take_op("^"):
             t = self.peek()
@@ -584,8 +604,7 @@ class _Parser:
             return ScalarExpr.const(numer, self.symbols)
         if t.kind == "IDENT" and t.text == "exp":
             self.pos += 1
-            self.expect_op("(")
-            inner = self.parse_expr()
+            inner = self.nested(self.expect_op("("), self.parse_expr)
             self.expect_op(")")
             return self._to_exponential(inner, t)
         if t.kind == "IDENT":
@@ -600,7 +619,7 @@ class _Parser:
             return ScalarExpr.coordinate(t.text, self.symbols)
         if t.kind == "OP" and t.text == "(":
             self.pos += 1
-            inner = self.parse_expr()
+            inner = self.nested(t, self.parse_expr)
             self.expect_op(")")
             return inner
         raise self.error("expected an expression")

@@ -500,13 +500,6 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     return FactorResult(kind.value, n, target, scale)
 
 
-def _nabla_all(conn: FrameConnection, t: Tensor) -> tuple[ScalarExpr, ...]:
-    """Components of nabla T with the direction index first."""
-    return tuple(
-        c for i in range(conn.frame.dim) for c in conn.nabla_tensor_dir(t, i).components
-    )
-
-
 def phi_ricci_prefactor(n: int) -> FactorResult:
     """Factor of phi^2((nabla_X Q)Y) against eta(Y)[X - eta(X) xi]."""
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
@@ -515,7 +508,7 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
     eta = [s.eta.on_member(i).as_rational() for i in range(d)]
     xif = [c.as_rational() for c in s.xi_components()]
     image = contract(
-        "phi[ab] phi[bm] nq[imj] -> ija", phi=s.phi, nq=_nabla_all(conn, q_sym)
+        "phi[ab] phi[bm] nq[imj] -> ija", phi=s.phi, nq=conn.nabla(q_sym)
     )
     entries = [
         (value, eta[j] * ((1 if a == i else 0) - eta[i] * Fraction(xif[a])))
@@ -533,24 +526,29 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
 # -- parallel tensors -------------------------------------------------------
 
 
+def _first_non_parallel(conn: FrameConnection, t: Tensor) -> str | None:
+    """Witness at the first direction E_i with nabla_{E_i} T != 0, else None."""
+    for i in range(conn.frame.dim):
+        bad = conn.nabla_tensor_dir(t, i).first_nonzero()
+        if bad is not None:
+            return f"nabla along E{i + 1} at {witness_at(*bad)}"
+    return None
+
+
 def parallel_tensor_classify(
     alpha: Tensor, conn: FrameConnection, s: ParacontactStructure
 ) -> Fraction:
     """Verify nabla alpha = 0 and return c with alpha = c * g."""
     if (alpha.r, alpha.s) != (0, 2):
         raise ValenceError("expected a (0,2) tensor")
-    frame = s.frame
-    d = frame.dim
+    d = s.dim
     for i in range(d):
         for j in range(i + 1, d):
             if not (alpha[i, j] - alpha[j, i]).is_zero():
                 raise ValenceError(f"tensor not symmetric at ({i}, {j})")
-    for i in range(d):
-        derivative = conn.nabla_tensor_dir(alpha, i)
-        bad = derivative.first_nonzero()
-        if bad is not None:
-            idx, expr = bad
-            raise NotParallel(f"nabla along E{i + 1} at {witness_at(idx, expr)}")
+    witness = _first_non_parallel(conn, alpha)
+    if witness is not None:
+        raise NotParallel(witness)
     c = _as_rational(
         tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
     )
@@ -591,20 +589,16 @@ def soliton_from_parallel_check(
         + ricci_tensor.scale(2)
         + s.eta_square().scale(2 * sol.mu)
     )
-    problem = None
-    try:
-        for i in range(s.dim):
-            derivative = conn.nabla_tensor_dir(alpha, i)
-            bad = derivative.first_nonzero()
-            if bad is not None:
-                raise NotParallel(f"nabla along E{i + 1} at {witness_at(*bad)}")
-        lam = -_as_rational(
-            tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
-        ) / 2
-        if lam != sol.lam:
-            problem = f"recovered lambda {lam} differs from solved {sol.lam}"
-    except (NotParallel, NotMultiple) as exc:
-        problem = str(exc)
+    problem = _first_non_parallel(conn, alpha)
+    if problem is None:
+        try:
+            lam = -_as_rational(
+                tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
+            ) / 2
+            if lam != sol.lam:
+                problem = f"recovered lambda {lam} differs from solved {sol.lam}"
+        except NotMultiple as exc:
+            problem = str(exc)
     if problem is not None:
         return CheckReport.failed(name, "T1", problem)
     return CheckReport.passed(name, "T1")
@@ -618,14 +612,7 @@ def mu_zero_variant_check(
     """mu = 0 deformation must NOT be parallel (no plain Ricci soliton)."""
     name = "soliton/mu-zero-deformation-not-parallel"
     alpha = lie_derivative(s.xi, s.metric()) + ricci_tensor.scale(2)
-    witness = None
-    for i in range(s.dim):
-        derivative = conn.nabla_tensor_dir(alpha, i)
-        bad = derivative.first_nonzero()
-        if bad is not None:
-            witness = f"nabla along E{i + 1} at {witness_at(*bad)}"
-            break
-    if witness is None:
+    if _first_non_parallel(conn, alpha) is None:
         return CheckReport.failed(
             name,
             "T2",
@@ -650,7 +637,7 @@ def phi_ricci_symmetric_check(
             "P1",
             "phi[ab] phi[bm] nq[imj] - c eta[j] delta[ai] + c eta[j] eta[i] xi[a]"
             " -> ija",
-            dict(s.operands(), nq=_nabla_all(conn, q), c=1 - sol.mu),
+            dict(s.operands(), nq=conn.nabla(q), c=1 - sol.mu),
             labels="aij",
         )
     ]

@@ -22,7 +22,6 @@ from parakenmotsu.geometry import (
     ValenceError,
     VectorField,
     contract,
-    derivatives,
     exterior_derivative,
     mat_rank,
 )
@@ -177,18 +176,11 @@ def check_para_kenmotsu(
     s: ParacontactStructure, conn: FrameConnection
 ) -> CheckReport:
     """Defining condition: (nabla_X phi)Y = g(phi X, Y) xi - eta(Y) phi X."""
-    # (nabla_{E_i} phi)^a_j
-    #     = E_i(phi^a_j) + gamma[i][m][a] phi^m_j - phi^a_m gamma[i][j][m]
     return vanishing_check(
         "para-kenmotsu/covariant-phi",
         "K1",
-        "dphi[iaj] + gam[ima] phi[mj] - phi[am] gam[ijm]"
-        " - phi[mi] g[mj] xi[a] + eta[j] phi[ai] -> ija",
-        dict(
-            s.operands(),
-            dphi=derivatives(s.frame.members, s.phi.components),
-            gam=conn.gamma,
-        ),
+        "nphi[iaj] - phi[mi] g[mj] xi[a] + eta[j] phi[ai] -> ija",
+        dict(s.operands(), nphi=conn.nabla(s.phi)),
         labels="aij",
     )
 
@@ -199,17 +191,13 @@ def kenmotsu_identity_suite(
     riem: Tensor | None = None,
 ) -> list[CheckReport]:
     """The fourteen structural identities satisfied by the defining condition."""
-    members = s.frame.members
+    frame = s.frame
     if riem is None:
         riem = riemann(conn, verify=False)
-    ops = dict(s.operands(), gam=conn.gamma, R=riem)
+    ops = dict(s.operands(), R=riem)
     # [i, a]: nabla_{E_i} xi; [i, j]: (nabla_{E_i} eta)(E_j)
-    ops["nxi"] = contract(
-        "dxi[ia] + xi[m] gam[ima] -> ia", dxi=derivatives(members, ops["xi"]), **ops
-    )
-    ops["neta"] = contract(
-        "deta[ij] - gam[ijm] eta[m] -> ij", deta=derivatives(members, ops["eta"]), **ops
-    )
+    ops["nxi"] = conn.nabla(Tensor(frame, 1, 0, ops["xi"]))
+    ops["neta"] = conn.nabla(Tensor(frame, 0, 1, ops["eta"]))
     ops["lie_phi"] = lie_derivative(s.xi, s.phi)
     ops["lie_eta"] = lie_derivative(s.xi, s.eta).components
     ops["lie_ee"] = lie_derivative(s.xi, s.eta_square())

@@ -13,6 +13,8 @@ sympy.simplify is far too slow for randomized use.
 
 from __future__ import annotations
 
+import itertools
+
 import sympy as sp
 
 
@@ -168,6 +170,59 @@ def frame_scalar_curvature(coords, members, gram):
     G_frame = sp.Matrix(d, d, lambda a, b: gram[a][b])
     Ginv = G_frame.inv()
     return canon(sum(Ginv[a, b] * S[a, b] for a in range(d) for b in range(d)))
+
+
+def frame_covariant(coords, members, gram, t, r, s):
+    """Frame components of nabla T, the direction index first.
+
+    t holds the frame components of a valence (r, s) tensor, r in {0, 1},
+    flat and row-major with the contravariant index first.  T goes to the
+    coordinate basis, takes the textbook derivative there,
+
+        (nabla_p T)^k_mn = d_p T^k_mn + Gamma^k_pl T^l_mn
+                           - Gamma^l_pm T^k_ln - Gamma^l_pn T^k_ml,
+
+    and comes back: the result maps (i, a, b, ...) to the component
+    a, b, ... of nabla_{E_i} T.
+    """
+    symbols, P, P_inv, _, _ = _matrices(coords, members, gram)
+    gamma = christoffel(coords, members, gram)
+    d, rank = len(coords), r + s
+    index = list(itertools.product(range(d), repeat=rank))
+
+    def change(comps, up, down):
+        """Components of the same tensor in the basis with the given matrices."""
+        out = {}
+        for new in index:
+            acc = sp.S.Zero
+            for old, value in comps.items():
+                if value == 0:
+                    continue
+                for p, (o, n) in enumerate(zip(old, new)):
+                    value = value * (up[n, o] if p < r else down[o, n])
+                acc += value
+            out[new] = canon(acc)
+        return out
+
+    T = change(dict(zip(index, t)), P, P_inv)
+    out = {}
+    for q in range(d):
+        nabla_q = {}
+        for idx in index:
+            acc = sp.diff(T[idx], symbols[q])
+            for p, k in enumerate(idx):
+                for l in range(d):
+                    moved = idx[:p] + (l,) + idx[p + 1 :]
+                    if p < r:
+                        acc += gamma[k][q][l] * T[moved]
+                    else:
+                        acc -= gamma[l][q][k] * T[moved]
+            nabla_q[idx] = acc
+        # nabla_{E_i} weighs nabla_q by the coordinate component P[q, i] of E_i
+        for idx, value in change(nabla_q, P_inv, P).items():
+            for i in range(d):
+                out[(i,) + idx] = out.get((i,) + idx, sp.S.Zero) + P[q, i] * value
+    return {idx: canon(value) for idx, value in out.items()}
 
 
 # -- condition residuals ------------------------------------------------------

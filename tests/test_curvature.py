@@ -17,7 +17,7 @@ from parakenmotsu.curvature import (
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import OneForm, Tensor, tensor_apply
+from parakenmotsu.geometry import OneForm, Tensor, ValenceError, tensor_apply
 from parakenmotsu.scalar import parse_scalar
 
 
@@ -145,7 +145,7 @@ def test_riemann_and_ricci_invariants_hold(frame):
     # the property; a couple of instances are re-checked explicitly.
     conn = koszul_connection(frame)
     riem = riemann(conn, verify=True)
-    S = ricci(riem, verify=True)
+    S = ricci(riem)
     d = frame.dim
     for a in range(d):
         assert (riem[a, 0, 1, 2] + riem[a, 1, 0, 2]).is_zero()
@@ -184,6 +184,12 @@ def test_lie_derivative_of_eta_and_phi(warped):
     n, s, conn, riem = warped
     assert lie_derivative(s.xi, s.eta).is_zero()
     assert lie_derivative(s.xi, s.phi).is_zero()
+
+
+def test_lie_derivative_rejects_a_vector_field(warped):
+    n, s, conn, riem = warped
+    with pytest.raises(ValenceError):
+        lie_derivative(s.xi, s.xi)
 
 
 def test_nijenhuis_vanishes_on_fixture(warped):

@@ -119,6 +119,8 @@ PARSE_ERRORS = {
     "frame_count.pk": "2:1: 2 frame members declared for dimension 3",
     "not_utf8.pk": "4:12: byte 0xff is not valid UTF-8",
     "xi_unknown_coord.pk": "10:1: unknown coordinate in 'd/dw'",
+    "deep_parens.pk": "3:76: expression nested deeper than 64 levels",
+    "deep_negation.pk": "3:76: expression nested deeper than 64 levels",
 }
 
 

@@ -267,13 +267,14 @@ def test_metric_vv_agrees_with_gram_on_members():
     assert frame.metric_vv(e1.scale(sc("x")), e1) == sc("x")
 
 
-def test_tensor_symmetric_flag_is_validated():
-    frame = _coordinate_frame()
-    with pytest.raises(ValenceError):
-        Tensor.build(
-            frame, 0, 2, lambda i, j: sc("x") if (i, j) == (0, 1) else sc("0"),
-            symmetric=True,
-        )
+def test_frame_rejects_asymmetric_gram():
+    members = _coordinate_frame().members
+    gram = tuple(
+        tuple(sc("1") if i == j or (i, j) == (0, 1) else sc("0") for j in range(3))
+        for i in range(3)
+    )
+    with pytest.raises(ValenceError, match="symmetric"):
+        Frame(CHART3, members, gram)
 
 
 def test_tensor_first_nonzero_reports_index_and_value():
