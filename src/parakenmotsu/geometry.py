@@ -518,7 +518,7 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 _FACTOR = re.compile(r"([A-Za-z_]\w*)(?:\[([a-z]+)\])?|(\d+)")
-_ONE = (Term(Fraction(1)),)
+_ONE = (Term(1),)
 
 
 @functools.lru_cache(maxsize=None)
@@ -617,7 +617,7 @@ def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
 
     acc: dict[int, list[Term]] = {}
     for sign, factors in terms:
-        coeff = Fraction(sign)
+        coeff = sign
         parts = []
         for name, letters in factors:
             value = operands.get(name)
@@ -648,19 +648,16 @@ def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
             plan.append((bound_slots, [slot[letters[p]] for p in free], groups))
         out_slots = [slot[l] for l in out]
         vals = [0] * len(slot)
+        scale = (Term(coeff),)
 
         def walk(k: int, product):
             if k == len(plan):
                 at = 0
                 for s in out_slots:
                     at = at * d + vals[s]
-                bucket = acc.setdefault(at, [])
-                if coeff == 1:
-                    bucket.extend(product)
-                else:
-                    bucket.extend(
-                        Term(coeff * t.coeff, t.monomial, t.exponent) for t in product
-                    )
+                acc.setdefault(at, []).extend(
+                    product if coeff == 1 else mul_terms(scale, product)
+                )
                 return
             bound, free, groups = plan[k]
             for free_vals, t in groups.get(tuple(vals[s] for s in bound), ()):

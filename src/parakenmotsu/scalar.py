@@ -13,6 +13,14 @@ partial differentiation, and every expression has a unique canonical form
 are decidable by construction.  Inversion is supported exactly for the
 terms that are units: a single term with empty monomial.
 
+Coefficients, q and those of l, are integer-first: an `int` when integral
+and a `Fraction` only when the denominator is not 1 (:func:`demote`).
+Nearly all of them are integers, and `int` arithmetic is far cheaper.
+`Fraction(k) == k`, the two hash alike and print alike, so equality,
+hashing and rendering do not depend on the representation.  Values that
+leave the ring (`as_rational`, `evaluate`) are always `Fraction`s, since
+`int / int` would give a float.
+
 Expression text such as ``2*x^2*exp(-2*z)`` round-trips through
 :func:`parse_scalar` and ``str()``.
 """
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -36,11 +45,17 @@ class UnknownSymbol(ValueError):
     """Raised for a symbol name that is not part of the chart."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def demote(q: int | Fraction) -> int | Fraction:
+    """q as an `int` when it is integral, else q itself."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _coefficient(value) -> int | Fraction:
+    """An exact rational argument as an integer-first coefficient."""
+    if isinstance(value, (int, Fraction)):
+        return demote(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -57,16 +72,18 @@ class LinearForm:
 
     Coefficients are stored sparsely as (symbol index, coefficient) pairs,
     sorted by index, with zero coefficients dropped.  The empty tuple is
-    the zero form.  The hash is computed once, since hashing Fractions is
-    slow and every normalize hashes the exponent of each term.
+    the zero form.  The hash is computed once, since every normalize
+    hashes the exponent of each term, and so is the dense row that terms
+    sort by.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_dense")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, coeffs: tuple[tuple[int, Fraction], ...] = ()):
+    def __init__(self, coeffs: tuple[tuple[int, int | Fraction], ...] = ()):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", hash((coeffs,)))
+        object.__setattr__(self, "_dense", None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -77,9 +94,9 @@ class LinearForm:
         return self._hash
 
     @staticmethod
-    def build(mapping: Mapping[int, Fraction]) -> "LinearForm":
+    def build(mapping: Mapping[int, int | Fraction]) -> "LinearForm":
         pairs = tuple(
-            (i, _as_fraction(c)) for i, c in sorted(mapping.items()) if c != 0
+            (i, _coefficient(c)) for i, c in sorted(mapping.items()) if c != 0
         )
         return LinearForm(pairs)
 
@@ -87,25 +104,33 @@ class LinearForm:
         return not self.coeffs
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         acc = dict(self.coeffs)
         for i, c in other.coeffs:
-            acc[i] = acc.get(i, Fraction(0)) + c
+            acc[i] = acc.get(i, 0) + c
         return LinearForm.build(acc)
 
     def __neg__(self) -> "LinearForm":
         return LinearForm(tuple((i, -c) for i, c in self.coeffs))
 
-    def coefficient(self, index: int) -> Fraction:
+    def coefficient(self, index: int) -> int | Fraction:
         for i, c in self.coeffs:
             if i == index:
                 return c
-        return Fraction(0)
+        return 0
 
-    def dense(self, width: int) -> tuple[Fraction, ...]:
-        row = [Fraction(0)] * width
-        for i, c in self.coeffs:
-            row[i] = c
-        return tuple(row)
+    def dense(self, width: int) -> tuple[int | Fraction, ...]:
+        row = self._dense
+        if row is None or len(row) != width:
+            cells = [0] * width
+            for i, c in self.coeffs:
+                cells[i] = c
+            row = tuple(cells)
+            object.__setattr__(self, "_dense", row)
+        return row
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         return sum((c * point[i] for i, c in self.coeffs), Fraction(0))
@@ -132,7 +157,7 @@ class Term:
 
     def __init__(
         self,
-        coeff: Fraction,
+        coeff: int | Fraction,
         monomial: tuple[tuple[int, int], ...] = (),
         exponent: LinearForm = LinearForm(),
     ):
@@ -168,10 +193,12 @@ def mul_terms(a: Sequence[Term], b: Sequence[Term]) -> Sequence[Term]:
         a, b = b, a
     if len(a) == 1 and not a[0].monomial and not a[0].exponent.coeffs:
         q = a[0].coeff  # a rational constant only rescales
-        return b if q == 1 else [Term(q * t.coeff, t.monomial, t.exponent) for t in b]
+        if q == 1:
+            return b
+        return [Term(demote(q * t.coeff), t.monomial, t.exponent) for t in b]
     return [
         Term(
-            s.coeff * t.coeff,
+            demote(s.coeff * t.coeff),
             _mul_monomials(s.monomial, t.monomial),
             s.exponent + t.exponent,
         )
@@ -183,6 +210,10 @@ def mul_terms(a: Sequence[Term], b: Sequence[Term]) -> Sequence[Term]:
 def _mul_monomials(
     a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
+    if not a:
+        return b
+    if not b:
+        return a
     acc = dict(a)
     for i, k in b:
         acc[i] = acc.get(i, 0) + k
@@ -243,16 +274,29 @@ class ScalarExpr:
 
     @staticmethod
     def normalize(symbols: tuple[str, ...], terms: Iterable[Term]) -> "ScalarExpr":
-        acc: dict[tuple, Term] = {}
-        width = len(symbols)
+        """Collect like terms, drop zeros, demote coefficients and sort."""
+        firsts: dict[tuple, Term] = {}
+        sums: dict[tuple, int | Fraction] = {}
         for t in terms:
             k = (t.monomial, t.exponent)
-            if k in acc:
-                acc[k] = Term(acc[k].coeff + t.coeff, t.monomial, t.exponent)
+            if k in sums:
+                sums[k] += t.coeff
             else:
-                acc[k] = t
-        kept = [t for t in acc.values() if t.coeff != 0]
-        kept.sort(key=lambda t: t.key(width))
+                sums[k] = t.coeff
+                firsts[k] = t
+        kept = []
+        for k, c in sums.items():
+            if c == 0:
+                continue
+            t = firsts[k]
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            if c is not t.coeff:  # merged with a like term, or demoted
+                t = Term(c, t.monomial, t.exponent)
+            kept.append(t)
+        if len(kept) > 1:
+            width = len(symbols)
+            kept.sort(key=lambda t: t.key(width))
         return ScalarExpr(symbols, tuple(kept))
 
     @staticmethod
@@ -261,7 +305,7 @@ class ScalarExpr:
 
     @staticmethod
     def const(value, symbols: tuple[str, ...]) -> "ScalarExpr":
-        q = _as_fraction(value)
+        q = _coefficient(value)
         if q == 0:
             return ScalarExpr(symbols, ())
         return ScalarExpr(symbols, (Term(q),))
@@ -269,15 +313,15 @@ class ScalarExpr:
     @staticmethod
     def coordinate(name: str, symbols: tuple[str, ...]) -> "ScalarExpr":
         i = _symbol_index(name, symbols)
-        return ScalarExpr(symbols, (Term(Fraction(1), ((i, 1),)),))
+        return ScalarExpr(symbols, (Term(1, ((i, 1),)),))
 
     @staticmethod
     def exponential(coeffs: Mapping[str, Fraction], symbols: tuple[str, ...]) -> "ScalarExpr":
         """exp of the linear form given by symbol-name -> coefficient."""
         form = LinearForm.build(
-            {_symbol_index(n, symbols): _as_fraction(c) for n, c in coeffs.items()}
+            {_symbol_index(n, symbols): c for n, c in coeffs.items()}
         )
-        return ScalarExpr(symbols, (Term(Fraction(1), (), form),))
+        return ScalarExpr(symbols, (Term(1, (), form),))
 
     # -- ring operations ----------------------------------------------
 
@@ -316,7 +360,7 @@ class ScalarExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = _coefficient(other)
             return ScalarExpr.normalize(
                 self.symbols,
                 (Term(t.coeff * q, t.monomial, t.exponent) for t in self.terms),
@@ -349,7 +393,8 @@ class ScalarExpr:
         t = self.terms[0]
         if t.monomial:
             raise NonInvertible(f"monomial factors have no inverse in the ring: {self}")
-        return ScalarExpr(self.symbols, (Term(1 / t.coeff, (), -t.exponent),))
+        inverse = demote(Fraction(1) / t.coeff)  # 1 / int would be a float
+        return ScalarExpr(self.symbols, (Term(inverse, (), -t.exponent),))
 
     def diff(self, name: str) -> "ScalarExpr":
         """Partial derivative with respect to one chart symbol."""
@@ -381,10 +426,11 @@ class ScalarExpr:
         )
 
     def as_rational(self) -> Fraction:
+        """The constant as a `Fraction`, whatever the stored coefficient."""
         if not self.terms:
             return Fraction(0)
         if self.is_constant():
-            return self.terms[0].coeff
+            return Fraction(self.terms[0].coeff)
         raise NonInvertible(f"not a rational constant: {self}")
 
     def evaluate(self, point: Mapping[str, Fraction]) -> ExactValue:
@@ -393,7 +439,7 @@ class ScalarExpr:
         for name in self.symbols:
             if name not in point:
                 raise UnknownSymbol(f"point does not assign symbol {name!r}")
-            values.append(_as_fraction(point[name]))
+            values.append(Fraction(_coefficient(point[name])))
         acc: dict[Fraction, Fraction] = {}
         for t in self.terms:
             q = t.coeff
@@ -508,6 +554,16 @@ _EXPR_OPS = set("-+*^/()")
 # The parser recurses once per level, so this keeps hostile input far from
 # Python's recursion limit and far above what a real coefficient needs.
 MAX_NESTING = 64
+# Most terms one `*` or `^` in an expression may expand to, counted before
+# the expansion: len(a) * len(b) raw products for a * b, and the
+# C(k+m-1, m-1) monomials of degree k in m terms for an m-term base ^ k.
+# Both grow as a power of the input length, so without them a one-line
+# coefficient can run for minutes.  The power limit is the smaller one
+# because the squarings that build a T-term power multiply up to (T/2)^2
+# pairs.  The shipped, test and generated benchmark documents need at
+# most 4 raw products and 3 power terms.
+MAX_PRODUCT_TERMS = 1000
+MAX_POWER_TERMS = 300
 
 
 class _Parser:
@@ -569,21 +625,40 @@ class _Parser:
 
     def parse_product(self) -> ScalarExpr:
         value = self.parse_factor()
-        while self.take_op("*"):
-            value = value * self.parse_factor()
-        return value
+        while True:
+            star = self.take_op("*")
+            if star is None:
+                return value
+            rhs = self.parse_factor()
+            if len(value.terms) * len(rhs.terms) > MAX_PRODUCT_TERMS:
+                raise ExprSyntaxError(
+                    f"product of {len(value.terms)} and {len(rhs.terms)} terms"
+                    f" exceeds {MAX_PRODUCT_TERMS} term products",
+                    star.line,
+                    star.col,
+                )
+            value = value * rhs
 
     def parse_factor(self) -> ScalarExpr:
         minus = self.take_op("-")
         if minus is not None:
             return -self.nested(minus, self.parse_factor)
         atom = self.parse_atom()
-        if self.take_op("^"):
+        caret = self.take_op("^")
+        if caret is not None:
             t = self.peek()
             if t is None or t.kind != "NUM":
                 raise self.error("expected a non-negative integer power after '^'")
             self.pos += 1
-            return atom ** int(t.text)
+            power, m = int(t.text), len(atom.terms)
+            if m > 1 and comb(power + m - 1, m - 1) > MAX_POWER_TERMS:
+                raise ExprSyntaxError(
+                    f"power {power} of a {m}-term sum expands to more than"
+                    f" {MAX_POWER_TERMS} terms",
+                    caret.line,
+                    caret.col,
+                )
+            return atom**power
         return atom
 
     def parse_atom(self) -> ScalarExpr:
@@ -634,9 +709,9 @@ class _Parser:
                     at.col,
                 )
             (i, _), = term.monomial
-            coeffs[i] = coeffs.get(i, Fraction(0)) + term.coeff
+            coeffs[i] = coeffs.get(i, 0) + term.coeff
         form = LinearForm.build(coeffs)
-        return ScalarExpr(inner.symbols, (Term(Fraction(1), (), form),))
+        return ScalarExpr(inner.symbols, (Term(1, (), form),))
 
 
 def parse_expr_tokens(

@@ -27,12 +27,7 @@ from fractions import Fraction
 from math import isqrt
 
 from parakenmotsu.connection import FrameConnection, koszul_connection
-from parakenmotsu.curvature import (
-    lie_derivative,
-    ricci_operator,
-    riemann,
-    w2_tensor,
-)
+from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor, ValenceError, contract, tensor_apply
 from parakenmotsu.report import CheckReport, witness_at
@@ -103,7 +98,7 @@ def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolut
     g = s.metric()
     ee = s.eta_square()
     eta = [s.eta.on_member(i) for i in range(d)]
-    flow = lie_derivative(s.xi, g) + ricci_tensor.scale(2)
+    flow = s.lie_metric() + ricci_tensor.scale(2)
 
     pivot = next(
         (
@@ -584,11 +579,7 @@ def soliton_from_parallel_check(
     solver's value.
     """
     name = "soliton/parallel-deformation-recovery"
-    alpha = (
-        lie_derivative(s.xi, s.metric())
-        + ricci_tensor.scale(2)
-        + s.eta_square().scale(2 * sol.mu)
-    )
+    alpha = s.lie_metric() + ricci_tensor.scale(2) + s.eta_square().scale(2 * sol.mu)
     problem = _first_non_parallel(conn, alpha)
     if problem is None:
         try:
@@ -611,7 +602,7 @@ def mu_zero_variant_check(
 ) -> CheckReport:
     """mu = 0 deformation must NOT be parallel (no plain Ricci soliton)."""
     name = "soliton/mu-zero-deformation-not-parallel"
-    alpha = lie_derivative(s.xi, s.metric()) + ricci_tensor.scale(2)
+    alpha = s.lie_metric() + ricci_tensor.scale(2)
     if _first_non_parallel(conn, alpha) is None:
         return CheckReport.failed(
             name,
@@ -626,10 +617,11 @@ def phi_ricci_symmetric_check(
     s: ParacontactStructure,
     conn: FrameConnection,
     ricci_tensor: Tensor,
+    q: Tensor,
     sol: SolitonSolution,
 ) -> list[CheckReport]:
-    """phi^2(nabla Q), and parallelism of Q and S along xi."""
-    q = ricci_operator(ricci_tensor)
+    """phi^2(nabla Q), and parallelism of Q = ricci_operator(S) and S along xi."""
+    nq = conn.nabla(q)
     # phi^2((nabla_{E_i} Q)E_j) = (1 - mu) eta(E_j) [E_i - eta(E_i) xi]
     reports = [
         vanishing_check(
@@ -637,13 +629,13 @@ def phi_ricci_symmetric_check(
             "P1",
             "phi[ab] phi[bm] nq[imj] - c eta[j] delta[ai] + c eta[j] eta[i] xi[a]"
             " -> ija",
-            dict(s.operands(), nq=conn.nabla(q), c=1 - sol.mu),
+            dict(s.operands(), nq=nq, c=1 - sol.mu),
             labels="aij",
         )
     ]
 
-    nabla_q_xi = conn.nabla_tensor(q, s.xi)
-    bad = nabla_q_xi.first_nonzero()
+    nabla_q_xi = contract("xi[i] nq[iab] -> ab", xi=s.xi_components(), nq=nq)
+    bad = Tensor(s.frame, 1, 1, nabla_q_xi).first_nonzero()
     reports.append(
         CheckReport.passed("phi-ricci/q-parallel-along-xi", "P2")
         if bad is None

@@ -57,6 +57,12 @@ class ParacontactStructure:
             self._cache["g"] = self.frame.metric_tensor()
         return self._cache["g"]
 
+    def lie_metric(self) -> Tensor:
+        """L_xi g, read by the soliton solver, I12, T1 and T2."""
+        if "lie_g" not in self._cache:
+            self._cache["lie_g"] = lie_derivative(self.xi, self.metric())
+        return self._cache["lie_g"]
+
     def xi_components(self) -> tuple[ScalarExpr, ...]:
         if "xi" not in self._cache:
             self._cache["xi"] = self.frame.to_frame(self.xi)
@@ -201,7 +207,7 @@ def kenmotsu_identity_suite(
     ops["lie_phi"] = lie_derivative(s.xi, s.phi)
     ops["lie_eta"] = lie_derivative(s.xi, s.eta).components
     ops["lie_ee"] = lie_derivative(s.xi, s.eta_square())
-    ops["lie_g"] = lie_derivative(s.xi, s.metric())
+    ops["lie_g"] = s.lie_metric()
     ops["d_eta"] = exterior_derivative(s.eta)
     ops["nij"] = nijenhuis(s.phi)
     checks = (

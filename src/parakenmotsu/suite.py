@@ -379,7 +379,7 @@ def _run_parallel(p):
 
 
 def _run_phi_ricci(p):
-    return list(phi_ricci_symmetric_check(p.s, p.conn, p.ricci, p.sol))
+    return list(phi_ricci_symmetric_check(p.s, p.conn, p.ricci, p.q, p.sol))
 
 
 _RUNNERS = {

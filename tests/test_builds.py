@@ -11,6 +11,7 @@ from pathlib import Path
 
 from parakenmotsu import cli, connection, curvature, soliton, structure, suite
 from parakenmotsu.fixtures import build_warped
+from parakenmotsu.geometry import Tensor
 
 ROOT = Path(__file__).parent.parent
 MODULES = (cli, connection, curvature, soliton, structure, suite)
@@ -85,3 +86,19 @@ def test_factor_extraction_builds_the_generic_w2_once(monkeypatch):
     soliton.symbolic_factor_check(soliton.ConditionKind.W2_DOT_S, 1)
     soliton.symbolic_factor_check(soliton.ConditionKind.S_DOT_W2, 1)
     assert counts["w2_tensor"] == 1
+
+
+def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, capsys):
+    counts = Counter()
+    _count(
+        monkeypatch,
+        curvature,
+        "lie_derivative",
+        counts,
+        lambda x, t: isinstance(t, Tensor)
+        and t.components == t.frame.metric_tensor().components,
+    )
+    doc = str(ROOT / "manifolds" / "example_r5.pk")
+    assert cli.main(["check", doc]) == 0
+    assert "summary: 46 pass, 0 fail, 0 skipped" in capsys.readouterr().out
+    assert counts["lie_derivative"] == 1

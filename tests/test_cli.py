@@ -125,6 +125,7 @@ def test_parse_errors_carry_positions(tmp_path):
         "xi_unknown_coord.pk": "error: 10:1:",
         "deep_parens.pk": "error: 3:76:",
         "deep_negation.pk": "error: 3:76:",
+        "huge_power.pk": "error: 3:34:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,7 @@ PARSE_ERRORS = {
     "xi_unknown_coord.pk": "10:1: unknown coordinate in 'd/dw'",
     "deep_parens.pk": "3:76: expression nested deeper than 64 levels",
     "deep_negation.pk": "3:76: expression nested deeper than 64 levels",
+    "huge_power.pk": "3:34: power 30 of a 4-term sum expands to more than 300 terms",
 }
 
 
@@ -140,6 +142,13 @@ STRUCTURE_ERRORS = {
         "frame is not pseudo-orthonormal for the given metric: g(E1, E1) = 2"
     ),
 }
+
+
+def test_huge_power_is_rejected_before_expansion():
+    start = time.perf_counter()
+    with pytest.raises(DocumentError):
+        load_manifold(DATA / "malformed" / "huge_power.pk")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_ERRORS))

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parakenmotsu.scalar import (
+    MAX_POWER_TERMS,
+    MAX_PRODUCT_TERMS,
     ChartMismatch,
     ExprSyntaxError,
     LinearForm,
@@ -112,6 +114,30 @@ def test_parse_errors_have_positions():
         sc("1/0")
 
 
+def test_products_are_bounded_before_expansion():
+    def powers(name, k):
+        return "(" + " + ".join(f"{name}^{i}" for i in range(1, k + 1)) + ")"
+
+    assert MAX_PRODUCT_TERMS == 1000
+    assert len(sc(powers("x", 25) + "*" + powers("y", 40)).terms) == 1000
+    text = powers("x", 26) + "*" + powers("y", 40)
+    with pytest.raises(ExprSyntaxError) as info:
+        sc(text)
+    assert info.value.col == text.index("*(") + 1
+    assert "product of 26 and 40 terms" in info.value.message
+
+
+def test_powers_are_bounded_before_expansion():
+    assert MAX_POWER_TERMS == 300
+    assert len(sc("(x + y + z)^23").terms) == 300  # C(25, 2)
+    with pytest.raises(ExprSyntaxError) as info:
+        sc("1 + (x + y + z)^24")
+    assert info.value.col == 16
+    assert "power 24 of a 3-term sum" in info.value.message
+    # a single term has one term at any power
+    assert len(sc("(2*x*exp(z))^1000").terms) == 1
+
+
 def test_rendering_is_canonical_and_round_trips():
     e = sc("y - x + x - 2*y + x^2*exp(-2*z)")
     text = str(e)
@@ -216,6 +242,51 @@ def test_powers_add_exponents(a, j, k):
     for _ in range(j):
         product = product * a
     assert a**j == product
+
+
+def _coefficients(e):
+    for t in e.terms:
+        yield t.coeff
+        yield from (c for _, c in t.exponent.coeffs)
+
+
+def _with_fraction_coefficients(e):
+    """e with every coefficient stored as a Fraction, integral or not."""
+    return ScalarExpr(
+        e.symbols,
+        tuple(
+            Term(
+                Fraction(t.coeff),
+                t.monomial,
+                LinearForm(tuple((i, Fraction(c)) for i, c in t.exponent.coeffs)),
+            )
+            for t in e.terms
+        ),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    exprs(),
+    exprs(),
+    st.integers(0, 3),
+    st.sampled_from(SYMS),
+    _fracs(),
+    st.dictionaries(st.integers(0, 2), _fracs(), max_size=2),
+)
+def test_coefficients_are_int_first(a, b, k, name, q, form):
+    results = [a + b, a - b, -a, a * b, a * q, a**k, a.diff(name)]
+    if q != 0:
+        results.append(ScalarExpr(SYMS, (Term(q, (), LinearForm.build(form)),)).invert())
+    results.append(ScalarExpr.const(q, SYMS) + a - a)
+    for e in results:
+        for c in _coefficients(e):
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        same = _with_fraction_coefficients(e)
+        assert same == e and hash(same) == hash(e) and str(same) == str(e)
+        if e.is_constant():
+            assert type(e.as_rational()) is Fraction
+            assert e.as_rational() == same.as_rational()
 
 
 def test_large_power_is_a_single_term():

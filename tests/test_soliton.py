@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 import oracle
 from parakenmotsu.connection import koszul_connection
+from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor, ValenceError
@@ -303,6 +305,16 @@ def test_mu_zero_deformation_is_not_parallel(pipeline):
 def test_phi_ricci_checks_pass(pipeline):
     n, s, conn, riem, S = pipeline
     sol = solve_soliton(s, S)
-    reports = phi_ricci_symmetric_check(s, conn, S, sol)
+    reports = phi_ricci_symmetric_check(s, conn, S, ricci_operator(S), sol)
     assert [r.ref for r in reports] == ["P1", "P2", "P3"]
     assert all(r.status == "pass" for r in reports)
+
+
+def test_solved_constants_are_fractions():
+    # coefficients are stored as ints when integral; the constants that
+    # leave the ring stay Fractions, so dividing them never gives a float
+    path = Path(__file__).parent.parent / "manifolds" / "example_r5.pk"
+    s = load_manifold(path).to_structure()
+    sol = solve_soliton(s, ricci(riemann(koszul_connection(s.frame))))
+    assert (sol.lam, sol.mu) == (3, 1)
+    assert type(sol.lam) is Fraction and type(sol.mu) is Fraction
