@@ -23,10 +23,16 @@ indices:
 - A letter that is not an output index is summed over `range(d)`; a
   letter repeated inside one factor takes its diagonal.  Every term must
   carry every output index.
-- Only nonzero operand components are visited.  All product terms of an
+- Only nonzero operand components are visited.  A `Tensor` finds its
+  nonzero components once and keeps them; a `Components` result knows
+  them already; any other sequence is scanned on each call.  Within one
+  call each operand is grouped once per pattern of already bound letters,
+  and the join starts from the sparsest factor.  All product terms of an
   output component are collected first and normalized once.
-- The result is the tuple of components in row-major order over the
-  output letters, or one `ScalarExpr` when there are none.
+- The result is a `Components` tuple in row-major order over the output
+  letters, whose `nonzero()` are its nonzero (index, component) pairs,
+  or one `ScalarExpr` when there are no output letters.  A `Tensor` built
+  from it takes that view over instead of scanning.
 """
 
 from __future__ import annotations
@@ -424,14 +430,48 @@ def _flatten(rows: Matrix) -> tuple[ScalarExpr, ...]:
 # ---------------------------------------------------------------------------
 
 
+Nonzero = tuple[tuple[tuple[int, ...], ScalarExpr], ...]
+
+
+def _nonzero_entries(components: Sequence[ScalarExpr], d: int, rank: int) -> Nonzero:
+    """(index, component) of every nonzero component, in row-major order."""
+    idx = itertools.product(range(d), repeat=rank)
+    return tuple((i, c) for i, c in zip(idx, components) if c.terms)
+
+
+def _unflatten(at: int, d: int, rank: int) -> tuple[int, ...]:
+    """The index of row-major position `at` over `rank` indices in range(d)."""
+    idx = [0] * rank
+    for p in range(rank - 1, -1, -1):
+        at, idx[p] = divmod(at, d)
+    return tuple(idx)
+
+
+class Components(tuple):
+    """The row-major components `contract` returns, which know their nonzero
+    (index, component) pairs."""
+
+    __setattr__ = __delattr__ = read_only
+
+    def __new__(cls, components, nonzero: Nonzero):
+        self = super().__new__(cls, components)
+        object.__setattr__(self, "_nonzero", nonzero)
+        return self
+
+    def nonzero(self) -> Nonzero:
+        return self._nonzero
+
+
 class Tensor:
     """Frame-component tensor of valence (r, s) with r in {0, 1}.
 
     Components are stored flat in row-major order over (r + s) frame
-    indices; for r = 1 the contravariant index comes first.
+    indices; for r = 1 the contravariant index comes first.  The nonzero
+    components are found at most once (see `nonzero`), or taken over
+    from a `Components` result of `contract`.
     """
 
-    __slots__ = ("frame", "r", "s", "components")
+    __slots__ = ("frame", "r", "s", "components", "_nonzero")
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, frame: Frame, r: int, s: int, components: tuple[ScalarExpr, ...]):
@@ -444,6 +484,8 @@ class Tensor:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "components", components)
+        handed = components.nonzero() if isinstance(components, Components) else None
+        object.__setattr__(self, "_nonzero", handed)
 
     @property
     def rank(self) -> int:
@@ -473,7 +515,7 @@ class Tensor:
         if callable(entry):
             idx = itertools.product(range(frame.dim), repeat=r + s)
             entry = [entry(*i) for i in idx]
-        return Tensor(frame, r, s, tuple(entry))
+        return Tensor(frame, r, s, entry if isinstance(entry, tuple) else tuple(entry))
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._match(other)
@@ -505,12 +547,19 @@ class Tensor:
         if self.frame is not other.frame or (self.r, self.s) != (other.r, other.s):
             raise ValenceError("tensor operands do not share frame and valence")
 
+    def nonzero(self) -> Nonzero:
+        """(index, component) of each nonzero component, in row-major order."""
+        if self._nonzero is None:
+            view = _nonzero_entries(self.components, self.frame.dim, self.rank)
+            object.__setattr__(self, "_nonzero", view)
+        return self._nonzero
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.nonzero()
 
     def first_nonzero(self) -> tuple[tuple[int, ...], ScalarExpr] | None:
-        idx = itertools.product(range(self.frame.dim), repeat=self.rank)
-        return next(((i, c) for i, c in zip(idx, self.components) if c.terms), None)
+        nonzero = self.nonzero()
+        return nonzero[0] if nonzero else None
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +618,7 @@ def _components(value, rank: int):
     return comps, d
 
 
-def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
+def contract(spec: str, **operands) -> ScalarExpr | Components:
     """Evaluate a signed sum of index contractions; see the module docstring."""
     out, terms = _parse_spec(spec)
     flat: dict[str, Sequence[ScalarExpr]] = {}
@@ -592,28 +641,48 @@ def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
         raise ValenceError(f"operands of {spec!r} disagree on dimension or chart")
     (d,), (syms,) = dims, symbols
 
-    sparse: dict = {}
+    entries: dict[tuple, list] = {}
+    groups: dict[tuple, dict] = {}
 
-    def entries(name: str, letters: str):
-        """Nonzero (index, terms) pairs, diagonal taken for a repeated letter."""
-        key = (name, letters)
-        if key not in sparse:
-            unique = "".join(dict.fromkeys(letters))
+    def sparse(name: str, pattern: tuple[int, ...]):
+        """Nonzero (index, terms) pairs over the distinct letters of `pattern`
+        (each letter's first position), diagonal taken for a repeated letter."""
+        key = (name, pattern)
+        if key not in entries:
+            rank, value = len(pattern), operands.get(name)
             if name == "delta":
-                pairs = [((i,) * len(letters), _ONE) for i in range(d)]
+                pairs = [((i,) * rank, _ONE) for i in range(d)]
             else:
-                idx = itertools.product(range(d), repeat=len(letters))
-                pairs = [(i, c.terms) for i, c in zip(idx, flat[name]) if c.terms]
-            if len(unique) < len(letters):
-                first = [letters.index(l) for l in letters]
-                keep = [letters.index(l) for l in unique]
+                if isinstance(value, (Tensor, Components)):
+                    view = value.nonzero()
+                else:
+                    view = _nonzero_entries(flat[name], d, rank)
+                pairs = [(i, c.terms) for i, c in view]
+            keep = sorted(set(pattern))
+            if len(keep) < rank:
                 pairs = [
                     (tuple(i[p] for p in keep), t)
                     for i, t in pairs
-                    if all(i[p] == i[q] for p, q in enumerate(first))
+                    if all(i[p] == i[q] for p, q in enumerate(pattern))
                 ]
-            sparse[key] = (unique, pairs)
-        return sparse[key]
+            entries[key] = pairs
+        return entries[key]
+
+    def grouped(name: str, pattern: tuple[int, ...], bound: tuple[int, ...]):
+        """The pairs of `sparse`, grouped by their values at the `bound` positions."""
+        key = (name, pattern, bound)
+        if key not in groups:
+            table: dict[tuple, list] = {}
+            if bound:
+                free = [p for p in range(len(set(pattern))) if p not in bound]
+                for i, t in sparse(name, pattern):
+                    table.setdefault(tuple([i[p] for p in bound]), []).append(
+                        (tuple([i[p] for p in free]), t)
+                    )
+            else:  # one group, in which every index is free
+                table[()] = sparse(name, pattern)
+            groups[key] = table
+        return groups[key]
 
     acc: dict[int, list[Term]] = {}
     for sign, factors in terms:
@@ -626,53 +695,50 @@ def contract(spec: str, **operands) -> ScalarExpr | tuple[ScalarExpr, ...]:
             elif not letters and isinstance(value, (int, Fraction)):
                 coeff *= value
             else:
-                parts.append(entries(name, letters))
-        if coeff == 0 or any(not pairs for _, pairs in parts):
+                pattern = tuple(letters.index(l) for l in letters)
+                unique = "".join(dict.fromkeys(letters))
+                parts.append((name, pattern, unique, len(sparse(name, pattern))))
+        if coeff == 0 or any(not size for *_, size in parts):
             continue
         # Join the sparsest factor first; each later one is grouped by the
         # letters already bound, so only matching components are visited.
-        parts.sort(key=lambda part: len(part[1]))
+        parts.sort(key=lambda part: part[3])
+        # A row is the values of the letters bound so far, in binding order,
+        # with the product of its components.
         slot: dict[str, int] = {}
-        plan = []
-        for letters, pairs in parts:
-            bound = [p for p, l in enumerate(letters) if l in slot]
-            free = [p for p, l in enumerate(letters) if l not in slot]
-            groups: dict[tuple, list] = {}
-            for i, t in pairs:
-                groups.setdefault(tuple(i[p] for p in bound), []).append(
-                    (tuple(i[p] for p in free), t)
-                )
-            for p in free:
-                slot[letters[p]] = len(slot)
-            bound_slots = [slot[letters[p]] for p in bound]
-            plan.append((bound_slots, [slot[letters[p]] for p in free], groups))
+        rows = [((), _ONE)]
+        for name, pattern, letters, _ in parts:
+            bound = tuple(p for p, l in enumerate(letters) if l in slot)
+            table = grouped(name, pattern, bound)
+            at = [slot[letters[p]] for p in bound]
+            rows = [
+                (vals + free, mul_terms(product, t))
+                for vals, product in rows
+                for free, t in table.get(tuple([vals[s] for s in at]), ())
+            ]
+            for l in letters:
+                slot.setdefault(l, len(slot))
         out_slots = [slot[l] for l in out]
-        vals = [0] * len(slot)
         scale = (Term(coeff),)
-
-        def walk(k: int, product):
-            if k == len(plan):
-                at = 0
-                for s in out_slots:
-                    at = at * d + vals[s]
-                acc.setdefault(at, []).extend(
-                    product if coeff == 1 else mul_terms(scale, product)
-                )
-                return
-            bound, free, groups = plan[k]
-            for free_vals, t in groups.get(tuple(vals[s] for s in bound), ()):
-                for s, v in zip(free, free_vals):
-                    vals[s] = v
-                walk(k + 1, mul_terms(product, t))
-
-        walk(0, _ONE)
+        for vals, product in rows:
+            at = 0
+            for s in out_slots:
+                at = at * d + vals[s]
+            acc.setdefault(at, []).extend(
+                product if coeff == 1 else mul_terms(scale, product)
+            )
 
     zero = ScalarExpr.zero(syms)
-    comps = tuple(
-        ScalarExpr.normalize(syms, acc[at]) if at in acc else zero
-        for at in range(d ** len(out))
-    )
-    return comps if out else comps[0]
+    if not out:
+        return ScalarExpr.normalize(syms, acc[0]) if acc else zero
+    comps = [zero] * d ** len(out)
+    found = []
+    for at in sorted(acc):
+        value = ScalarExpr.normalize(syms, acc[at])
+        if value.terms:
+            comps[at] = value
+            found.append((_unflatten(at, d, len(out)), value))
+    return Components(comps, tuple(found))
 
 
 # ---------------------------------------------------------------------------

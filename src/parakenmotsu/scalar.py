@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, log2
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -542,6 +542,10 @@ def tokenize(text: str, line: int = 1, dsl: bool = False) -> list[Token]:
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
         kind = m.lastgroup
+        if kind == "NUM" and m.end() - pos > MAX_LITERAL_DIGITS:
+            raise ExprSyntaxError(
+                f"number literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + 1
+            )
         if kind not in ("WS", "COMMENT"):
             tokens.append(Token(kind, m.group(), line, m.start() + 1))
         pos = m.end()
@@ -564,6 +568,23 @@ MAX_NESTING = 64
 # most 4 raw products and 3 power terms.
 MAX_PRODUCT_TERMS = 1000
 MAX_POWER_TERMS = 300
+# Longest number literal, in digits, in expressions and in every other
+# number of a document (the tokenizer checks it), and the widest coefficient
+# one `*` or `^` may make, in bits, estimated before it is computed.  Python
+# refuses to convert an int of more than 4,300 digits to or from text, and
+# 10,000 bits are about 3,000 digits.  The shipped, test and generated
+# documents need 2 digits and 3 bits; the widest test expressions need 6
+# digits and 1,000 bits.
+MAX_LITERAL_DIGITS = 100
+MAX_COEFFICIENT_BITS = 10_000
+
+
+def _coefficient_bits(e: ScalarExpr) -> float:
+    """log2 of the widest numerator or denominator among e's coefficients."""
+    return max(
+        (log2(max(abs(t.coeff.numerator), t.coeff.denominator)) for t in e.terms),
+        default=0.0,
+    )
 
 
 class _Parser:
@@ -637,6 +658,12 @@ class _Parser:
                     star.line,
                     star.col,
                 )
+            if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
+                raise ExprSyntaxError(
+                    f"product has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
+                    star.line,
+                    star.col,
+                )
             value = value * rhs
 
     def parse_factor(self) -> ScalarExpr:
@@ -655,6 +682,14 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"power {power} of a {m}-term sum expands to more than"
                     f" {MAX_POWER_TERMS} terms",
+                    caret.line,
+                    caret.col,
+                )
+            # an m-term power's coefficients also carry multinomials below m^k
+            if m and power * (_coefficient_bits(atom) + log2(m)) > MAX_COEFFICIENT_BITS:
+                raise ExprSyntaxError(
+                    f"power {power} has coefficients wider than"
+                    f" {MAX_COEFFICIENT_BITS} bits",
                     caret.line,
                     caret.col,
                 )

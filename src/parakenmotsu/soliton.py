@@ -21,7 +21,6 @@ invariant under this normalization.
 from __future__ import annotations
 
 import functools
-import itertools
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -29,7 +28,13 @@ from math import isqrt
 from parakenmotsu.connection import FrameConnection, koszul_connection
 from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, ValenceError, contract, tensor_apply
+from parakenmotsu.geometry import (
+    Components,
+    Tensor,
+    ValenceError,
+    contract,
+    tensor_apply,
+)
 from parakenmotsu.report import CheckReport, witness_at
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.structure import ParacontactStructure, vanishing_check
@@ -416,24 +421,44 @@ def _generic_w2(n: int) -> Tensor:  # shared by the W2.S and S.W2 factors
     return w2_tensor(riem, q_sym, n)
 
 
-def _ratio_against_shape(entries) -> ScalarExpr:
-    """Common polynomial p with residual = p * shape, over rational shapes."""
+def _ratio_against_shape(values: Components, shape: Components) -> ScalarExpr:
+    """Common polynomial p with values = p * shape, for a rational shape.
+
+    Only the indices where a value or the shape is nonzero are visited, in
+    row-major order, so the first mismatch reported is the first in that
+    order.
+    """
+    value_at, shape_at = dict(values.nonzero()), dict(shape.nonzero())
     poly = None
-    for value, coefficient in entries:
-        if coefficient == 0:
-            if not value.is_zero():
-                raise FactorError(
-                    f"residual nonzero where the shape vanishes: {value}"
-                )
-            continue
-        scaled = value * (Fraction(1) / coefficient)
+    for idx in sorted(value_at.keys() | shape_at.keys()):
+        coefficient = shape_at.get(idx)
+        if coefficient is None:
+            raise FactorError(
+                f"residual nonzero where the shape vanishes: {value_at[idx]}"
+            )
+        value = value_at.get(idx, ScalarExpr.zero(coefficient.symbols))
+        scaled = value * (Fraction(1) / coefficient.as_rational())
         if poly is None:
             poly = scaled
-        elif not (poly - scaled).is_zero():
+        elif poly != scaled:
             raise FactorError("residual is not a scalar multiple of the shape")
     if poly is None:
         raise FactorError("shape tensor is identically zero")
     return poly
+
+
+# The residual terms' extra factor and the fixed rational shape of each kind;
+# the shape's output letters are the residual's.
+_FACTOR_SHAPES = {
+    ConditionKind.R_DOT_S: (
+        "",
+        "eta[y] g[xz] + eta[z] g[xy] - 2 eta[x] eta[y] eta[z] -> xyz",
+    ),
+    ConditionKind.W2_DOT_S: ("xi[z]", "- g[xy] + eta[x] eta[y] -> xy"),
+    # eta and xi enter every term, so the (1,4) residual is never built
+    ConditionKind.S_DOT_R: ("eta[a] xi[w]", "eta[y] g[xz] - eta[z] g[xy] -> xyz"),
+    ConditionKind.S_DOT_W2: ("eta[a] xi[w]", "eta[y] g[xz] - eta[z] g[xy] -> xyz"),
+}
 
 
 def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
@@ -445,39 +470,13 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     against the advertised factor up to a rational constant.
     """
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
-    frame = s.frame
-    d = frame.dim
-    eta = [s.eta.on_member(i).as_rational() for i in range(d)]
-    gram = [[frame.gram[i][j].as_rational() for j in range(d)] for i in range(d)]
-
     op = riem
     if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
         op = _generic_w2(n)
-    if kind is ConditionKind.R_DOT_S:
-        paired, out = "", "xyz"
-
-        def shape(x, y, z):
-            return (
-                eta[y] * gram[x][z] + eta[z] * gram[x][y] - 2 * eta[x] * eta[y] * eta[z]
-            )
-
-    elif kind is ConditionKind.W2_DOT_S:
-        paired, out = "xi[z]", "xy"
-
-        def shape(x, y):
-            return -gram[x][y] + eta[x] * eta[y]
-
-    else:
-        # eta and xi enter every term, so the (1,4) residual is never built
-        paired, out = "eta[a] xi[w]", "xyz"
-
-        def shape(x, y, z):
-            return eta[y] * gram[x][z] - eta[z] * gram[x][y]
-
+    paired, shape = _FACTOR_SHAPES[kind]
+    out = shape.partition("->")[2].strip()
     values = _residual_components(kind, s, op, ricci_sym, paired, out)
-    index = itertools.product(range(d), repeat=len(out))
-    entries = [(value, shape(*idx)) for idx, value in zip(index, values)]
-    raw = _ratio_against_shape(entries)
+    raw = _ratio_against_shape(values, contract(shape, **s.operands()))
     c0, c1, c2 = _mu_coefficients(raw)
     target = canonical_factor(kind, n)
     k0, k1, k2 = _mu_coefficients(target)
@@ -498,18 +497,11 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
 def phi_ricci_prefactor(n: int) -> FactorResult:
     """Factor of phi^2((nabla_X Q)Y) against eta(Y)[X - eta(X) xi]."""
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
-    frame = s.frame
-    d = frame.dim
-    eta = [s.eta.on_member(i).as_rational() for i in range(d)]
-    xif = [c.as_rational() for c in s.xi_components()]
     image = contract(
         "phi[ab] phi[bm] nq[imj] -> ija", phi=s.phi, nq=conn.nabla(q_sym)
     )
-    entries = [
-        (value, eta[j] * ((1 if a == i else 0) - eta[i] * Fraction(xif[a])))
-        for (i, j, a), value in zip(itertools.product(range(d), repeat=3), image)
-    ]
-    raw = _ratio_against_shape(entries)
+    shape = contract("eta[j] delta[ia] - eta[j] eta[i] xi[a] -> ija", **s.operands())
+    raw = _ratio_against_shape(image, shape)
     c0, c1, c2 = _mu_coefficients(raw)
     target = _mu_expr(Fraction(-1), Fraction(1), Fraction(0))
     scale = c1 / Fraction(1)

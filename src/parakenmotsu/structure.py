@@ -11,8 +11,6 @@ as a printable witness instead of aborting the run.  Most checks are one
 
 from __future__ import annotations
 
-import itertools
-
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.curvature import lie_derivative, nijenhuis, riemann
 from parakenmotsu.geometry import (
@@ -97,14 +95,12 @@ def vanishing_check(
     """
     value = contract(spec, **operands)
     out = spec.partition("->")[2].strip()
-    comps = value if out else (value,)
-    d = round(len(comps) ** (1 / len(out))) if out else 1
+    if out:
+        nonzero = value.nonzero()
+    else:
+        nonzero = () if value.is_zero() else (((), value),)
     order = [out.index(l) for l in labels or out]
-    failures = [
-        (tuple(idx[p] for p in order), c)
-        for idx, c in zip(itertools.product(range(d), repeat=len(out)), comps)
-        if not c.is_zero()
-    ]
+    failures = [(tuple(idx[p] for p in order), c) for idx, c in nonzero]
     return report_from_failures(name, ref, failures)
 
 
@@ -201,11 +197,12 @@ def kenmotsu_identity_suite(
     if riem is None:
         riem = riemann(conn, verify=False)
     ops = dict(s.operands(), R=riem)
+    eta = Tensor(frame, 0, 1, ops["eta"])
     # [i, a]: nabla_{E_i} xi; [i, j]: (nabla_{E_i} eta)(E_j)
     ops["nxi"] = conn.nabla(Tensor(frame, 1, 0, ops["xi"]))
-    ops["neta"] = conn.nabla(Tensor(frame, 0, 1, ops["eta"]))
+    ops["neta"] = conn.nabla(eta)
     ops["lie_phi"] = lie_derivative(s.xi, s.phi)
-    ops["lie_eta"] = lie_derivative(s.xi, s.eta).components
+    ops["lie_eta"] = lie_derivative(s.xi, eta).components
     ops["lie_ee"] = lie_derivative(s.xi, s.eta_square())
     ops["lie_g"] = s.lie_metric()
     ops["d_eta"] = exterior_derivative(s.eta)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from parakenmotsu import cli, connection, curvature, soliton, structure, suite
+from parakenmotsu import cli, connection, curvature, geometry, soliton, structure, suite
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor
 
@@ -102,3 +102,22 @@ def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, ca
     assert cli.main(["check", doc]) == 0
     assert "summary: 46 pass, 0 fail, 0 skipped" in capsys.readouterr().out
     assert counts["lie_derivative"] == 1
+
+
+def test_full_check_scans_no_tensor_for_nonzeros_twice(monkeypatch):
+    # a Tensor finds its nonzero components once and keeps them, and a
+    # tensor built from a contraction takes over the ones contract found
+    soliton._generic.cache_clear()
+    soliton._generic_w2.cache_clear()
+    scanned, counts = [], Counter()
+    scan = geometry._nonzero_entries
+
+    def counted(components, d, rank):
+        scanned.append(components)  # keeps every id in use until the end
+        counts[id(components)] += 1
+        return scan(components, d, rank)
+
+    monkeypatch.setattr(geometry, "_nonzero_entries", counted)
+    result = suite.run_suite(build_warped(3))
+    assert all(c.status == "pass" for c in result.checks)
+    assert scanned and max(counts.values()) == 1

@@ -126,6 +126,10 @@ def test_parse_errors_carry_positions(tmp_path):
         "deep_parens.pk": "error: 3:76:",
         "deep_negation.pk": "error: 3:76:",
         "huge_power.pk": "error: 3:34:",
+        "long_literal.pk": "error: 3:19:",
+        "long_exponent.pk": "error: 3:21:",
+        "big_constant_power.pk": "error: 3:20:",
+        "huge_constant_power.pk": "error: 3:20:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

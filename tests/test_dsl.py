@@ -123,6 +123,12 @@ PARSE_ERRORS = {
     "deep_parens.pk": "3:76: expression nested deeper than 64 levels",
     "deep_negation.pk": "3:76: expression nested deeper than 64 levels",
     "huge_power.pk": "3:34: power 30 of a 4-term sum expands to more than 300 terms",
+    "long_literal.pk": "3:19: number literal longer than 100 digits",
+    "long_exponent.pk": "3:21: number literal longer than 100 digits",
+    "big_constant_power.pk": "3:20: power 100000 has coefficients wider than 10000 bits",
+    "huge_constant_power.pk": (
+        "3:20: power 2000000 has coefficients wider than 10000 bits"
+    ),
 }
 
 

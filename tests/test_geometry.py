@@ -360,22 +360,56 @@ def _matrices():
     )
 
 
+def _sparse_matrices():
+    """Mostly-zero matrices, all-zero ones included."""
+    entry = st.one_of(st.just(CHART3.zero()), st.just(CHART3.zero()), scalars())
+    rows = st.lists(entry, min_size=9, max_size=9)
+    zero = [CHART3.zero()] * 9
+    return st.one_of(st.just(zero), rows).map(
+        lambda xs: (tuple(xs[0:3]), tuple(xs[3:6]), tuple(xs[6:9]))
+    )
+
+
+def _dense_nonzero(components, rank):
+    idx = itertools.product(range(3), repeat=rank)
+    return tuple((i, c) for i, c in zip(idx, components) if not c.is_zero())
+
+
 @settings(max_examples=100, deadline=None)
-@given(_matrices(), _matrices(), st.lists(scalars(), min_size=3, max_size=3))
+@given(
+    _matrices(),
+    st.one_of(_matrices(), _sparse_matrices()),
+    st.lists(scalars(), min_size=3, max_size=3),
+)
 def test_contract_agrees_with_written_out_sums(a, b, v):
+    frame = _coordinate_frame()
+    tb = Tensor(frame, 0, 2, tuple(c for row in b for c in row))
     got = contract(
-        "a[ij] b[jk] v[k] - 2 a[ki] v[k] delta[ij] + c b[ij] -> ij",
+        "a[ij] b[jk] v[k] - 2 a[ki] v[k] delta[ij] + c b[ij] + b[kk] a[ji] -> ij",
         a=a,
-        b=Tensor(_coordinate_frame(), 0, 2, tuple(c for row in b for c in row)),
+        b=tb,
         v=v,
         c=Fraction(1, 3),
     )
+    trace = sum((b[k][k] for k in range(3)), CHART3.zero())
     for (i, j), value in zip(itertools.product(range(3), repeat=2), got):
         want = a[i][j] * sum((b[j][k] * v[k] for k in range(3)), CHART3.zero())
         if i == j:
             want = want - sum((a[k][i] * v[k] for k in range(3)), CHART3.zero()) * 2
-        want = want + b[i][j] * Fraction(1, 3)
+        want = want + b[i][j] * Fraction(1, 3) + trace * a[j][i]
         assert value == want
+    # the sparse views, scanned or handed over by contract, equal a dense scan
+    assert tb.nonzero() == _dense_nonzero(tb.components, 2)
+    assert got.nonzero() == _dense_nonzero(got, 2)
+    handed = Tensor.build(frame, 0, 2, got)
+    assert handed.nonzero() is got.nonzero()
+    assert handed.is_zero() == all(c.is_zero() for c in got)
+    assert handed.first_nonzero() == next(iter(_dense_nonzero(got, 2)), None)
+    # a diagonal, a repeated letter and delta over a mostly-zero operand
+    diagonal = contract("b[ii] delta[ij] + b[kk] b[ij] -> ij", b=tb)
+    assert diagonal.nonzero() == _dense_nonzero(diagonal, 2)
+    for (i, j), value in zip(itertools.product(range(3), repeat=2), diagonal):
+        assert value == (b[i][i] if i == j else CHART3.zero()) + trace * b[i][j]
 
 
 def test_contract_traces_repeated_letters_and_returns_scalars():

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parakenmotsu.scalar import (
+    MAX_COEFFICIENT_BITS,
+    MAX_LITERAL_DIGITS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_TERMS,
     ChartMismatch,
@@ -136,6 +138,31 @@ def test_powers_are_bounded_before_expansion():
     assert "power 24 of a 3-term sum" in info.value.message
     # a single term has one term at any power
     assert len(sc("(2*x*exp(z))^1000").terms) == 1
+
+
+def test_literals_and_coefficients_are_bounded_before_they_are_built():
+    assert (MAX_LITERAL_DIGITS, MAX_COEFFICIENT_BITS) == (100, 10_000)
+    assert sc("9" * 100 + "*x") == sc("x") * (10**100 - 1)
+    with pytest.raises(ExprSyntaxError) as info:
+        sc("x + " + "9" * 101)
+    assert (info.value.col, info.value.message) == (
+        5,
+        "number literal longer than 100 digits",
+    )
+    # 2^10000 has 10,001 bits but the estimate, 10,000 * log2(2), is in bounds
+    assert sc("2^10000") == sc("1") * 2**10000
+    with pytest.raises(ExprSyntaxError) as info:
+        sc("x * 2^10001")
+    assert info.value.col == 6
+    assert info.value.message == "power 10001 has coefficients wider than 10000 bits"
+    with pytest.raises(ExprSyntaxError) as info:
+        sc("2^6000 * 3^4000")
+    assert info.value.col == 8
+    assert info.value.message == "product has coefficients wider than 10000 bits"
+    # a multi-term power counts its multinomial coefficients too
+    with pytest.raises(ExprSyntaxError, match="wider than 10000 bits"):
+        sc("(2^40 + x)^260")
+    assert len(sc("(2^30 + x)^260").terms) == 261
 
 
 def test_rendering_is_canonical_and_round_trips():

@@ -10,7 +10,7 @@ from parakenmotsu.connection import koszul_connection
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, ValenceError
+from parakenmotsu.geometry import Tensor, ValenceError, contract
 from parakenmotsu.scalar import parse_scalar
 from parakenmotsu.soliton import (
     ConditionKind,
@@ -20,6 +20,7 @@ from parakenmotsu.soliton import (
     NotParallel,
     SolitonSolution,
     _generic,
+    _ratio_against_shape,
     canonical_factor,
     condition_check,
     condition_residual,
@@ -234,6 +235,37 @@ def test_phi_ricci_prefactor_is_mu_minus_one(n):
     result = phi_ricci_prefactor(n)
     assert str(result.polynomial) == "-1 + mu"
     assert result.scale == Fraction(-1)
+
+
+def _row(*texts):
+    """A Components vector, as contract returns it, over (x, y, mu)."""
+    return contract("v[i] -> i", v=tuple(parse_scalar(t, ("x", "y", "mu")) for t in texts))
+
+
+def test_ratio_against_shape_divides_out_a_rational_shape():
+    got = _ratio_against_shape(_row("0", "2*mu", "-mu"), _row("0", "2", "-1"))
+    assert got == parse_scalar("mu", ("x", "y", "mu"))
+
+
+def test_ratio_against_shape_rejects_a_value_where_the_shape_vanishes():
+    # the first offending position in row-major order is reported
+    with pytest.raises(FactorError) as info:
+        _ratio_against_shape(_row("mu", "x", "y"), _row("1", "0", "0"))
+    assert str(info.value) == "residual nonzero where the shape vanishes: x"
+
+
+def test_ratio_against_shape_rejects_values_that_are_not_one_multiple():
+    # a zero value against a nonzero shape entry counts as the multiple 0
+    for values in (("2*mu", "3*mu", "0"), ("2*mu", "0", "0")):
+        with pytest.raises(FactorError) as info:
+            _ratio_against_shape(_row(*values), _row("1", "2", "0"))
+        assert str(info.value) == "residual is not a scalar multiple of the shape"
+
+
+def test_ratio_against_shape_rejects_a_zero_shape():
+    with pytest.raises(FactorError) as info:
+        _ratio_against_shape(_row("0", "0", "0"), _row("0", "0", "0"))
+    assert str(info.value) == "shape tensor is identically zero"
 
 
 def test_rational_roots_examples():
