@@ -24,6 +24,7 @@ DOCS = {
     "example_r3": "manifolds/example_r3.pk",
     "example_r5": "manifolds/example_r5.pk",
     "failing_flat3": "tests/data/failing_flat3.pk",
+    "rotated5": "tests/data/rotated5.pk",
 }
 SELECTIONS = (None, "axioms", "connection,curvature", "identities/eta-closed", "factors")
 FORMATS = ("text", "json-like")
