@@ -59,6 +59,9 @@ def _coefficient(value) -> int | Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+_FORMS: dict[tuple, "LinearForm"] = {}  # canonical coefficients -> the interned form
+
+
 def read_only(self, name, *value):
     """`__setattr__` and `__delattr__` of the immutable value types.
 
@@ -71,50 +74,62 @@ class LinearForm:
     """Rational linear form sum(c_i * x_i); the l of exp(l).
 
     Coefficients are stored sparsely as (symbol index, coefficient) pairs,
-    sorted by index, with zero coefficients dropped.  The empty tuple is
-    the zero form.  The hash is computed once, since every normalize
-    hashes the exponent of each term, and so is the dense row that terms
-    sort by.
+    sorted by index, with zero coefficients dropped and integral ones
+    demoted to `int`.  The empty tuple is the zero form.
+
+    Forms are interned (hash-consed): `LinearForm(pairs)`, which
+    `LinearForm.build` calls, is the one constructor, and it returns the
+    single shared instance for its canonical coefficients.  So equality is
+    identity, and `object.__eq__` serves.  The hash is derived from the
+    coefficients, never from the address, so the order of a dict or set
+    of forms, and every report byte that follows it, is the same in every
+    run.  Each form memoises its sums by addend and its negation, and
+    keeps the dense row that terms sort by.  The table holds only forms
+    that occur in some expression, so the parser's budgets bound it.
     """
 
-    __slots__ = ("coeffs", "_hash", "_dense")
+    __slots__ = ("coeffs", "_hash", "_dense", "_neg", "_sums")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, coeffs: tuple[tuple[int, int | Fraction], ...] = ()):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", hash((coeffs,)))
-        object.__setattr__(self, "_dense", None)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    def __new__(cls, coeffs: Iterable[tuple[int, int | Fraction]] = ()):
+        key = tuple((i, _coefficient(c)) for i, c in sorted(coeffs) if c != 0)
+        form = _FORMS.get(key)
+        if form is None:
+            form = object.__new__(cls)
+            object.__setattr__(form, "coeffs", key)
+            object.__setattr__(form, "_hash", hash((key,)))
+            object.__setattr__(form, "_dense", None)
+            object.__setattr__(form, "_neg", None)
+            object.__setattr__(form, "_sums", {})
+            _FORMS[key] = form
+        return form
 
     def __hash__(self):
         return self._hash
 
     @staticmethod
     def build(mapping: Mapping[int, int | Fraction]) -> "LinearForm":
-        pairs = tuple(
-            (i, _coefficient(c)) for i, c in sorted(mapping.items()) if c != 0
-        )
-        return LinearForm(pairs)
+        return LinearForm(mapping.items())
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs:
-            acc[i] = acc.get(i, 0) + c
-        return LinearForm.build(acc)
+        total = self._sums.get(other)
+        if total is None:
+            acc = dict(self.coeffs)
+            for i, c in other.coeffs:
+                acc[i] = acc.get(i, 0) + c
+            total = self._sums[other] = LinearForm(acc.items())
+        return total
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple((i, -c) for i, c in self.coeffs))
+        neg = self._neg
+        if neg is None:
+            neg = LinearForm((i, -c) for i, c in self.coeffs)
+            object.__setattr__(self, "_neg", neg)
+            object.__setattr__(neg, "_neg", self)
+        return neg
 
     def coefficient(self, index: int) -> int | Fraction:
         for i, c in self.coeffs:
@@ -572,9 +587,10 @@ MAX_POWER_TERMS = 300
 # number of a document (the tokenizer checks it), and the widest coefficient
 # one `*` or `^` may make, in bits, estimated before it is computed.  Python
 # refuses to convert an int of more than 4,300 digits to or from text, and
-# 10,000 bits are about 3,000 digits.  The shipped, test and generated
-# documents need 2 digits and 3 bits; the widest test expressions need 6
-# digits and 1,000 bits.
+# 10,000 bits are about 3,000 digits.  Sums are checked after each `+` or
+# `-`, since their width is known only once the common denominator is.
+# The shipped, test and generated documents need 2 digits and 3 bits; the
+# widest test expressions need 6 digits and 1,000 bits.
 MAX_LITERAL_DIGITS = 100
 MAX_COEFFICIENT_BITS = 10_000
 
@@ -643,6 +659,13 @@ class _Parser:
                 return value
             rhs = self.parse_product()
             value = value + rhs if t.text == "+" else value - rhs
+            # a sum of fractions grows its common denominator term by term
+            if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
+                raise ExprSyntaxError(
+                    f"sum has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
+                    t.line,
+                    t.col,
+                )
 
     def parse_product(self) -> ScalarExpr:
         value = self.parse_factor()

@@ -129,6 +129,7 @@ PARSE_ERRORS = {
     "huge_constant_power.pk": (
         "3:20: power 2000000 has coefficients wider than 10000 bits"
     ),
+    "long_fraction_sum.pk": "4:7923: sum has coefficients wider than 10000 bits",
 }
 
 
@@ -154,6 +155,13 @@ def test_huge_power_is_rejected_before_expansion():
     start = time.perf_counter()
     with pytest.raises(DocumentError):
         load_manifold(DATA / "malformed" / "huge_power.pk")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_long_fraction_sum_is_rejected_within_a_second():
+    start = time.perf_counter()
+    with pytest.raises(DocumentError):
+        load_manifold(DATA / "malformed" / "long_fraction_sum.pk")
     assert time.perf_counter() - start < 1.0
 
 

@@ -25,10 +25,14 @@ DOCS = {
     "example_r5": "manifolds/example_r5.pk",
     "failing_flat3": "tests/data/failing_flat3.pk",
     "rotated5": "tests/data/rotated5.pk",
+    "ricciflat5": "tests/data/ricciflat5.pk",
 }
 SELECTIONS = (None, "axioms", "connection,curvature", "identities/eta-closed", "factors")
 FORMATS = ("text", "json-like")
 KINDS = ("R.S", "S.R", "W2.S", "S.W2")
+# ricciflat5 is Einstein with W2 != 0: its S.W2 residual does not vanish
+# at an advertised (lambda, mu), which the paper's theorem allows
+CONDITIONS = {"example_r3": KINDS, "example_r5": KINDS, "ricciflat5": ("S.W2",)}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -44,7 +48,9 @@ def _cases() -> dict[str, list[str]]:
         for stem in ("example_r3", "example_r5"):
             path = str(ROOT / DOCS[stem])
             cases[f"solve-{stem}-{fmt}"] = ["solve", path, "--format", fmt]
-            for kind in KINDS:
+        for stem, kinds in CONDITIONS.items():
+            path = str(ROOT / DOCS[stem])
+            for kind in kinds:
                 argv = ["condition", path, "--kind", kind, "--format", fmt]
                 cases[f"condition-{stem}-{kind}-{fmt}"] = argv
         for n in (1, 2):

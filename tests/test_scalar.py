@@ -16,6 +16,7 @@ from parakenmotsu.scalar import (
     ScalarExpr,
     Term,
     UnknownSymbol,
+    demote,
     parse_scalar,
 )
 
@@ -163,6 +164,17 @@ def test_literals_and_coefficients_are_bounded_before_they_are_built():
     with pytest.raises(ExprSyntaxError, match="wider than 10000 bits"):
         sc("(2^40 + x)^260")
     assert len(sc("(2^30 + x)^260").terms) == 261
+    # a sum is checked once it is made, at its operator: 2^10000 + 2^10000
+    # is 2^10001, and a sum of fractions widens its common denominator
+    assert sc("2^9999 + 2^9999") == sc("2^10000")
+    with pytest.raises(ExprSyntaxError) as info:
+        sc("x + 2^10000 + 2^10000")
+    assert (info.value.col, info.value.message) == (
+        13,
+        "sum has coefficients wider than 10000 bits",
+    )
+    with pytest.raises(ExprSyntaxError, match="sum has coefficients wider"):
+        sc("1/3^5000 - 1/2^5000")
 
 
 def test_rendering_is_canonical_and_round_trips():
@@ -314,6 +326,48 @@ def test_coefficients_are_int_first(a, b, k, name, q, form):
         if e.is_constant():
             assert type(e.as_rational()) is Fraction
             assert e.as_rational() == same.as_rational()
+
+
+def _form_mappings():
+    return st.dictionaries(st.integers(0, 3), _fracs(), max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _form_mappings(),
+    st.lists(_form_mappings(), max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_linear_forms_are_interned(m, others, rnd):
+    f = LinearForm.build(m)
+    want = tuple(sorted((i, c) for i, c in m.items() if c != 0))
+    assert f.coeffs == want
+    assert all(type(c) is int or c.denominator != 1 for _, c in f.coeffs)
+    # the same coefficients, each an int or an integral Fraction where it
+    # can be, in any insertion order, give the same object
+    items = list(m.items())
+    rnd.shuffle(items)
+    variant = {i: rnd.choice((Fraction(c), demote(c))) for i, c in items}
+    assert LinearForm.build(variant) is f
+    assert LinearForm(want) is f and LinearForm(f.coeffs) is f
+    # the hash is the coefficients' hash, whatever object holds them
+    assert hash(f) == hash((tuple((i, Fraction(c)) for i, c in want),))
+    assert -(-f) is f
+    assert (f + -f) is LinearForm() and (-f).coeffs == tuple((i, -c) for i, c in want)
+    # sums against a reference dict sum, twice, so the second reads the memo
+    for other in others + others:
+        g = LinearForm.build(other)
+        assert (f == g) == (f.coeffs == g.coeffs) == (f is g)
+        if f == g:
+            assert hash(f) == hash(g)
+        reference = dict(m)
+        for i, c in other.items():
+            reference[i] = reference.get(i, 0) + c
+        total = f + g
+        assert total.coeffs == tuple(
+            sorted((i, c) for i, c in reference.items() if c != 0)
+        )
+        assert total is LinearForm.build(reference) is g + f
 
 
 def test_large_power_is_a_single_term():

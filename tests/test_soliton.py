@@ -12,6 +12,7 @@ from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor, ValenceError, contract
 from parakenmotsu.scalar import parse_scalar
+from parakenmotsu.suite import Products
 from parakenmotsu.soliton import (
     ConditionKind,
     FactorError,
@@ -127,6 +128,46 @@ def test_xi_paired_residual_vanishes_with_full(pipeline):
         full = condition_residual(kind, s, riem, S)
         paired = condition_residual_xi_paired(kind, s, full)
         assert full.is_zero() == paired.is_zero()
+
+
+def test_condition_check_claims_only_the_proven_direction(pipeline):
+    n, s, conn, riem, S = pipeline
+    w2 = w2_tensor(riem, ricci_operator(S), n)
+    stray = SolitonSolution.from_constants(Fraction(2 * n), Fraction(0), n)
+    for kind in ConditionKind:
+        residual = condition_residual(kind, s, riem, S, w2=w2)
+        report = condition_check(kind, s, residual, stray)
+        # a vanishing residual at constants that are not advertised is refuted
+        assert report.status == ("fail" if residual.is_zero() else "pass"), kind
+    # S.R: the advertised pair need not make the residual vanish
+    sr = condition_residual(ConditionKind.S_DOT_R, s, riem, S)
+    advertised = SolitonSolution.from_constants(
+        Fraction(-2 * n - 1), Fraction(4 * n + 1), n
+    )
+    assert not sr.is_zero()
+    assert condition_check(ConditionKind.S_DOT_R, s, sr, advertised).status == "pass"
+    # R.S keeps its proven converse: (2n - 1, 1) makes S Einstein
+    einstein = solve_soliton(s, S)
+    report = condition_check(ConditionKind.R_DOT_S, s, S, einstein)
+    assert report.status == "fail"
+    assert "does not vanish but (lambda, mu)" in report.witness
+
+
+def test_einstein_structure_of_non_constant_curvature_passes_every_condition():
+    # Ricci-flat para-Kahler base warped by e^z: S = -4g, W2 != 0
+    path = Path(__file__).parent / "data" / "ricciflat5.pk"
+    p = Products(load_manifold(path).to_structure())
+    assert (p.sol.lam, p.sol.mu) == (3, 1)
+    zero = {kind: p.residual(kind).is_zero() for kind in ConditionKind}
+    assert zero == {
+        ConditionKind.R_DOT_S: True,
+        ConditionKind.S_DOT_R: False,
+        ConditionKind.W2_DOT_S: True,
+        ConditionKind.S_DOT_W2: False,
+    }
+    for kind in ConditionKind:
+        report = condition_check(kind, p.s, p.residual(kind), p.sol)
+        assert report.status == "pass", (kind, report.witness)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -15,7 +15,11 @@ def _fresh(q: Fraction) -> Fraction:
 
 
 def _rebuilt(s: ScalarExpr) -> ScalarExpr:
-    """An equal ScalarExpr that shares no Term, LinearForm or Fraction with s."""
+    """An equal ScalarExpr that shares no Term or Fraction with s.
+
+    Its exponents are rebuilt from fresh coefficients, but forms are
+    interned, so the copy shares each LinearForm with s.
+    """
     terms = tuple(
         Term(
             _fresh(t.coeff),
