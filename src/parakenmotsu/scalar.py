@@ -77,18 +77,19 @@ class LinearForm:
     sorted by index, with zero coefficients dropped and integral ones
     demoted to `int`.  The empty tuple is the zero form.
 
-    Forms are interned (hash-consed): `LinearForm(pairs)`, which
-    `LinearForm.build` calls, is the one constructor, and it returns the
-    single shared instance for its canonical coefficients.  So equality is
-    identity, and `object.__eq__` serves.  The hash is derived from the
-    coefficients, never from the address, so the order of a dict or set
-    of forms, and every report byte that follows it, is the same in every
-    run.  Each form memoises its sums by addend and its negation, and
-    keeps the dense row that terms sort by.  The table holds only forms
-    that occur in some expression, so the parser's budgets bound it.
+    Forms are interned (hash-consed): `LinearForm(pairs)` is the one
+    constructor, and it returns the single shared instance for its
+    canonical coefficients.  So equality is identity, and `object.__eq__`
+    serves.  The hash is derived from the coefficients, never from the
+    address, so the order of a dict or set of forms, and every report byte
+    that follows it, is the same in every run.  Each form memoises its
+    sums by addend and keeps the dense row that terms sort by.  The table
+    `_FORMS` lives as long as the process and never drops a form: the
+    parser's budgets bound the forms one document reaches, not the total
+    over every document a long-lived process reads.
     """
 
-    __slots__ = ("coeffs", "_hash", "_dense", "_neg", "_sums")
+    __slots__ = ("coeffs", "_hash", "_dense", "_sums")
     __setattr__ = __delattr__ = read_only
 
     def __new__(cls, coeffs: Iterable[tuple[int, int | Fraction]] = ()):
@@ -99,17 +100,12 @@ class LinearForm:
             object.__setattr__(form, "coeffs", key)
             object.__setattr__(form, "_hash", hash((key,)))
             object.__setattr__(form, "_dense", None)
-            object.__setattr__(form, "_neg", None)
             object.__setattr__(form, "_sums", {})
             _FORMS[key] = form
         return form
 
     def __hash__(self):
         return self._hash
-
-    @staticmethod
-    def build(mapping: Mapping[int, int | Fraction]) -> "LinearForm":
-        return LinearForm(mapping.items())
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -124,12 +120,7 @@ class LinearForm:
         return total
 
     def __neg__(self) -> "LinearForm":
-        neg = self._neg
-        if neg is None:
-            neg = LinearForm((i, -c) for i, c in self.coeffs)
-            object.__setattr__(self, "_neg", neg)
-            object.__setattr__(neg, "_neg", self)
-        return neg
+        return LinearForm((i, -c) for i, c in self.coeffs)
 
     def coefficient(self, index: int) -> int | Fraction:
         for i, c in self.coeffs:
@@ -333,8 +324,8 @@ class ScalarExpr:
     @staticmethod
     def exponential(coeffs: Mapping[str, Fraction], symbols: tuple[str, ...]) -> "ScalarExpr":
         """exp of the linear form given by symbol-name -> coefficient."""
-        form = LinearForm.build(
-            {_symbol_index(n, symbols): c for n, c in coeffs.items()}
+        form = LinearForm(
+            (_symbol_index(n, symbols), c) for n, c in coeffs.items()
         )
         return ScalarExpr(symbols, (Term(1, (), form),))
 
@@ -768,7 +759,7 @@ class _Parser:
                 )
             (i, _), = term.monomial
             coeffs[i] = coeffs.get(i, 0) + term.coeff
-        form = LinearForm.build(coeffs)
+        form = LinearForm(coeffs.items())
         return ScalarExpr(inner.symbols, (Term(1, (), form),))
 
 

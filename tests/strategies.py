@@ -33,7 +33,7 @@ def _linear_forms(max_coeff=2):
         st.integers(0, 2),
         st.builds(Fraction, st.integers(-max_coeff, max_coeff)),
         max_size=2,
-    ).map(LinearForm.build)
+    ).map(lambda d: LinearForm(d.items()))
 
 
 def _terms():

@@ -203,7 +203,7 @@ def _terms():
         lambda d: tuple(sorted(d.items()))
     )
     linear = st.dictionaries(st.integers(0, 2), _fracs(), max_size=2).map(
-        LinearForm.build
+        lambda d: LinearForm(d.items())
     )
     return st.builds(Term, _fracs(), monomial, linear)
 
@@ -256,7 +256,7 @@ def test_mixed_partials_commute(a, u, v):
 def test_invert_round_trip(q, form):
     if q == 0:
         return
-    unit = ScalarExpr(SYMS, (Term(q, (), LinearForm.build(form)),))
+    unit = ScalarExpr(SYMS, (Term(q, (), LinearForm(form.items())),))
     assert (unit * unit.invert()) == ScalarExpr.const(1, SYMS)
 
 
@@ -316,7 +316,7 @@ def _with_fraction_coefficients(e):
 def test_coefficients_are_int_first(a, b, k, name, q, form):
     results = [a + b, a - b, -a, a * b, a * q, a**k, a.diff(name)]
     if q != 0:
-        results.append(ScalarExpr(SYMS, (Term(q, (), LinearForm.build(form)),)).invert())
+        results.append(ScalarExpr(SYMS, (Term(q, (), LinearForm(form.items())),)).invert())
     results.append(ScalarExpr.const(q, SYMS) + a - a)
     for e in results:
         for c in _coefficients(e):
@@ -339,7 +339,7 @@ def _form_mappings():
     st.randoms(use_true_random=False),
 )
 def test_linear_forms_are_interned(m, others, rnd):
-    f = LinearForm.build(m)
+    f = LinearForm(m.items())
     want = tuple(sorted((i, c) for i, c in m.items() if c != 0))
     assert f.coeffs == want
     assert all(type(c) is int or c.denominator != 1 for _, c in f.coeffs)
@@ -348,7 +348,7 @@ def test_linear_forms_are_interned(m, others, rnd):
     items = list(m.items())
     rnd.shuffle(items)
     variant = {i: rnd.choice((Fraction(c), demote(c))) for i, c in items}
-    assert LinearForm.build(variant) is f
+    assert LinearForm(variant.items()) is f
     assert LinearForm(want) is f and LinearForm(f.coeffs) is f
     # the hash is the coefficients' hash, whatever object holds them
     assert hash(f) == hash((tuple((i, Fraction(c)) for i, c in want),))
@@ -356,7 +356,7 @@ def test_linear_forms_are_interned(m, others, rnd):
     assert (f + -f) is LinearForm() and (-f).coeffs == tuple((i, -c) for i, c in want)
     # sums against a reference dict sum, twice, so the second reads the memo
     for other in others + others:
-        g = LinearForm.build(other)
+        g = LinearForm(other.items())
         assert (f == g) == (f.coeffs == g.coeffs) == (f is g)
         if f == g:
             assert hash(f) == hash(g)
@@ -367,7 +367,7 @@ def test_linear_forms_are_interned(m, others, rnd):
         assert total.coeffs == tuple(
             sorted((i, c) for i, c in reference.items() if c != 0)
         )
-        assert total is LinearForm.build(reference) is g + f
+        assert total is LinearForm(reference.items()) is g + f
 
 
 def test_large_power_is_a_single_term():
