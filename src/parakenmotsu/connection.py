@@ -2,22 +2,23 @@
 
 The connection is stored through its frame coefficients,
 
-    nabla_{E_i} E_j = sum_k gamma[i][j][k] * E_k,
+    nabla_{E_i} E_j = sum_k gamma[ijk] * E_k,
 
 obtained by evaluating 2 g(nabla_X Y, Z) on frame triples and contracting
-with the inverse gram matrix.  The only divisions involved are by the
-rational 2 and by the gram determinant, so everything stays inside the
-scalar ring.  Both defining invariants (zero torsion and metric
-compatibility) are re-checked symbolically after construction.  Every
-frame-index sum is one `geometry.contract` call.
+with the inverse gram matrix; gamma is that contraction's `Components`.
+The only divisions involved are by the rational 2 and by the gram
+determinant, so everything stays inside the scalar ring.  Both defining
+invariants (zero torsion and metric compatibility) are re-checked
+symbolically after construction.  Every frame-index sum is one
+`geometry.contract` call.
 
 The covariant derivative is one derivation of the tensor algebra: along X
 it is fixed by X(f) on functions and by nabla_X E_j on the frame, and
 `geometry.leibniz_spec` expands it over a tensor of any valence.  Vectors,
-one-forms, phi, the metric and Q all go through that one spec, along a
-single field (`nabla_tensor`) or along every frame member at once
-(`nabla`).  The Lie derivative in `curvature` is the same derivation with
-the table of [X, E_j].
+one-forms (valence (0,1) tensors), phi, the metric and Q all go through
+that one spec, along a single field (`nabla_tensor`) or along every frame
+member at once (`nabla`).  The Lie derivative in `curvature` is the same
+derivation with the table of [X, E_j].
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from parakenmotsu.geometry import (
+    Components,
     Frame,
-    OneForm,
     Tensor,
     VectorField,
     contract,
@@ -44,17 +45,16 @@ class ConnectionError_(ValueError):
 
 
 class FrameConnection:
-    def __init__(
-        self, frame: Frame, gamma: tuple[tuple[tuple[ScalarExpr, ...], ...], ...]
-    ):
+    def __init__(self, frame: Frame, gamma: Components):
         self.frame = frame
         self.gamma = gamma
 
     def coefficient(self, i: int, j: int, k: int) -> ScalarExpr:
         """Coefficient of E_k in nabla_{E_i} E_j."""
-        return self.gamma[i][j][k]
+        d = self.frame.dim
+        return self.gamma[(i * d + j) * d + k]
 
-    def nabla(self, t: Tensor) -> tuple[ScalarExpr, ...]:
+    def nabla(self, t: Tensor) -> Components:
         """Components of nabla T, the direction index first."""
         return contract(
             leibniz_spec(t.r, t.s, directed=True),
@@ -65,7 +65,7 @@ class FrameConnection:
 
     def nabla_tensor_dir(self, t: Tensor, i: int) -> Tensor:
         """nabla_{E_i} T for T of valence (0, s) or (1, s)."""
-        return derive_along(t, self.frame.members[i], self.gamma[i])
+        return self.nabla_tensor(t, self.frame.members[i])
 
     def nabla_tensor(self, t: Tensor, x: VectorField) -> Tensor:
         """nabla_X T for T of valence (0, s) or (1, s)."""
@@ -78,7 +78,7 @@ class FrameConnection:
         self, i: int, comps: Sequence[ScalarExpr]
     ) -> tuple[ScalarExpr, ...]:
         """Frame components of nabla_{E_i} applied to sum(comps[j] E_j)."""
-        vector = Tensor(self.frame, 1, 0, tuple(comps))
+        vector = Tensor(self.frame, 1, 0, comps)
         return self.nabla_tensor_dir(vector, i).components
 
     def nabla_vv(self, x: VectorField, y: VectorField) -> VectorField:
@@ -87,12 +87,6 @@ class FrameConnection:
         vector = Tensor(frame, 1, 0, frame.to_frame(y))
         return frame.from_frame(self.nabla_tensor(vector, x).components)
 
-    def nabla_oneform(self, omega: OneForm, x: VectorField) -> OneForm:
-        """(nabla_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y)."""
-        frame = self.frame
-        as_tensor = Tensor(frame, 0, 1, omega.components)
-        return OneForm(frame, self.nabla_tensor(as_tensor, x).components)
-
 
 def koszul_connection(frame: Frame) -> FrameConnection:
     """Solve the Koszul formula on frame triples, then check both invariants.
@@ -100,7 +94,6 @@ def koszul_connection(frame: Frame) -> FrameConnection:
     2 g(nabla_X Y, Z) = X(g(Y,Z)) + Y(g(Z,X)) - Z(g(X,Y))
                         - g(X,[Y,Z]) + g(Y,[Z,X]) + g(Z,[X,Y])
     """
-    d = frame.dim
     g = frame.metric_tensor()
     # K[i, j, l] = 2 g(nabla_{E_i} E_j, E_l)
     K = contract(
@@ -110,15 +103,11 @@ def koszul_connection(frame: Frame) -> FrameConnection:
         g=g,
         c=frame.brackets(),
     )
-    flat = contract(
+    gamma = contract(
         "half ginv[kl] K[ijl] -> ijk",
         half=Fraction(1, 2),
         ginv=frame.gram_inverse(),
         K=K,
-    )
-    gamma = tuple(
-        tuple(flat[(i * d + j) * d : (i * d + j + 1) * d] for j in range(d))
-        for i in range(d)
     )
     conn = FrameConnection(frame, gamma)
     _verify_connection(conn, g)

@@ -21,8 +21,8 @@ members, taken once when c is built.
 
 L_X is the same derivation of the tensor algebra as the covariant
 derivative nabla_X, with the table of [X, E_j] in place of nabla_X E_j:
-both are `geometry.derive_along`, so a tensor of any valence and a
-one-form take the same Leibniz expansion.
+both are `geometry.derive_along`, so a tensor of any valence, a one-form
+(a (0,1) tensor) included, takes the same Leibniz expansion.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.geometry import (
+    Components,
     Frame,
-    OneForm,
     Tensor,
     ValenceError,
     VectorField,
@@ -51,13 +51,11 @@ class CurvatureError(ValueError):
 def riemann(conn: FrameConnection, verify: bool = True) -> Tensor:
     """(1,3) curvature tensor of the connection, in frame components."""
     frame = conn.frame
-    gamma = conn.gamma
-    flat = [c for plane in gamma for row in plane for c in row]
     comps = contract(
         "dgam[ijka] - dgam[jika] + gam[jkm] gam[ima] - gam[ikm] gam[jma]"
         " - c[ijm] gam[mka] -> aijk",
-        dgam=derivatives(frame.members, flat),  # [i, j, k, a] = E_i(gamma[j][k][a])
-        gam=gamma,
+        dgam=derivatives(frame.members, conn.gamma),  # [i, j, k, a] = E_i(gamma[jka])
+        gam=conn.gamma,
         c=frame.brackets(),
     )
     riem = Tensor.build(frame, 1, 3, comps)
@@ -80,7 +78,8 @@ def _verify_riemann(riem: Tensor) -> None:
             raise CurvatureError(f"first Bianchi identity fails at ({a},{i},{j},{k})")
 
     # g(R(E_i,E_j)E_k, E_l) - g(R(E_k,E_l)E_i, E_j)
-    pairs = contract("g[la] R[aijk] - g[ja] R[akli] -> ijkl", g=frame.gram, R=riem)
+    g = frame.metric_tensor()
+    pairs = contract("g[la] R[aijk] - g[ja] R[akli] -> ijkl", g=g, R=riem)
     for (i, j, k, l), value in zip(index, pairs):
         if j > i and l > k and not value.is_zero():
             raise CurvatureError(f"pair symmetry fails at ({i},{j},{k},{l})")
@@ -120,7 +119,7 @@ def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
         "R[aijk] + c g[ik] Q[aj] - c g[jk] Q[ai] -> aijk",
         R=riem,
         c=Fraction(1, 2 * n),
-        g=frame.gram,
+        g=frame.metric_tensor(),
         Q=q,
     )
     return Tensor.build(frame, 1, 3, comps)
@@ -133,17 +132,14 @@ def scalar_curvature(q: Tensor) -> ScalarExpr:
     return contract("Q[aa] ->", Q=q)
 
 
-def lie_derivative(x: VectorField, t):
-    """L_X of a tensor or a one-form: the derivation with L_X E_j = [X, E_j]."""
-    if isinstance(t, OneForm):
-        as_tensor = Tensor(t.frame, 0, 1, t.components)
-        return OneForm(t.frame, lie_derivative(x, as_tensor).components)
+def lie_derivative(x: VectorField, t: Tensor) -> Tensor:
+    """L_X of a tensor: the derivation with L_X E_j = [X, E_j]."""
     if not isinstance(t, Tensor):
-        raise ValenceError("lie_derivative takes a Tensor or a OneForm")
+        raise ValenceError("lie_derivative takes a Tensor")
     return derive_along(t, x, _bracket_table(t.frame, x))
 
 
-def _bracket_table(frame: Frame, x: VectorField) -> tuple[ScalarExpr, ...]:
+def _bracket_table(frame: Frame, x: VectorField) -> Components:
     """Frame components b[i, k] of [X, E_i], from X = x^m E_m and c[m i k]."""
     xf = frame.to_frame(x)
     return contract(

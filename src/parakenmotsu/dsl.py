@@ -28,8 +28,8 @@ from pathlib import Path
 
 from parakenmotsu.geometry import (
     Chart,
+    Components,
     Frame,
-    OneForm,
     Tensor,
     VectorField,
     contract,
@@ -529,7 +529,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
             index = doc.coords.index(target[3:])
             comps[index] = comps[index] + coeff
         members.append(VectorField(chart, tuple(comps)))
-    rows = [m.components for m in members]
+    rows = Components([c for m in members for c in m.components], 2)
 
     if doc.gram is not None:
         gram_rows = tuple(
@@ -541,6 +541,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         for i, j, value in doc.metric:
             coord_metric[i - 1][j - 1] = value
             coord_metric[j - 1][i - 1] = value
+        coord_metric = Components([c for row in coord_metric for c in row], 2)
         flat = contract("e[ai] g[ij] e[bj] -> ab", e=rows, g=coord_metric)
         gram_rows = tuple(flat[a * d : (a + 1) * d] for a in range(d))
         for i in range(d):
@@ -578,21 +579,21 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
             comps[doc.coords.index(target[3:])] = coeff
             xi = xi + VectorField(chart, tuple(comps))
 
-    dual = contract("g[jm] x[m] -> j", g=gram_rows, x=frame.to_frame(xi))
+    dual = contract("g[jm] x[m] -> j", g=frame.metric_tensor(), x=frame.to_frame(xi))
     if doc.eta is not None:
         coord_eta = [zero] * d
         for coeff, target in doc.eta:
             index = doc.coords.index(target[1:])
             coord_eta[index] = coord_eta[index] + coeff
-        eta_frame = contract("e[ji] w[i] -> j", e=rows, w=coord_eta)
+        eta_frame = contract("e[ji] w[i] -> j", e=rows, w=Components(coord_eta, 1))
         for j in range(d):
             if not (eta_frame[j] - dual[j]).is_zero():
                 raise DocumentError(
                     "eta does not equal the metric dual of xi:"
                     f" eta(E{j + 1}) = {eta_frame[j]}, dual gives {dual[j]}"
                 )
-        eta = OneForm(frame, eta_frame)
+        eta = Tensor(frame, 0, 1, eta_frame)
     else:
-        eta = OneForm(frame, dual)
+        eta = Tensor(frame, 0, 1, dual)
 
     return ParacontactStructure(frame, phi, xi, eta, chart.n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from parakenmotsu.connection import FrameConnection
-from parakenmotsu.geometry import Chart, Frame, OneForm, Tensor, VectorField
+from parakenmotsu.geometry import Chart, Frame, Tensor, VectorField
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.structure import ParacontactStructure
 
@@ -65,7 +65,7 @@ def _structure(
         return zero
 
     phi = Tensor.build(frame, 1, 1, phi_entry)
-    eta = OneForm(frame, tuple([zero] * (d - 1) + [one]))
+    eta = Tensor(frame, 0, 1, [zero] * (d - 1) + [one])
     return ParacontactStructure(frame, phi, members[d - 1], eta, n)
 
 
@@ -173,12 +173,12 @@ def reference_conflict_notes(
         )
 
     for (i, j), expected in sorted(_ANCHOR_NABLA_DIM3.items()):
-        if not matches([conn.gamma[i][j][a] for a in range(3)], expected):
+        if not matches([conn.coefficient(i, j, a) for a in range(3)], expected):
             return []
 
     notes: list[str] = []
     for (i, j), expected in sorted(REFERENCE_NABLA_DIM3.items()):
-        computed = [conn.gamma[i][j][a] for a in range(3)]
+        computed = [conn.coefficient(i, j, a) for a in range(3)]
         if not matches(computed, expected):
             notes.append(
                 f"reference table lists nabla_{{E{i + 1}}} E{j + 1}"

@@ -1,11 +1,11 @@
 """Frames, vector fields and tensors over an odd-dimensional chart.
 
 Vector fields carry coordinate-basis components.  Everything else (metric,
-one-forms, curvature and friends) is stored in the components of a fixed
-frame, which for the structures handled here is pseudo-orthonormal: the
-gram matrix of the frame is a constant diagonal of +1/-1 entries.  Inputs
-given in the coordinate basis are converted once, by solving against the
-frame's invertible component matrix.
+one-forms such as eta, curvature and friends) is a `Tensor` in the
+components of a fixed frame, which for the structures handled here is
+pseudo-orthonormal: the gram matrix of the frame is a constant diagonal
+of +1/-1 entries.  Inputs given in the coordinate basis are converted
+once, by solving against the frame's invertible component matrix.
 
 Every sum over frame indices goes through one primitive, `contract`.  Its
 spec is a signed sum of products of named factors, then the output
@@ -15,24 +15,25 @@ indices:
              S=ricci, R=riem, xi=xi_components)
 
 - A factor is `name[letters]`, one lowercase letter per frame index, with
-  the operand passed as the keyword `name`: a `Tensor`, a sequence of
-  frame components (flat row-major, or nested one level per index, like
-  the gram matrix or the connection coefficients), or for a factor
-  without brackets a `ScalarExpr` or a rational.  `delta[ij]` is the
-  identity, and a bare integer such as `2` is a constant coefficient.
+  the operand passed as the keyword `name`: a `Tensor` or a `Components`
+  of that rank, or for a factor without brackets a `ScalarExpr` or a
+  rational.  `delta[ij]` is the identity, and a bare integer such as `2`
+  is a constant coefficient.  A plain or nested sequence is rejected with
+  `ValenceError`: each table is built as `Components` once, where it is
+  made (the frame's metric tensor, brackets and inverses, the connection
+  coefficients, derivative tables, `to_frame` results).
 - A letter that is not an output index is summed over `range(d)`; a
   letter repeated inside one factor takes its diagonal.  Every term must
   carry every output index.
-- Only nonzero operand components are visited.  A `Tensor` finds its
-  nonzero components once and keeps them; a `Components` result knows
-  them already; any other sequence is scanned on each call.  Within one
+- Only nonzero operand components are visited.  A `Components` finds its
+  nonzero components at most once and keeps them, or is handed them by
+  `contract`; a `Tensor` is read through its `Components`.  Within one
   call each operand is grouped once per pattern of already bound letters,
   and the join starts from the sparsest factor.  All product terms of an
   output component are collected first and normalized once.
-- The result is a `Components` tuple in row-major order over the output
-  letters, whose `nonzero()` are its nonzero (index, component) pairs,
-  or one `ScalarExpr` when there are no output letters.  A `Tensor` built
-  from it takes that view over instead of scanning.
+- The result is a `Components` in row-major order over the output
+  letters, which already knows its nonzero (index, component) pairs, or
+  one `ScalarExpr` when there are no output letters.
 """
 
 from __future__ import annotations
@@ -51,6 +52,56 @@ class ValenceError(ValueError):
 
 
 Matrix = tuple[tuple[ScalarExpr, ...], ...]
+
+
+Nonzero = tuple[tuple[tuple[int, ...], ScalarExpr], ...]
+
+
+def _nonzero_entries(components: Sequence[ScalarExpr], d: int, rank: int) -> Nonzero:
+    """(index, component) of every nonzero component, in row-major order."""
+    idx = itertools.product(range(d), repeat=rank)
+    return tuple((i, c) for i, c in zip(idx, components) if c.terms)
+
+
+def _unflatten(at: int, d: int, rank: int) -> tuple[int, ...]:
+    """The index of row-major position `at` over `rank` indices in range(d)."""
+    idx = [0] * rank
+    for p in range(rank - 1, -1, -1):
+        at, idx[p] = divmod(at, d)
+    return tuple(idx)
+
+
+class Components(tuple):
+    """Components in row-major order over `rank` frame indices, each in
+    range(dim), the operand shape of `contract`.
+
+    The nonzero (index, component) pairs are found at most once (see
+    `nonzero`), or handed over by `contract`, which finds them as it
+    builds its result.  A rank-0 value is one component and has no dim.
+    """
+
+    __setattr__ = __delattr__ = read_only
+
+    def __new__(cls, components, rank: int, nonzero: Nonzero | None = None):
+        self = super().__new__(cls, components)
+        dim = round(len(self) ** (1 / rank)) if rank else None
+        if len(self) != (dim**rank if rank else 1):
+            raise ValenceError(f"{len(self)} components do not fit {rank} indices")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_nonzero", nonzero)
+        return self
+
+    def nonzero(self) -> Nonzero:
+        """(index, component) of each nonzero component, in row-major order."""
+        if self._nonzero is None:
+            view = _nonzero_entries(self, self.dim, self.rank)
+            object.__setattr__(self, "_nonzero", view)
+        return self._nonzero
+
+
+def _matrix_components(m: Matrix) -> Components:
+    return Components([entry for row in m for entry in row], 2)
 
 
 class Chart:
@@ -218,13 +269,15 @@ def _charpoly(a: Matrix, zero: ScalarExpr) -> list[ScalarExpr]:
     matrix with first column 1, -e, -RC, -RAC, ..., -RA^(k-1)C."""
     poly = [ScalarExpr.const(1, zero.symbols), -a[0][0]]
     for k in range(1, len(a)):
-        lead, row, v = [r[:k] for r in a[:k]], a[k][:k], [r[k] for r in a[:k]]
+        lead = _matrix_components([r[:k] for r in a[:k]])
+        row, v = Components(a[k][:k], 1), Components([r[k] for r in a[:k]], 1)
         column = poly[:1] + [-a[k][k]]
         for power in range(k):
             v = contract("a[ij] v[j] -> i", a=lead, v=v) if power else v
             column.append(-contract("r[i] v[i] ->", r=row, v=v))
         t = [[column[i - j] if i >= j else zero for j in range(k + 2)] for i in range(k + 2)]
-        poly = list(contract("t[ij] p[j] -> i", t=t, p=poly + [zero]))
+        p = Components(poly + [zero], 1)
+        poly = list(contract("t[ij] p[j] -> i", t=_matrix_components(t), p=p))
     return poly
 
 
@@ -260,10 +313,11 @@ def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
         raise NonInvertible(f"matrix is not invertible over the ring: det = {det}") from exc
     out = [[zero] * len(m) for _ in m]
     for rows, cols, block, poly in blocks:
-        k, u = len(rows), -poly[-1].invert()
+        k, u, a = len(rows), -poly[-1].invert(), _matrix_components(block)
         inv = [u if i == j else zero for i, j in itertools.product(range(k), repeat=2)]
+        inv = Components(inv, 2)
         for c in poly[1:k]:  # Horner, with every coefficient scaled by u
-            inv = contract("a[ij] b[jl] + u c delta[il] -> il", a=block, b=inv, u=u, c=c)
+            inv = contract("a[ij] b[jl] + u c delta[il] -> il", a=a, b=inv, u=u, c=c)
         for (t, s), value in zip(itertools.product(range(k), repeat=2), inv):
             out[cols[t]][rows[s]] = value
     return tuple(map(tuple, out))
@@ -308,7 +362,8 @@ class Frame:
     the pointwise linear-independence check.  The gram matrix is kept as
     given; the pseudo-orthonormal helpers below insist on a constant
     diagonal of +1/-1 when a computation needs it.  Equality and the hash
-    ignore `_cache`, which holds values derived from the other fields.
+    ignore `_cache`, which holds values derived from the other fields: the
+    tables `contract` reads, each built as `Components` on first use.
     """
 
     __setattr__ = __delattr__ = read_only
@@ -352,14 +407,17 @@ class Frame:
             tuple(self.members[j].components[a] for j in range(d)) for a in range(d)
         )
 
-    def component_inverse(self) -> Matrix:
+    def component_inverse(self) -> Components:
+        """inv[ia]: the frame component i of d/d(coords[a])."""
         if "cinv" not in self._cache:
-            self._cache["cinv"] = mat_inverse(self.component_matrix(), self.chart.zero())
+            inverse = mat_inverse(self.component_matrix(), self.chart.zero())
+            self._cache["cinv"] = _matrix_components(inverse)
         return self._cache["cinv"]
 
-    def gram_inverse(self) -> Matrix:
+    def gram_inverse(self) -> Components:
         if "ginv" not in self._cache:
-            self._cache["ginv"] = mat_inverse(self.gram, self.chart.zero())
+            inverse = mat_inverse(self.gram, self.chart.zero())
+            self._cache["ginv"] = _matrix_components(inverse)
         return self._cache["ginv"]
 
     def gram_signs(self) -> tuple[Fraction, ...]:
@@ -376,53 +434,58 @@ class Frame:
             signs.append(q)
         return tuple(signs)
 
-    def unit_components(self, i: int) -> tuple[ScalarExpr, ...]:
+    def unit_components(self, i: int) -> Components:
         zero, one = self.chart.zero(), self.chart.const(1)
-        return tuple(one if j == i else zero for j in range(self.dim))
+        comps = [one if j == i else zero for j in range(self.dim)]
+        return Components(comps, 1, (((i,), one),))
 
-    def to_frame(self, x: VectorField) -> tuple[ScalarExpr, ...]:
+    def to_frame(self, x: VectorField) -> Components:
         """Frame components of X, solving sum(c_i E_i) = X."""
         for i, member in enumerate(self.members):
             if x is member:
                 return self.unit_components(i)
-        inv = self.component_inverse()
-        return contract("inv[ia] x[a] -> i", inv=inv, x=x.components)
+        x_comps = Components(x.components, 1)
+        return contract("inv[ia] x[a] -> i", inv=self.component_inverse(), x=x_comps)
 
-    def from_frame(self, comps: Sequence[ScalarExpr]) -> VectorField:
-        members = [e.components for e in self.members]
-        return VectorField(self.chart, contract("c[i] e[ia] -> a", c=comps, e=members))
+    def from_frame(self, comps: Components) -> VectorField:
+        if "members" not in self._cache:
+            rows = [c for e in self.members for c in e.components]
+            self._cache["members"] = Components(rows, 2)
+        e = self._cache["members"]
+        return VectorField(self.chart, contract("c[i] e[ia] -> a", c=comps, e=e))
 
     def metric_vv(self, x: VectorField, y: VectorField) -> ScalarExpr:
         """g(X, Y) through frame components and the gram matrix."""
         return contract(
-            "x[i] g[ij] y[j] ->", x=self.to_frame(x), g=self.gram, y=self.to_frame(y)
+            "x[i] g[ij] y[j] ->",
+            x=self.to_frame(x),
+            g=self.metric_tensor(),
+            y=self.to_frame(y),
         )
 
     def metric_tensor(self) -> "Tensor":
-        return Tensor(self, 0, 2, _flatten(self.gram))
+        """The gram matrix as a (0,2) tensor, cached."""
+        if "g" not in self._cache:
+            self._cache["g"] = Tensor(self, 0, 2, _matrix_components(self.gram))
+        return self._cache["g"]
 
-    def brackets(self) -> tuple[tuple[tuple[ScalarExpr, ...], ...], ...]:
-        """Frame components of every [E_i, E_j], nested [i][j][k], cached."""
+    def brackets(self) -> Components:
+        """Frame components c[ijk] of every [E_i, E_j] = c[ijk] E_k, cached."""
         if "brackets" not in self._cache:
-            d, members = self.dim, self.members
-            table = [[()] * d for _ in range(d)]
+            d, members, table = self.dim, self.members, {}
             for i in range(d):
                 for j in range(i, d):
-                    table[i][j] = self.to_frame(bracket(members[i], members[j]))
-                    table[j][i] = tuple(-c for c in table[i][j])
-            self._cache["brackets"] = tuple(map(tuple, table))
+                    table[i, j] = self.to_frame(bracket(members[i], members[j]))
+                    table[j, i] = [-c for c in table[i, j]]
+            flat = [c for key in sorted(table) for c in table[key]]
+            self._cache["brackets"] = Components(flat, 3)
         return self._cache["brackets"]
 
 
-def derivatives(
-    fields: Sequence[VectorField], comps: Sequence[ScalarExpr]
-) -> tuple[ScalarExpr, ...]:
+def derivatives(fields: Sequence[VectorField], comps: Components) -> Components:
     """X(c) for every field X and component c, the field index first."""
-    return tuple(c if c.is_zero() else x(c) for x in fields for c in comps)
-
-
-def _flatten(rows: Matrix) -> tuple[ScalarExpr, ...]:
-    return tuple(entry for row in rows for entry in row)
+    values = [c if c.is_zero() else x(c) for x in fields for c in comps]
+    return Components(values, comps.rank + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,62 +493,28 @@ def _flatten(rows: Matrix) -> tuple[ScalarExpr, ...]:
 # ---------------------------------------------------------------------------
 
 
-Nonzero = tuple[tuple[tuple[int, ...], ScalarExpr], ...]
-
-
-def _nonzero_entries(components: Sequence[ScalarExpr], d: int, rank: int) -> Nonzero:
-    """(index, component) of every nonzero component, in row-major order."""
-    idx = itertools.product(range(d), repeat=rank)
-    return tuple((i, c) for i, c in zip(idx, components) if c.terms)
-
-
-def _unflatten(at: int, d: int, rank: int) -> tuple[int, ...]:
-    """The index of row-major position `at` over `rank` indices in range(d)."""
-    idx = [0] * rank
-    for p in range(rank - 1, -1, -1):
-        at, idx[p] = divmod(at, d)
-    return tuple(idx)
-
-
-class Components(tuple):
-    """The row-major components `contract` returns, which know their nonzero
-    (index, component) pairs."""
-
-    __setattr__ = __delattr__ = read_only
-
-    def __new__(cls, components, nonzero: Nonzero):
-        self = super().__new__(cls, components)
-        object.__setattr__(self, "_nonzero", nonzero)
-        return self
-
-    def nonzero(self) -> Nonzero:
-        return self._nonzero
-
-
 class Tensor:
     """Frame-component tensor of valence (r, s) with r in {0, 1}.
 
-    Components are stored flat in row-major order over (r + s) frame
-    indices; for r = 1 the contravariant index comes first.  The nonzero
-    components are found at most once (see `nonzero`), or taken over
-    from a `Components` result of `contract`.
+    A frame, the valence and one `Components` over the r + s frame
+    indices, in row-major order; for r = 1 the contravariant index comes
+    first.  A one-form such as eta is a (0,1) tensor, read as eta[i].
     """
 
-    __slots__ = ("frame", "r", "s", "components", "_nonzero")
+    __slots__ = ("frame", "r", "s", "components")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, frame: Frame, r: int, s: int, components: tuple[ScalarExpr, ...]):
+    def __init__(self, frame: Frame, r: int, s: int, components: Sequence[ScalarExpr]):
         if r not in (0, 1):
             raise ValenceError("only valences (0,s) and (1,s) are supported")
-        d = frame.dim
-        if len(components) != d ** (r + s):
+        if len(components) != frame.dim ** (r + s):
             raise ValenceError("component count does not match valence")
+        if not isinstance(components, Components) or components.rank != r + s:
+            components = Components(components, r + s)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "components", components)
-        handed = components.nonzero() if isinstance(components, Components) else None
-        object.__setattr__(self, "_nonzero", handed)
 
     @property
     def rank(self) -> int:
@@ -515,7 +544,7 @@ class Tensor:
         if callable(entry):
             idx = itertools.product(range(frame.dim), repeat=r + s)
             entry = [entry(*i) for i in idx]
-        return Tensor(frame, r, s, entry if isinstance(entry, tuple) else tuple(entry))
+        return Tensor(frame, r, s, entry)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._match(other)
@@ -549,10 +578,7 @@ class Tensor:
 
     def nonzero(self) -> Nonzero:
         """(index, component) of each nonzero component, in row-major order."""
-        if self._nonzero is None:
-            view = _nonzero_entries(self.components, self.frame.dim, self.rank)
-            object.__setattr__(self, "_nonzero", view)
-        return self._nonzero
+        return self.components.nonzero()
 
     def is_zero(self) -> bool:
         return not self.nonzero()
@@ -597,31 +623,26 @@ def _parse_spec(spec: str):
     return out, tuple((sign, tuple(factors)) for sign, factors in terms)
 
 
-def _components(value, rank: int):
-    """(flat components, dimension) of a Tensor, ScalarExpr or sequence operand."""
+def _components(value, rank: int) -> tuple[Components, int | None]:
+    """The Components of a Tensor, Components or ScalarExpr operand given
+    `rank` indices, and their dimension (None for a scalar)."""
     if isinstance(value, Tensor):
-        if value.rank != rank:
-            raise ValenceError(f"tensor of rank {value.rank} given {rank} indices")
-        return value.components, value.frame.dim
-    if isinstance(value, ScalarExpr) != (rank == 0):
-        raise ValenceError("a scalar takes no indices, a sequence at least one")
-    if isinstance(value, ScalarExpr):
-        return (value,), None
-    comps, depth = list(value), 1
-    while comps and not isinstance(comps[0], ScalarExpr):
-        comps, depth = [c for row in comps for c in row], depth + 1
-    if depth not in (1, rank):
-        raise ValenceError(f"operand nested {depth} deep given {rank} indices")
-    d = len(value) if depth == rank else round(len(comps) ** (1 / rank))
-    if len(comps) != d**rank:
-        raise ValenceError(f"{len(comps)} components do not fit {rank} indices")
-    return comps, d
+        value, d = value.components, value.frame.dim
+    elif isinstance(value, ScalarExpr):
+        value, d = Components((value,), 0, (((), value),) if value.terms else ()), None
+    elif isinstance(value, Components):
+        d = value.dim
+    else:
+        raise ValenceError(f"operand {type(value).__name__} is not a Tensor or Components")
+    if value.rank != rank:
+        raise ValenceError(f"operand of rank {value.rank} given {rank} indices")
+    return value, d
 
 
 def contract(spec: str, **operands) -> ScalarExpr | Components:
     """Evaluate a signed sum of index contractions; see the module docstring."""
     out, terms = _parse_spec(spec)
-    flat: dict[str, Sequence[ScalarExpr]] = {}
+    flat: dict[str, Components] = {}
     dims, symbols = set(), set()
     for _, factors in terms:
         for name, letters in factors:
@@ -634,8 +655,7 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
                 continue
             flat[name], d = _components(value, len(letters))
             dims.add(d)
-            if flat[name]:
-                symbols.add(flat[name][0].symbols)
+            symbols.add(flat[name][0].symbols)
     dims.discard(None)
     if len(dims) != 1 or len(symbols) != 1:
         raise ValenceError(f"operands of {spec!r} disagree on dimension or chart")
@@ -649,15 +669,11 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
         (each letter's first position), diagonal taken for a repeated letter."""
         key = (name, pattern)
         if key not in entries:
-            rank, value = len(pattern), operands.get(name)
+            rank = len(pattern)
             if name == "delta":
                 pairs = [((i,) * rank, _ONE) for i in range(d)]
             else:
-                if isinstance(value, (Tensor, Components)):
-                    view = value.nonzero()
-                else:
-                    view = _nonzero_entries(flat[name], d, rank)
-                pairs = [(i, c.terms) for i, c in view]
+                pairs = [(i, c.terms) for i, c in flat[name].nonzero()]
             keep = sorted(set(pattern))
             if len(keep) < rank:
                 pairs = [
@@ -738,7 +754,7 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
         if value.terms:
             comps[at] = value
             found.append((_unflatten(at, d, len(out)), value))
-    return Components(comps, tuple(found))
+    return Components(comps, len(out), tuple(found))
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +789,9 @@ def leibniz_spec(r: int, s: int, directed: bool = False) -> str:
 
 
 def derive_along(t: Tensor, x: VectorField, along) -> Tensor:
-    """D_X t for the derivation with D_X f = X(f) and D_X E_j = along[j][m] E_m."""
-    comps = contract(
-        leibniz_spec(t.r, t.s), dt=derivatives((x,), t.components), c=along, t=t
-    )
+    """D_X t for the derivation with D_X f = X(f) and D_X E_j = along[jm] E_m."""
+    dt = Components([c if c.is_zero() else x(c) for c in t.components], t.rank)
+    comps = contract(leibniz_spec(t.r, t.s), dt=dt, c=along, t=t)
     return Tensor.build(t.frame, t.r, t.s, comps)
 
 
@@ -799,50 +814,18 @@ def tensor_apply(t: Tensor, args: Sequence[VectorField]):
     return frame.from_frame(value) if t.r else value
 
 
-class OneForm:
-    """One-form stored by its values on the frame members."""
-
-    __slots__ = ("frame", "components")
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, frame: Frame, components: tuple[ScalarExpr, ...]):
-        if len(components) != frame.dim:
-            raise ValenceError("one-form component count does not match frame")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "components", components)
-
-    def __call__(self, x: VectorField) -> ScalarExpr:
-        return contract("w[i] x[i] ->", w=self.components, x=self.frame.to_frame(x))
-
-    def on_member(self, i: int) -> ScalarExpr:
-        return self.components[i]
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(
-            self.frame, tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(
-            self.frame, tuple(a - b for a, b in zip(self.components, other.components))
-        )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+def differential(f: ScalarExpr, frame: Frame) -> Tensor:
+    """df as a (0,1) tensor on the frame: df(E_i) = E_i(f)."""
+    return Tensor(frame, 0, 1, [e(f) for e in frame.members])
 
 
-def differential(f: ScalarExpr, frame: Frame) -> OneForm:
-    """df as a one-form on the frame: df(E_i) = E_i(f)."""
-    return OneForm(frame, tuple(e(f) for e in frame.members))
-
-
-def exterior_derivative(omega: OneForm) -> Tensor:
-    """d(omega) on frame pairs: X(w(Y)) - Y(w(X)) - w([X, Y])."""
+def exterior_derivative(omega: Tensor) -> Tensor:
+    """d(omega) of a (0,1) tensor on frame pairs: X(w(Y)) - Y(w(X)) - w([X, Y])."""
     frame = omega.frame
     comps = contract(
         "dw[ij] - dw[ji] - w[k] c[ijk] -> ij",
         dw=derivatives(frame.members, omega.components),
-        w=omega.components,
+        w=omega,
         c=frame.brackets(),
     )
     return Tensor.build(frame, 0, 2, comps)

@@ -584,6 +584,13 @@ MAX_POWER_TERMS = 300
 # widest test expressions need 6 digits and 1,000 bits.
 MAX_LITERAL_DIGITS = 100
 MAX_COEFFICIENT_BITS = 10_000
+# Most terms a document coefficient may have, checked at each `+`, `-`, `*`
+# and `^` as it is built.  Every tensor entry multiplies such coefficients,
+# so a 961-term frame coefficient that keeps within the budgets above made
+# `check` run for over a minute.  The shipped, test and generated documents
+# need at most 4 terms.  `parse_scalar` is not bounded: its callers write
+# the expression.
+MAX_COEFFICIENT_TERMS = 40
 
 
 def _coefficient_bits(e: ScalarExpr) -> float:
@@ -595,12 +602,30 @@ def _coefficient_bits(e: ScalarExpr) -> float:
 
 
 class _Parser:
-    def __init__(self, tokens: Sequence[Token], pos: int, symbols: tuple[str, ...], line: int):
+    def __init__(
+        self,
+        tokens: Sequence[Token],
+        pos: int,
+        symbols: tuple[str, ...],
+        line: int,
+        max_terms: int | None,
+    ):
         self.tokens = tokens
         self.pos = pos
         self.symbols = symbols
         self.line = line
+        self.max_terms = max_terms
         self.depth = 0
+
+    def bounded(self, value: ScalarExpr, at: Token) -> ScalarExpr:
+        """value, unless it has more than `max_terms` terms."""
+        if self.max_terms is not None and len(value.terms) > self.max_terms:
+            raise ExprSyntaxError(
+                f"coefficient has {len(value.terms)} terms, more than {self.max_terms}",
+                at.line,
+                at.col,
+            )
+        return value
 
     def peek(self) -> Token | None:
         if self.pos < len(self.tokens):
@@ -649,7 +674,7 @@ class _Parser:
             if t is None:
                 return value
             rhs = self.parse_product()
-            value = value + rhs if t.text == "+" else value - rhs
+            value = self.bounded(value + rhs if t.text == "+" else value - rhs, t)
             # a sum of fractions grows its common denominator term by term
             if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
                 raise ExprSyntaxError(
@@ -678,7 +703,7 @@ class _Parser:
                     star.line,
                     star.col,
                 )
-            value = value * rhs
+            value = self.bounded(value * rhs, star)
 
     def parse_factor(self) -> ScalarExpr:
         minus = self.take_op("-")
@@ -707,7 +732,7 @@ class _Parser:
                     caret.line,
                     caret.col,
                 )
-            return atom**power
+            return self.bounded(atom**power, caret)
         return atom
 
     def parse_atom(self) -> ScalarExpr:
@@ -766,8 +791,9 @@ class _Parser:
 def parse_expr_tokens(
     tokens: Sequence[Token], pos: int, symbols: tuple[str, ...], line: int = 1
 ) -> tuple[ScalarExpr, int]:
-    """Parse an expression from a token slice; returns (expr, next position)."""
-    p = _Parser(tokens, pos, symbols, line)
+    """Parse a document coefficient from a token slice, at most
+    MAX_COEFFICIENT_TERMS terms; returns (expr, next position)."""
+    p = _Parser(tokens, pos, symbols, line, MAX_COEFFICIENT_TERMS)
     expr = p.parse_expr()
     return expr, p.pos
 
@@ -775,7 +801,8 @@ def parse_expr_tokens(
 def parse_scalar(text: str, symbols: tuple[str, ...]) -> ScalarExpr:
     """Parse expression text over the given chart symbols."""
     tokens = tokenize(text)
-    expr, end = parse_expr_tokens(tokens, 0, symbols)
+    p = _Parser(tokens, 0, symbols, 1, None)
+    expr, end = p.parse_expr(), p.pos
     if end != len(tokens):
         t = tokens[end]
         raise ExprSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.col)

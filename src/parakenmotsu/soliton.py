@@ -102,14 +102,13 @@ def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolut
     d = frame.dim
     g = s.metric()
     ee = s.eta_square()
-    eta = [s.eta.on_member(i) for i in range(d)]
     flow = s.lie_metric() + ricci_tensor.scale(2)
 
     pivot = next(
         (
             i
             for i in range(d)
-            if eta[i].is_zero() and not frame.gram[i][i].is_zero()
+            if s.eta[i].is_zero() and not frame.gram[i][i].is_zero()
         ),
         None,
     )
@@ -138,12 +137,12 @@ def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolut
 
 
 def quasi_einstein_decompose(
-    ricci_tensor: Tensor, g: Tensor, eta
+    ricci_tensor: Tensor, g: Tensor, eta: Tensor
 ) -> tuple[Fraction, Fraction]:
     """Constants (a, b) with S = a*g + b*(eta x eta), exactly."""
     frame = ricci_tensor.frame
     d = frame.dim
-    eta_vals = [eta.on_member(i) for i in range(d)]
+    eta_vals = eta.components
 
     first = next(
         (
@@ -234,9 +233,7 @@ def _residual_components(
     derivation = kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S)
     terms = _DERIVATION if derivation else _EIGHT_TERM
     spec = " ".join(f"{term} {paired}" for term in terms) + f" -> {out}"
-    return contract(
-        spec, op=op, S=ricci_tensor, xi=s.xi_components(), eta=s.eta.components
-    )
+    return contract(spec, op=op, S=ricci_tensor, xi=s.xi_components(), eta=s.eta)
 
 
 def _operator_for(
@@ -277,7 +274,7 @@ def condition_residual_xi_paired(
     """(0,4) inner product of the eight-term residual `full` with xi."""
     if kind not in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
         raise ValenceError("xi pairing applies to the eight-term conditions")
-    comps = contract("eta[a] F[axyzw] -> xyzw", eta=s.eta.components, F=full)
+    comps = contract("eta[a] F[axyzw] -> xyzw", eta=s.eta, F=full)
     return Tensor.build(s.frame, 0, 4, comps)
 
 
@@ -557,7 +554,7 @@ def parallel_tensor_classify(
         alpha=alpha,
         xi=s.xi_components(),
         c=c,
-        eta=s.eta.components,
+        eta=s.eta,
     )
     for j, value in enumerate(against_xi):
         if not value.is_zero():

@@ -2,11 +2,12 @@
 
 A structure packages the frame together with the endomorphism phi (a
 (1,1) tensor in frame components), the distinguished unit vector field
-xi, and its metric-dual one-form eta.  All checks below are exact: a
-check passes only when the residual normalizes to the zero element of
-the scalar ring, and a failing check carries the first nonzero residual
-as a printable witness instead of aborting the run.  Most checks are one
-`geometry.contract` spec whose every component must vanish.
+xi, and its metric-dual one-form eta (a (0,1) tensor).  All checks
+below are exact: a check passes only when the residual normalizes to the
+zero element of the scalar ring, and a failing check carries the first
+nonzero residual as a printable witness instead of aborting the run.
+Most checks are one `geometry.contract` spec whose every component must
+vanish.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.curvature import lie_derivative, nijenhuis, riemann
 from parakenmotsu.geometry import (
+    Components,
     Frame,
-    OneForm,
     Tensor,
     ValenceError,
     VectorField,
@@ -24,15 +25,16 @@ from parakenmotsu.geometry import (
     mat_rank,
 )
 from parakenmotsu.report import CheckReport, report_from_failures
-from parakenmotsu.scalar import ScalarExpr
 
 
 class ParacontactStructure:
     def __init__(
-        self, frame: Frame, phi: Tensor, xi: VectorField, eta: OneForm, n: int
+        self, frame: Frame, phi: Tensor, xi: VectorField, eta: Tensor, n: int
     ):
         if (phi.r, phi.s) != (1, 1):
             raise ValenceError("phi must be a (1,1) tensor")
+        if (eta.r, eta.s) != (0, 1):
+            raise ValenceError("eta must be a (0,1) tensor")
         if frame.dim != 2 * n + 1:
             raise ValenceError(f"dimension {frame.dim} does not equal 2n+1 for n={n}")
         self.frame = frame
@@ -51,9 +53,7 @@ class ParacontactStructure:
         return self.frame.dim
 
     def metric(self) -> Tensor:
-        if "g" not in self._cache:
-            self._cache["g"] = self.frame.metric_tensor()
-        return self._cache["g"]
+        return self.frame.metric_tensor()
 
     def lie_metric(self) -> Tensor:
         """L_xi g, read by the soliton solver, I12, T1 and T2."""
@@ -61,7 +61,7 @@ class ParacontactStructure:
             self._cache["lie_g"] = lie_derivative(self.xi, self.metric())
         return self._cache["lie_g"]
 
-    def xi_components(self) -> tuple[ScalarExpr, ...]:
+    def xi_components(self) -> Components:
         if "xi" not in self._cache:
             self._cache["xi"] = self.frame.to_frame(self.xi)
         return self._cache["xi"]
@@ -70,19 +70,12 @@ class ParacontactStructure:
         """The (0,2) tensor eta tensor eta."""
         if "ee" not in self._cache:
             eta = self.eta
-            self._cache["ee"] = Tensor.build(
-                self.frame, 0, 2, lambda i, j: eta.on_member(i) * eta.on_member(j)
-            )
+            self._cache["ee"] = Tensor.build(self.frame, 0, 2, lambda i, j: eta[i] * eta[j])
         return self._cache["ee"]
 
     def operands(self) -> dict:
         """The structure's contraction operands: g, phi, eta and xi."""
-        return dict(
-            g=self.frame.gram,
-            phi=self.phi,
-            eta=self.eta.components,
-            xi=self.xi_components(),
-        )
+        return dict(g=self.metric(), phi=self.phi, eta=self.eta, xi=self.xi_components())
 
 
 def vanishing_check(
@@ -126,7 +119,6 @@ def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
     d = s.dim
     chart = s.chart
     phi = s.phi
-    eta = s.eta.components
     operands = s.operands()
     reports = [
         vanishing_check(name, ref, spec, operands) for name, ref, spec in _AXIOMS
@@ -146,7 +138,7 @@ def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
         else CheckReport.failed("axioms/signature", "A9", msg)
     )
 
-    horizontal = [i for i in range(d) if eta[i].is_zero()]
+    horizontal = [i for i in range(d) if s.eta[i].is_zero()]
     ok = len(horizontal) == 2 * s.n
     msg = f"{len(horizontal)} frame members annihilated by eta, expected {2 * s.n}"
     if ok:
@@ -197,12 +189,11 @@ def kenmotsu_identity_suite(
     if riem is None:
         riem = riemann(conn, verify=False)
     ops = dict(s.operands(), R=riem)
-    eta = Tensor(frame, 0, 1, ops["eta"])
     # [i, a]: nabla_{E_i} xi; [i, j]: (nabla_{E_i} eta)(E_j)
     ops["nxi"] = conn.nabla(Tensor(frame, 1, 0, ops["xi"]))
-    ops["neta"] = conn.nabla(eta)
+    ops["neta"] = conn.nabla(s.eta)
     ops["lie_phi"] = lie_derivative(s.xi, s.phi)
-    ops["lie_eta"] = lie_derivative(s.xi, eta).components
+    ops["lie_eta"] = lie_derivative(s.xi, s.eta)
     ops["lie_ee"] = lie_derivative(s.xi, s.eta_square())
     ops["lie_g"] = s.lie_metric()
     ops["d_eta"] = exterior_derivative(s.eta)

@@ -118,7 +118,7 @@ def test_criterion_3_curvature_golden_values_and_identities():
 
     assert (S[2, 2] - const(-2)).is_zero()
 
-    eta = [s.eta.on_member(i) for i in range(d)]
+    eta = [s.eta[i] for i in range(d)]
     xif = s.xi_components()
     g = s.metric()
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from parakenmotsu import cli, connection, curvature, geometry, soliton, structure, suite
+from parakenmotsu import cli, connection, curvature, dsl, geometry, soliton, structure, suite
+from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor
 
@@ -104,20 +105,49 @@ def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, ca
     assert counts["lie_derivative"] == 1
 
 
+def _flat(value) -> list:
+    """An operand's components as one flat list, however it is nested."""
+    value = getattr(value, "components", value)  # a Tensor's table
+    if not isinstance(value, (list, tuple)):
+        return [value]
+    return [c for row in value for c in _flat(row)]
+
+
 def test_full_check_scans_no_tensor_for_nonzeros_twice(monkeypatch):
-    # a Tensor finds its nonzero components once and keeps them, and a
-    # tensor built from a contraction takes over the ones contract found
+    # every table handed to contract finds its nonzero components at most
+    # once, counted per operand object (a Tensor's per its components), not
+    # per list contract may flatten it into; a contraction hands its result
+    # the nonzero components it found
     soliton._generic.cache_clear()
     soliton._generic_w2.cache_clear()
-    scanned, counts = [], Counter()
-    scan = geometry._nonzero_entries
+    active, kept, counts = [], [], Counter()
+    scan, contract = geometry._nonzero_entries, geometry.contract
 
-    def counted(components, d, rank):
-        scanned.append(components)  # keeps every id in use until the end
-        counts[id(components)] += 1
+    def counted_contract(spec, **operands):
+        active.append(list(operands.values()))
+        kept.append(operands)  # keeps every id in use until the end
+        try:
+            return contract(spec, **operands)
+        finally:
+            active.pop()
+
+    def counted_scan(components, d, rank):
+        owner = components
+        if active:
+            ops = active[-1]
+            same = [o for o in ops if getattr(o, "components", o) is components]
+            equal = [o for o in ops if _flat(o) == list(components)]
+            owner = (same or equal or [components])[0]
+            owner = getattr(owner, "components", owner)
+        kept.append(owner)
+        counts[id(owner)] += 1
         return scan(components, d, rank)
 
-    monkeypatch.setattr(geometry, "_nonzero_entries", counted)
-    result = suite.run_suite(build_warped(3))
-    assert all(c.status == "pass" for c in result.checks)
-    assert scanned and max(counts.values()) == 1
+    for mod in (geometry, dsl) + MODULES:
+        if getattr(mod, "contract", None) is contract:
+            monkeypatch.setattr(mod, "contract", counted_contract)
+    monkeypatch.setattr(geometry, "_nonzero_entries", counted_scan)
+    warped = suite.run_suite(build_warped(3))
+    rotated = suite.run_suite(load_manifold(ROOT / "tests" / "data" / "rotated5.pk"))
+    assert all(c.status == "pass" for c in warped.checks + rotated.checks)
+    assert counts and max(counts.values()) == 1

@@ -131,6 +131,7 @@ def test_parse_errors_carry_positions(tmp_path):
         "big_constant_power.pk": "error: 3:20:",
         "huge_constant_power.pk": "error: 3:20:",
         "long_fraction_sum.pk": "error: 4:7923:",
+        "many_terms.pk": "error: 5:228:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

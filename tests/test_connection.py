@@ -142,9 +142,9 @@ def test_nabla_tensor_contracts_like_nabla_vv(warped3):
 
 def test_one_form_derivative_matches_dual_vector(warped3):
     s, conn = warped3
-    # nabla eta = g - eta x eta for this structure; check via the one-form path
+    # nabla eta = g - eta x eta for this structure; check eta as a (0,1) tensor
     for i in range(3):
-        d_eta = conn.nabla_oneform(s.eta, s.frame.members[i])
+        d_eta = conn.nabla_tensor(s.eta, s.frame.members[i])
         for j in range(3):
-            expected = s.metric()[i, j] - s.eta.on_member(i) * s.eta.on_member(j)
-            assert (d_eta.on_member(j) - expected).is_zero()
+            expected = s.metric()[i, j] - s.eta[i] * s.eta[j]
+            assert (d_eta[j] - expected).is_zero()

@@ -17,7 +17,7 @@ from parakenmotsu.curvature import (
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import OneForm, Tensor, ValenceError, tensor_apply
+from parakenmotsu.geometry import Tensor, ValenceError, tensor_apply
 from parakenmotsu.scalar import parse_scalar
 
 
@@ -261,7 +261,7 @@ def test_lie_derivatives_match_oracle_on_random_frames(frame, x, phi, t, w):
     assume(x not in frame.members)
     phi = Tensor(frame, 1, 1, tuple(phi))
     t = Tensor(frame, 0, 2, tuple(t))
-    w = OneForm(frame, tuple(w))
+    w = Tensor(frame, 0, 1, tuple(w))
     coords, members = _sympy_frame(frame)
     xs = [oracle.to_sympy(c, coords) for c in x.components]
     d = frame.dim

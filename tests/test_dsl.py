@@ -79,7 +79,7 @@ def test_eta_defaults_to_metric_dual_of_xi():
     doc = load_manifold(MANIFOLDS / "example_r5.pk")
     assert doc.eta is None
     s = doc.to_structure()
-    values = [str(s.eta.on_member(i)) for i in range(5)]
+    values = [str(s.eta[i]) for i in range(5)]
     assert values == ["0", "0", "0", "0", "1"]
 
 
@@ -130,6 +130,7 @@ PARSE_ERRORS = {
         "3:20: power 2000000 has coefficients wider than 10000 bits"
     ),
     "long_fraction_sum.pk": "4:7923: sum has coefficients wider than 10000 bits",
+    "many_terms.pk": "5:228: coefficient has 961 terms, more than 40",
 }
 
 
@@ -162,6 +163,13 @@ def test_long_fraction_sum_is_rejected_within_a_second():
     start = time.perf_counter()
     with pytest.raises(DocumentError):
         load_manifold(DATA / "malformed" / "long_fraction_sum.pk")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_many_term_coefficient_is_rejected_within_a_second():
+    start = time.perf_counter()
+    with pytest.raises(DocumentError):
+        load_manifold(DATA / "malformed" / "many_terms.pk")
     assert time.perf_counter() - start < 1.0
 
 

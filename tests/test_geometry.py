@@ -11,8 +11,8 @@ from oracle import to_sympy
 from strategies import CHART3, frames3, scalars, unit_scalars, vector_fields
 from parakenmotsu.geometry import (
     Chart,
+    Components,
     Frame,
-    OneForm,
     Tensor,
     ValenceError,
     VectorField,
@@ -156,7 +156,8 @@ def _unit_triangular_product(draw, d: int, exp_monomials: bool):
             for i in range(d)
         )
 
-    prod = contract("l[ij] u[jk] -> ik", l=triangular(True), u=triangular(False))
+    lower, upper = (Components(sum(triangular(t), ()), 2) for t in (True, False))
+    prod = contract("l[ij] u[jk] -> ik", l=lower, u=upper)
     return tuple(prod[i * d : (i + 1) * d] for i in range(d))
 
 
@@ -314,8 +315,8 @@ def test_differential_of_product_obeys_leibniz(frame, f):
     dg = differential(g, frame)
     dfg = differential(f * g, frame)
     for i in range(frame.dim):
-        lhs = dfg.on_member(i)
-        rhs = f * dg.on_member(i) + g * df.on_member(i)
+        lhs = dfg[i]
+        rhs = f * dg[i] + g * df[i]
         assert (lhs - rhs).is_zero()
 
 
@@ -328,7 +329,7 @@ def test_second_exterior_derivative_vanishes(frame, f):
 
 def test_exterior_derivative_coordinate_example():
     frame = _coordinate_frame()
-    omega = OneForm(frame, (sc("0"), sc("x"), sc("0")))  # x dy
+    omega = Tensor(frame, 0, 1, (sc("0"), sc("x"), sc("0")))  # x dy
     d_omega = exterior_derivative(omega)
     assert d_omega[0, 1] == sc("1")
     assert d_omega[1, 0] == sc("-1")
@@ -337,9 +338,9 @@ def test_exterior_derivative_coordinate_example():
 
 def test_one_form_evaluates_against_frame_expansion():
     frame = _coordinate_frame()
-    eta = OneForm(frame, (sc("0"), sc("0"), sc("1")))
-    assert eta(vf("x", "y", "z")) == sc("z")
-    assert eta.on_member(2) == sc("1")
+    eta = Tensor(frame, 0, 1, (sc("0"), sc("0"), sc("1")))
+    assert tensor_apply(eta, (vf("x", "y", "z"),)) == sc("z")
+    assert eta[2] == sc("1")
 
 
 def test_tensor_getitem_rejects_indices_outside_the_frame():
@@ -386,9 +387,9 @@ def test_contract_agrees_with_written_out_sums(a, b, v):
     tb = Tensor(frame, 0, 2, tuple(c for row in b for c in row))
     got = contract(
         "a[ij] b[jk] v[k] - 2 a[ki] v[k] delta[ij] + c b[ij] + b[kk] a[ji] -> ij",
-        a=a,
+        a=Components(sum(a, ()), 2),
         b=tb,
-        v=v,
+        v=Components(v, 1),
         c=Fraction(1, 3),
     )
     trace = sum((b[k][k] for k in range(3)), CHART3.zero())
@@ -418,9 +419,9 @@ def test_contract_traces_repeated_letters_and_returns_scalars():
         (sc("y"), sc("exp(z)"), sc("0")),
         (sc("0"), sc("0"), sc("-1")),
     )
-    assert contract("m[ii] ->", m=m) == sc("x + exp(z) - 1")
-    assert contract("m[ij] delta[ij] - 1 ->", m=m) == sc("x + exp(z) - 2")
-    flat = tuple(c for row in m for c in row)
+    flat = Components(sum(m, ()), 2)
+    assert contract("m[ii] ->", m=flat) == sc("x + exp(z) - 1")
+    assert contract("m[ij] delta[ij] - 1 ->", m=flat) == sc("x + exp(z) - 2")
     transposed = tuple(m[j][i] for i in range(3) for j in range(3))
     assert contract("m[ji] -> ij", m=flat) == transposed
 
@@ -438,7 +439,7 @@ def test_contract_traces_repeated_letters_and_returns_scalars():
     ],
 )
 def test_contract_rejects_malformed_specs(spec):
-    m = ((sc("x"),) * 3,) * 3
+    m = Components((sc("x"),) * 9, 2)
     with pytest.raises(ValueError):
         contract(spec, m=m)
 
@@ -447,5 +448,11 @@ def test_contract_rejects_operands_that_do_not_fit():
     frame = _coordinate_frame()
     with pytest.raises(ValenceError):
         contract("g[ijk] -> i", g=frame.metric_tensor())
+    three, five = Components((sc("x"),) * 3, 1), Components((sc("x"),) * 5, 1)
     with pytest.raises(ValenceError):
-        contract("u[i] v[i] ->", u=(sc("x"),) * 3, v=(sc("x"),) * 5)
+        contract("u[i] v[i] ->", u=three, v=five)
+    # a plain or nested sequence is no operand, however well it fits
+    with pytest.raises(ValenceError):
+        contract("u[i] v[i] ->", u=tuple(three), v=three)
+    with pytest.raises(ValenceError):
+        contract("m[ij] v[j] -> i", m=(tuple(three),) * 3, v=three)

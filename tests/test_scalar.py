@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_BITS,
+    MAX_COEFFICIENT_TERMS,
     MAX_LITERAL_DIGITS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_TERMS,
@@ -17,7 +18,9 @@ from parakenmotsu.scalar import (
     Term,
     UnknownSymbol,
     demote,
+    parse_expr_tokens,
     parse_scalar,
+    tokenize,
 )
 
 SYMS = ("x", "y", "z")
@@ -175,6 +178,33 @@ def test_literals_and_coefficients_are_bounded_before_they_are_built():
     )
     with pytest.raises(ExprSyntaxError, match="sum has coefficients wider"):
         sc("1/3^5000 - 1/2^5000")
+
+
+def test_document_coefficients_are_bounded_in_terms():
+    def coefficient(text):
+        tokens = tokenize(text)
+        expr, end = parse_expr_tokens(tokens, 0, SYMS)
+        assert end == len(tokens)
+        return expr
+
+    assert MAX_COEFFICIENT_TERMS == 40
+    sum40 = " + ".join(f"x^{i}" for i in range(40))
+    assert len(coefficient(sum40).terms) == 40
+    product = "(1 + x + x^2 + x^3 + x^4 + x^5 + x^6)*(1 + y + y^2 + y^3 + y^4 + y^5)"
+    assert len(coefficient("(x + y + z)^7").terms) == 36
+    for text, at in (
+        (sum40 + " - y", sum40 + " -"),  # a sum, at its operator
+        (product, product[: product.index("*") + 1]),  # 7 * 6 terms
+        ("(x + y + z)^8", "(x + y + z)^"),  # 45 terms
+    ):
+        with pytest.raises(ExprSyntaxError) as info:
+            coefficient(text)
+        assert info.value.col == len(at)
+        assert "more than 40" in info.value.message
+    # terms that cancel on the way are not counted
+    assert coefficient("(" + sum40 + ") - (" + sum40 + ") + y") == sc("y")
+    # parse_scalar takes what its caller writes
+    assert len(sc(sum40 + " - y").terms) == 41
 
 
 def test_rendering_is_canonical_and_round_trips():

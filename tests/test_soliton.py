@@ -10,7 +10,7 @@ from parakenmotsu.connection import koszul_connection
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, ValenceError, contract
+from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu.scalar import parse_scalar
 from parakenmotsu.suite import Products
 from parakenmotsu.soliton import (
@@ -170,6 +170,41 @@ def test_einstein_structure_of_non_constant_curvature_passes_every_condition():
         assert report.status == "pass", (kind, report.witness)
 
 
+def test_condition_residuals_match_oracle_on_einstein_structure_of_non_constant_curvature():
+    # every residual the suite reads on ricciflat5.pk, against the oracle's
+    # own R, S and W2 built from the frame alone
+    path = Path(__file__).parent / "data" / "ricciflat5.pk"
+    p = Products(load_manifold(path).to_structure())
+    s, d = p.s, p.s.dim
+    coords = s.chart.coords
+    members = [[oracle.to_sympy(c, coords) for c in m.components] for m in s.frame.members]
+    gram = [[int(s.frame.gram[i][j].as_rational()) for j in range(d)] for i in range(d)]
+    R = oracle.frame_riemann(coords, members, gram)
+    S = oracle.frame_ricci(coords, members, gram)
+    xi = [oracle.to_sympy(c, coords) for c in s.xi_components()]
+    W = oracle.frame_w2(R, S, gram, s.n)
+    expected = {
+        ConditionKind.R_DOT_S: oracle.derivation_residual(R, S, xi),
+        ConditionKind.S_DOT_R: oracle.eight_term_residual(R, S, xi),
+        ConditionKind.W2_DOT_S: oracle.derivation_residual(W, S, xi),
+        ConditionKind.S_DOT_W2: oracle.eight_term_residual(W, S, xi),
+    }
+    nonzero = {}
+    for kind, want in expected.items():
+        got = p.residual(kind)
+        assert set(want) == set(itertools.product(range(d), repeat=got.rank))
+        for idx, value in want.items():
+            have = oracle.to_sympy(got[idx], coords) if got[idx].terms else 0
+            assert oracle.is_zero(have - value), (kind, idx)
+        nonzero[kind] = len(got.nonzero())
+    assert nonzero == {
+        ConditionKind.R_DOT_S: 0,
+        ConditionKind.S_DOT_R: 288,
+        ConditionKind.W2_DOT_S: 0,
+        ConditionKind.S_DOT_W2: 256,
+    }
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_condition_residuals_match_oracle_on_generic_structure(n):
     # symbolic mu in the Ricci tensor keeps every residual nonzero
@@ -280,7 +315,8 @@ def test_phi_ricci_prefactor_is_mu_minus_one(n):
 
 def _row(*texts):
     """A Components vector, as contract returns it, over (x, y, mu)."""
-    return contract("v[i] -> i", v=tuple(parse_scalar(t, ("x", "y", "mu")) for t in texts))
+    row = Components([parse_scalar(t, ("x", "y", "mu")) for t in texts], 1)
+    return contract("v[i] -> i", v=row)
 
 
 def test_ratio_against_shape_divides_out_a_rational_shape():
