@@ -1,135 +1,1 @@
 """Exact verification of para-Kenmotsu structures and eta-Ricci solitons."""
-
-from parakenmotsu.connection import FrameConnection, koszul_connection
-from parakenmotsu.curvature import (
-    lie_derivative,
-    nijenhuis,
-    ricci,
-    ricci_operator,
-    riemann,
-    scalar_curvature,
-    w2_tensor,
-)
-from parakenmotsu.dsl import (
-    DocumentError,
-    ManifoldDocument,
-    load_manifold,
-    parse_manifold,
-)
-from parakenmotsu.fixtures import build_flat, build_warped
-from parakenmotsu.geometry import (
-    Chart,
-    Frame,
-    Tensor,
-    ValenceError,
-    VectorField,
-    differential,
-    exterior_derivative,
-    tensor_apply,
-)
-from parakenmotsu.report import (
-    CheckReport,
-    SolitonSummary,
-    SuiteResult,
-    any_failed,
-    emit_report,
-    exit_code,
-)
-from parakenmotsu.scalar import (
-    ChartMismatch,
-    ExactValue,
-    LinearForm,
-    NonInvertible,
-    ScalarExpr,
-    Term,
-    UnknownSymbol,
-    parse_scalar,
-)
-from parakenmotsu.soliton import (
-    ConditionKind,
-    FactorError,
-    FactorResult,
-    NoConstantSolution,
-    NotInSpan,
-    NotMultiple,
-    NotParallel,
-    SolitonSolution,
-    condition_check,
-    condition_residual,
-    parallel_tensor_classify,
-    quasi_einstein_decompose,
-    rational_roots,
-    solve_soliton,
-    symbolic_factor_check,
-    theorem_expected,
-)
-from parakenmotsu.structure import (
-    ParacontactStructure,
-    check_axioms,
-    check_para_kenmotsu,
-    kenmotsu_identity_suite,
-)
-from parakenmotsu.suite import check_names, run_suite, selectable_names
-
-__all__ = [
-    "Chart",
-    "ChartMismatch",
-    "CheckReport",
-    "ConditionKind",
-    "DocumentError",
-    "ExactValue",
-    "FactorError",
-    "FactorResult",
-    "Frame",
-    "FrameConnection",
-    "LinearForm",
-    "ManifoldDocument",
-    "NoConstantSolution",
-    "NonInvertible",
-    "NotInSpan",
-    "NotMultiple",
-    "NotParallel",
-    "ParacontactStructure",
-    "ScalarExpr",
-    "SolitonSolution",
-    "SolitonSummary",
-    "SuiteResult",
-    "Tensor",
-    "Term",
-    "UnknownSymbol",
-    "ValenceError",
-    "VectorField",
-    "any_failed",
-    "build_flat",
-    "build_warped",
-    "check_axioms",
-    "check_names",
-    "check_para_kenmotsu",
-    "condition_check",
-    "condition_residual",
-    "differential",
-    "emit_report",
-    "exit_code",
-    "exterior_derivative",
-    "kenmotsu_identity_suite",
-    "koszul_connection",
-    "lie_derivative",
-    "load_manifold",
-    "nijenhuis",
-    "parallel_tensor_classify",
-    "parse_manifold",
-    "parse_scalar",
-    "quasi_einstein_decompose",
-    "rational_roots",
-    "ricci",
-    "ricci_operator",
-    "riemann",
-    "run_suite",
-    "scalar_curvature",
-    "selectable_names",
-    "solve_soliton",
-    "symbolic_factor_check",
-    "tensor_apply",
-    "theorem_expected",
-    "w2_tensor",
-]

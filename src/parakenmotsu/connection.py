@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
 
 from parakenmotsu.geometry import (
     Components,
@@ -73,13 +72,6 @@ class FrameConnection:
             "x[i] gam[ijm] -> jm", x=self.frame.to_frame(x), gam=self.gamma
         )
         return derive_along(t, x, along)
-
-    def nabla_frame_components(
-        self, i: int, comps: Sequence[ScalarExpr]
-    ) -> tuple[ScalarExpr, ...]:
-        """Frame components of nabla_{E_i} applied to sum(comps[j] E_j)."""
-        vector = Tensor(self.frame, 1, 0, comps)
-        return self.nabla_tensor_dir(vector, i).components
 
     def nabla_vv(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_X Y for arbitrary vector fields."""

@@ -35,6 +35,7 @@ from parakenmotsu.geometry import (
     contract,
 )
 from parakenmotsu.scalar import (
+    MAX_COEFFICIENT_TERMS,
     ExprSyntaxError,
     NonInvertible,
     ScalarExpr,
@@ -165,7 +166,9 @@ def _parse_combo(
     """Split `<coeff> <target> (+|- <coeff> <target>)*` at top level.
 
     A +/- token separates terms only when the token before it is a
-    target, so signs and sums inside coefficients stay untouched.
+    target, so signs and sums inside coefficients stay untouched.  The
+    structure build adds up the coefficients of a target named in more
+    than one term, so their sum is held to MAX_COEFFICIENT_TERMS too.
     """
     body = tokens[start:]
     if not body:
@@ -197,6 +200,7 @@ def _parse_combo(
         return ()
 
     combo = []
+    sums: dict[str, ScalarExpr] = {}
     for seg in segments:
         if not seg:  # only the last segment can be empty: a dangling '+'
             raise DocumentError(f"empty term in {what}", separator.line, separator.col)
@@ -227,6 +231,15 @@ def _parse_combo(
                     bad.line,
                     bad.col,
                 )
+        total = sums[target.text] + coeff if target.text in sums else coeff
+        if len(total.terms) > MAX_COEFFICIENT_TERMS:
+            raise DocumentError(
+                f"coefficient of {target.text} has {len(total.terms)} terms,"
+                f" more than {MAX_COEFFICIENT_TERMS}",
+                seg[0].line,
+                seg[0].col,
+            )
+        sums[target.text] = total
         combo.append((coeff, target.text))
     return tuple(combo)
 

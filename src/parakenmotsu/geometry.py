@@ -454,15 +454,6 @@ class Frame:
         e = self._cache["members"]
         return VectorField(self.chart, contract("c[i] e[ia] -> a", c=comps, e=e))
 
-    def metric_vv(self, x: VectorField, y: VectorField) -> ScalarExpr:
-        """g(X, Y) through frame components and the gram matrix."""
-        return contract(
-            "x[i] g[ij] y[j] ->",
-            x=self.to_frame(x),
-            g=self.metric_tensor(),
-            y=self.to_frame(y),
-        )
-
     def metric_tensor(self) -> "Tensor":
         """The gram matrix as a (0,2) tensor, cached."""
         if "g" not in self._cache:

@@ -75,12 +75,8 @@ class SuiteResult:
         self.soliton = soliton
 
 
-def any_failed(checks: Iterable[CheckReport]) -> bool:
-    return any(c.status == "fail" for c in checks)
-
-
 def exit_code(checks: Iterable[CheckReport]) -> int:
-    return 1 if any_failed(checks) else 0
+    return 1 if any(c.status == "fail" for c in checks) else 0
 
 
 def emit_report(result: SuiteResult, format: str) -> bytes:

@@ -61,25 +61,15 @@ class FactorError(ValueError):
 
 
 class SolitonSolution:
-    def __init__(self, lam: Fraction, mu: Fraction, n: int, classification: str):
+    def __init__(self, lam: Fraction, mu: Fraction, n: int):
         if lam + mu != 2 * n:
             raise ValueError(
                 f"soliton constants ({lam}, {mu}) violate lambda + mu = 2n = {2 * n}"
             )
-        expected = "Einstein" if mu == 1 else "quasi-Einstein"
-        if classification != expected:
-            raise ValueError(
-                f"classification {classification!r} inconsistent with mu = {mu}"
-            )
         self.lam = lam
         self.mu = mu
         self.n = n
-        self.classification = classification
-
-    @staticmethod
-    def from_constants(lam: Fraction, mu: Fraction, n: int) -> "SolitonSolution":
-        kind = "Einstein" if mu == 1 else "quasi-Einstein"
-        return SolitonSolution(Fraction(lam), Fraction(mu), n, kind)
+        self.classification = "Einstein" if mu == 1 else "quasi-Einstein"
 
 
 class ConditionKind(Enum):
@@ -131,7 +121,7 @@ def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolut
     if bad is not None:
         raise NoConstantSolution(witness_at(*bad))
     try:
-        return SolitonSolution.from_constants(lam, mu, s.n)
+        return SolitonSolution(lam, mu, s.n)
     except ValueError as exc:
         raise NoConstantSolution(str(exc)) from exc
 
@@ -236,29 +226,14 @@ def _residual_components(
     return contract(spec, op=op, S=ricci_tensor, xi=s.xi_components(), eta=s.eta)
 
 
-def _operator_for(
-    kind: ConditionKind,
-    s: ParacontactStructure,
-    riem: Tensor,
-    ricci_tensor: Tensor,
-    w2: Tensor | None,
-) -> Tensor:
-    if kind in (ConditionKind.R_DOT_S, ConditionKind.S_DOT_R):
-        return riem
-    if w2 is None:
-        w2 = w2_tensor(riem, ricci_operator(ricci_tensor), s.n)
-    return w2
-
-
 def condition_residual(
-    kind: ConditionKind,
-    s: ParacontactStructure,
-    riem: Tensor,
-    ricci_tensor: Tensor,
-    w2: Tensor | None = None,
+    kind: ConditionKind, s: ParacontactStructure, op: Tensor, ricci_tensor: Tensor
 ) -> Tensor:
-    """Full residual tensor of the selected curvature condition."""
-    op = _operator_for(kind, s, riem, ricci_tensor, w2)
+    """Full residual tensor of the selected curvature condition.
+
+    `op` is the kind's operator: the Riemann tensor for R.S and S.R, the
+    W2 tensor for W2.S and S.W2.
+    """
     if kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S):
         return Tensor.build(
             s.frame, 0, 3, _residual_components(kind, s, op, ricci_tensor, "", "xyz")

@@ -170,17 +170,10 @@ class Products:
 
     def residual(self, kind: ConditionKind) -> Tensor:
         if kind not in self._residuals:
-            w2 = None
-            if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
-                w2 = self.w2
-            self._residuals[kind] = condition_residual(
-                kind, self.s, self.riem, self.ricci, w2
-            )
+            w2_kinds = (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2)
+            op = self.w2 if kind in w2_kinds else self.riem
+            self._residuals[kind] = condition_residual(kind, self.s, op, self.ricci)
         return self._residuals[kind]
-
-
-def check_names() -> tuple[str, ...]:
-    return tuple(name for _, name, _ in CATALOG)
 
 
 def selectable_names() -> frozenset[str]:

@@ -132,6 +132,7 @@ def test_parse_errors_carry_positions(tmp_path):
         "huge_constant_power.pk": "error: 3:20:",
         "long_fraction_sum.pk": "error: 4:7923:",
         "many_terms.pk": "error: 5:228:",
+        "many_segments.pk": "error: 6:247:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

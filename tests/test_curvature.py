@@ -168,12 +168,12 @@ def test_lie_derivative_matches_connection_formula(frame, x):
     conn = koszul_connection(frame)
     g = frame.metric_tensor()
     flow = lie_derivative(x, g)
-    xf = frame.to_frame(x)
+    vector = Tensor(frame, 1, 0, frame.to_frame(x))
     d = frame.dim
     for i in range(d):
         for j in range(d):
-            ni = conn.nabla_frame_components(i, xf)
-            nj = conn.nabla_frame_components(j, xf)
+            ni = conn.nabla_tensor_dir(vector, i).components
+            nj = conn.nabla_tensor_dir(vector, j).components
             expected = frame.chart.zero()
             for m in range(d):
                 expected = expected + ni[m] * g[m, j] + g[i, m] * nj[m]

@@ -259,13 +259,13 @@ def test_metric_vv_agrees_with_gram_on_members():
         tuple(CHART3.const(q if i == j else 0) for j, q in enumerate(row))
         for i, row in enumerate(((1, 1, 1), (1, -1, 1), (1, 1, 1)))
     )
-    frame = Frame(CHART3, (e1, e2, e3), gram)
-    assert frame.metric_vv(e1, e1) == sc("1")
-    assert frame.metric_vv(e2, e2) == sc("-1")
-    assert frame.metric_vv(e1, e2).is_zero()
+    g = Frame(CHART3, (e1, e2, e3), gram).metric_tensor()
+    assert tensor_apply(g, (e1, e1)) == sc("1")
+    assert tensor_apply(g, (e2, e2)) == sc("-1")
+    assert tensor_apply(g, (e1, e2)).is_zero()
     # bilinearity over functions of the first argument
-    assert frame.metric_vv(e1.scale(sc("x*exp(z)")), e2.scale(sc("y"))).is_zero()
-    assert frame.metric_vv(e1.scale(sc("x")), e1) == sc("x")
+    assert tensor_apply(g, (e1.scale(sc("x*exp(z)")), e2.scale(sc("y")))).is_zero()
+    assert tensor_apply(g, (e1.scale(sc("x")), e1)) == sc("x")
 
 
 def test_frame_rejects_asymmetric_gram():

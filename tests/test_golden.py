@@ -26,6 +26,7 @@ DOCS = {
     "failing_flat3": "tests/data/failing_flat3.pk",
     "rotated5": "tests/data/rotated5.pk",
     "ricciflat5": "tests/data/ricciflat5.pk",
+    "nonein5": "tests/data/nonein5.pk",
 }
 SELECTIONS = (None, "axioms", "connection,curvature", "identities/eta-closed", "factors")
 FORMATS = ("text", "json-like")

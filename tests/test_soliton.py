@@ -49,6 +49,11 @@ def pipeline(request):
     return n, s, conn, riem, S
 
 
+def _operator(kind, riem, w2):
+    """The kind's operator: R for R.S and S.R, W2 for W2.S and S.W2."""
+    return w2 if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2) else riem
+
+
 # -- solving ------------------------------------------------------------------
 
 
@@ -62,11 +67,11 @@ def test_soliton_constants_are_frozen(pipeline):
 
 def test_solution_invariant_rejects_wrong_sum():
     with pytest.raises(ValueError):
-        SolitonSolution.from_constants(Fraction(1), Fraction(2), 1)
+        SolitonSolution(Fraction(1), Fraction(2), 1)
 
 
 def test_solution_classification_eta_case():
-    sol = SolitonSolution.from_constants(Fraction(-1), Fraction(3), 1)
+    sol = SolitonSolution(Fraction(-1), Fraction(3), 1)
     assert sol.classification == "quasi-Einstein"
 
 
@@ -115,7 +120,7 @@ def test_condition_residual_vanishing_pattern(pipeline):
         ConditionKind.S_DOT_W2: True,
     }
     for kind, want in expected_zero.items():
-        residual = condition_residual(kind, s, riem, S, w2=w2)
+        residual = condition_residual(kind, s, _operator(kind, riem, w2), S)
         assert residual.is_zero() == want, kind
         assert ((sol.lam, sol.mu) in theorem_expected(kind, n)) == want
         report = condition_check(kind, s, residual, sol)
@@ -124,8 +129,9 @@ def test_condition_residual_vanishing_pattern(pipeline):
 
 def test_xi_paired_residual_vanishes_with_full(pipeline):
     n, s, conn, riem, S = pipeline
+    w2 = w2_tensor(riem, ricci_operator(S), n)
     for kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
-        full = condition_residual(kind, s, riem, S)
+        full = condition_residual(kind, s, _operator(kind, riem, w2), S)
         paired = condition_residual_xi_paired(kind, s, full)
         assert full.is_zero() == paired.is_zero()
 
@@ -133,17 +139,15 @@ def test_xi_paired_residual_vanishes_with_full(pipeline):
 def test_condition_check_claims_only_the_proven_direction(pipeline):
     n, s, conn, riem, S = pipeline
     w2 = w2_tensor(riem, ricci_operator(S), n)
-    stray = SolitonSolution.from_constants(Fraction(2 * n), Fraction(0), n)
+    stray = SolitonSolution(Fraction(2 * n), Fraction(0), n)
     for kind in ConditionKind:
-        residual = condition_residual(kind, s, riem, S, w2=w2)
+        residual = condition_residual(kind, s, _operator(kind, riem, w2), S)
         report = condition_check(kind, s, residual, stray)
         # a vanishing residual at constants that are not advertised is refuted
         assert report.status == ("fail" if residual.is_zero() else "pass"), kind
     # S.R: the advertised pair need not make the residual vanish
     sr = condition_residual(ConditionKind.S_DOT_R, s, riem, S)
-    advertised = SolitonSolution.from_constants(
-        Fraction(-2 * n - 1), Fraction(4 * n + 1), n
-    )
+    advertised = SolitonSolution(Fraction(-2 * n - 1), Fraction(4 * n + 1), n)
     assert not sr.is_zero()
     assert condition_check(ConditionKind.S_DOT_R, s, sr, advertised).status == "pass"
     # R.S keeps its proven converse: (2n - 1, 1) makes S Einstein
@@ -170,10 +174,19 @@ def test_einstein_structure_of_non_constant_curvature_passes_every_condition():
         assert report.status == "pass", (kind, report.witness)
 
 
-def test_condition_residuals_match_oracle_on_einstein_structure_of_non_constant_curvature():
-    # every residual the suite reads on ricciflat5.pk, against the oracle's
-    # own R, S and W2 built from the frame alone
-    path = Path(__file__).parent / "data" / "ricciflat5.pk"
+# nonzero residual components (R.S, S.R, W2.S, S.W2) per document; nonein5
+# is not Einstein, so its R.S residual does not vanish, the contrapositive
+# of the paper's "R(xi, X).S = 0 implies Einstein"
+_NONZERO_RESIDUALS = {"ricciflat5": (0, 288, 0, 256), "nonein5": (8, 112, 8, 112)}
+
+
+@pytest.mark.parametrize("stem", list(_NONZERO_RESIDUALS))
+def test_condition_residuals_match_oracle_on_einstein_structure_of_non_constant_curvature(
+    stem,
+):
+    # every residual the suite reads, against the oracle's own R, S and W2
+    # built from the frame alone
+    path = Path(__file__).parent / "data" / f"{stem}.pk"
     p = Products(load_manifold(path).to_structure())
     s, d = p.s, p.s.dim
     coords = s.chart.coords
@@ -197,12 +210,7 @@ def test_condition_residuals_match_oracle_on_einstein_structure_of_non_constant_
             have = oracle.to_sympy(got[idx], coords) if got[idx].terms else 0
             assert oracle.is_zero(have - value), (kind, idx)
         nonzero[kind] = len(got.nonzero())
-    assert nonzero == {
-        ConditionKind.R_DOT_S: 0,
-        ConditionKind.S_DOT_R: 288,
-        ConditionKind.W2_DOT_S: 0,
-        ConditionKind.S_DOT_W2: 256,
-    }
+    assert nonzero == dict(zip(ConditionKind, _NONZERO_RESIDUALS[stem]))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -229,8 +237,9 @@ def test_condition_residuals_match_oracle_on_generic_structure(n):
         ConditionKind.W2_DOT_S: oracle.derivation_residual(W, S, xi),
         ConditionKind.S_DOT_W2: oracle.eight_term_residual(W, S, xi),
     }
+    w2 = w2_tensor(riem, q_sym, n)
     for kind, want in expected.items():
-        got = condition_residual(kind, s, riem, ricci_sym)
+        got = condition_residual(kind, s, _operator(kind, riem, w2), ricci_sym)
         assert not got.is_zero(), kind
         assert set(want) == set(itertools.product(range(d), repeat=got.rank))
         for idx, value in want.items():

@@ -1,15 +1,23 @@
-"""What `import parakenmotsu.cli` loads beyond a bare interpreter.
+"""What importing the package and its modules loads, and the README example.
 
 Every `check`, `solve`, `condition` and `factors` call starts a fresh
 interpreter, so each module loaded at import is paid once per call.
 """
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path.stem
+    for path in (ROOT / "src" / "parakenmotsu").glob("*.py")
+    if path.stem != "__init__"
+)
 
 
 def _loaded_after(statement: str) -> set[str]:
@@ -38,3 +46,22 @@ def test_cli_import_adds_no_heavy_stdlib_modules():
     assert not heavy, sorted(heavy)
     missing = _traced_modules() - added
     assert not missing, sorted(missing)
+
+
+def test_package_import_loads_no_module():
+    loaded = _loaded_after("import parakenmotsu")
+    assert "parakenmotsu" in loaded
+    assert not {name for name in loaded if name.startswith("parakenmotsu.")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first_without_a_cycle(module):
+    assert f"parakenmotsu.{module}" in _loaded_after(f"import parakenmotsu.{module}")
+
+
+def test_readme_library_example_runs(monkeypatch):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    library_use = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library_use, re.DOTALL).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
