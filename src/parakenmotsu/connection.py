@@ -16,9 +16,10 @@ The covariant derivative is one derivation of the tensor algebra: along X
 it is fixed by X(f) on functions and by nabla_X E_j on the frame, and
 `geometry.leibniz_spec` expands it over a tensor of any valence.  Vectors,
 one-forms (valence (0,1) tensors), phi, the metric and Q all go through
-that one spec, along a single field (`nabla_tensor`) or along every frame
-member at once (`nabla`).  The Lie derivative in `curvature` is the same
-derivation with the table of [X, E_j].
+`nabla`, which differentiates along every frame member at once; the
+derivative along a field X = x^i E_i is the contraction x[i] nt[i...].
+The Lie derivative in `curvature` is the same derivation with the table
+of [X, E_j].
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from parakenmotsu.geometry import (
     Components,
     Frame,
     Tensor,
-    VectorField,
     contract,
     derivatives,
-    derive_along,
     leibniz_spec,
 )
 from parakenmotsu.scalar import ScalarExpr
@@ -61,23 +60,6 @@ class FrameConnection:
             c=self.gamma,
             t=t,
         )
-
-    def nabla_tensor_dir(self, t: Tensor, i: int) -> Tensor:
-        """nabla_{E_i} T for T of valence (0, s) or (1, s)."""
-        return self.nabla_tensor(t, self.frame.members[i])
-
-    def nabla_tensor(self, t: Tensor, x: VectorField) -> Tensor:
-        """nabla_X T for T of valence (0, s) or (1, s)."""
-        along = contract(
-            "x[i] gam[ijm] -> jm", x=self.frame.to_frame(x), gam=self.gamma
-        )
-        return derive_along(t, x, along)
-
-    def nabla_vv(self, x: VectorField, y: VectorField) -> VectorField:
-        """nabla_X Y for arbitrary vector fields."""
-        frame = self.frame
-        vector = Tensor(frame, 1, 0, frame.to_frame(y))
-        return frame.from_frame(self.nabla_tensor(vector, x).components)
 
 
 def koszul_connection(frame: Frame) -> FrameConnection:

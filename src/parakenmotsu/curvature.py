@@ -21,8 +21,8 @@ members, taken once when c is built.
 
 L_X is the same derivation of the tensor algebra as the covariant
 derivative nabla_X, with the table of [X, E_j] in place of nabla_X E_j:
-both are `geometry.derive_along`, so a tensor of any valence, a one-form
-(a (0,1) tensor) included, takes the same Leibniz expansion.
+both contract `geometry.leibniz_spec`, so a tensor of any valence, a
+one-form (a (0,1) tensor) included, takes the same Leibniz expansion.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from parakenmotsu.geometry import (
     VectorField,
     contract,
     derivatives,
-    derive_along,
+    leibniz_spec,
 )
 from parakenmotsu.scalar import ScalarExpr
 
@@ -136,7 +136,11 @@ def lie_derivative(x: VectorField, t: Tensor) -> Tensor:
     """L_X of a tensor: the derivation with L_X E_j = [X, E_j]."""
     if not isinstance(t, Tensor):
         raise ValenceError("lie_derivative takes a Tensor")
-    return derive_along(t, x, _bracket_table(t.frame, x))
+    dt = Components([c if c.is_zero() else x(c) for c in t.components], t.rank)
+    comps = contract(
+        leibniz_spec(t.r, t.s), dt=dt, c=_bracket_table(t.frame, x), t=t
+    )
+    return Tensor.build(t.frame, t.r, t.s, comps)
 
 
 def _bracket_table(frame: Frame, x: VectorField) -> Components:

@@ -779,13 +779,6 @@ def leibniz_spec(r: int, s: int, directed: bool = False) -> str:
     return " ".join(terms) + f" -> {i}{letters}"
 
 
-def derive_along(t: Tensor, x: VectorField, along) -> Tensor:
-    """D_X t for the derivation with D_X f = X(f) and D_X E_j = along[jm] E_m."""
-    dt = Components([c if c.is_zero() else x(c) for c in t.components], t.rank)
-    comps = contract(leibniz_spec(t.r, t.s), dt=dt, c=along, t=t)
-    return Tensor.build(t.frame, t.r, t.s, comps)
-
-
 def tensor_apply(t: Tensor, args: Sequence[VectorField]):
     """Contract a tensor with vector-field arguments.
 
@@ -803,11 +796,6 @@ def tensor_apply(t: Tensor, args: Sequence[VectorField]):
         **{f"x{l}": frame.to_frame(x) for l, x in zip(letters, args)},
     )
     return frame.from_frame(value) if t.r else value
-
-
-def differential(f: ScalarExpr, frame: Frame) -> Tensor:
-    """df as a (0,1) tensor on the frame: df(E_i) = E_i(f)."""
-    return Tensor(frame, 0, 1, [e(f) for e in frame.members])
 
 
 def exterior_derivative(omega: Tensor) -> Tensor:

@@ -323,9 +323,7 @@ def condition_check(
 
 
 class FactorResult:
-    def __init__(self, label: str, n: int, polynomial: ScalarExpr, scale: Fraction):
-        self.label = label
-        self.n = n
+    def __init__(self, polynomial: ScalarExpr, scale: Fraction):
         self.polynomial = polynomial  # integer-primitive polynomial in mu
         self.scale = scale  # residual = scale * polynomial * shape
 
@@ -446,6 +444,23 @@ _FACTOR_SHAPES = {
 }
 
 
+def _matched(raw: ScalarExpr, target: ScalarExpr) -> FactorResult:
+    """raw as scale * target, for a nonzero rational scale.
+
+    The scale is the first ratio of coefficients at a power of mu where the
+    target's coefficient is nonzero.
+    """
+    have, want = _mu_coefficients(raw), _mu_coefficients(target)
+    scale = next((h / w for h, w in zip(have, want) if w != 0), 0)
+    if scale == 0:
+        raise FactorError(f"degenerate factor {raw}")
+    if have != tuple(scale * w for w in want):
+        raise FactorError(
+            f"extracted factor {raw} is not proportional to the advertised one"
+        )
+    return FactorResult(target, scale)
+
+
 def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     """Extract the condition's scalar factor on the generic structure.
 
@@ -462,21 +477,7 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     out = shape.partition("->")[2].strip()
     values = _residual_components(kind, s, op, ricci_sym, paired, out)
     raw = _ratio_against_shape(values, contract(shape, **s.operands()))
-    c0, c1, c2 = _mu_coefficients(raw)
-    target = canonical_factor(kind, n)
-    k0, k1, k2 = _mu_coefficients(target)
-    scale = None
-    for have, want in ((c0, k0), (c1, k1), (c2, k2)):
-        if want != 0:
-            scale = have / want
-            break
-    if scale is None or scale == 0:
-        raise FactorError(f"degenerate factor {raw}")
-    if (c0, c1, c2) != (scale * k0, scale * k1, scale * k2):
-        raise FactorError(
-            f"extracted factor {raw} is not proportional to the advertised one"
-        )
-    return FactorResult(kind.value, n, target, scale)
+    return _matched(raw, canonical_factor(kind, n))
 
 
 def phi_ricci_prefactor(n: int) -> FactorResult:
@@ -487,24 +488,23 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
     )
     shape = contract("eta[j] delta[ia] - eta[j] eta[i] xi[a] -> ija", **s.operands())
     raw = _ratio_against_shape(image, shape)
-    c0, c1, c2 = _mu_coefficients(raw)
-    target = _mu_expr(Fraction(-1), Fraction(1), Fraction(0))
-    scale = c1 / Fraction(1)
-    if (c0, c1, c2) != (-scale, scale, Fraction(0)):
-        raise FactorError(f"unexpected phi-Ricci factor {raw}")
-    return FactorResult("phi-Ricci", n, target, scale)
+    return _matched(raw, _mu_expr(Fraction(-1), Fraction(1), Fraction(0)))
 
 
 # -- parallel tensors -------------------------------------------------------
 
 
 def _first_non_parallel(conn: FrameConnection, t: Tensor) -> str | None:
-    """Witness at the first direction E_i with nabla_{E_i} T != 0, else None."""
-    for i in range(conn.frame.dim):
-        bad = conn.nabla_tensor_dir(t, i).first_nonzero()
-        if bad is not None:
-            return f"nabla along E{i + 1} at {witness_at(*bad)}"
-    return None
+    """Witness at the first nonzero component of nabla T, else None.
+
+    The direction index comes first, so this is the first direction E_i
+    with nabla_{E_i} T != 0.
+    """
+    nonzero = conn.nabla(t).nonzero()
+    if not nonzero:
+        return None
+    (i, *at), value = nonzero[0]
+    return f"nabla along E{i + 1} at {witness_at(tuple(at), value)}"
 
 
 def parallel_tensor_classify(
@@ -598,36 +598,21 @@ def phi_ricci_symmetric_check(
     sol: SolitonSolution,
 ) -> list[CheckReport]:
     """phi^2(nabla Q), and parallelism of Q = ricci_operator(S) and S along xi."""
-    nq = conn.nabla(q)
+    operands = dict(s.operands(), nq=conn.nabla(q), ns=conn.nabla(ricci_tensor))
     # phi^2((nabla_{E_i} Q)E_j) = (1 - mu) eta(E_j) [E_i - eta(E_i) xi]
-    reports = [
+    return [
         vanishing_check(
             "phi-ricci/phi-square-of-nabla-q",
             "P1",
             "phi[ab] phi[bm] nq[imj] - c eta[j] delta[ai] + c eta[j] eta[i] xi[a]"
             " -> ija",
-            dict(s.operands(), nq=nq, c=1 - sol.mu),
+            dict(operands, c=1 - sol.mu),
             labels="aij",
-        )
+        ),
+        vanishing_check(
+            "phi-ricci/q-parallel-along-xi", "P2", "xi[i] nq[iab] -> ab", operands
+        ),
+        vanishing_check(
+            "phi-ricci/s-parallel-along-xi", "P3", "xi[i] ns[iab] -> ab", operands
+        ),
     ]
-
-    nabla_q_xi = contract("xi[i] nq[iab] -> ab", xi=s.xi_components(), nq=nq)
-    bad = Tensor(s.frame, 1, 1, nabla_q_xi).first_nonzero()
-    reports.append(
-        CheckReport.passed("phi-ricci/q-parallel-along-xi", "P2")
-        if bad is None
-        else CheckReport.failed(
-            "phi-ricci/q-parallel-along-xi", "P2", witness_at(*bad)
-        )
-    )
-
-    nabla_s_xi = conn.nabla_tensor(ricci_tensor, s.xi)
-    bad = nabla_s_xi.first_nonzero()
-    reports.append(
-        CheckReport.passed("phi-ricci/s-parallel-along-xi", "P3")
-        if bad is None
-        else CheckReport.failed(
-            "phi-ricci/s-parallel-along-xi", "P3", witness_at(*bad)
-        )
-    )
-    return reports

@@ -168,15 +168,13 @@ def test_lie_derivative_matches_connection_formula(frame, x):
     conn = koszul_connection(frame)
     g = frame.metric_tensor()
     flow = lie_derivative(x, g)
-    vector = Tensor(frame, 1, 0, frame.to_frame(x))
+    nx = conn.nabla(Tensor(frame, 1, 0, frame.to_frame(x)))  # [i, m]: nabla_i X
     d = frame.dim
     for i in range(d):
         for j in range(d):
-            ni = conn.nabla_tensor_dir(vector, i).components
-            nj = conn.nabla_tensor_dir(vector, j).components
             expected = frame.chart.zero()
             for m in range(d):
-                expected = expected + ni[m] * g[m, j] + g[i, m] * nj[m]
+                expected = expected + nx[i * d + m] * g[m, j] + g[i, m] * nx[j * d + m]
             assert (flow[i, j] - expected).is_zero()
 
 

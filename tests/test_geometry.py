@@ -18,7 +18,6 @@ from parakenmotsu.geometry import (
     VectorField,
     bracket,
     contract,
-    differential,
     exterior_derivative,
     mat_det,
     mat_inverse,
@@ -305,6 +304,11 @@ def test_tensor_apply_is_multilinear_over_functions():
     left = tensor_apply(g, (x.scale(f), y))
     right = f * tensor_apply(g, (x, y))
     assert (left - right).is_zero()
+
+
+def differential(f, frame):
+    """df as a (0,1) tensor on the frame: df(E_i) = E_i(f)."""
+    return Tensor(frame, 0, 1, [e(f) for e in frame.members])
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,8 @@ from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
-from parakenmotsu.scalar import parse_scalar
+from parakenmotsu import soliton
+from parakenmotsu.scalar import ScalarExpr, parse_scalar
 from parakenmotsu.suite import Products
 from parakenmotsu.soliton import (
     ConditionKind,
@@ -322,6 +323,15 @@ def test_phi_ricci_prefactor_is_mu_minus_one(n):
     assert result.scale == Fraction(-1)
 
 
+def test_factor_checks_reject_a_zero_factor(monkeypatch):
+    zero = ScalarExpr.zero(("mu",))
+    monkeypatch.setattr(soliton, "_ratio_against_shape", lambda values, shape: zero)
+    with pytest.raises(FactorError):
+        phi_ricci_prefactor(1)
+    with pytest.raises(FactorError):
+        symbolic_factor_check(ConditionKind.R_DOT_S, 1)
+
+
 def _row(*texts):
     """A Components vector, as contract returns it, over (x, y, mu)."""
     row = Components([parse_scalar(t, ("x", "y", "mu")) for t in texts], 1)
@@ -426,6 +436,38 @@ def test_phi_ricci_checks_pass(pipeline):
     reports = phi_ricci_symmetric_check(s, conn, S, ricci_operator(S), sol)
     assert [r.ref for r in reports] == ["P1", "P2", "P3"]
     assert all(r.status == "pass" for r in reports)
+
+
+@pytest.fixture(scope="module")
+def shifted():
+    """warped n = 2 with S' = S + z g, which is parallel along no direction."""
+    s = build_warped(2)
+    conn = koszul_connection(s.frame)
+    S = ricci(riemann(conn))
+    s_prime = S + s.metric().scale(s.chart.coordinate("z"))
+    return s, conn, S, s_prime, solve_soliton(s, S)
+
+
+def test_phi_ricci_witnesses_on_a_shifted_ricci(shifted):
+    s, conn, S, S2, sol = shifted
+    reports = phi_ricci_symmetric_check(s, conn, S2, ricci_operator(S2), sol)
+    witnesses = {r.ref: r.witness for r in reports if r.status == "fail"}
+    assert witnesses["P2"] == "[E1, E1]: -1"
+    assert witnesses["P3"] == "[E1, E1]: -1"
+
+
+def test_parallel_recovery_witnesses(shifted):
+    s, conn, S, S2, sol = shifted
+    wrong_mu = soliton_from_parallel_check(s, conn, S, SolitonSolution(4, 0, 2))
+    assert (wrong_mu.status, wrong_mu.witness) == (
+        "fail",
+        "nabla along E1 at [E1, E5]: -2",
+    )
+    wrong_ricci = soliton_from_parallel_check(s, conn, S2, sol)
+    assert (wrong_ricci.status, wrong_ricci.witness) == (
+        "fail",
+        "nabla along E5 at [E1, E1]: -2",
+    )
 
 
 def test_solved_constants_are_fractions():

@@ -31,20 +31,20 @@ def _loaded_after(statement: str) -> set[str]:
     return set(proc.stdout.split())
 
 
-def _traced_modules() -> set[str]:
-    """The modules whose functions perfbench/traced.py rebinds after import."""
+def _traced():
+    """perfbench/traced.py, which rebinds the package's functions after import."""
     path = ROOT / "perfbench" / "traced.py"
     spec = importlib.util.spec_from_file_location("traced", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
-    return {f"parakenmotsu.{module}" for module, _ in traced.SPANNED}
+    return traced
 
 
 def test_cli_import_adds_no_heavy_stdlib_modules():
     added = _loaded_after("import parakenmotsu.cli") - _loaded_after("pass")
     heavy = {"dataclasses", "inspect", "json"} & added
     assert not heavy, sorted(heavy)
-    missing = _traced_modules() - added
+    missing = {f"parakenmotsu.{module}" for module, _ in _traced().SPANNED} - added
     assert not missing, sorted(missing)
 
 
@@ -65,3 +65,23 @@ def test_readme_library_example_runs(monkeypatch):
     block = re.search(r"```python\n(.*?)```", library_use, re.DOTALL).group(1)
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # the benchmark's tracer looks these up by name after import
+    for module, function in _traced().SPANNED:
+        assert callable(
+            getattr(importlib.import_module(f"parakenmotsu.{module}"), function, None)
+        ), f"{module}.{function}"
+    from parakenmotsu import suite
+    from parakenmotsu.geometry import Tensor
+    from parakenmotsu.scalar import ScalarExpr
+
+    assert set(suite._RUNNERS) == {stage for stage, _, _ in suite.CATALOG}
+    assert callable(suite._selected)
+    for cls, names in (
+        (Tensor, ("build", "__getitem__")),
+        (ScalarExpr, ("normalize", "__add__", "__mul__", "diff")),
+    ):
+        for name in names:
+            assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
