@@ -158,10 +158,10 @@ def _cmd_condition(args) -> int:
         print(f"no constant soliton solution: {err}", file=sys.stderr)
         return 1
     residual = products.residual(kind)
-    report = condition_check(kind, products.s, residual, sol)
+    witness = condition_check(kind, products.s, residual, sol)
     residual_zero = residual.is_zero()
     advertised = sorted(theorem_expected(kind, products.s.n))
-    consistent = report.status == "pass"
+    consistent = witness is None
     if args.format == "json-like":
         payload = {
             "manifold": doc.name,
@@ -172,8 +172,8 @@ def _cmd_condition(args) -> int:
             "advertised": [[str(a), str(b)] for a, b in advertised],
             "consistent": consistent,
         }
-        if report.witness is not None:
-            payload["witness"] = report.witness
+        if witness is not None:
+            payload["witness"] = witness
         _write(json_bytes(payload))
     else:
         pair_text = ", ".join(f"({a}, {b})" for a, b in advertised)
@@ -184,8 +184,8 @@ def _cmd_condition(args) -> int:
             f"advertised constants: {pair_text}",
             f"consistent: {'yes' if consistent else 'no'}",
         ]
-        if report.witness is not None:
-            lines.append(f"witness: {report.witness}")
+        if witness is not None:
+            lines.append(f"witness: {witness}")
         _write(("\n".join(lines) + "\n").encode("utf-8"))
     return 0 if consistent else 1
 

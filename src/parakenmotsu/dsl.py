@@ -42,6 +42,7 @@ from parakenmotsu.scalar import (
     Token,
     parse_expr_tokens,
     read_only,
+    signed_sum,
     tokenize,
 )
 from parakenmotsu.structure import ParacontactStructure
@@ -110,8 +111,7 @@ class ManifoldDocument:
             for i, j, value in self.metric:
                 lines.append(f"metric {i} {j} {value}")
         for member, combo in self.phi:
-            value = _render_combo(combo) if combo else "0"
-            lines.append(f"phi {member} -> {value}")
+            lines.append(f"phi {member} -> {_render_combo(combo)}")
         lines.append(f"xi = {_render_combo(self.xi)}")
         if self.eta is not None:
             lines.append(f"eta = {_render_combo(self.eta)}")
@@ -131,12 +131,7 @@ def _render_combo(combo: Combo) -> str:
             parts.append(f"-{target}")
         else:
             parts.append(f"{text} {target}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return signed_sum(parts)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.geometry import Chart, Frame, Tensor, VectorField
-from parakenmotsu.scalar import ScalarExpr
+from parakenmotsu.scalar import ScalarExpr, signed_sum
 from parakenmotsu.structure import ParacontactStructure
 
 
@@ -142,12 +142,7 @@ def render_member_combo(comps: list[ScalarExpr]) -> str:
             parts.append(f"-E{k + 1}")
         else:
             parts.append(f"({text})*E{k + 1}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return signed_sum(parts)
 
 
 def reference_conflict_notes(

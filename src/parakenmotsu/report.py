@@ -23,31 +23,11 @@ class CheckReport:
         self.ref = ref
         self.witness = witness
 
-    @staticmethod
-    def passed(name: str, ref: str) -> "CheckReport":
-        return CheckReport(name, "pass", ref)
-
-    @staticmethod
-    def failed(name: str, ref: str, witness: str) -> "CheckReport":
-        return CheckReport(name, "fail", ref, witness)
-
-    @staticmethod
-    def skipped(name: str, ref: str) -> "CheckReport":
-        return CheckReport(name, "skipped", ref)
-
 
 def witness_at(idx: tuple[int, ...], expr) -> str:
     """Witness text locating a residual at a frame-index tuple."""
     place = ", ".join(f"E{i + 1}" for i in idx)
     return f"[{place}]: {expr}"
-
-
-def report_from_failures(name: str, ref: str, failures: list) -> CheckReport:
-    """Pass unless failures is nonempty; first failure becomes the witness."""
-    if failures:
-        idx, expr = failures[0]
-        return CheckReport.failed(name, ref, witness_at(idx, expr))
-    return CheckReport.passed(name, ref)
 
 
 class SolitonSummary:

@@ -458,7 +458,7 @@ class ScalarExpr:
 
     # -- rendering -------------------------------------------------------
 
-    def _render_term(self, t: Term, lead: bool) -> str:
+    def _render_term(self, t: Term) -> str:
         factors: list[str] = []
         for i, k in t.monomial:
             factors.append(self.symbols[i] if k == 1 else f"{self.symbols[i]}^{k}")
@@ -468,17 +468,23 @@ class ScalarExpr:
         if not factors or mag != 1:
             factors.insert(0, str(mag))
         body = "*".join(factors)
-        if lead:
-            return body if t.coeff > 0 else f"-{body}"
-        return f" + {body}" if t.coeff > 0 else f" - {body}"
+        return body if t.coeff > 0 else f"-{body}"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return "".join(self._render_term(t, i == 0) for i, t in enumerate(self.terms))
+        return signed_sum([self._render_term(t) for t in self.terms])
 
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"
+
+
+def signed_sum(parts: Sequence[str]) -> str:
+    """Rendered summands joined as "a + b - c"; a part "-x" is subtracted."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def _symbol_index(name: str, symbols: tuple[str, ...]) -> int:

@@ -35,7 +35,7 @@ from parakenmotsu.geometry import (
     contract,
     tensor_apply,
 )
-from parakenmotsu.report import CheckReport, witness_at
+from parakenmotsu.report import witness_at
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.structure import ParacontactStructure, vanishing_check
 
@@ -273,7 +273,7 @@ def condition_check(
     s: ParacontactStructure,
     residual: Tensor,
     sol: SolitonSolution,
-) -> CheckReport:
+) -> str | None:
     """Consistency of the kind's residual with the advertised solution set.
 
     The source paper proves one direction for every kind: if the residual
@@ -291,10 +291,8 @@ def condition_check(
     Einstein S: R(xi, X).S = 0.  For S.R, W2.S and S.W2 an advertised
     pair need not make the residual vanish; a para-Kenmotsu Einstein
     structure of non-constant curvature has a nonzero S.W2 residual at
-    (2n - 1, 1).
+    (2n - 1, 1).  Returns None when consistent, else the problem found.
     """
-    name = f"condition/{kind.value}"
-    ref = f"D{list(ConditionKind).index(kind) + 1}"
     vanishes = residual.is_zero()
     problem = None
     if kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
@@ -314,9 +312,7 @@ def condition_check(
             f"residual {state} but (lambda, mu) = ({sol.lam}, {sol.mu})"
             f" {'is' if expected else 'is not'} an advertised solution{detail}"
         )
-    if problem is not None:
-        return CheckReport.failed(name, ref, problem)
-    return CheckReport.passed(name, ref)
+    return problem
 
 
 # -- symbolic factor extraction --------------------------------------------
@@ -548,14 +544,13 @@ def soliton_from_parallel_check(
     conn: FrameConnection,
     ricci_tensor: Tensor,
     sol: SolitonSolution,
-) -> CheckReport:
+) -> str | None:
     """Recover lambda from the parallel deformation and cross-check.
 
     alpha := L_xi g + 2S + 2 mu (eta x eta) with the solved mu must be
     parallel, and then lambda = -alpha(xi, xi)/2 must reproduce the
-    solver's value.
+    solver's value.  Returns None when both hold, else the witness.
     """
-    name = "soliton/parallel-deformation-recovery"
     alpha = s.lie_metric() + ricci_tensor.scale(2) + s.eta_square().scale(2 * sol.mu)
     problem = _first_non_parallel(conn, alpha)
     if problem is None:
@@ -567,27 +562,19 @@ def soliton_from_parallel_check(
                 problem = f"recovered lambda {lam} differs from solved {sol.lam}"
         except NotMultiple as exc:
             problem = str(exc)
-    if problem is not None:
-        return CheckReport.failed(name, "T1", problem)
-    return CheckReport.passed(name, "T1")
+    return problem
 
 
 def mu_zero_variant_check(
     s: ParacontactStructure,
     conn: FrameConnection,
     ricci_tensor: Tensor,
-) -> CheckReport:
+) -> str | None:
     """mu = 0 deformation must NOT be parallel (no plain Ricci soliton)."""
-    name = "soliton/mu-zero-deformation-not-parallel"
     alpha = s.lie_metric() + ricci_tensor.scale(2)
     if _first_non_parallel(conn, alpha) is None:
-        return CheckReport.failed(
-            name,
-            "T2",
-            "mu = 0 deformation is parallel, so a plain Ricci soliton"
-            " would exist",
-        )
-    return CheckReport.passed(name, "T2")
+        return "mu = 0 deformation is parallel, so a plain Ricci soliton would exist"
+    return None
 
 
 def phi_ricci_symmetric_check(
@@ -596,23 +583,17 @@ def phi_ricci_symmetric_check(
     ricci_tensor: Tensor,
     q: Tensor,
     sol: SolitonSolution,
-) -> list[CheckReport]:
-    """phi^2(nabla Q), and parallelism of Q = ricci_operator(S) and S along xi."""
+) -> list[str | None]:
+    """Witnesses of P1-P3: phi^2(nabla Q), and Q and S parallel along xi."""
     operands = dict(s.operands(), nq=conn.nabla(q), ns=conn.nabla(ricci_tensor))
     # phi^2((nabla_{E_i} Q)E_j) = (1 - mu) eta(E_j) [E_i - eta(E_i) xi]
     return [
         vanishing_check(
-            "phi-ricci/phi-square-of-nabla-q",
-            "P1",
             "phi[ab] phi[bm] nq[imj] - c eta[j] delta[ai] + c eta[j] eta[i] xi[a]"
             " -> ija",
             dict(operands, c=1 - sol.mu),
             labels="aij",
         ),
-        vanishing_check(
-            "phi-ricci/q-parallel-along-xi", "P2", "xi[i] nq[iab] -> ab", operands
-        ),
-        vanishing_check(
-            "phi-ricci/s-parallel-along-xi", "P3", "xi[i] ns[iab] -> ab", operands
-        ),
+        vanishing_check("xi[i] nq[iab] -> ab", operands),
+        vanishing_check("xi[i] ns[iab] -> ab", operands),
     ]

@@ -4,10 +4,11 @@ A structure packages the frame together with the endomorphism phi (a
 (1,1) tensor in frame components), the distinguished unit vector field
 xi, and its metric-dual one-form eta (a (0,1) tensor).  All checks
 below are exact: a check passes only when the residual normalizes to the
-zero element of the scalar ring, and a failing check carries the first
-nonzero residual as a printable witness instead of aborting the run.
-Most checks are one `geometry.contract` spec whose every component must
-vanish.
+zero element of the scalar ring.  A check function returns None when its
+check holds and otherwise a printable witness, such as the first nonzero
+residual, instead of aborting the run; `suite.CATALOG` names and tags the
+checks.  Most checks are one `geometry.contract` spec whose every
+component must vanish.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from parakenmotsu.geometry import (
     exterior_derivative,
     mat_rank,
 )
-from parakenmotsu.report import CheckReport, report_from_failures
+from parakenmotsu.report import witness_at
 
 
 class ParacontactStructure:
@@ -79,12 +80,13 @@ class ParacontactStructure:
 
 
 def vanishing_check(
-    name: str, ref: str, spec: str, operands: dict, labels: str | None = None
-) -> CheckReport:
-    """Pass when every component of the contraction `spec` vanishes.
+    spec: str, operands: dict, labels: str | None = None
+) -> str | None:
+    """None when every component of the contraction `spec` vanishes.
 
-    The witness is the first nonzero component in the order of the output
-    letters; its index is spelled in the order of `labels` when given.
+    Otherwise the witness is the first nonzero component in the order of
+    the output letters; its index is spelled in the order of `labels` when
+    given.
     """
     value = contract(spec, **operands)
     out = spec.partition("->")[2].strip()
@@ -92,37 +94,33 @@ def vanishing_check(
         nonzero = value.nonzero()
     else:
         nonzero = () if value.is_zero() else (((), value),)
-    order = [out.index(l) for l in labels or out]
-    failures = [(tuple(idx[p] for p in order), c) for idx, c in nonzero]
-    return report_from_failures(name, ref, failures)
+    if not nonzero:
+        return None
+    idx, c = nonzero[0]
+    return witness_at(tuple(idx[out.index(l)] for l in labels or out), c)
 
 
+# A1-A8, in catalog order
 _AXIOMS = (
-    ("axioms/eta-xi-pairing", "A1", "eta[m] xi[m] - 1 ->"),
-    ("axioms/phi-annihilates-xi", "A2", "phi[am] xi[m] -> a"),
-    ("axioms/eta-annihilates-phi", "A3", "eta[a] phi[ai] -> i"),
-    ("axioms/phi-square", "A4", "phi[am] phi[mi] - delta[ai] + xi[a] eta[i] -> ai"),
-    (
-        "axioms/metric-phi-compatibility",
-        "A5",
-        "phi[mi] g[ml] phi[lj] + g[ij] - eta[i] eta[j] -> ij",
-    ),
-    ("axioms/phi-skew-adjoint", "A6", "phi[mi] g[mj] + g[im] phi[mj] -> ij"),
-    ("axioms/eta-is-metric-dual", "A7", "eta[i] - g[im] xi[m] -> i"),
-    ("axioms/unit-xi", "A8", "xi[i] g[ij] xi[j] - 1 ->"),
+    "eta[m] xi[m] - 1 ->",
+    "phi[am] xi[m] -> a",
+    "eta[a] phi[ai] -> i",
+    "phi[am] phi[mi] - delta[ai] + xi[a] eta[i] -> ai",
+    "phi[mi] g[ml] phi[lj] + g[ij] - eta[i] eta[j] -> ij",
+    "phi[mi] g[mj] + g[im] phi[mj] -> ij",
+    "eta[i] - g[im] xi[m] -> i",
+    "xi[i] g[ij] xi[j] - 1 ->",
 )
 
 
-def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
-    """The defining axioms, each as its own named check; never aborts early."""
+def check_axioms(s: ParacontactStructure) -> list[str | None]:
+    """Witnesses of the defining axioms A1-A10; never aborts early."""
     frame = s.frame
     d = s.dim
     chart = s.chart
     phi = s.phi
     operands = s.operands()
-    reports = [
-        vanishing_check(name, ref, spec, operands) for name, ref, spec in _AXIOMS
-    ]
+    witnesses = [vanishing_check(spec, operands) for spec in _AXIOMS]
 
     try:
         signs = frame.gram_signs()
@@ -132,11 +130,7 @@ def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
         msg = f"signature ({plus}, {minus}), expected ({s.n + 1}, {s.n})"
     except ValenceError as err:
         ok, msg = False, str(err)
-    reports.append(
-        CheckReport.passed("axioms/signature", "A9")
-        if ok
-        else CheckReport.failed("axioms/signature", "A9", msg)
-    )
+    witnesses.append(None if ok else msg)
 
     horizontal = [i for i in range(d) if s.eta[i].is_zero()]
     ok = len(horizontal) == 2 * s.n
@@ -158,33 +152,45 @@ def check_axioms(s: ParacontactStructure) -> list[CheckReport]:
             f"eigendistribution ranks ({r_minus}, {r_plus}),"
             f" expected ({s.n}, {s.n})"
         )
-    reports.append(
-        CheckReport.passed("axioms/eigendistribution-ranks", "A10")
-        if ok
-        else CheckReport.failed("axioms/eigendistribution-ranks", "A10", msg)
-    )
-    return reports
+    witnesses.append(None if ok else msg)
+    return witnesses
 
 
-def check_para_kenmotsu(
-    s: ParacontactStructure, conn: FrameConnection
-) -> CheckReport:
+def check_para_kenmotsu(s: ParacontactStructure, conn: FrameConnection) -> str | None:
     """Defining condition: (nabla_X phi)Y = g(phi X, Y) xi - eta(Y) phi X."""
     return vanishing_check(
-        "para-kenmotsu/covariant-phi",
-        "K1",
         "nphi[iaj] - phi[mi] g[mj] xi[a] + eta[j] phi[ai] -> ija",
         dict(s.operands(), nphi=conn.nabla(s.phi)),
         labels="aij",
     )
 
 
+# I1-I14 as (spec, labels), in catalog order
+_IDENTITIES = (
+    # nabla_X xi = X - eta(X) xi
+    ("nxi[ia] - delta[ai] + eta[i] xi[a] -> ia", "ai"),
+    ("eta[a] nxi[ia] -> i", None),
+    ("xi[i] nxi[ia] -> a", None),
+    ("R[aijk] xi[k] - eta[i] delta[aj] + eta[j] delta[ai] -> aij", None),
+    ("eta[a] R[aijk] + eta[i] g[jk] - eta[j] g[ik] -> ijk", None),
+    ("eta[a] R[aijk] xi[k] -> ij", None),
+    ("neta[ij] - g[ij] + eta[i] eta[j] -> ij", None),
+    ("xi[i] neta[ij] -> j", None),
+    ("lie_phi[ai] -> ai", None),
+    ("lie_eta[i] -> i", None),
+    ("lie_ee[ij] -> ij", None),
+    ("lie_g[ij] - 2 g[ij] + 2 eta[i] eta[j] -> ij", None),
+    ("d_eta[ij] -> ij", None),
+    ("nij[aij] -> aij", None),
+)
+
+
 def kenmotsu_identity_suite(
     s: ParacontactStructure,
     conn: FrameConnection,
     riem: Tensor | None = None,
-) -> list[CheckReport]:
-    """The fourteen structural identities satisfied by the defining condition."""
+) -> list[str | None]:
+    """Witnesses of the fourteen identities the defining condition implies."""
     frame = s.frame
     if riem is None:
         riem = riemann(conn, verify=False)
@@ -198,49 +204,4 @@ def kenmotsu_identity_suite(
     ops["lie_g"] = s.lie_metric()
     ops["d_eta"] = exterior_derivative(s.eta)
     ops["nij"] = nijenhuis(s.phi)
-    checks = (
-        # nabla_X xi = X - eta(X) xi
-        (
-            "xi-covariant-derivative",
-            "I1",
-            "nxi[ia] - delta[ai] + eta[i] xi[a] -> ia",
-            "ai",
-        ),
-        ("eta-of-nabla-xi", "I2", "eta[a] nxi[ia] -> i", None),
-        ("xi-parallel-along-xi", "I3", "xi[i] nxi[ia] -> a", None),
-        (
-            "curvature-on-xi",
-            "I4",
-            "R[aijk] xi[k] - eta[i] delta[aj] + eta[j] delta[ai] -> aij",
-            None,
-        ),
-        (
-            "eta-of-curvature",
-            "I5",
-            "eta[a] R[aijk] + eta[i] g[jk] - eta[j] g[ik] -> ijk",
-            None,
-        ),
-        ("eta-of-curvature-on-xi", "I6", "eta[a] R[aijk] xi[k] -> ij", None),
-        (
-            "eta-covariant-derivative",
-            "I7",
-            "neta[ij] - g[ij] + eta[i] eta[j] -> ij",
-            None,
-        ),
-        ("eta-parallel-along-xi", "I8", "xi[i] neta[ij] -> j", None),
-        ("lie-phi-along-xi", "I9", "lie_phi[ai] -> ai", None),
-        ("lie-eta-along-xi", "I10", "lie_eta[i] -> i", None),
-        ("lie-eta-square-along-xi", "I11", "lie_ee[ij] -> ij", None),
-        (
-            "lie-metric-along-xi",
-            "I12",
-            "lie_g[ij] - 2 g[ij] + 2 eta[i] eta[j] -> ij",
-            None,
-        ),
-        ("eta-closed", "I13", "d_eta[ij] -> ij", None),
-        ("nijenhuis-vanishes", "I14", "nij[aij] -> aij", None),
-    )
-    return [
-        vanishing_check(f"identities/{name}", ref, spec, ops, labels)
-        for name, ref, spec, labels in checks
-    ]
+    return [vanishing_check(spec, ops, labels) for spec, labels in _IDENTITIES]

@@ -59,9 +59,10 @@ from parakenmotsu.structure import (
     vanishing_check,
 )
 
-# (stage, check name, catalog tag), in report order.  The skip path
-# synthesizes reports from this table, so it must list every check each
-# stage can emit, in the order the stage emits them.
+# (stage, check name, catalog tag), in report order: the only place that
+# names or tags a check.  The runner of a stage returns one entry per row
+# of its stage, in this order: None when the check holds, its witness text
+# when it fails, or _SKIPPED when the runner did not run it.
 CATALOG: tuple[tuple[str, str, str], ...] = (
     ("axioms", "axioms/eta-xi-pairing", "A1"),
     ("axioms", "axioms/phi-annihilates-xi", "A2"),
@@ -126,6 +127,11 @@ _STAGE_DEPS: dict[str, tuple[str, ...]] = {
 }
 
 _STAGE_ORDER = tuple(dict.fromkeys(stage for stage, _, _ in CATALOG))
+_STAGE_ROWS = {
+    stage: [name for st, name, _ in CATALOG if st == stage] for stage in _STAGE_ORDER
+}
+
+_SKIPPED = object()  # a runner's entry for a check it did not run
 
 
 class Products:
@@ -216,24 +222,25 @@ def run_suite(
     p = Products(structure, sel)
     needed = _needed_stages(sel, structure.dim)
     stage_passed: dict[str, bool] = {}
-    computed: dict[str, CheckReport] = {}
+    entries: dict[str, object] = {}  # check name -> entry, for stages that ran
     for stage in _STAGE_ORDER:
         if stage in needed and all(
             stage_passed.get(dep, False) for dep in _STAGE_DEPS[stage]
         ):
-            reports = _RUNNERS[stage](p)
-            computed.update((r.name, r) for r in reports)
-            stage_passed[stage] = all(r.status == "pass" for r in reports)
+            ran = _RUNNERS[stage](p)
+            entries.update(zip(_STAGE_ROWS[stage], ran, strict=True))
+            stage_passed[stage] = all(entry is None for entry in ran)
 
-    checks = tuple(
-        computed[check_name]
-        if check_name in computed and _selected(check_name, sel)
-        else CheckReport.skipped(check_name, ref)
-        for _, check_name, ref in CATALOG
-    )
+    checks = []
+    for _, check_name, ref in CATALOG:
+        entry = entries.get(check_name, _SKIPPED)
+        if entry is _SKIPPED or not _selected(check_name, sel):
+            checks.append(CheckReport(check_name, "skipped", ref))
+        else:
+            status = "pass" if entry is None else "fail"
+            checks.append(CheckReport(check_name, status, ref, entry))
 
-    constants = computed.get("soliton/constants")
-    solved = constants is not None and constants.status == "pass"
+    solved = entries.get("soliton/constants", _SKIPPED) is None
     notes: tuple[str, ...] = ()
     if stage_passed.get("curvature"):
         pair = (p.sol.lam, p.sol.mu) if solved else None
@@ -248,7 +255,7 @@ def run_suite(
         manifold=manifold_name,
         dimension=structure.dim,
         n=structure.n,
-        checks=checks,
+        checks=tuple(checks),
         notes=notes,
         soliton=soliton,
     )
@@ -257,24 +264,21 @@ def run_suite(
 # -- stage runners -----------------------------------------------------------
 
 
-def _attempt(name: str, ref: str, build, errors) -> CheckReport:
-    """Pass when build() returns; fail with the message of one of errors."""
+def _attempt(build, errors) -> str | None:
+    """None when build() returns; the message when it raises one of errors."""
     try:
         build()
-        message = None
     except errors as err:
-        message = str(err)
-    if message is None:
-        return CheckReport.passed(name, ref)
-    return CheckReport.failed(name, ref, message)
+        return str(err)
+    return None
 
 
 def _run_axioms(p):
-    return list(check_axioms(p.s))
+    return check_axioms(p.s)
 
 
 def _run_connection(p):
-    return [_attempt("connection/koszul", "C1", lambda: p.conn, ConnectionError_)]
+    return [_attempt(lambda: p.conn, ConnectionError_)]
 
 
 def _run_para_kenmotsu(p):
@@ -286,60 +290,38 @@ def _run_identities(p):
         riem = p.riem
     except CurvatureError:
         riem = None  # reported by the curvature stage; identities need no check
-    return list(kenmotsu_identity_suite(p.s, p.conn, riem))
+    return kenmotsu_identity_suite(p.s, p.conn, riem)
 
 
 def _run_curvature(p):
-    symmetries = _attempt(
-        "curvature/riemann-symmetries", "C2", lambda: p.riem, CurvatureError
-    )
-    if symmetries.status == "fail":
-        return [symmetries, CheckReport.skipped("curvature/ricci-symmetric", "C3")]
-    symmetric = _attempt(
-        "curvature/ricci-symmetric",
-        "C3",
-        lambda: p.ricci,
-        (CurvatureError, ValenceError),
-    )
-    return [symmetries, symmetric]
+    symmetries = _attempt(lambda: p.riem, CurvatureError)
+    if symmetries is not None:
+        return [symmetries, _SKIPPED]
+    return [symmetries, _attempt(lambda: p.ricci, (CurvatureError, ValenceError))]
 
 
 def _run_curvature_pk(p):
     ops = dict(p.s.operands(), S=p.ricci, Q=p.q, two_n=2 * p.s.n)
     return [
-        vanishing_check(
-            "curvature/ricci-on-xi", "C4", "S[jm] xi[m] + two_n eta[j] -> j", ops
-        ),
-        vanishing_check(
-            "curvature/q-commutes-with-phi",
-            "C5",
-            "Q[am] phi[mi] - phi[am] Q[mi] -> ai",
-            ops,
-        ),
+        vanishing_check("S[jm] xi[m] + two_n eta[j] -> j", ops),
+        vanishing_check("Q[am] phi[mi] - phi[am] Q[mi] -> ai", ops),
     ]
 
 
 def _run_soliton(p):
-    constants = _attempt(
-        "soliton/constants", "L1", lambda: p.sol, (NoConstantSolution, ValueError)
-    )
-    if constants.status == "fail":
-        return [constants, CheckReport.skipped("soliton/quasi-einstein-split", "L2")]
+    constants = _attempt(lambda: p.sol, (NoConstantSolution, ValueError))
+    if constants is not None:
+        return [constants, _SKIPPED]
 
     s, sol = p.s, p.sol
-    witness = None
+    split = None
     try:
         a, b = quasi_einstein_decompose(p.ricci, s.metric(), s.eta)
         expected = (Fraction(-(sol.lam + 1)), Fraction(-(sol.mu - 1)))
         if (a, b) != expected:
-            witness = f"split gives ({a}, {b}), soliton implies {expected}"
+            split = f"split gives ({a}, {b}), soliton implies {expected}"
     except NotInSpan as err:
-        witness = str(err)
-    split = (
-        CheckReport.passed("soliton/quasi-einstein-split", "L2")
-        if witness is None
-        else CheckReport.failed("soliton/quasi-einstein-split", "L2", witness)
-    )
+        split = str(err)
     return [constants, split]
 
 
@@ -353,14 +335,12 @@ def _run_factors(p):
     """Only the selected extractions: each one builds its own generic tensors."""
     n = p.s.n
     builds = [
-        (kind.value, lambda kind=kind: symbolic_factor_check(kind, n))
-        for kind in ConditionKind
+        lambda kind=kind: symbolic_factor_check(kind, n) for kind in ConditionKind
     ]
-    builds.append(("phi-ricci", lambda: phi_ricci_prefactor(n)))
+    builds.append(lambda: phi_ricci_prefactor(n))
     return [
-        _attempt(f"factors/{label}", f"F{i}", build, FactorError)
-        for i, (label, build) in enumerate(builds, 1)
-        if _selected(f"factors/{label}", p.selection)
+        _attempt(build, FactorError) if _selected(check_name, p.selection) else _SKIPPED
+        for check_name, build in zip(_STAGE_ROWS["factors"], builds, strict=True)
     ]
 
 
@@ -372,7 +352,7 @@ def _run_parallel(p):
 
 
 def _run_phi_ricci(p):
-    return list(phi_ricci_symmetric_check(p.s, p.conn, p.ricci, p.q, p.sol))
+    return phi_ricci_symmetric_check(p.s, p.conn, p.ricci, p.q, p.sol)
 
 
 _RUNNERS = {

@@ -8,16 +8,15 @@ from parakenmotsu.report import (
     SuiteResult,
     emit_report,
     exit_code,
-    report_from_failures,
     witness_at,
 )
 
 
 def _result() -> SuiteResult:
     checks = (
-        CheckReport.passed("axioms/phi-square", "A1"),
-        CheckReport.failed("identities/xi-curvature", "I1", "[E1, E1]: -1"),
-        CheckReport.skipped("soliton/constants", "L1"),
+        CheckReport("axioms/phi-square", "pass", "A1"),
+        CheckReport("identities/xi-curvature", "fail", "I1", "[E1, E1]: -1"),
+        CheckReport("soliton/constants", "skipped", "L1"),
     )
     return SuiteResult(
         manifold="demo",
@@ -72,9 +71,9 @@ def test_unknown_format_rejected():
 
 
 def test_exit_code_and_any_failed():
-    ok = (CheckReport.passed("a", "A1"), CheckReport.skipped("b", "A2"))
+    ok = (CheckReport("a", "pass", "A1"), CheckReport("b", "skipped", "A2"))
     assert exit_code(ok) == 0
-    bad = ok + (CheckReport.failed("c", "A3", "w"),)
+    bad = ok + (CheckReport("c", "fail", "A3", "w"),)
     assert exit_code(bad) == 1
 
 
@@ -85,12 +84,5 @@ def test_status_validation():
 
 def test_witness_at_formats_frame_indices():
     assert witness_at((0, 2), "-1") == "[E1, E3]: -1"
-
-
-def test_report_from_failures_picks_first_witness():
-    report = report_from_failures("t", "A1", [((1, 1), "2"), ((0, 0), "3")])
-    assert report.status == "fail"
-    assert report.witness == "[E2, E2]: 2"
-    assert report_from_failures("t", "A1", []).status == "pass"
 
 

@@ -1,5 +1,9 @@
+import ast
 from pathlib import Path
 
+import pytest
+
+from parakenmotsu import suite
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_flat, build_warped
 from parakenmotsu.geometry import Tensor
@@ -8,6 +12,7 @@ from parakenmotsu.structure import ParacontactStructure
 from parakenmotsu.suite import CATALOG, run_suite, selectable_names
 
 MANIFOLDS = Path(__file__).parent.parent / "manifolds"
+SOURCES = Path(__file__).parent.parent / "src" / "parakenmotsu"
 
 
 def _broken_phi(n=1):
@@ -118,3 +123,26 @@ def test_structure_input_uses_fallback_name():
     result = run_suite(build_warped(1), selection={"connection"})
     assert result.manifold == "manifold"
     assert run_suite(build_warped(1), selection={"connection"}, name="w").manifold == "w"
+
+
+def test_runner_entries_must_match_the_catalog_rows(monkeypatch):
+    # curvature-pk has two rows (C4, C5); one entry is a miscount
+    monkeypatch.setitem(suite._RUNNERS, "curvature-pk", lambda p: [None])
+    with pytest.raises(ValueError):
+        run_suite(build_warped(1))
+
+
+def test_check_names_and_tags_are_written_only_in_the_catalog():
+    written = {name for _, name, _ in CATALOG} | {ref for _, _, ref in CATALOG}
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name == "suite.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value in written
+        }
+        assert not found, (path.name, found)
