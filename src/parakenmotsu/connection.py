@@ -5,12 +5,12 @@ The connection is stored through its frame coefficients,
     nabla_{E_i} E_j = sum_k gamma[ijk] * E_k,
 
 obtained by evaluating 2 g(nabla_X Y, Z) on frame triples and contracting
-with the inverse gram matrix; gamma is that contraction's `Components`.
-The only divisions involved are by the rational 2 and by the gram
-determinant, so everything stays inside the scalar ring.  Both defining
-invariants (zero torsion and metric compatibility) are re-checked
-symbolically after construction.  Every frame-index sum is one
-`geometry.contract` call.
+with the metric, which in a pseudo-orthonormal frame is diag(signs) and
+its own inverse; gamma is that contraction's `Components`.  The only
+division involved is by the rational 2, so everything stays inside the
+scalar ring.  Both defining invariants (zero torsion and metric
+compatibility) are re-checked symbolically after construction.  Every
+frame-index sum is one `geometry.contract` call.
 
 The covariant derivative is one derivation of the tensor algebra: along X
 it is fixed by X(f) on functions and by nabla_X E_j on the frame, and
@@ -77,12 +77,7 @@ def koszul_connection(frame: Frame) -> FrameConnection:
         g=g,
         c=frame.brackets(),
     )
-    gamma = contract(
-        "half ginv[kl] K[ijl] -> ijk",
-        half=Fraction(1, 2),
-        ginv=frame.gram_inverse(),
-        K=K,
-    )
+    gamma = contract("half g[kl] K[ijl] -> ijk", half=Fraction(1, 2), g=g, K=K)
     conn = FrameConnection(frame, gamma)
     _verify_connection(conn, g)
     return conn

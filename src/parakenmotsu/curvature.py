@@ -41,7 +41,6 @@ from parakenmotsu.geometry import (
     derivatives,
     leibniz_spec,
 )
-from parakenmotsu.scalar import ScalarExpr
 
 
 class CurvatureError(ValueError):
@@ -88,12 +87,11 @@ def _verify_riemann(riem: Tensor) -> None:
 def ricci(riem: Tensor) -> Tensor:
     """Ricci tensor S(X,Y) = sum_i eps_i g(R(E_i,X)Y, E_i), checked symmetric.
 
-    With the diagonal +1/-1 gram the metric pairing contributes the same
+    In a pseudo-orthonormal frame the metric pairing contributes the same
     sign eps_i, so the component formula collapses to sum_i R[i,i,j,k].
     """
     frame = riem.frame
     d = frame.dim
-    frame.gram_signs()
     s = Tensor.build(frame, 0, 2, contract("R[iijk] -> jk", R=riem))
     for j in range(d):
         for k in range(j + 1, d):
@@ -106,7 +104,7 @@ def ricci_operator(s: Tensor) -> Tensor:
     """(1,1) operator Q with g(QX, Y) = S(X, Y)."""
     if s.r != 0 or s.s != 2:
         raise ValenceError("ricci_operator expects a (0,2) tensor")
-    comps = contract("ginv[am] S[mb] -> ab", ginv=s.frame.gram_inverse(), S=s)
+    comps = contract("g[am] S[mb] -> ab", g=s.frame.metric_tensor(), S=s)
     return Tensor.build(s.frame, 1, 1, comps)
 
 
@@ -123,13 +121,6 @@ def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
         Q=q,
     )
     return Tensor.build(frame, 1, 3, comps)
-
-
-def scalar_curvature(q: Tensor) -> ScalarExpr:
-    """Trace of the Ricci operator."""
-    if q.r != 1 or q.s != 1:
-        raise ValenceError("scalar_curvature expects a (1,1) tensor")
-    return contract("Q[aa] ->", Q=q)
 
 
 def lie_derivative(x: VectorField, t: Tensor) -> Tensor:

@@ -23,6 +23,7 @@ to text and `to_structure` builds from them directly.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +63,11 @@ class DocumentError(ValueError):
 
 
 class ManifoldDocument:
+    """A parsed document.  `at` maps a section keyword to the (line, col) of
+    its first line, for errors found when the structure is built; equality
+    and the hash ignore it, so a document equals its emitted and reparsed
+    self."""
+
     __setattr__ = __delattr__ = read_only
 
     def __init__(
@@ -75,6 +81,7 @@ class ManifoldDocument:
         phi: tuple[tuple[str, Combo], ...],
         xi: Combo,
         eta: Combo | None,
+        at: dict[str, tuple[int, int]] | None = None,
     ):
         vars(self).update(  # the instance dict, past the read-only __setattr__
             name=name,
@@ -87,14 +94,18 @@ class ManifoldDocument:
             xi=xi,
             eta=eta,
         )
+        object.__setattr__(self, "at", at or {})
+
+    def _fields(self) -> tuple:
+        return tuple(value for key, value in vars(self).items() if key != "at")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        return hash(self._fields())
 
     @property
     def dimension(self) -> int:
@@ -501,6 +512,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
         phi=tuple(phi),
         xi=xi,
         eta=eta,
+        at=at,
     )
 
 
@@ -539,35 +551,32 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         members.append(VectorField(chart, tuple(comps)))
     rows = Components([c for m in members for c in m.components], 2)
 
-    if doc.gram is not None:
-        gram_rows = tuple(
-            tuple(chart.const(doc.gram[i]) if i == j else zero for j in range(d))
-            for i in range(d)
-        )
-    else:
+    signs = doc.gram
+    if signs is None:
         coord_metric = [[zero] * d for _ in range(d)]
         for i, j, value in doc.metric:
             coord_metric[i - 1][j - 1] = value
             coord_metric[j - 1][i - 1] = value
         coord_metric = Components([c for row in coord_metric for c in row], 2)
         flat = contract("e[ai] g[ij] e[bj] -> ab", e=rows, g=coord_metric)
-        gram_rows = tuple(flat[a * d : (a + 1) * d] for a in range(d))
-        for i in range(d):
-            for j in range(d):
-                entry = gram_rows[i][j]
-                ok = entry.is_zero() if i != j else (
-                    entry.is_constant() and entry.as_rational() ** 2 == 1
+        for (i, j), entry in zip(itertools.product(range(d), repeat=2), flat):
+            ok = entry.is_zero() if i != j else (
+                entry.is_constant() and entry.as_rational() ** 2 == 1
+            )
+            if not ok:
+                raise DocumentError(
+                    "frame is not pseudo-orthonormal for the given metric:"
+                    f" g(E{i + 1}, E{j + 1}) = {entry}",
+                    *doc.at.get("metric", ()),
                 )
-                if not ok:
-                    raise DocumentError(
-                        "frame is not pseudo-orthonormal for the given metric:"
-                        f" g(E{i + 1}, E{j + 1}) = {entry}"
-                    )
+        signs = tuple(flat[i * (d + 1)].as_rational() for i in range(d))
 
     try:
-        frame = Frame(chart, tuple(members), gram_rows)
+        frame = Frame(chart, tuple(members), signs)
     except NonInvertible as err:
-        raise DocumentError("frame members are not linearly independent") from err
+        raise DocumentError(
+            "frame members are not linearly independent", *doc.at.get("frame", ())
+        ) from err
 
     index_of = {member: k for k, (member, _) in enumerate(doc.frames)}
     phi_cols: dict[int, list[ScalarExpr]] = {}
@@ -598,7 +607,8 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
             if not (eta_frame[j] - dual[j]).is_zero():
                 raise DocumentError(
                     "eta does not equal the metric dual of xi:"
-                    f" eta(E{j + 1}) = {eta_frame[j]}, dual gives {dual[j]}"
+                    f" eta(E{j + 1}) = {eta_frame[j]}, dual gives {dual[j]}",
+                    *doc.at.get("eta", ()),
                 )
         eta = Tensor(frame, 0, 1, eta_frame)
     else:

@@ -47,15 +47,7 @@ def _structure(
     vertical[d - 1] = chart.const(-1)
     members.append(VectorField(chart, tuple(vertical)))
 
-    gram_rows = []
-    for i in range(d):
-        row = [zero] * d
-        if i == d - 1:
-            row[i] = one
-        else:
-            row[i] = one if i % 2 == 0 else chart.const(-1)
-        gram_rows.append(tuple(row))
-    frame = Frame(chart, tuple(members), tuple(gram_rows))
+    frame = Frame(chart, tuple(members), (1, -1) * n + (1,))
 
     def phi_entry(a: int, i: int) -> ScalarExpr:
         if i < 2 * n and a == i + 1 and i % 2 == 0:

@@ -2,10 +2,11 @@
 
 Vector fields carry coordinate-basis components.  Everything else (metric,
 one-forms such as eta, curvature and friends) is a `Tensor` in the
-components of a fixed frame, which for the structures handled here is
-pseudo-orthonormal: the gram matrix of the frame is a constant diagonal
-of +1/-1 entries.  Inputs given in the coordinate basis are converted
-once, by solving against the frame's invertible component matrix.
+components of a fixed frame, which is pseudo-orthonormal by construction:
+a `Frame` holds one sign, +1 or -1, per member, and the metric in its
+components is diag(signs), its own inverse.  Inputs given in the
+coordinate basis are converted once, by solving against the frame's
+invertible component matrix.
 
 Every sum over frame indices goes through one primitive, `contract`.  Its
 spec is a signed sum of products of named factors, then the output
@@ -356,45 +357,41 @@ def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
 
 
 class Frame:
-    """Ordered frame with its gram matrix g(E_i, E_j).
+    """Ordered pseudo-orthonormal frame: g(E_i, E_j) is signs[i] when i = j
+    and 0 otherwise, each sign +1 or -1.
 
     The member component matrix must be invertible over the ring, which is
-    the pointwise linear-independence check.  The gram matrix is kept as
-    given; the pseudo-orthonormal helpers below insist on a constant
-    diagonal of +1/-1 when a computation needs it.  Equality and the hash
-    ignore `_cache`, which holds values derived from the other fields: the
-    tables `contract` reads, each built as `Components` on first use.
+    the pointwise linear-independence check.  The metric diag(signs) is its
+    own inverse.  Equality and the hash ignore `_cache`, which holds values
+    derived from the other fields: the tables `contract` reads, each built
+    as `Components` on first use.
     """
 
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, chart: Chart, members: tuple[VectorField, ...], gram: Matrix):
+    def __init__(self, chart: Chart, members: tuple[VectorField, ...], signs: tuple[int, ...]):
         d = chart.dim
         if len(members) != d:
             raise ValenceError(f"expected {d} frame members, got {len(members)}")
-        if len(gram) != d or any(len(row) != d for row in gram):
-            raise ValenceError("gram matrix shape does not match the frame")
-        for i in range(d):
-            for j in range(i, d):
-                if gram[i][j] != gram[j][i]:
-                    raise ValenceError("gram matrix must be symmetric")
+        if len(signs) != d or any(q not in (1, -1) for q in signs):
+            raise ValenceError(f"frame signs {tuple(signs)} are not {d} entries of +1 or -1")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "signs", tuple(int(q) for q in signs))
         object.__setattr__(self, "_cache", {})
         self.component_inverse()  # raises NonInvertible for dependent members
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.chart, self.members, self.gram) == (
+        return (self.chart, self.members, self.signs) == (
             other.chart,
             other.members,
-            other.gram,
+            other.signs,
         )
 
     def __hash__(self):
-        return hash((self.chart, self.members, self.gram))
+        return hash((self.chart, self.members, self.signs))
 
     @property
     def dim(self) -> int:
@@ -413,26 +410,6 @@ class Frame:
             inverse = mat_inverse(self.component_matrix(), self.chart.zero())
             self._cache["cinv"] = _matrix_components(inverse)
         return self._cache["cinv"]
-
-    def gram_inverse(self) -> Components:
-        if "ginv" not in self._cache:
-            inverse = mat_inverse(self.gram, self.chart.zero())
-            self._cache["ginv"] = _matrix_components(inverse)
-        return self._cache["ginv"]
-
-    def gram_signs(self) -> tuple[Fraction, ...]:
-        """Diagonal signs; requires the constant diagonal +1/-1 gram."""
-        d = self.dim
-        signs = []
-        for i in range(d):
-            for j in range(d):
-                if i != j and not self.gram[i][j].is_zero():
-                    raise ValenceError("gram matrix is not diagonal")
-            q = self.gram[i][i].as_rational()
-            if q * q != 1:
-                raise ValenceError(f"gram diagonal entry {q} is not +1 or -1")
-            signs.append(q)
-        return tuple(signs)
 
     def unit_components(self, i: int) -> Components:
         zero, one = self.chart.zero(), self.chart.const(1)
@@ -455,9 +432,12 @@ class Frame:
         return VectorField(self.chart, contract("c[i] e[ia] -> a", c=comps, e=e))
 
     def metric_tensor(self) -> "Tensor":
-        """The gram matrix as a (0,2) tensor, cached."""
+        """The metric diag(signs) as a (0,2) tensor, cached."""
         if "g" not in self._cache:
-            self._cache["g"] = Tensor(self, 0, 2, _matrix_components(self.gram))
+            signs, const = self.signs, self.chart.const
+            self._cache["g"] = Tensor.build(
+                self, 0, 2, lambda i, j: const(signs[i] if i == j else 0)
+            )
         return self._cache["g"]
 
     def brackets(self) -> Components:

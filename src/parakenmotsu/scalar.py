@@ -17,9 +17,9 @@ Coefficients, q and those of l, are integer-first: an `int` when integral
 and a `Fraction` only when the denominator is not 1 (:func:`demote`).
 Nearly all of them are integers, and `int` arithmetic is far cheaper.
 `Fraction(k) == k`, the two hash alike and print alike, so equality,
-hashing and rendering do not depend on the representation.  Values that
-leave the ring (`as_rational`, `evaluate`) are always `Fraction`s, since
-`int / int` would give a float.
+hashing and rendering do not depend on the representation.  A value that
+leaves the ring (`as_rational`) is always a `Fraction`, since `int / int`
+would give a float.
 
 Expression text such as ``2*x^2*exp(-2*z)`` round-trips through
 :func:`parse_scalar` and ``str()``.
@@ -138,9 +138,6 @@ class LinearForm:
             object.__setattr__(self, "_dense", row)
         return row
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * point[i] for i, c in self.coeffs), Fraction(0))
-
     def render(self, symbols: Sequence[str]) -> str:
         if not self.coeffs:
             return "0"
@@ -224,38 +221,6 @@ def _mul_monomials(
     for i, k in b:
         acc[i] = acc.get(i, 0) + k
     return tuple(sorted((i, k) for i, k in acc.items() if k))
-
-
-class ExactValue:
-    """Exact result of a point substitution: sum of q_i * e^{r_i}."""
-
-    __slots__ = ("parts",)
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, parts: tuple[tuple[Fraction, Fraction], ...]):
-        object.__setattr__(self, "parts", parts)  # (exponent r, coefficient q)
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def as_rational(self) -> Fraction:
-        """The value when no genuine exponential remains (r = 0 only)."""
-        if not self.parts:
-            return Fraction(0)
-        if len(self.parts) == 1 and self.parts[0][0] == 0:
-            return self.parts[0][1]
-        raise NonInvertible("value is not rational: " + str(self))
-
-    def __str__(self) -> str:
-        if not self.parts:
-            return "0"
-        chunks = []
-        for r, q in self.parts:
-            if r == 0:
-                chunks.append(str(q))
-            else:
-                chunks.append(f"{q}*e^({r})")
-        return " + ".join(chunks)
 
 
 class ScalarExpr:
@@ -419,7 +384,7 @@ class ScalarExpr:
                 out.append(Term(t.coeff * c, t.monomial, t.exponent))
         return ScalarExpr.normalize(self.symbols, out)
 
-    # -- predicates and evaluation --------------------------------------
+    # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -438,23 +403,6 @@ class ScalarExpr:
         if self.is_constant():
             return Fraction(self.terms[0].coeff)
         raise NonInvertible(f"not a rational constant: {self}")
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> ExactValue:
-        """Substitute exact rationals for every chart symbol."""
-        values = []
-        for name in self.symbols:
-            if name not in point:
-                raise UnknownSymbol(f"point does not assign symbol {name!r}")
-            values.append(Fraction(_coefficient(point[name])))
-        acc: dict[Fraction, Fraction] = {}
-        for t in self.terms:
-            q = t.coeff
-            for i, k in t.monomial:
-                q *= values[i] ** k
-            r = t.exponent.evaluate(values)
-            acc[r] = acc.get(r, Fraction(0)) + q
-        parts = tuple(sorted((r, q) for r, q in acc.items() if q != 0))
-        return ExactValue(parts)
 
     # -- rendering -------------------------------------------------------
 

@@ -86,42 +86,36 @@ def _as_rational(expr: ScalarExpr, error, witness: str) -> Fraction:
         raise error(f"{witness}: {expr}") from exc
 
 
+def _split(t: Tensor, g: Tensor, eta: Tensor, error) -> tuple[Fraction, Fraction]:
+    """Constants (a, b) with t = a*g + b*(eta x eta) exactly; else raises `error`.
+
+    The frame is pseudo-orthonormal, so g = diag(signs) is its own inverse.
+    At the first E_p that eta annihilates, t(E_p, E_p) = a*signs[p].  At xi,
+    the metric dual of eta, t(xi, xi) = a + b when xi is a unit vector (A8).
+    The witness of a t outside the span is its first component that is not
+    rational, or else the first nonzero component of t - a*g - b*eta x eta.
+    """
+    p = next((i for i, e in enumerate(eta.components) if e.is_zero()), None)
+    if p is None:
+        raise error("no diagonal frame direction annihilated by eta")
+    a = _as_rational(t[p, p], error, f"component [E{p + 1}, E{p + 1}]") * g.frame.signs[p]
+    xi = contract("g[am] eta[m] -> a", g=g, eta=eta)
+    on_xi = contract("t[ij] xi[i] xi[j] ->", t=t, xi=xi)
+    b = _as_rational(on_xi, error, "component [xi, xi]") - a
+    residual = contract(
+        "t[ij] - a g[ij] - b eta[i] eta[j] -> ij", t=t, a=a, g=g, b=b, eta=eta
+    ).nonzero()
+    if residual:
+        raise error(witness_at(*residual[0]))
+    return a, b
+
+
 def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolution:
     """Solve L_xi g + 2S + 2 lambda g + 2 mu eta x eta = 0 exactly."""
-    frame = s.frame
-    d = frame.dim
-    g = s.metric()
-    ee = s.eta_square()
     flow = s.lie_metric() + ricci_tensor.scale(2)
-
-    pivot = next(
-        (
-            i
-            for i in range(d)
-            if s.eta[i].is_zero() and not frame.gram[i][i].is_zero()
-        ),
-        None,
-    )
-    if pivot is None:
-        raise NoConstantSolution("no diagonal frame direction annihilated by eta")
-    gram_value = _as_rational(
-        frame.gram[pivot][pivot], NoConstantSolution, "non-constant gram entry"
-    )
-    lam = -_as_rational(
-        flow[pivot, pivot], NoConstantSolution, f"component [E{pivot + 1}, E{pivot + 1}]"
-    ) / (2 * gram_value)
-
-    on_xi = tensor_apply(flow, (s.xi, s.xi))
-    mu = -_as_rational(
-        on_xi, NoConstantSolution, "component [xi, xi]"
-    ) / 2 - lam
-
-    residual = flow + g.scale(2 * lam) + ee.scale(2 * mu)
-    bad = residual.first_nonzero()
-    if bad is not None:
-        raise NoConstantSolution(witness_at(*bad))
+    a, b = _split(flow, s.metric(), s.eta, NoConstantSolution)
     try:
-        return SolitonSolution(lam, mu, s.n)
+        return SolitonSolution(-a / 2, -b / 2, s.n)
     except ValueError as exc:
         raise NoConstantSolution(str(exc)) from exc
 
@@ -130,58 +124,7 @@ def quasi_einstein_decompose(
     ricci_tensor: Tensor, g: Tensor, eta: Tensor
 ) -> tuple[Fraction, Fraction]:
     """Constants (a, b) with S = a*g + b*(eta x eta), exactly."""
-    frame = ricci_tensor.frame
-    d = frame.dim
-    eta_vals = eta.components
-
-    first = next(
-        (
-            (i, j)
-            for i in range(d)
-            for j in range(d)
-            if (eta_vals[i] * eta_vals[j]).is_zero()
-            and g[i, j].is_constant()
-            and not g[i, j].is_zero()
-        ),
-        None,
-    )
-    if first is None:
-        raise NotInSpan("no component isolates the metric coefficient")
-    i, j = first
-    a = _as_rational(
-        ricci_tensor[i, j], NotInSpan, f"component [E{i + 1}, E{j + 1}]"
-    ) / g[i, j].as_rational()
-
-    second = next(
-        (
-            (k, l)
-            for k in range(d)
-            for l in range(d)
-            if (eta_vals[k] * eta_vals[l]).is_constant()
-            and not (eta_vals[k] * eta_vals[l]).is_zero()
-            and g[k, l].is_constant()
-        ),
-        None,
-    )
-    if second is None:
-        b = Fraction(0)
-    else:
-        k, l = second
-        weight = (eta_vals[k] * eta_vals[l]).as_rational()
-        b = (
-            _as_rational(
-                ricci_tensor[k, l], NotInSpan, f"component [E{k + 1}, E{l + 1}]"
-            )
-            - a * g[k, l].as_rational()
-        ) / weight
-
-    residual = ricci_tensor - g.scale(a) - Tensor.build(
-        frame, 0, 2, lambda p, q: (eta_vals[p] * eta_vals[q]) * b
-    )
-    bad = residual.first_nonzero()
-    if bad is not None:
-        raise NotInSpan(witness_at(*bad))
-    return a, b
+    return _split(ricci_tensor, g, eta, NotInSpan)
 
 
 # -- condition residuals ---------------------------------------------------
@@ -517,25 +460,9 @@ def parallel_tensor_classify(
     witness = _first_non_parallel(conn, alpha)
     if witness is not None:
         raise NotParallel(witness)
-    c = _as_rational(
-        tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
-    )
-    against_xi = contract(
-        "alpha[jm] xi[m] - c eta[j] -> j",
-        alpha=alpha,
-        xi=s.xi_components(),
-        c=c,
-        eta=s.eta,
-    )
-    for j, value in enumerate(against_xi):
-        if not value.is_zero():
-            raise NotMultiple(
-                f"alpha(E{j + 1}, xi) - eta(E{j + 1}) alpha(xi, xi) = {value}"
-            )
-    residual = alpha - s.metric().scale(c)
-    bad = residual.first_nonzero()
-    if bad is not None:
-        raise NotMultiple(witness_at(*bad))
+    c, b = _split(alpha, s.metric(), s.eta, NotMultiple)
+    if b != 0:
+        raise NotMultiple(f"alpha = {c} g + {b} eta x eta")
     return c
 
 

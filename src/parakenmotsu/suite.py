@@ -33,7 +33,7 @@ from parakenmotsu.curvature import (
 )
 from parakenmotsu.dsl import ManifoldDocument
 from parakenmotsu.fixtures import reference_conflict_notes
-from parakenmotsu.geometry import Tensor, ValenceError
+from parakenmotsu.geometry import Tensor
 from parakenmotsu.report import CheckReport, SolitonSummary, SuiteResult
 from parakenmotsu.soliton import (
     ConditionKind,
@@ -297,7 +297,7 @@ def _run_curvature(p):
     symmetries = _attempt(lambda: p.riem, CurvatureError)
     if symmetries is not None:
         return [symmetries, _SKIPPED]
-    return [symmetries, _attempt(lambda: p.ricci, (CurvatureError, ValenceError))]
+    return [symmetries, _attempt(lambda: p.ricci, CurvatureError)]
 
 
 def _run_curvature_pk(p):

@@ -36,6 +36,14 @@ def is_zero(expr) -> bool:
     return canon(expr) == 0
 
 
+def diagonal_gram(signs):
+    """The gram matrix diag(signs) of a pseudo-orthonormal frame."""
+    return [
+        [sp.Integer(q if i == j else 0) for j in range(len(signs))]
+        for i, q in enumerate(signs)
+    ]
+
+
 def _matrices(coords, members, gram):
     symbols = [sp.Symbol(c) for c in coords]
     d = len(coords)

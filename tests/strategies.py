@@ -79,11 +79,7 @@ def frames3():
             (below[1], below[2], diag[2]),
         ]
         members = tuple(VectorField(CHART3, row) for row in rows)
-        gram = tuple(
-            tuple(CHART3.const(signs[i] if i == j else 0) for j in range(3))
-            for i in range(3)
-        )
-        return Frame(CHART3, members, gram)
+        return Frame(CHART3, members, signs)
 
     return st.builds(
         build,

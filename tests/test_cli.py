@@ -133,6 +133,9 @@ def test_parse_errors_carry_positions(tmp_path):
         "long_fraction_sum.pk": "error: 4:7923:",
         "many_terms.pk": "error: 5:228:",
         "many_segments.pk": "error: 6:247:",
+        "dependent_frame.pk": "error: 3:1:",
+        "not_orthonormal.pk": "error: 6:1:",
+        "eta_mismatch.pk": "error: 11:1:",
     }
     assert len(positioned) >= 5
     for name, prefix in positioned.items():

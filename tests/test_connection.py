@@ -47,17 +47,11 @@ def test_connection_golden_table(warped3):
 
 
 def _oracle_inputs(frame):
-    import sympy as sp
-
     coords = frame.chart.coords
     members = [
         [oracle.to_sympy(c, coords) for c in m.components] for m in frame.members
     ]
-    gram = [
-        [sp.Rational(frame.gram[i][j].as_rational()) for j in range(frame.dim)]
-        for i in range(frame.dim)
-    ]
-    return coords, members, gram
+    return coords, members, oracle.diagonal_gram(frame.signs)
 
 
 def test_connection_matches_oracle_on_warped3(warped3):

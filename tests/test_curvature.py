@@ -13,11 +13,10 @@ from parakenmotsu.curvature import (
     ricci,
     ricci_operator,
     riemann,
-    scalar_curvature,
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, ValenceError, tensor_apply
+from parakenmotsu.geometry import Tensor, ValenceError, contract, tensor_apply
 from parakenmotsu.scalar import parse_scalar
 
 
@@ -75,7 +74,7 @@ def test_ricci_operator_and_scalar(warped):
         for b in range(d):
             expected = s.frame.chart.const(-2 * n if a == b else 0)
             assert q[a, b] == expected
-    assert scalar_curvature(q) == s.frame.chart.const(-2 * n * (2 * n + 1))
+    assert contract("Q[aa] ->", Q=q) == s.frame.chart.const(-2 * n * (2 * n + 1))
 
 
 def test_w2_tensor_vanishes_on_fixture(warped):
@@ -91,7 +90,7 @@ def test_ricci_matches_oracle_on_warped3():
     members = [
         [oracle.to_sympy(c, coords) for c in m.components] for m in s.frame.members
     ]
-    gram = [[int(s.frame.gram[i][j].as_rational()) for j in range(3)] for i in range(3)]
+    gram = oracle.diagonal_gram(s.frame.signs)
     expected = oracle.frame_ricci(coords, members, gram)
     for a in range(3):
         for b in range(3):
@@ -106,7 +105,7 @@ def test_riemann_matches_oracle_on_warped3():
     members = [
         [oracle.to_sympy(c, coords) for c in m.components] for m in s.frame.members
     ]
-    gram = [[int(s.frame.gram[i][j].as_rational()) for j in range(3)] for i in range(3)]
+    gram = oracle.diagonal_gram(s.frame.signs)
     expected = oracle.frame_riemann(coords, members, gram)
     for i in range(3):
         for j in range(3):
@@ -124,13 +123,7 @@ def test_ricci_matches_oracle_on_random_frames(frame):
     members = [
         [oracle.to_sympy(c, coords) for c in m.components] for m in frame.members
     ]
-    gram = [
-        [frame.gram[i][j].as_rational() for j in range(3)] for i in range(3)
-    ]
-    import sympy as sp
-
-    gram = [[sp.Rational(q) for q in row] for row in gram]
-    expected = oracle.frame_ricci(coords, members, gram)
+    expected = oracle.frame_ricci(coords, members, oracle.diagonal_gram(frame.signs))
     for a in range(3):
         for b in range(3):
             got = oracle.to_sympy(S[a, b], coords)

@@ -21,9 +21,9 @@ def test_shipped_documents_round_trip(stem):
     assert doc.name == stem
     assert doc.dimension == 2 * doc.n + 1
     built, rebuilt = doc.to_structure(), parse_manifold(doc.emit()).to_structure()
-    assert (built.frame.members, built.frame.gram, built.phi.components) == (
+    assert (built.frame.members, built.frame.signs, built.phi.components) == (
         rebuilt.frame.members,
-        rebuilt.frame.gram,
+        rebuilt.frame.signs,
         rebuilt.phi.components,
     )
 
@@ -72,7 +72,7 @@ xi = E3
 def test_metric_mode_computes_gram_diagonal():
     doc = load_manifold(MANIFOLDS / "example_r3.pk")
     s = doc.to_structure()
-    assert [str(s.frame.gram[i][i]) for i in range(3)] == ["1", "-1", "1"]
+    assert s.frame.signs == (1, -1, 1)
 
 
 def test_eta_defaults_to_metric_dual_of_xi():
@@ -143,12 +143,12 @@ def test_malformed_documents_report_positions(name):
 
 
 STRUCTURE_ERRORS = {
-    "dependent_frame.pk": "frame members are not linearly independent",
+    "dependent_frame.pk": "3:1: frame members are not linearly independent",
     "eta_mismatch.pk": (
-        "eta does not equal the metric dual of xi: eta(E3) = -1, dual gives 1"
+        "11:1: eta does not equal the metric dual of xi: eta(E3) = -1, dual gives 1"
     ),
     "not_orthonormal.pk": (
-        "frame is not pseudo-orthonormal for the given metric: g(E1, E1) = 2"
+        "6:1: frame is not pseudo-orthonormal for the given metric: g(E1, E1) = 2"
     ),
 }
 

@@ -244,21 +244,18 @@ def test_frame_expansion_round_trip(frame, x):
 
 @settings(max_examples=100, deadline=None)
 @given(frames3())
-def test_gram_signs_match_declared_diagonal(frame):
-    signs = frame.gram_signs()
-    assert all(s * s == 1 for s in signs)
-    assert signs == tuple(frame.gram[i][i].as_rational() for i in range(3))
+def test_metric_is_the_diagonal_of_signs_and_its_own_inverse(frame):
+    g = frame.metric_tensor()
+    for i, j in itertools.product(range(3), repeat=2):
+        assert g[i, j] == CHART3.const(frame.signs[i] if i == j else 0)
+    assert contract("g[ij] g[jk] - delta[ik] -> ik", g=g).nonzero() == ()
 
 
 def test_metric_vv_agrees_with_gram_on_members():
     e1 = vf("exp(z)", "0", "0")
     e2 = vf("0", "exp(z)", "0")
     e3 = vf("0", "0", "-1")
-    gram = tuple(
-        tuple(CHART3.const(q if i == j else 0) for j, q in enumerate(row))
-        for i, row in enumerate(((1, 1, 1), (1, -1, 1), (1, 1, 1)))
-    )
-    g = Frame(CHART3, (e1, e2, e3), gram).metric_tensor()
+    g = Frame(CHART3, (e1, e2, e3), (1, -1, 1)).metric_tensor()
     assert tensor_apply(g, (e1, e1)) == sc("1")
     assert tensor_apply(g, (e2, e2)) == sc("-1")
     assert tensor_apply(g, (e1, e2)).is_zero()
@@ -267,14 +264,11 @@ def test_metric_vv_agrees_with_gram_on_members():
     assert tensor_apply(g, (e1.scale(sc("x")), e1)) == sc("x")
 
 
-def test_frame_rejects_asymmetric_gram():
+def test_frame_rejects_signs_that_are_not_one_unit_per_member():
     members = _coordinate_frame().members
-    gram = tuple(
-        tuple(sc("1") if i == j or (i, j) == (0, 1) else sc("0") for j in range(3))
-        for i in range(3)
-    )
-    with pytest.raises(ValenceError, match="symmetric"):
-        Frame(CHART3, members, gram)
+    for signs in ((1, 2, 1), (1, 0, -1), (1, -1), (1, -1, 1, 1)):
+        with pytest.raises(ValenceError, match="entries of \\+1 or -1"):
+            Frame(CHART3, members, signs)
 
 
 def test_tensor_first_nonzero_reports_index_and_value():
@@ -288,11 +282,7 @@ def test_tensor_first_nonzero_reports_index_and_value():
 
 def _coordinate_frame():
     members = (vf("1", "0", "0"), vf("0", "1", "0"), vf("0", "0", "1"))
-    gram = tuple(
-        tuple(CHART3.const((1, -1, 1)[i] if i == j else 0) for j in range(3))
-        for i in range(3)
-    )
-    return Frame(CHART3, members, gram)
+    return Frame(CHART3, members, (1, -1, 1))
 
 
 def test_tensor_apply_is_multilinear_over_functions():

@@ -61,7 +61,7 @@ def test_rotated_frame_on_permuted_coordinates_keeps_verdicts():
     plain = _warped2_document(False, dict(zip(COORDS, COORDS)))
     s, built = build_warped(2), plain.to_structure()
     assert built.frame.members == s.frame.members
-    assert built.frame.gram == s.frame.gram
+    assert built.frame.signs == s.frame.signs
     assert built.phi.components == s.phi.components
     base = _verdicts(plain)
     assert all(status == "pass" for _, status in base[0])

@@ -9,7 +9,7 @@ import oracle
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
-from parakenmotsu.fixtures import build_warped
+from parakenmotsu.fixtures import build_flat, build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu import soliton
 from parakenmotsu.scalar import ScalarExpr, parse_scalar
@@ -18,6 +18,7 @@ from parakenmotsu.soliton import (
     ConditionKind,
     FactorError,
     NoConstantSolution,
+    NotInSpan,
     NotMultiple,
     NotParallel,
     SolitonSolution,
@@ -106,6 +107,27 @@ def test_quasi_einstein_split_detects_eta_component(pipeline):
     assert b == Fraction(5, 2)
 
 
+def test_quasi_einstein_split_witnesses(pipeline):
+    n, s, conn, riem, S = pipeline
+    d, x = s.dim, s.chart.coordinate("x1" if n > 1 else "x")
+
+    def witness(t, eta=s.eta):
+        with pytest.raises(NotInSpan) as info:
+            quasi_einstein_decompose(t, s.metric(), eta)
+        return str(info.value)
+
+    def bump(at, value):
+        zero = s.chart.zero()
+        return S + Tensor.build(s.frame, 0, 2, lambda *idx: value if idx in at else zero)
+
+    # the pivot E1, then xi = E_d, then the first nonzero residual component
+    assert witness(bump({(0, 0)}, x)) == f"component [E1, E1]: {-2 * n} + {x}"
+    assert witness(bump({(d - 1, d - 1)}, x)) == f"component [xi, xi]: {-2 * n} + {x}"
+    assert witness(bump({(0, 1), (1, 0)}, s.chart.const(1))) == "[E1, E2]: 1"
+    nowhere_zero = Tensor(s.frame, 0, 1, [s.chart.const(1)] * d)
+    assert witness(S, nowhere_zero) == "no diagonal frame direction annihilated by eta"
+
+
 # -- the four curvature conditions --------------------------------------------
 
 
@@ -181,7 +203,7 @@ _NONZERO_RESIDUALS = {"ricciflat5": (0, 288, 0, 256), "nonein5": (8, 112, 8, 112
 
 
 @pytest.mark.parametrize("stem", list(_NONZERO_RESIDUALS))
-def test_condition_residuals_match_oracle_on_einstein_structure_of_non_constant_curvature(
+def test_condition_residuals_match_oracle_on_para_kenmotsu_documents_of_non_constant_curvature(
     stem,
 ):
     # every residual the suite reads, against the oracle's own R, S and W2
@@ -191,7 +213,7 @@ def test_condition_residuals_match_oracle_on_einstein_structure_of_non_constant_
     s, d = p.s, p.s.dim
     coords = s.chart.coords
     members = [[oracle.to_sympy(c, coords) for c in m.components] for m in s.frame.members]
-    gram = [[int(s.frame.gram[i][j].as_rational()) for j in range(d)] for i in range(d)]
+    gram = oracle.diagonal_gram(s.frame.signs)
     R = oracle.frame_riemann(coords, members, gram)
     S = oracle.frame_ricci(coords, members, gram)
     xi = [oracle.to_sympy(c, coords) for c in s.xi_components()]
@@ -223,7 +245,7 @@ def test_condition_residuals_match_oracle_on_generic_structure(n):
         [oracle.to_sympy(c, chart.coords) for c in m.components]
         for m in s.frame.members
     ]
-    gram = [[int(s.frame.gram[i][j].as_rational()) for j in range(d)] for i in range(d)]
+    gram = oracle.diagonal_gram(s.frame.signs)
     R = oracle.frame_riemann(chart.coords, members, gram)
     S = [
         [oracle.to_sympy(ricci_sym[i, j], chart.symbols) for j in range(d)]
@@ -399,6 +421,16 @@ def test_parallel_classify_witness_dim3():
     with pytest.raises(NotParallel) as info:
         parallel_tensor_classify(s.eta_square(), conn, s)
     assert str(info.value) == "nabla along E1 at [E1, E3]: 1"
+
+
+def test_parallel_classify_rejects_a_parallel_tensor_off_the_metric_line():
+    # the flat fixture's frame members have constant coordinate components,
+    # so its connection vanishes and g + eta x eta is parallel
+    s = build_flat(1)
+    conn = koszul_connection(s.frame)
+    with pytest.raises(NotMultiple) as info:
+        parallel_tensor_classify(s.metric() + s.eta_square(), conn, s)
+    assert str(info.value) == "alpha = 1 g + 1 eta x eta"
 
 
 def test_parallel_classify_valence_and_symmetry_errors():

@@ -130,11 +130,9 @@ def test_signature_axiom_counts_signs():
     a9 = AXIOM_REFS.index("A9")
     assert check_axioms(s)[a9] is None
     # flipping one horizontal sign breaks the (n+1, n) count
-    rows = [list(row) for row in s.frame.gram]
-    rows[0][0] = s.frame.chart.const(-1)
     from parakenmotsu.geometry import Frame
 
-    flipped_frame = Frame(s.frame.chart, s.frame.members, tuple(map(tuple, rows)))
+    flipped_frame = Frame(s.frame.chart, s.frame.members, (-1,) + s.frame.signs[1:])
     flipped = ParacontactStructure(flipped_frame, s.phi, s.xi, s.eta, s.n)
     assert check_axioms(flipped)[a9] == "signature (2, 3), expected (3, 2)"
 
