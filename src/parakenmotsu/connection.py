@@ -24,7 +24,6 @@ of [X, E_j].
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from parakenmotsu.geometry import (
@@ -49,8 +48,7 @@ class FrameConnection:
 
     def coefficient(self, i: int, j: int, k: int) -> ScalarExpr:
         """Coefficient of E_k in nabla_{E_i} E_j."""
-        d = self.frame.dim
-        return self.gamma[(i * d + j) * d + k]
+        return self.gamma[i, j, k]
 
     def nabla(self, t: Tensor) -> Components:
         """Components of nabla T, the direction index first."""
@@ -85,17 +83,13 @@ def koszul_connection(frame: Frame) -> FrameConnection:
 
 def _verify_connection(conn: FrameConnection, g: Tensor) -> None:
     frame = conn.frame
-    index = list(itertools.product(range(frame.dim), repeat=3))
     torsion = contract(
         "gam[ijk] - gam[jik] - c[ijk] -> ijk", gam=conn.gamma, c=frame.brackets()
-    )
-    for (i, j, k), value in zip(index, torsion):
-        if not value.is_zero():
-            raise ConnectionError_(
-                f"torsion does not vanish at ({i},{j},{k}): {value}"
-            )
-    for (i, j, k), value in zip(index, conn.nabla(g)):
-        if not value.is_zero():
-            raise ConnectionError_(
-                f"metric compatibility fails at ({i},{j},{k}): {value}"
-            )
+    ).nonzero()
+    if torsion:
+        (i, j, k), value = torsion[0]
+        raise ConnectionError_(f"torsion does not vanish at ({i},{j},{k}): {value}")
+    nonmetric = conn.nabla(g).nonzero()
+    if nonmetric:
+        (i, j, k), value = nonmetric[0]
+        raise ConnectionError_(f"metric compatibility fails at ({i},{j},{k}): {value}")

@@ -27,7 +27,6 @@ one-form (a (0,1) tensor) included, takes the same Leibniz expansion.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from parakenmotsu.connection import FrameConnection
@@ -65,22 +64,22 @@ def riemann(conn: FrameConnection, verify: bool = True) -> Tensor:
 
 def _verify_riemann(riem: Tensor) -> None:
     frame = riem.frame
-    index = list(itertools.product(range(frame.dim), repeat=4))
-    antisymmetry = contract("R[aijk] + R[ajik] -> aijk", R=riem)
-    bianchi = contract("R[aijk] + R[ajki] + R[akij] -> aijk", R=riem)
-    for (a, i, j, k), anti, cyc in zip(index, antisymmetry, bianchi):
-        if j < i:
-            continue
-        if not anti.is_zero():
-            raise CurvatureError(f"curvature not antisymmetric at ({a},{i},{j},{k})")
-        if not cyc.is_zero():
-            raise CurvatureError(f"first Bianchi identity fails at ({a},{i},{j},{k})")
+    anti = contract("R[aijk] + R[ajik] -> aijk", R=riem).nonzero()
+    cyc = contract("R[aijk] + R[ajki] + R[akij] -> aijk", R=riem).nonzero()
+    # the first failure at an (a, i, j, k) with i <= j in row-major order,
+    # the antisymmetry first at one index
+    failures = [(at, 0) for at, _ in anti] + [(at, 1) for at, _ in cyc]
+    failures = [(at, order) for at, order in failures if at[1] <= at[2]]
+    if failures:
+        (a, i, j, k), order = min(failures)
+        text = ("curvature not antisymmetric", "first Bianchi identity fails")[order]
+        raise CurvatureError(f"{text} at ({a},{i},{j},{k})")
 
     # g(R(E_i,E_j)E_k, E_l) - g(R(E_k,E_l)E_i, E_j)
     g = frame.metric_tensor()
     pairs = contract("g[la] R[aijk] - g[ja] R[akli] -> ijkl", g=g, R=riem)
-    for (i, j, k, l), value in zip(index, pairs):
-        if j > i and l > k and not value.is_zero():
+    for (i, j, k, l), _ in pairs.nonzero():
+        if j > i and l > k:
             raise CurvatureError(f"pair symmetry fails at ({i},{j},{k},{l})")
 
 
@@ -127,10 +126,8 @@ def lie_derivative(x: VectorField, t: Tensor) -> Tensor:
     """L_X of a tensor: the derivation with L_X E_j = [X, E_j]."""
     if not isinstance(t, Tensor):
         raise ValenceError("lie_derivative takes a Tensor")
-    dt = Components([c if c.is_zero() else x(c) for c in t.components], t.rank)
-    comps = contract(
-        leibniz_spec(t.r, t.s), dt=dt, c=_bracket_table(t.frame, x), t=t
-    )
+    dt, c = t.components.map(x), _bracket_table(t.frame, x)
+    comps = contract(leibniz_spec(t.r, t.s), dt=dt, c=c, t=t)
     return Tensor.build(t.frame, t.r, t.s, comps)
 
 

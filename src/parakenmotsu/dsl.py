@@ -549,7 +549,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
             index = doc.coords.index(target[3:])
             comps[index] = comps[index] + coeff
         members.append(VectorField(chart, tuple(comps)))
-    rows = Components([c for m in members for c in m.components], 2)
+    rows = Components([c for m in members for c in m.components], 2, d)
 
     signs = doc.gram
     if signs is None:
@@ -557,9 +557,10 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         for i, j, value in doc.metric:
             coord_metric[i - 1][j - 1] = value
             coord_metric[j - 1][i - 1] = value
-        coord_metric = Components([c for row in coord_metric for c in row], 2)
+        coord_metric = Components([c for row in coord_metric for c in row], 2, d)
         flat = contract("e[ai] g[ij] e[bj] -> ab", e=rows, g=coord_metric)
-        for (i, j), entry in zip(itertools.product(range(d), repeat=2), flat):
+        for i, j in itertools.product(range(d), repeat=2):
+            entry = flat[i, j]
             ok = entry.is_zero() if i != j else (
                 entry.is_constant() and entry.as_rational() ** 2 == 1
             )
@@ -569,7 +570,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
                     f" g(E{i + 1}, E{j + 1}) = {entry}",
                     *doc.at.get("metric", ()),
                 )
-        signs = tuple(flat[i * (d + 1)].as_rational() for i in range(d))
+        signs = tuple(flat[i, i].as_rational() for i in range(d))
 
     try:
         frame = Frame(chart, tuple(members), signs)
@@ -602,7 +603,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         for coeff, target in doc.eta:
             index = doc.coords.index(target[1:])
             coord_eta[index] = coord_eta[index] + coeff
-        eta_frame = contract("e[ji] w[i] -> j", e=rows, w=Components(coord_eta, 1))
+        eta_frame = contract("e[ji] w[i] -> j", e=rows, w=Components(coord_eta, 1, d))
         for j in range(d):
             if not (eta_frame[j] - dual[j]).is_zero():
                 raise DocumentError(

@@ -26,14 +26,13 @@ indices:
 - A letter that is not an output index is summed over `range(d)`; a
   letter repeated inside one factor takes its diagonal.  Every term must
   carry every output index.
-- Only nonzero operand components are visited.  A `Components` finds its
-  nonzero components at most once and keeps them, or is handed them by
-  `contract`; a `Tensor` is read through its `Components`.  Within one
-  call each operand is grouped once per pattern of already bound letters,
-  and the join starts from the sparsest factor.  All product terms of an
+- Only nonzero operand components are visited: a `Components` stores
+  only those, in row-major order, and is the one place that knows that
+  layout; a `Tensor` is read through its `Components`.  Within one call
+  each operand is grouped once per pattern of already bound letters, and
+  the join starts from the sparsest factor.  All product terms of an
   output component are collected first and normalized once.
-- The result is a `Components` in row-major order over the output
-  letters, which already knows its nonzero (index, component) pairs, or
+- The result is a `Components` built from the nonzero pairs found, or
   one `ScalarExpr` when there are no output letters.
 """
 
@@ -58,51 +57,75 @@ Matrix = tuple[tuple[ScalarExpr, ...], ...]
 Nonzero = tuple[tuple[tuple[int, ...], ScalarExpr], ...]
 
 
-def _nonzero_entries(components: Sequence[ScalarExpr], d: int, rank: int) -> Nonzero:
-    """(index, component) of every nonzero component, in row-major order."""
-    idx = itertools.product(range(d), repeat=rank)
-    return tuple((i, c) for i, c in zip(idx, components) if c.terms)
+class Components:
+    """Frame components over `rank` indices, each in range(dim): the
+    operand shape of `contract`.
 
-
-def _unflatten(at: int, d: int, rank: int) -> tuple[int, ...]:
-    """The index of row-major position `at` over `rank` indices in range(d)."""
-    idx = [0] * rank
-    for p in range(rank - 1, -1, -1):
-        at, idx[p] = divmod(at, d)
-    return tuple(idx)
-
-
-class Components(tuple):
-    """Components in row-major order over `rank` frame indices, each in
-    range(dim), the operand shape of `contract`.
-
-    The nonzero (index, component) pairs are found at most once (see
-    `nonzero`), or handed over by `contract`, which finds them as it
-    builds its result.  A rank-0 value is one component and has no dim.
+    Only the nonzero (index, component) pairs are stored, in row-major
+    order; every other entry is `zero`, which carries the chart symbols.
+    `Components(values, rank, dim)` scans a dense row-major sequence once;
+    `Components.from_nonzero` takes the pairs when they are known, as in
+    `contract`.  `len()` and iteration are those of the dense sequence.  A
+    rank-0 value is one component.
     """
 
+    __slots__ = ("dim", "rank", "zero", "_pairs", "_at")
     __setattr__ = __delattr__ = read_only
 
-    def __new__(cls, components, rank: int, nonzero: Nonzero | None = None):
-        self = super().__new__(cls, components)
-        dim = round(len(self) ** (1 / rank)) if rank else None
-        if len(self) != (dim**rank if rank else 1):
-            raise ValenceError(f"{len(self)} components do not fit {rank} indices")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_nonzero", nonzero)
+    def __init__(self, values: Sequence[ScalarExpr], rank: int, dim: int):
+        if len(values) != dim**rank:
+            raise ValenceError(f"{len(values)} components do not fit {rank} indices")
+        idx = itertools.product(range(dim), repeat=rank)
+        pairs = [(i, c) for i, c in zip(idx, values) if c.terms]
+        self._fill(dim, rank, ScalarExpr.zero(values[0].symbols), pairs)
+
+    @classmethod
+    def from_nonzero(cls, pairs, rank: int, dim: int, zero: ScalarExpr) -> "Components":
+        """From the nonzero (index, component) pairs, in row-major order."""
+        self = object.__new__(cls)
+        self._fill(dim, rank, zero, pairs)
         return self
+
+    def _fill(self, dim, rank, zero, pairs) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "_pairs", tuple(pairs))
+        object.__setattr__(self, "_at", dict(self._pairs))
 
     def nonzero(self) -> Nonzero:
         """(index, component) of each nonzero component, in row-major order."""
-        if self._nonzero is None:
-            view = _nonzero_entries(self, self.dim, self.rank)
-            object.__setattr__(self, "_nonzero", view)
-        return self._nonzero
+        return self._pairs
+
+    def __getitem__(self, idx) -> ScalarExpr:
+        if isinstance(idx, int):
+            idx = (idx,)
+        value = self._at.get(idx)
+        if value is not None:
+            return value
+        if len(idx) != self.rank:
+            raise ValenceError(f"expected {self.rank} indices, got {len(idx)}")
+        for i in idx:
+            if not 0 <= i < self.dim:
+                raise ValenceError(f"frame index {i} outside range({self.dim})")
+        return self.zero
+
+    def map(self, f: Callable[[ScalarExpr], ScalarExpr]) -> "Components":
+        """f of every nonzero entry, dropping the entries where it is zero."""
+        pairs = [(i, v) for i, c in self._pairs if (v := f(c)).terms]
+        return Components.from_nonzero(pairs, self.rank, self.dim, self.zero)
+
+    def __len__(self) -> int:
+        return self.dim**self.rank
+
+    def __iter__(self):
+        at, zero = self._at, self.zero
+        for i in itertools.product(range(self.dim), repeat=self.rank):
+            yield at.get(i, zero)
 
 
 def _matrix_components(m: Matrix) -> Components:
-    return Components([entry for row in m for entry in row], 2)
+    return Components([entry for row in m for entry in row], 2, len(m))
 
 
 class Chart:
@@ -271,13 +294,13 @@ def _charpoly(a: Matrix, zero: ScalarExpr) -> list[ScalarExpr]:
     poly = [ScalarExpr.const(1, zero.symbols), -a[0][0]]
     for k in range(1, len(a)):
         lead = _matrix_components([r[:k] for r in a[:k]])
-        row, v = Components(a[k][:k], 1), Components([r[k] for r in a[:k]], 1)
+        row, v = Components(a[k][:k], 1, k), Components([r[k] for r in a[:k]], 1, k)
         column = poly[:1] + [-a[k][k]]
         for power in range(k):
             v = contract("a[ij] v[j] -> i", a=lead, v=v) if power else v
             column.append(-contract("r[i] v[i] ->", r=row, v=v))
         t = [[column[i - j] if i >= j else zero for j in range(k + 2)] for i in range(k + 2)]
-        p = Components(poly + [zero], 1)
+        p = Components(poly + [zero], 1, k + 2)
         poly = list(contract("t[ij] p[j] -> i", t=_matrix_components(t), p=p))
     return poly
 
@@ -315,11 +338,10 @@ def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
     out = [[zero] * len(m) for _ in m]
     for rows, cols, block, poly in blocks:
         k, u, a = len(rows), -poly[-1].invert(), _matrix_components(block)
-        inv = [u if i == j else zero for i, j in itertools.product(range(k), repeat=2)]
-        inv = Components(inv, 2)
+        inv = Components.from_nonzero((((i, i), u) for i in range(k)), 2, k, zero)
         for c in poly[1:k]:  # Horner, with every coefficient scaled by u
             inv = contract("a[ij] b[jl] + u c delta[il] -> il", a=a, b=inv, u=u, c=c)
-        for (t, s), value in zip(itertools.product(range(k), repeat=2), inv):
+        for (t, s), value in inv.nonzero():
             out[cols[t]][rows[s]] = value
     return tuple(map(tuple, out))
 
@@ -397,39 +419,29 @@ class Frame:
     def dim(self) -> int:
         return self.chart.dim
 
-    def component_matrix(self) -> Matrix:
-        """Columns are the coordinate components of the members."""
-        d = self.dim
-        return tuple(
-            tuple(self.members[j].components[a] for j in range(d)) for a in range(d)
-        )
-
     def component_inverse(self) -> Components:
         """inv[ia]: the frame component i of d/d(coords[a])."""
         if "cinv" not in self._cache:
-            inverse = mat_inverse(self.component_matrix(), self.chart.zero())
+            columns = tuple(zip(*(e.components for e in self.members)))
+            inverse = mat_inverse(columns, self.chart.zero())
             self._cache["cinv"] = _matrix_components(inverse)
         return self._cache["cinv"]
-
-    def unit_components(self, i: int) -> Components:
-        zero, one = self.chart.zero(), self.chart.const(1)
-        comps = [one if j == i else zero for j in range(self.dim)]
-        return Components(comps, 1, (((i,), one),))
 
     def to_frame(self, x: VectorField) -> Components:
         """Frame components of X, solving sum(c_i E_i) = X."""
         for i, member in enumerate(self.members):
             if x is member:
-                return self.unit_components(i)
-        x_comps = Components(x.components, 1)
+                one = ((i,), self.chart.const(1))
+                return Components.from_nonzero((one,), 1, self.dim, self.chart.zero())
+        x_comps = Components(x.components, 1, self.dim)
         return contract("inv[ia] x[a] -> i", inv=self.component_inverse(), x=x_comps)
 
     def from_frame(self, comps: Components) -> VectorField:
         if "members" not in self._cache:
             rows = [c for e in self.members for c in e.components]
-            self._cache["members"] = Components(rows, 2)
+            self._cache["members"] = Components(rows, 2, self.dim)
         e = self._cache["members"]
-        return VectorField(self.chart, contract("c[i] e[ia] -> a", c=comps, e=e))
+        return VectorField(self.chart, tuple(contract("c[i] e[ia] -> a", c=comps, e=e)))
 
     def metric_tensor(self) -> "Tensor":
         """The metric diag(signs) as a (0,2) tensor, cached."""
@@ -447,16 +459,22 @@ class Frame:
             for i in range(d):
                 for j in range(i, d):
                     table[i, j] = self.to_frame(bracket(members[i], members[j]))
-                    table[j, i] = [-c for c in table[i, j]]
-            flat = [c for key in sorted(table) for c in table[key]]
-            self._cache["brackets"] = Components(flat, 3)
+                    table[j, i] = table[i, j].map(ScalarExpr.__neg__)
+            pairs = [(ij + k, c) for ij in sorted(table) for k, c in table[ij].nonzero()]
+            zero = self.chart.zero()
+            self._cache["brackets"] = Components.from_nonzero(pairs, 3, d, zero)
         return self._cache["brackets"]
 
 
 def derivatives(fields: Sequence[VectorField], comps: Components) -> Components:
     """X(c) for every field X and component c, the field index first."""
-    values = [c if c.is_zero() else x(c) for x in fields for c in comps]
-    return Components(values, comps.rank + 1)
+    pairs = [
+        ((k,) + i, v)
+        for k, x in enumerate(fields)
+        for i, c in comps.nonzero()
+        if (v := x(c)).terms
+    ]
+    return Components.from_nonzero(pairs, comps.rank + 1, comps.dim, comps.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +496,10 @@ class Tensor:
     def __init__(self, frame: Frame, r: int, s: int, components: Sequence[ScalarExpr]):
         if r not in (0, 1):
             raise ValenceError("only valences (0,s) and (1,s) are supported")
-        if len(components) != frame.dim ** (r + s):
+        if not isinstance(components, Components):
+            components = Components(components, r + s, frame.dim)
+        if (components.rank, components.dim) != (r + s, frame.dim):
             raise ValenceError("component count does not match valence")
-        if not isinstance(components, Components) or components.rank != r + s:
-            components = Components(components, r + s)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
@@ -492,17 +510,7 @@ class Tensor:
         return self.r + self.s
 
     def __getitem__(self, idx) -> ScalarExpr:
-        if isinstance(idx, int):
-            idx = (idx,)
-        if len(idx) != self.rank:
-            raise ValenceError(f"expected {self.rank} indices, got {len(idx)}")
-        d = self.frame.dim
-        flat = 0
-        for i in idx:
-            if not 0 <= i < d:
-                raise ValenceError(f"frame index {i} outside range({d})")
-            flat = flat * d + i
-        return self.components[flat]
+        return self.components[idx]
 
     @staticmethod
     def build(
@@ -518,30 +526,28 @@ class Tensor:
         return Tensor(frame, r, s, entry)
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._match(other)
-        return Tensor(
-            self.frame,
-            self.r,
-            self.s,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
+        return self._merge(other, other.nonzero())
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        self._match(other)
-        return Tensor(
-            self.frame,
-            self.r,
-            self.s,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
+        return self._merge(other, (-other).nonzero())
 
     def __neg__(self) -> "Tensor":
-        return Tensor(self.frame, self.r, self.s, tuple(-a for a in self.components))
+        return Tensor(self.frame, self.r, self.s, self.components.map(ScalarExpr.__neg__))
 
     def scale(self, factor) -> "Tensor":
-        return Tensor(
-            self.frame, self.r, self.s, tuple(a * factor for a in self.components)
-        )
+        comps = self.components.map(lambda c: c * factor)
+        return Tensor(self.frame, self.r, self.s, comps)
+
+    def _merge(self, other: "Tensor", pairs: Nonzero) -> "Tensor":
+        """This tensor plus the nonzero `pairs` of `other`, entry by entry."""
+        self._match(other)
+        total = dict(self.nonzero())
+        for i, c in pairs:
+            total[i] = total[i] + c if i in total else c
+        pairs = [(i, total[i]) for i in sorted(total) if total[i].terms]
+        zero = self.components.zero
+        comps = Components.from_nonzero(pairs, self.rank, self.frame.dim, zero)
+        return Tensor(self.frame, self.r, self.s, comps)
 
     def _match(self, other: "Tensor") -> None:
         if self.frame is not other.frame or (self.r, self.s) != (other.r, other.s):
@@ -600,7 +606,7 @@ def _components(value, rank: int) -> tuple[Components, int | None]:
     if isinstance(value, Tensor):
         value, d = value.components, value.frame.dim
     elif isinstance(value, ScalarExpr):
-        value, d = Components((value,), 0, (((), value),) if value.terms else ()), None
+        value, d = Components((value,), 0, 1), None
     elif isinstance(value, Components):
         d = value.dim
     else:
@@ -626,7 +632,7 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
                 continue
             flat[name], d = _components(value, len(letters))
             dims.add(d)
-            symbols.add(flat[name][0].symbols)
+            symbols.add(flat[name].zero.symbols)
     dims.discard(None)
     if len(dims) != 1 or len(symbols) != 1:
         raise ValenceError(f"operands of {spec!r} disagree on dimension or chart")
@@ -671,7 +677,7 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
             groups[key] = table
         return groups[key]
 
-    acc: dict[int, list[Term]] = {}
+    acc: dict[tuple[int, ...], list[Term]] = {}
     for sign, factors in terms:
         coeff = sign
         parts = []
@@ -708,24 +714,19 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
         out_slots = [slot[l] for l in out]
         scale = (Term(coeff),)
         for vals, product in rows:
-            at = 0
-            for s in out_slots:
-                at = at * d + vals[s]
-            acc.setdefault(at, []).extend(
+            acc.setdefault(tuple([vals[s] for s in out_slots]), []).extend(
                 product if coeff == 1 else mul_terms(scale, product)
             )
 
     zero = ScalarExpr.zero(syms)
     if not out:
-        return ScalarExpr.normalize(syms, acc[0]) if acc else zero
-    comps = [zero] * d ** len(out)
+        return ScalarExpr.normalize(syms, acc[()]) if acc else zero
     found = []
-    for at in sorted(acc):
-        value = ScalarExpr.normalize(syms, acc[at])
+    for idx in sorted(acc):
+        value = ScalarExpr.normalize(syms, acc[idx])
         if value.terms:
-            comps[at] = value
-            found.append((_unflatten(at, d, len(out)), value))
-    return Components(comps, len(out), tuple(found))
+            found.append((idx, value))
+    return Components.from_nonzero(found, len(out), d, zero)
 
 
 # ---------------------------------------------------------------------------

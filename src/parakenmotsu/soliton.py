@@ -91,15 +91,19 @@ def _split(t: Tensor, g: Tensor, eta: Tensor, error) -> tuple[Fraction, Fraction
 
     The frame is pseudo-orthonormal, so g = diag(signs) is its own inverse.
     At the first E_p that eta annihilates, t(E_p, E_p) = a*signs[p].  At xi,
-    the metric dual of eta, t(xi, xi) = a + b when xi is a unit vector (A8).
-    The witness of a t outside the span is its first component that is not
-    rational, or else the first nonzero component of t - a*g - b*eta x eta.
+    the metric dual of eta, t(xi, xi) = a + b, since xi is checked to be a
+    unit vector (A8) first.  The witness of a t outside the span is its
+    first component that is not rational, or else the first nonzero
+    component of t - a*g - b*eta x eta.
     """
-    p = next((i for i, e in enumerate(eta.components) if e.is_zero()), None)
+    p = next((i for i in range(g.frame.dim) if eta[i].is_zero()), None)
     if p is None:
         raise error("no diagonal frame direction annihilated by eta")
-    a = _as_rational(t[p, p], error, f"component [E{p + 1}, E{p + 1}]") * g.frame.signs[p]
     xi = contract("g[am] eta[m] -> a", g=g, eta=eta)
+    norm = contract("eta[i] xi[i] ->", eta=eta, xi=xi)
+    if not (norm - 1).is_zero():
+        raise error(f"xi is not a unit vector: g(xi, xi) = {norm}")
+    a = _as_rational(t[p, p], error, f"component [E{p + 1}, E{p + 1}]") * g.frame.signs[p]
     on_xi = contract("t[ij] xi[i] xi[j] ->", t=t, xi=xi)
     b = _as_rational(on_xi, error, "component [xi, xi]") - a
     residual = contract(

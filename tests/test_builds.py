@@ -12,7 +12,6 @@ from pathlib import Path
 from parakenmotsu import cli, connection, curvature, dsl, geometry, soliton, structure, suite
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor
 
 ROOT = Path(__file__).parent.parent
 MODULES = (cli, connection, curvature, soliton, structure, suite)
@@ -96,8 +95,7 @@ def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, ca
         curvature,
         "lie_derivative",
         counts,
-        lambda x, t: isinstance(t, Tensor)
-        and t.components == t.frame.metric_tensor().components,
+        lambda x, t: t is t.frame.metric_tensor(),
     )
     doc = str(ROOT / "manifolds" / "example_r5.pk")
     assert cli.main(["check", doc]) == 0
@@ -105,49 +103,46 @@ def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, ca
     assert counts["lie_derivative"] == 1
 
 
-def _flat(value) -> list:
-    """An operand's components as one flat list, however it is nested."""
-    value = getattr(value, "components", value)  # a Tensor's table
-    if not isinstance(value, (list, tuple)):
-        return [value]
-    return [c for row in value for c in _flat(row)]
-
-
-def test_full_check_scans_no_tensor_for_nonzeros_twice(monkeypatch):
-    # every table handed to contract finds its nonzero components at most
-    # once, counted per operand object (a Tensor's per its components), not
-    # per list contract may flatten it into; a contraction hands its result
-    # the nonzero components it found
+def test_full_check_builds_no_dense_components_in_contractions_or_derivatives(
+    monkeypatch,
+):
+    # a Components scans a dense sequence only where a table enters the
+    # tensor algebra; contract, nabla, lie_derivative and derivatives pass
+    # nonzero pairs along and never build one from a dense sequence
     soliton._generic.cache_clear()
     soliton._generic_w2.cache_clear()
-    active, kept, counts = [], [], Counter()
-    scan, contract = geometry._nonzero_entries, geometry.contract
+    inside, entered, dense = [], Counter(), Counter()
+    dense_init = geometry.Components.__init__
 
-    def counted_contract(spec, **operands):
-        active.append(list(operands.values()))
-        kept.append(operands)  # keeps every id in use until the end
-        try:
-            return contract(spec, **operands)
-        finally:
-            active.pop()
+    def counted_init(self, values, rank, dim):
+        if inside:
+            dense[inside[-1]] += 1
+        dense_init(self, values, rank, dim)
 
-    def counted_scan(components, d, rank):
-        owner = components
-        if active:
-            ops = active[-1]
-            same = [o for o in ops if getattr(o, "components", o) is components]
-            equal = [o for o in ops if _flat(o) == list(components)]
-            owner = (same or equal or [components])[0]
-            owner = getattr(owner, "components", owner)
-        kept.append(owner)
-        counts[id(owner)] += 1
-        return scan(components, d, rank)
+    def tracked(name, fn):
+        def wrapped(*args, **kwargs):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
 
-    for mod in (geometry, dsl) + MODULES:
-        if getattr(mod, "contract", None) is contract:
-            monkeypatch.setattr(mod, "contract", counted_contract)
-    monkeypatch.setattr(geometry, "_nonzero_entries", counted_scan)
-    warped = suite.run_suite(build_warped(3))
-    rotated = suite.run_suite(load_manifold(ROOT / "tests" / "data" / "rotated5.pk"))
-    assert all(c.status == "pass" for c in warped.checks + rotated.checks)
-    assert counts and max(counts.values()) == 1
+        return wrapped
+
+    monkeypatch.setattr(geometry.Components, "__init__", counted_init)
+    for name, owner in (
+        ("contract", geometry),
+        ("derivatives", geometry),
+        ("lie_derivative", curvature),
+    ):
+        original = getattr(owner, name)
+        for mod in (geometry, dsl) + MODULES:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, tracked(name, original))
+    nabla = connection.FrameConnection.nabla
+    monkeypatch.setattr(connection.FrameConnection, "nabla", tracked("nabla", nabla))
+    result = suite.run_suite(build_warped(3))
+    assert all(c.status == "pass" for c in result.checks)
+    assert set(entered) == {"contract", "derivatives", "lie_derivative", "nabla"}
+    assert not dense

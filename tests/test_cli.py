@@ -9,6 +9,7 @@ ROOT = Path(__file__).parent.parent
 MANIFOLDS = ROOT / "manifolds"
 MALFORMED = sorted((ROOT / "tests" / "data" / "malformed").glob("*.pk"))
 FLAT = ROOT / "tests" / "data" / "failing_flat3.pk"
+NONUNIT = ROOT / "tests" / "data" / "nonunit_xi3.pk"
 
 
 def run_cli(*args, timeout=None):
@@ -193,6 +194,23 @@ def test_solve_reports_inconsistent_constants():
     assert b"no constant soliton solution" in proc.stderr
 
 
+def test_solve_names_a_xi_that_is_not_a_unit_vector():
+    # xi = 2 E3: the solver names the norm, not a residual of the Ricci tensor
+    proc = run_cli("solve", NONUNIT)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"no constant soliton solution: xi is not a unit vector: g(xi, xi) = 4\n"
+    )
+
+
+def test_check_fails_unit_xi_on_a_xi_that_is_not_a_unit_vector():
+    proc = run_cli("check", NONUNIT)
+    assert proc.returncode == 1
+    out = proc.stdout.decode("utf-8")
+    assert "  FAIL  axioms/unit-xi                            [A8]  witness: []: 3" in out
+
+
 # -- condition -----------------------------------------------------------------
 
 
@@ -221,6 +239,15 @@ def test_condition_structured_output():
     assert doc["consistent"] is True
     assert doc["soliton"] == {"lambda": "1", "mu": "1"}
     assert doc["advertised"] == [["-1", "3"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("kind", ["R.S", "S.R", "W2.S", "S.W2"])
+def test_condition_names_a_xi_that_is_not_a_unit_vector(kind):
+    proc = run_cli("condition", NONUNIT, "--kind", kind)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        b"no constant soliton solution: xi is not a unit vector: g(xi, xi) = 4\n"
+    )
 
 
 def test_condition_requires_kind():

@@ -9,7 +9,7 @@ import oracle
 from strategies import CHART3, frames3, scalars, vector_fields
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, tensor_apply
+from parakenmotsu.geometry import Tensor, ValenceError, tensor_apply
 from parakenmotsu.scalar import parse_scalar
 
 
@@ -52,6 +52,23 @@ def _oracle_inputs(frame):
         [oracle.to_sympy(c, coords) for c in m.components] for m in frame.members
     ]
     return coords, members, oracle.diagonal_gram(frame.signs)
+
+
+def test_coefficient_rejects_indices_outside_the_frame(warped3):
+    # (0, 1, 3) once read gamma[0, 2, 0] = 1 through its row-major offset
+    s, conn = warped3
+    assert conn.coefficient(0, 2, 0) == sc("1")
+    for idx, message in (
+        ((0, 1, 3), "frame index 3 outside range(3)"),
+        ((3, 0, 0), "frame index 3 outside range(3)"),
+        ((0, -1, 2), "frame index -1 outside range(3)"),
+    ):
+        with pytest.raises(ValenceError) as info:
+            conn.coefficient(*idx)
+        assert str(info.value) == message
+    with pytest.raises(ValenceError) as info:
+        conn.gamma[0, 2]
+    assert str(info.value) == "expected 3 indices, got 2"
 
 
 def test_connection_matches_oracle_on_warped3(warped3):
@@ -114,8 +131,8 @@ def test_covariant_derivative_obeys_leibniz_on_vectors(warped3):
     left, ny = conn.nabla(fy), conn.nabla(y)
     for i, x in enumerate(frame.members):
         for a in range(3):
-            right = x(f) * y[a] + f * ny[3 * i + a]
-            assert (left[3 * i + a] - right).is_zero()
+            right = x(f) * y[a] + f * ny[i, a]
+            assert (left[i, a] - right).is_zero()
 
 
 def test_one_form_derivative_matches_dual_vector(warped3):

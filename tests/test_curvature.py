@@ -167,7 +167,7 @@ def test_lie_derivative_matches_connection_formula(frame, x):
         for j in range(d):
             expected = frame.chart.zero()
             for m in range(d):
-                expected = expected + nx[i * d + m] * g[m, j] + g[i, m] * nx[j * d + m]
+                expected = expected + nx[i, m] * g[m, j] + g[i, m] * nx[j, m]
             assert (flow[i, j] - expected).is_zero()
 
 

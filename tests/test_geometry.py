@@ -155,9 +155,9 @@ def _unit_triangular_product(draw, d: int, exp_monomials: bool):
             for i in range(d)
         )
 
-    lower, upper = (Components(sum(triangular(t), ()), 2) for t in (True, False))
+    lower, upper = (Components(sum(triangular(t), ()), 2, d) for t in (True, False))
     prod = contract("l[ij] u[jk] -> ik", l=lower, u=upper)
-    return tuple(prod[i * d : (i + 1) * d] for i in range(d))
+    return tuple(tuple(prod[i, j] for j in range(d)) for i in range(d))
 
 
 @st.composite
@@ -346,6 +346,82 @@ def test_tensor_getitem_rejects_indices_outside_the_frame():
             t[idx]
 
 
+# -- sparse Components ---------------------------------------------------------
+
+
+def _mostly_zero():
+    return st.one_of(st.just(CHART3.zero()), st.just(CHART3.zero()), scalars())
+
+
+def _dense_tables():
+    """(rank, values): a row-major table over range(3), zeros likely."""
+    return st.integers(0, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank), st.lists(_mostly_zero(), min_size=3**rank, max_size=3**rank)
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_tables())
+def test_components_round_trip_a_dense_table_in_row_major_order(table):
+    rank, values = table
+    c = Components(values, rank, 3)
+    idx = list(itertools.product(range(3), repeat=rank))
+    assert (c.rank, c.dim, len(c)) == (rank, 3, 3**rank)
+    assert list(c) == values
+    assert c.nonzero() == tuple((i, v) for i, v in zip(idx, values) if not v.is_zero())
+    for i, v in zip(idx, values):
+        assert c[i] == v
+        if v.is_zero():  # a lookup off the stored entries
+            assert c[i] is c.zero
+    assert c.zero == CHART3.zero()
+    if rank == 1:
+        assert [c[i] for i in range(3)] == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_tables(), scalars())
+def test_components_map_equals_dense_arithmetic(table, factor):
+    rank, values = table
+    c = Components(values, rank, 3)
+    for f in (lambda v: v * factor, lambda v: -v, lambda v: v - v):
+        mapped = c.map(f)
+        assert list(mapped) == [f(v) for v in values]
+        assert all(not v.is_zero() for _, v in mapped.nonzero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(0, 1), (0, 2), (1, 1), (1, 2)]), st.data())
+def test_tensor_sum_and_difference_equal_dense_arithmetic(valence, data):
+    r, s = valence
+    size, frame = 3 ** (r + s), _coordinate_frame()
+    a, b = (data.draw(st.lists(_mostly_zero(), min_size=size, max_size=size)) for _ in "ab")
+    ta, tb = Tensor(frame, r, s, a), Tensor(frame, r, s, b)
+    assert list((ta + tb).components) == [x + y for x, y in zip(a, b)]
+    assert list((ta - tb).components) == [x - y for x, y in zip(a, b)]
+    assert list((-ta).components) == [-x for x in a]
+    assert (ta - ta).is_zero() and list((ta - ta).components) == [CHART3.zero()] * size
+    for t in (ta + tb, ta - tb, -ta):
+        assert all(not v.is_zero() for _, v in t.nonzero())
+
+
+def test_contract_with_an_all_zero_operand_returns_zero_on_its_chart():
+    chart = Chart(("x", "y", "z"), params=("mu",))
+    zero, mu = chart.zero(), chart.coordinate("mu")
+    table = Components([zero] * 9, 2, 3)
+    vector = Components([mu, zero, mu], 1, 3)
+    assert table.nonzero() == () and table.zero == zero
+    for out in (
+        contract("a[ij] b[jk] -> ik", a=table, b=table),
+        contract("a[ij] v[j] -> i", a=table, v=vector),
+    ):
+        assert out.nonzero() == ()
+        assert out.zero == zero and all(v == zero for v in out)
+    assert contract("a[ij] a[ij] ->", a=table) == zero
+    assert contract("a[ij] v[i] v[j] ->", a=table, v=vector) == zero
+
+
 # -- the contraction primitive ------------------------------------------------
 
 
@@ -381,9 +457,9 @@ def test_contract_agrees_with_written_out_sums(a, b, v):
     tb = Tensor(frame, 0, 2, tuple(c for row in b for c in row))
     got = contract(
         "a[ij] b[jk] v[k] - 2 a[ki] v[k] delta[ij] + c b[ij] + b[kk] a[ji] -> ij",
-        a=Components(sum(a, ()), 2),
+        a=Components(sum(a, ()), 2, 3),
         b=tb,
-        v=Components(v, 1),
+        v=Components(v, 1, 3),
         c=Fraction(1, 3),
     )
     trace = sum((b[k][k] for k in range(3)), CHART3.zero())
@@ -393,7 +469,7 @@ def test_contract_agrees_with_written_out_sums(a, b, v):
             want = want - sum((a[k][i] * v[k] for k in range(3)), CHART3.zero()) * 2
         want = want + b[i][j] * Fraction(1, 3) + trace * a[j][i]
         assert value == want
-    # the sparse views, scanned or handed over by contract, equal a dense scan
+    # the stored nonzero pairs, from a dense scan or from contract, equal a dense scan
     assert tb.nonzero() == _dense_nonzero(tb.components, 2)
     assert got.nonzero() == _dense_nonzero(got, 2)
     handed = Tensor.build(frame, 0, 2, got)
@@ -413,11 +489,11 @@ def test_contract_traces_repeated_letters_and_returns_scalars():
         (sc("y"), sc("exp(z)"), sc("0")),
         (sc("0"), sc("0"), sc("-1")),
     )
-    flat = Components(sum(m, ()), 2)
+    flat = Components(sum(m, ()), 2, 3)
     assert contract("m[ii] ->", m=flat) == sc("x + exp(z) - 1")
     assert contract("m[ij] delta[ij] - 1 ->", m=flat) == sc("x + exp(z) - 2")
     transposed = tuple(m[j][i] for i in range(3) for j in range(3))
-    assert contract("m[ji] -> ij", m=flat) == transposed
+    assert tuple(contract("m[ji] -> ij", m=flat)) == transposed
 
 
 @pytest.mark.parametrize(
@@ -433,7 +509,7 @@ def test_contract_traces_repeated_letters_and_returns_scalars():
     ],
 )
 def test_contract_rejects_malformed_specs(spec):
-    m = Components((sc("x"),) * 9, 2)
+    m = Components((sc("x"),) * 9, 2, 3)
     with pytest.raises(ValueError):
         contract(spec, m=m)
 
@@ -442,7 +518,7 @@ def test_contract_rejects_operands_that_do_not_fit():
     frame = _coordinate_frame()
     with pytest.raises(ValenceError):
         contract("g[ijk] -> i", g=frame.metric_tensor())
-    three, five = Components((sc("x"),) * 3, 1), Components((sc("x"),) * 5, 1)
+    three, five = Components((sc("x"),) * 3, 1, 3), Components((sc("x"),) * 5, 1, 5)
     with pytest.raises(ValenceError):
         contract("u[i] v[i] ->", u=three, v=five)
     # a plain or nested sequence is no operand, however well it fits

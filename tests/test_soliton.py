@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,22 @@ def test_condition_r_dot_s_is_trivial_for_metric(pipeline):
     assert residual.is_zero()
 
 
+def test_s_dot_r_residual_at_n8_keeps_only_its_nonzero_components():
+    # 1,024 of the 17^5 = 1,419,857 components are nonzero; a dense table of
+    # them alone would hold 11 MB of pointers
+    p = Products(build_warped(8))
+    p.riem, p.ricci, p.s.xi_components()  # built outside the measurement
+    tracemalloc.start()
+    try:
+        residual = p.residual(ConditionKind.S_DOT_R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(residual.components) == 17**5
+    assert len(residual.nonzero()) == 1024
+    assert peak < 8 * 2**20
+
+
 def test_theorem_expected_pairs_are_frozen():
     assert theorem_expected(ConditionKind.R_DOT_S, 1) == {(1, 1)}
     assert theorem_expected(ConditionKind.S_DOT_R, 1) == {(-3, 5)}
@@ -355,7 +372,7 @@ def test_factor_checks_reject_a_zero_factor(monkeypatch):
 
 def _row(*texts):
     """A Components vector, as contract returns it, over (x, y, mu)."""
-    row = Components([parse_scalar(t, ("x", "y", "mu")) for t in texts], 1)
+    row = Components([parse_scalar(t, ("x", "y", "mu")) for t in texts], 1, len(texts))
     return contract("v[i] -> i", v=row)
 
 

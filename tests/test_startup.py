@@ -85,3 +85,12 @@ def test_every_name_the_tracer_wraps_exists():
     ):
         for name in names:
             assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
+    # its counted Tensor.build reads len() and the dense iteration of what
+    # it builds, one entry per index and the zeros included
+    from parakenmotsu.fixtures import build_warped
+
+    s = build_warped(1)
+    for t in (s.metric(), s.phi, s.eta, Tensor.build(s.frame, 1, 2, lambda *_: s.chart.zero())):
+        entries = list(t.components)
+        assert len(t.components) == len(entries) == s.dim**t.rank
+        assert sum(not c.is_zero() for c in entries) == len(t.nonzero())
