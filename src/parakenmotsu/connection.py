@@ -10,14 +10,16 @@ its own inverse; gamma is that contraction's `Components`.  The only
 division involved is by the rational 2, so everything stays inside the
 scalar ring.  Both defining invariants (zero torsion and metric
 compatibility) are re-checked symbolically after construction.  Every
-frame-index sum is one `geometry.contract` call.
+frame-index sum, the directional derivatives of components included, is
+one `geometry.contract` call.
 
 The covariant derivative is one derivation of the tensor algebra: along X
 it is fixed by X(f) on functions and by nabla_X E_j on the frame, and
 `geometry.leibniz_spec` expands it over a tensor of any valence.  Vectors,
 one-forms (valence (0,1) tensors), phi, the metric and Q all go through
-`nabla`, which differentiates along every frame member at once; the
-derivative along a field X = x^i E_i is the contraction x[i] nt[i...].
+`nabla`, which differentiates along every frame member at once
+(`geometry.derivatives`); the derivative along a vector X = x^i E_i is
+the contraction x[i] nt[i...].
 The Lie derivative in `curvature` is the same derivation with the table
 of [X, E_j].
 """
@@ -54,7 +56,7 @@ class FrameConnection:
         """Components of nabla T, the direction index first."""
         return contract(
             leibniz_spec(t.r, t.s, directed=True),
-            dt=derivatives(self.frame.members, t.components),
+            dt=derivatives(self.frame, t.components),
             c=self.gamma,
             t=t,
         )
@@ -65,15 +67,14 @@ def koszul_connection(frame: Frame) -> FrameConnection:
 
     2 g(nabla_X Y, Z) = X(g(Y,Z)) + Y(g(Z,X)) - Z(g(X,Y))
                         - g(X,[Y,Z]) + g(Y,[Z,X]) + g(Z,[X,Y])
+
+    On frame members the first three terms vanish: g = diag(signs) is
+    constant.
     """
     g = frame.metric_tensor()
     # K[i, j, l] = 2 g(nabla_{E_i} E_j, E_l)
     K = contract(
-        "dg[ijl] + dg[jli] - dg[lij] - g[im] c[jlm] + g[jm] c[lim] + g[lm] c[ijm]"
-        " -> ijl",
-        dg=derivatives(frame.members, g.components),
-        g=g,
-        c=frame.brackets(),
+        "g[lm] c[ijm] + g[jm] c[lim] - g[im] c[jlm] -> ijl", g=g, c=frame.structure_constants()
     )
     gamma = contract("half g[kl] K[ijl] -> ijk", half=Fraction(1, 2), g=g, K=K)
     conn = FrameConnection(frame, gamma)
@@ -84,7 +85,7 @@ def koszul_connection(frame: Frame) -> FrameConnection:
 def _verify_connection(conn: FrameConnection, g: Tensor) -> None:
     frame = conn.frame
     torsion = contract(
-        "gam[ijk] - gam[jik] - c[ijk] -> ijk", gam=conn.gamma, c=frame.brackets()
+        "gam[ijk] - gam[jik] - c[ijk] -> ijk", gam=conn.gamma, c=frame.structure_constants()
     ).nonzero()
     if torsion:
         (i, j, k), value = torsion[0]

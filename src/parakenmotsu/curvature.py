@@ -10,14 +10,15 @@ pseudo-orthonormal frame with signs eps_i.  This pairing is the one
 under which the warped fixtures have S = -2n g.
 
 Lie brackets never leave frame components.  With the structure constants
-[E_i, E_j] = c[ijk] E_k from `Frame.brackets()` and the frame derivatives
-E_i(f) of the components, the bracket of two frame-expanded fields is
+[E_i, E_j] = c[ijk] E_k from `Frame.structure_constants()` and the frame
+derivatives E_i(f) of the components (`geometry.derivatives`, one
+contraction with the member matrix), the bracket of two frame-expanded
+fields is
 
     [f E_i, h E_j] = f h c[ijk] E_k + f E_i(h) E_j - h E_j(f) E_i,
 
 so `nijenhuis` is a single contraction over c, the components and their
-derivatives.  The only coordinate-basis brackets are those of the frame
-members, taken once when c is built.
+derivatives.  A vector X, xi included, is given by its frame components.
 
 L_X is the same derivation of the tensor algebra as the covariant
 derivative nabla_X, with the table of [X, E_j] in place of nabla_X E_j:
@@ -35,7 +36,6 @@ from parakenmotsu.geometry import (
     Frame,
     Tensor,
     ValenceError,
-    VectorField,
     contract,
     derivatives,
     leibniz_spec,
@@ -52,9 +52,9 @@ def riemann(conn: FrameConnection, verify: bool = True) -> Tensor:
     comps = contract(
         "dgam[ijka] - dgam[jika] + gam[jkm] gam[ima] - gam[ikm] gam[jma]"
         " - c[ijm] gam[mka] -> aijk",
-        dgam=derivatives(frame.members, conn.gamma),  # [i, j, k, a] = E_i(gamma[jka])
+        dgam=derivatives(frame, conn.gamma),  # [i, j, k, a] = E_i(gamma[jka])
         gam=conn.gamma,
-        c=frame.brackets(),
+        c=frame.structure_constants(),
     )
     riem = Tensor.build(frame, 1, 3, comps)
     if verify:
@@ -122,23 +122,25 @@ def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
     return Tensor.build(frame, 1, 3, comps)
 
 
-def lie_derivative(x: VectorField, t: Tensor) -> Tensor:
-    """L_X of a tensor: the derivation with L_X E_j = [X, E_j]."""
+def lie_derivative(x: Components, t: Tensor) -> Tensor:
+    """L_X of a tensor along X = x^m E_m: the derivation with L_X E_j = [X, E_j]."""
     if not isinstance(t, Tensor):
         raise ValenceError("lie_derivative takes a Tensor")
-    dt, c = t.components.map(x), _bracket_table(t.frame, x)
-    comps = contract(leibniz_spec(t.r, t.s), dt=dt, c=c, t=t)
-    return Tensor.build(t.frame, t.r, t.s, comps)
+    frame, letters = t.frame, "abcdefgh"[: t.rank]
+    dt = contract(
+        f"x[m] d[m{letters}] -> {letters}", x=x, d=derivatives(frame, t.components)
+    )
+    comps = contract(leibniz_spec(t.r, t.s), dt=dt, c=_bracket_table(frame, x), t=t)
+    return Tensor.build(frame, t.r, t.s, comps)
 
 
-def _bracket_table(frame: Frame, x: VectorField) -> Components:
+def _bracket_table(frame: Frame, x: Components) -> Components:
     """Frame components b[i, k] of [X, E_i], from X = x^m E_m and c[m i k]."""
-    xf = frame.to_frame(x)
     return contract(
         "x[m] c[mik] - dx[ik] -> ik",
-        x=xf,
-        c=frame.brackets(),
-        dx=derivatives(frame.members, xf),  # [i, k] = E_i(x^k)
+        x=x,
+        c=frame.structure_constants(),
+        dx=derivatives(frame, x),  # [i, k] = E_i(x^k)
     )
 
 
@@ -159,7 +161,7 @@ def nijenhuis(phi: Tensor) -> Tensor:
         " - phi[am] phi[qj] c[iqm] - phi[am] dphi[imj]"
         " -> aij",
         phi=phi,
-        c=frame.brackets(),
-        dphi=derivatives(frame.members, phi.components),  # [p, a, j] = E_p(phi^a_j)
+        c=frame.structure_constants(),
+        dphi=derivatives(frame, phi.components),  # [p, a, j] = E_p(phi^a_j)
     )
     return Tensor.build(frame, 1, 2, comps)

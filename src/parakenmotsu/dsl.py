@@ -32,7 +32,6 @@ from parakenmotsu.geometry import (
     Components,
     Frame,
     Tensor,
-    VectorField,
     contract,
 )
 from parakenmotsu.scalar import (
@@ -541,24 +540,25 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         raise DocumentError(str(err)) from err
     zero = chart.zero()
     d = chart.dim
+    coord = {name: a for a, name in enumerate(doc.coords)}
+    index_of = {member: k for k, (member, _) in enumerate(doc.frames)}
 
-    members = []
-    for member, combo in doc.frames:
-        comps = [zero] * d
-        for coeff, target in combo:
-            index = doc.coords.index(target[3:])
-            comps[index] = comps[index] + coeff
-        members.append(VectorField(chart, tuple(comps)))
-    rows = Components([c for m in members for c in m.components], 2, d)
+    def summed(pairs, rank: int) -> Components:
+        return Components.summed(pairs, rank, d, zero)
+
+    members = summed(  # [k, a]: the d/d<coord a> component of member k
+        (((k, coord[target[3:]]), coeff) for k, (_, combo) in enumerate(doc.frames)
+         for coeff, target in combo),
+        2,
+    )
 
     signs = doc.gram
     if signs is None:
-        coord_metric = [[zero] * d for _ in range(d)]
+        entries = {}
         for i, j, value in doc.metric:
-            coord_metric[i - 1][j - 1] = value
-            coord_metric[j - 1][i - 1] = value
-        coord_metric = Components([c for row in coord_metric for c in row], 2, d)
-        flat = contract("e[ai] g[ij] e[bj] -> ab", e=rows, g=coord_metric)
+            entries[i - 1, j - 1] = entries[j - 1, i - 1] = value
+        coord_metric = summed(entries.items(), 2)
+        flat = contract("e[ai] g[ij] e[bj] -> ab", e=members, g=coord_metric)
         for i, j in itertools.product(range(d), repeat=2):
             entry = flat[i, j]
             ok = entry.is_zero() if i != j else (
@@ -573,37 +573,28 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         signs = tuple(flat[i, i].as_rational() for i in range(d))
 
     try:
-        frame = Frame(chart, tuple(members), signs)
+        frame = Frame(chart, members, signs)
     except NonInvertible as err:
         raise DocumentError(
             "frame members are not linearly independent", *doc.at.get("frame", ())
         ) from err
 
-    index_of = {member: k for k, (member, _) in enumerate(doc.frames)}
-    phi_cols: dict[int, list[ScalarExpr]] = {}
-    for member, combo in doc.phi:
-        col = [zero] * d
-        for coeff, target in combo:
-            col[index_of[target]] = col[index_of[target]] + coeff
-        phi_cols[index_of[member]] = col
-    phi = Tensor.build(frame, 1, 1, lambda a, i: phi_cols[i][a])
+    phi = summed(  # [a, i]: the E_a component of phi E_i
+        (((index_of[target], index_of[member]), coeff)
+         for member, combo in doc.phi for coeff, target in combo),
+        2,
+    )
 
-    xi = VectorField.zero(chart)
-    for coeff, target in doc.xi:
-        if target in index_of:
-            xi = xi + members[index_of[target]].scale(coeff)
-        else:
-            comps = [zero] * d
-            comps[doc.coords.index(target[3:])] = coeff
-            xi = xi + VectorField(chart, tuple(comps))
+    # a member target is a unit vector, a d/d<coord> target a column of the inverse
+    unit = summed((((index_of[t],), c) for c, t in doc.xi if t in index_of), 1)
+    along = summed((((coord[t[3:]],), c) for c, t in doc.xi if t not in index_of), 1)
+    inv = frame.component_inverse()
+    xi = contract("u[k] + inv[ka] v[a] -> k", u=unit, inv=inv, v=along)
 
-    dual = contract("g[jm] x[m] -> j", g=frame.metric_tensor(), x=frame.to_frame(xi))
+    dual = contract("g[jm] x[m] -> j", g=frame.metric_tensor(), x=xi)
     if doc.eta is not None:
-        coord_eta = [zero] * d
-        for coeff, target in doc.eta:
-            index = doc.coords.index(target[1:])
-            coord_eta[index] = coord_eta[index] + coeff
-        eta_frame = contract("e[ji] w[i] -> j", e=rows, w=Components(coord_eta, 1, d))
+        coord_eta = summed((((coord[t[1:]],), c) for c, t in doc.eta), 1)
+        eta_frame = contract("e[ji] w[i] -> j", e=members, w=coord_eta)
         for j in range(d):
             if not (eta_frame[j] - dual[j]).is_zero():
                 raise DocumentError(
@@ -615,4 +606,4 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
     else:
         eta = Tensor(frame, 0, 1, dual)
 
-    return ParacontactStructure(frame, phi, xi, eta, chart.n)
+    return ParacontactStructure(frame, Tensor(frame, 1, 1, phi), xi, eta, chart.n)

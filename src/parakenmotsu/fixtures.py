@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from parakenmotsu.connection import FrameConnection
-from parakenmotsu.geometry import Chart, Frame, Tensor, VectorField
+from parakenmotsu.geometry import Chart, Components, Frame, Tensor
 from parakenmotsu.scalar import ScalarExpr, signed_sum
 from parakenmotsu.structure import ParacontactStructure
 
@@ -38,16 +38,11 @@ def _structure(
 ) -> ParacontactStructure:
     d = 2 * n + 1
     zero, one = chart.zero(), chart.const(1)
-    members = []
-    for i in range(2 * n):
-        comps = [zero] * d
-        comps[i] = horizontal_scale
-        members.append(VectorField(chart, tuple(comps)))
-    vertical = [zero] * d
-    vertical[d - 1] = chart.const(-1)
-    members.append(VectorField(chart, tuple(vertical)))
-
-    frame = Frame(chart, tuple(members), (1, -1) * n + (1,))
+    diagonal = [horizontal_scale] * (2 * n) + [chart.const(-1)]
+    members = Components.from_nonzero(
+        [((i, i), c) for i, c in enumerate(diagonal)], 2, d, zero
+    )
+    frame = Frame(chart, members, (1, -1) * n + (1,))
 
     def phi_entry(a: int, i: int) -> ScalarExpr:
         if i < 2 * n and a == i + 1 and i % 2 == 0:
@@ -57,8 +52,9 @@ def _structure(
         return zero
 
     phi = Tensor.build(frame, 1, 1, phi_entry)
-    eta = Tensor(frame, 0, 1, [zero] * (d - 1) + [one])
-    return ParacontactStructure(frame, phi, members[d - 1], eta, n)
+    xi = Components.from_nonzero((((d - 1,), one),), 1, d, zero)  # E_{2n+1}
+    eta = Tensor(frame, 0, 1, xi)  # the metric dual, as signs[2n] = 1
+    return ParacontactStructure(frame, phi, xi, eta, n)
 
 
 def build_warped(n: int, params: tuple[str, ...] = ()) -> ParacontactStructure:

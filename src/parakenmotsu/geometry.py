@@ -1,19 +1,19 @@
-"""Frames, vector fields and tensors over an odd-dimensional chart.
+"""Frames and tensors over an odd-dimensional chart.
 
-Vector fields carry coordinate-basis components.  Everything else (metric,
-one-forms such as eta, curvature and friends) is a `Tensor` in the
-components of a fixed frame, which is pseudo-orthonormal by construction:
-a `Frame` holds one sign, +1 or -1, per member, and the metric in its
-components is diag(signs), its own inverse.  Inputs given in the
-coordinate basis are converted once, by solving against the frame's
-invertible component matrix.
+Every vector and tensor is held in the components of a fixed frame, which
+is pseudo-orthonormal by construction: a `Frame` holds one sign, +1 or
+-1, per member, and the metric in its components is diag(signs), its own
+inverse.  The frame's member matrix m[ka], the coordinate component a of
+E_k, is the only coordinate-basis table; its inverse gives the frame
+components of each d/dx^a.  A vector, xi included, is a rank-1
+`Components` of frame components.
 
 Every sum over frame indices goes through one primitive, `contract`.  Its
 spec is a signed sum of products of named factors, then the output
 indices:
 
     contract("S[xm] R[myzw] xi[a] - S[xy] xi[m] R[amzw] -> axyzw",
-             S=ricci, R=riem, xi=xi_components)
+             S=ricci, R=riem, xi=s.xi)
 
 - A factor is `name[letters]`, one lowercase letter per frame index, with
   the operand passed as the keyword `name`: a `Tensor` or a `Components`
@@ -21,8 +21,8 @@ indices:
   rational.  `delta[ij]` is the identity, and a bare integer such as `2`
   is a constant coefficient.  A plain or nested sequence is rejected with
   `ValenceError`: each table is built as `Components` once, where it is
-  made (the frame's metric tensor, brackets and inverses, the connection
-  coefficients, derivative tables, `to_frame` results).
+  made (the frame's member matrix, metric tensor, brackets and inverse,
+  the connection coefficients, derivative tables).
 - A letter that is not an output index is summed over `range(d)`; a
   letter repeated inside one factor takes its diagonal.  Every term must
   carry every output index.
@@ -34,6 +34,10 @@ indices:
   output component are collected first and normalized once.
 - The result is a `Components` built from the nonzero pairs found, or
   one `ScalarExpr` when there are no output letters.
+
+Directional derivatives are contractions too: `derivatives` takes the
+coordinate partials p[a...] of the nonzero components once and returns
+E_k(c) = m[ka] p[a...] along every frame member.
 """
 
 from __future__ import annotations
@@ -110,6 +114,25 @@ class Components:
                 raise ValenceError(f"frame index {i} outside range({self.dim})")
         return self.zero
 
+    @classmethod
+    def summed(cls, pairs, rank: int, dim: int, zero: ScalarExpr) -> "Components":
+        """From (index, component) pairs in any order, an index given more
+        than once holding the sum of its components."""
+        total: dict[tuple[int, ...], ScalarExpr] = {}
+        for i, c in pairs:
+            total[i] = total[i] + c if i in total else c
+        nonzero = [(i, total[i]) for i in sorted(total) if total[i].terms]
+        return cls.from_nonzero(nonzero, rank, dim, zero)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = (self.dim, self.rank, self.zero, self._pairs)
+        return key == (other.dim, other.rank, other.zero, other._pairs)
+
+    def __hash__(self):
+        return hash((self.dim, self.rank, self._pairs))
+
     def map(self, f: Callable[[ScalarExpr], ScalarExpr]) -> "Components":
         """f of every nonzero entry, dropping the entries where it is zero."""
         pairs = [(i, v) for i, c in self._pairs if (v := f(c)).terms]
@@ -132,7 +155,7 @@ class Chart:
     """Named coordinates plus optional constant parameters.
 
     The geometric dimension must be odd, 2n + 1.  Parameters behave as
-    extra scalar symbols that no vector field ever differentiates along;
+    extra scalar symbols that no directional derivative differentiates;
     they exist so that unknown constants can ride through the tensor
     algebra symbolically.
     """
@@ -180,89 +203,6 @@ class Chart:
 
     def exponential(self, coeffs: dict) -> ScalarExpr:
         return ScalarExpr.exponential(coeffs, self.symbols)
-
-
-class VectorField:
-    """Coordinate-basis vector field: sum of components[i] * d/d(coords[i])."""
-
-    __slots__ = ("chart", "components")
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, chart: Chart, components: tuple[ScalarExpr, ...]):
-        if len(components) != chart.dim:
-            raise ValenceError("component count does not match chart dimension")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components", components)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.chart, self.components) == (other.chart, other.components)
-
-    def __hash__(self):
-        return hash((self.chart, self.components))
-
-    @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, (chart.zero(),) * chart.dim)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.chart,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.chart,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-a for a in self.components))
-
-    def scale(self, factor) -> "VectorField":
-        return VectorField(self.chart, tuple(a * factor for a in self.components))
-
-    def __call__(self, f: ScalarExpr) -> ScalarExpr:
-        """Directional derivative X(f)."""
-        return ScalarExpr.normalize(self.chart.symbols, _derivative_terms(self, f))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-
-def _derivative_terms(x: VectorField, f: ScalarExpr) -> list[Term]:
-    """The product terms of X(f) = sum x^a df/dx^a, not yet normalized."""
-    out: list[Term] = []
-    if f.terms:
-        for name, comp in zip(x.chart.coords, x.components):
-            if comp.terms:
-                out.extend(mul_terms(comp.terms, f.diff(name).terms))
-    return out
-
-
-def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X, Y] in coordinate components.
-
-    In the package only `Frame.brackets()` calls it, once per pair of
-    frame members, to build the structure constants; every other bracket
-    is expanded from those in frame components.
-    """
-    chart = x.chart
-    if chart != y.chart:
-        raise ValenceError("bracket arguments live on different charts")
-    minus_y = -y
-    return VectorField(
-        chart,
-        tuple(
-            ScalarExpr.normalize(
-                chart.symbols,
-                _derivative_terms(x, yc) + _derivative_terms(minus_y, xc),
-            )
-            for xc, yc in zip(x.components, y.components)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +322,20 @@ class Frame:
     """Ordered pseudo-orthonormal frame: g(E_i, E_j) is signs[i] when i = j
     and 0 otherwise, each sign +1 or -1.
 
-    The member component matrix must be invertible over the ring, which is
-    the pointwise linear-independence check.  The metric diag(signs) is its
-    own inverse.  Equality and the hash ignore `_cache`, which holds values
-    derived from the other fields: the tables `contract` reads, each built
-    as `Components` on first use.
+    `members` is the member matrix m[ka], the coordinate component a of
+    E_k, as a rank-2 `Components`.  It must be invertible over the ring,
+    which is the pointwise linear-independence check.  The metric
+    diag(signs) is its own inverse.  Equality and the hash ignore
+    `_cache`, which holds values derived from the other fields: the tables
+    `contract` reads, each built as `Components` on first use.
     """
 
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, chart: Chart, members: tuple[VectorField, ...], signs: tuple[int, ...]):
+    def __init__(self, chart: Chart, members: Components, signs: tuple[int, ...]):
         d = chart.dim
-        if len(members) != d:
-            raise ValenceError(f"expected {d} frame members, got {len(members)}")
+        if (members.rank, members.dim) != (2, d):
+            raise ValenceError(f"expected a {d} x {d} member matrix")
         if len(signs) != d or any(q not in (1, -1) for q in signs):
             raise ValenceError(f"frame signs {tuple(signs)} are not {d} entries of +1 or -1")
         object.__setattr__(self, "chart", chart)
@@ -420,28 +361,12 @@ class Frame:
         return self.chart.dim
 
     def component_inverse(self) -> Components:
-        """inv[ia]: the frame component i of d/d(coords[a])."""
+        """inv[ka]: the frame component k of d/d(coords[a])."""
         if "cinv" not in self._cache:
-            columns = tuple(zip(*(e.components for e in self.members)))
-            inverse = mat_inverse(columns, self.chart.zero())
-            self._cache["cinv"] = _matrix_components(inverse)
+            m, d = self.members, self.dim
+            columns = tuple(tuple(m[k, a] for k in range(d)) for a in range(d))
+            self._cache["cinv"] = _matrix_components(mat_inverse(columns, self.chart.zero()))
         return self._cache["cinv"]
-
-    def to_frame(self, x: VectorField) -> Components:
-        """Frame components of X, solving sum(c_i E_i) = X."""
-        for i, member in enumerate(self.members):
-            if x is member:
-                one = ((i,), self.chart.const(1))
-                return Components.from_nonzero((one,), 1, self.dim, self.chart.zero())
-        x_comps = Components(x.components, 1, self.dim)
-        return contract("inv[ia] x[a] -> i", inv=self.component_inverse(), x=x_comps)
-
-    def from_frame(self, comps: Components) -> VectorField:
-        if "members" not in self._cache:
-            rows = [c for e in self.members for c in e.components]
-            self._cache["members"] = Components(rows, 2, self.dim)
-        e = self._cache["members"]
-        return VectorField(self.chart, tuple(contract("c[i] e[ia] -> a", c=comps, e=e)))
 
     def metric_tensor(self) -> "Tensor":
         """The metric diag(signs) as a (0,2) tensor, cached."""
@@ -452,29 +377,34 @@ class Frame:
             )
         return self._cache["g"]
 
-    def brackets(self) -> Components:
-        """Frame components c[ijk] of every [E_i, E_j] = c[ijk] E_k, cached."""
+    def structure_constants(self) -> Components:
+        """Frame components c[ijk] of every [E_i, E_j] = c[ijk] E_k, cached.
+
+        The coordinate components of [E_i, E_j] are E_i(m[ja]) - E_j(m[ia]);
+        they are antisymmetrized first, so that their terms cancel before
+        the product with the inverse.
+        """
         if "brackets" not in self._cache:
-            d, members, table = self.dim, self.members, {}
-            for i in range(d):
-                for j in range(i, d):
-                    table[i, j] = self.to_frame(bracket(members[i], members[j]))
-                    table[j, i] = table[i, j].map(ScalarExpr.__neg__)
-            pairs = [(ij + k, c) for ij in sorted(table) for k, c in table[ij].nonzero()]
-            zero = self.chart.zero()
-            self._cache["brackets"] = Components.from_nonzero(pairs, 3, d, zero)
+            dm = derivatives(self, self.members)  # [i, j, a] = E_i(m[ja])
+            b = contract("dm[ija] - dm[jia] -> ija", dm=dm)
+            inv = self.component_inverse()
+            self._cache["brackets"] = contract("inv[ka] b[ija] -> ijk", inv=inv, b=b)
         return self._cache["brackets"]
 
 
-def derivatives(fields: Sequence[VectorField], comps: Components) -> Components:
-    """X(c) for every field X and component c, the field index first."""
-    pairs = [
-        ((k,) + i, v)
-        for k, x in enumerate(fields)
+def derivatives(frame: Frame, comps: Components) -> Components:
+    """E_k(c) for every frame member k and component c, the member index
+    first: m[ka] p[a...] over the coordinate partials p of the nonzero
+    components."""
+    partials = [
+        ((a,) + i, v)
+        for a, name in enumerate(frame.chart.coords)
         for i, c in comps.nonzero()
-        if (v := x(c)).terms
+        if (v := c.diff(name)).terms
     ]
-    return Components.from_nonzero(pairs, comps.rank + 1, comps.dim, comps.zero)
+    p = Components.from_nonzero(partials, comps.rank + 1, comps.dim, comps.zero)
+    rest = "bcdefghij"[: comps.rank]
+    return contract(f"m[ka] p[a{rest}] -> k{rest}", m=frame.members, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +471,8 @@ class Tensor:
     def _merge(self, other: "Tensor", pairs: Nonzero) -> "Tensor":
         """This tensor plus the nonzero `pairs` of `other`, entry by entry."""
         self._match(other)
-        total = dict(self.nonzero())
-        for i, c in pairs:
-            total[i] = total[i] + c if i in total else c
-        pairs = [(i, total[i]) for i in sorted(total) if total[i].terms]
         zero = self.components.zero
-        comps = Components.from_nonzero(pairs, self.rank, self.frame.dim, zero)
+        comps = Components.summed(self.nonzero() + pairs, self.rank, self.frame.dim, zero)
         return Tensor(self.frame, self.r, self.s, comps)
 
     def _match(self, other: "Tensor") -> None:
@@ -760,23 +686,22 @@ def leibniz_spec(r: int, s: int, directed: bool = False) -> str:
     return " ".join(terms) + f" -> {i}{letters}"
 
 
-def tensor_apply(t: Tensor, args: Sequence[VectorField]):
-    """Contract a tensor with vector-field arguments.
+def tensor_apply(t: Tensor, args: Sequence[Components]):
+    """Contract a tensor with vector arguments in frame components.
 
-    Returns a ScalarExpr for valence (0, s) and a VectorField for (1, s).
+    Returns a ScalarExpr for valence (0, s) and the frame Components of a
+    vector for (1, s).
     """
     if len(args) != t.s:
         raise ValenceError(f"tensor of valence ({t.r},{t.s}) takes {t.s} arguments")
-    frame = t.frame
     upper = "a" * t.r
     letters = "bcdefghijklmnopqrstuvwxyz"[: t.s]
     factors = "".join(f" x{l}[{l}]" for l in letters)
-    value = contract(
+    return contract(
         f"t[{upper}{letters}]{factors} -> {upper}" if t.rank else "t ->",
         t=t,
-        **{f"x{l}": frame.to_frame(x) for l, x in zip(letters, args)},
+        **{f"x{l}": x for l, x in zip(letters, args)},
     )
-    return frame.from_frame(value) if t.r else value
 
 
 def exterior_derivative(omega: Tensor) -> Tensor:
@@ -784,8 +709,8 @@ def exterior_derivative(omega: Tensor) -> Tensor:
     frame = omega.frame
     comps = contract(
         "dw[ij] - dw[ji] - w[k] c[ijk] -> ij",
-        dw=derivatives(frame.members, omega.components),
+        dw=derivatives(frame, omega.components),
         w=omega,
-        c=frame.brackets(),
+        c=frame.structure_constants(),
     )
     return Tensor.build(frame, 0, 2, comps)

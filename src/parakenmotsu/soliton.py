@@ -170,7 +170,7 @@ def _residual_components(
     derivation = kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S)
     terms = _DERIVATION if derivation else _EIGHT_TERM
     spec = " ".join(f"{term} {paired}" for term in terms) + f" -> {out}"
-    return contract(spec, op=op, S=ricci_tensor, xi=s.xi_components(), eta=s.eta)
+    return contract(spec, op=op, S=ricci_tensor, xi=s.xi, eta=s.eta)
 
 
 def condition_residual(

@@ -2,9 +2,9 @@
 
 A structure packages the frame together with the endomorphism phi (a
 (1,1) tensor in frame components), the distinguished unit vector field
-xi, and its metric-dual one-form eta (a (0,1) tensor).  All checks
-below are exact: a check passes only when the residual normalizes to the
-zero element of the scalar ring.  A check function returns None when its
+xi (its frame components), and its metric-dual one-form eta (a (0,1)
+tensor).  All checks below are exact: a check passes only when the
+residual normalizes to the zero element of the scalar ring.  A check function returns None when its
 check holds and otherwise a printable witness, such as the first nonzero
 residual, instead of aborting the run; `suite.CATALOG` names and tags the
 checks.  Most checks are one `geometry.contract` spec whose every
@@ -20,7 +20,6 @@ from parakenmotsu.geometry import (
     Frame,
     Tensor,
     ValenceError,
-    VectorField,
     contract,
     exterior_derivative,
     mat_rank,
@@ -30,10 +29,12 @@ from parakenmotsu.report import witness_at
 
 class ParacontactStructure:
     def __init__(
-        self, frame: Frame, phi: Tensor, xi: VectorField, eta: Tensor, n: int
+        self, frame: Frame, phi: Tensor, xi: Components, eta: Tensor, n: int
     ):
         if (phi.r, phi.s) != (1, 1):
             raise ValenceError("phi must be a (1,1) tensor")
+        if (xi.rank, xi.dim) != (1, frame.dim):
+            raise ValenceError("xi must be the frame components of a vector")
         if (eta.r, eta.s) != (0, 1):
             raise ValenceError("eta must be a (0,1) tensor")
         if frame.dim != 2 * n + 1:
@@ -63,9 +64,8 @@ class ParacontactStructure:
         return self._cache["lie_g"]
 
     def xi_components(self) -> Components:
-        if "xi" not in self._cache:
-            self._cache["xi"] = self.frame.to_frame(self.xi)
-        return self._cache["xi"]
+        """xi itself, which is held in frame components."""
+        return self.xi
 
     def eta_square(self) -> Tensor:
         """The (0,2) tensor eta tensor eta."""
@@ -76,7 +76,7 @@ class ParacontactStructure:
 
     def operands(self) -> dict:
         """The structure's contraction operands: g, phi, eta and xi."""
-        return dict(g=self.metric(), phi=self.phi, eta=self.eta, xi=self.xi_components())
+        return dict(g=self.metric(), phi=self.phi, eta=self.eta, xi=self.xi)
 
 
 def vanishing_check(

@@ -25,6 +25,12 @@ def to_sympy(expr, coords):
     return sp.sympify(str(expr).replace("^", "**"), locals=local)
 
 
+def frame_members(frame):
+    """members[k][a]: the coordinate component a of the frame member E_k."""
+    d, coords = frame.dim, frame.chart.coords
+    return [[to_sympy(frame.members[k, a], coords) for a in range(d)] for k in range(d)]
+
+
 def canon(expr):
     """Normal form for exp-polynomials; zero iff the expression is zero."""
     expr = sp.expand(expr)
@@ -109,6 +115,34 @@ def frame_connection(coords, members, gram):
     return out
 
 
+def lie_bracket(symbols, x, y):
+    """Coordinate components of [X, Y] for X, Y given in coordinates."""
+    d = len(symbols)
+    return [
+        canon(
+            sum(
+                x[m] * sp.diff(y[k], symbols[m]) - y[m] * sp.diff(x[k], symbols[m])
+                for m in range(d)
+            )
+        )
+        for k in range(d)
+    ]
+
+
+def frame_brackets(coords, members):
+    """c[i][j][k]: component k of [E_i, E_j], bracketed in coordinates."""
+    symbols = [sp.Symbol(c) for c in coords]
+    d = len(coords)
+    P_inv = sp.Matrix(d, d, lambda i, a: members[a][i]).inv().applyfunc(canon)
+    return [
+        [
+            [canon(v) for v in P_inv * sp.Matrix(lie_bracket(symbols, Ei, Ej))]
+            for Ej in members
+        ]
+        for Ei in members
+    ]
+
+
 def frame_riemann(coords, members, gram):
     """R[i][j][k] = frame components of R(E_i, E_j)E_k."""
     symbols, P, P_inv, _, _ = _matrices(coords, members, gram)
@@ -118,24 +152,12 @@ def frame_riemann(coords, members, gram):
     def cov(v, x):
         return _covariant_vector(v, x, gamma_coord, symbols)
 
-    def lie_bracket(x, y):
-        return [
-            canon(
-                sum(
-                    x[m] * sp.diff(y[k], symbols[m])
-                    - y[m] * sp.diff(x[k], symbols[m])
-                    for m in range(d)
-                )
-            )
-            for k in range(d)
-        ]
-
     out = [[[None] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         Ei = [members[i][k] for k in range(d)]
         for j in range(d):
             Ej = [members[j][k] for k in range(d)]
-            br = lie_bracket(Ei, Ej)
+            br = lie_bracket(symbols, Ei, Ej)
             for k in range(d):
                 Ek = [members[k][m] for m in range(d)]
                 value = [

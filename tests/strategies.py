@@ -1,8 +1,9 @@
 """Shared hypothesis strategies for geometry tests.
 
 Random frames are lower-triangular in the coordinate basis with
-invertible single-term diagonal entries, so the component matrix is
+invertible single-term diagonal entries, so the member matrix is
 always invertible over the scalar ring and Koszul's formula applies.
+Vectors are drawn as frame components.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from parakenmotsu.geometry import Chart, Frame, VectorField
+from parakenmotsu.geometry import Chart, Components, Frame
 from parakenmotsu.scalar import LinearForm, ScalarExpr, Term
 
 CHART3 = Chart(("x", "y", "z"))
@@ -51,8 +52,9 @@ def scalars(max_terms=2):
 
 
 def vector_fields():
+    """Frame components of a vector field on the 3-dimensional chart."""
     return st.tuples(scalars(), scalars(), scalars()).map(
-        lambda comps: VectorField(CHART3, comps)
+        lambda comps: Components(comps, 1, 3)
     )
 
 
@@ -73,13 +75,12 @@ def frames3():
     """Random pseudo-orthonormal frames on the 3-dimensional chart."""
 
     def build(diag, below, signs):
-        rows = [
+        rows = (
             (diag[0], CHART3.zero(), CHART3.zero()),
             (below[0], diag[1], CHART3.zero()),
             (below[1], below[2], diag[2]),
-        ]
-        members = tuple(VectorField(CHART3, row) for row in rows)
-        return Frame(CHART3, members, signs)
+        )
+        return Frame(CHART3, Components(sum(rows, ()), 2, 3), signs)
 
     return st.builds(
         build,

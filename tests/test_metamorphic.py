@@ -10,8 +10,11 @@ soliton constants as they were.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
-from parakenmotsu.dsl import ManifoldDocument, parse_manifold
+import pytest
+
+from parakenmotsu.dsl import ManifoldDocument, load_manifold, parse_manifold
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Chart
 from parakenmotsu.suite import run_suite
@@ -54,7 +57,8 @@ def _verdicts(doc: ManifoldDocument):
     assert reparsed == doc
     result = run_suite(reparsed)
     statuses = [(c.name, c.status) for c in result.checks]
-    return statuses, (result.soliton.lam, result.soliton.mu)
+    sol = result.soliton
+    return statuses, sol and (sol.lam, sol.mu, sol.classification)
 
 
 def test_rotated_frame_on_permuted_coordinates_keeps_verdicts():
@@ -68,3 +72,34 @@ def test_rotated_frame_on_permuted_coordinates_keeps_verdicts():
     # renames every coordinate; the warping one, now x2, is declared second
     rename = dict(zip(COORDS, ("x3", "z", "x4", "x1", "x2")))
     assert _verdicts(_warped2_document(True, rename)) == base
+
+
+def _rotate_swapped_pairs(doc: ManifoldDocument) -> ManifoldDocument:
+    """doc with each member E that phi swaps with F replaced by cosh E + sinh F."""
+    combos = dict(doc.frames)
+    partner = {
+        member: combo[0][1]
+        for member, combo in doc.phi
+        if len(combo) == 1 and combo[0][1] != member and str(combo[0][0]) == "1"
+    }
+    frames = tuple(
+        (m, tuple((COSH * c, t) for c, t in combo)
+         + tuple((SINH * c, t) for c, t in combos[partner[m]]))
+        if m in partner else (m, combo)
+        for m, combo in doc.frames
+    )
+    assert len(partner) == 2 * doc.n
+    return ManifoldDocument(
+        doc.name, doc.coords, doc.n, frames, doc.gram, doc.metric, doc.phi, doc.xi, doc.eta
+    )
+
+
+@pytest.mark.parametrize("stem", ["ricciflat5", "nonein5"])
+def test_hyperbolic_rotation_of_swapped_pairs_keeps_verdicts(stem):
+    # documents of non-constant curvature; nonein5 fails L1 and so has no soliton line
+    doc = load_manifold(Path(__file__).parent / "data" / f"{stem}.pk")
+    rotated = _rotate_swapped_pairs(doc)
+    assert rotated.frames != doc.frames
+    base = _verdicts(doc)
+    assert _verdicts(rotated) == base
+    assert (base[1] is None) == (stem == "nonein5")

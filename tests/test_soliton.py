@@ -213,11 +213,11 @@ def test_condition_residuals_match_oracle_on_para_kenmotsu_documents_of_non_cons
     p = Products(load_manifold(path).to_structure())
     s, d = p.s, p.s.dim
     coords = s.chart.coords
-    members = [[oracle.to_sympy(c, coords) for c in m.components] for m in s.frame.members]
+    members = oracle.frame_members(s.frame)
     gram = oracle.diagonal_gram(s.frame.signs)
     R = oracle.frame_riemann(coords, members, gram)
     S = oracle.frame_ricci(coords, members, gram)
-    xi = [oracle.to_sympy(c, coords) for c in s.xi_components()]
+    xi = [oracle.to_sympy(c, coords) for c in s.xi]
     W = oracle.frame_w2(R, S, gram, s.n)
     expected = {
         ConditionKind.R_DOT_S: oracle.derivation_residual(R, S, xi),
@@ -242,17 +242,14 @@ def test_condition_residuals_match_oracle_on_generic_structure(n):
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
     chart = s.frame.chart
     d = s.dim
-    members = [
-        [oracle.to_sympy(c, chart.coords) for c in m.components]
-        for m in s.frame.members
-    ]
+    members = oracle.frame_members(s.frame)
     gram = oracle.diagonal_gram(s.frame.signs)
     R = oracle.frame_riemann(chart.coords, members, gram)
     S = [
         [oracle.to_sympy(ricci_sym[i, j], chart.symbols) for j in range(d)]
         for i in range(d)
     ]
-    xi = [oracle.to_sympy(c, chart.symbols) for c in s.xi_components()]
+    xi = [oracle.to_sympy(c, chart.symbols) for c in s.xi]
     W = oracle.frame_w2(R, S, gram, n)
     expected = {
         ConditionKind.R_DOT_S: oracle.derivation_residual(R, S, xi),
@@ -282,7 +279,7 @@ def test_s_dot_r_residual_at_n8_keeps_only_its_nonzero_components():
     # 1,024 of the 17^5 = 1,419,857 components are nonzero; a dense table of
     # them alone would hold 11 MB of pointers
     p = Products(build_warped(8))
-    p.riem, p.ricci, p.s.xi_components()  # built outside the measurement
+    p.riem, p.ricci  # built outside the measurement
     tracemalloc.start()
     try:
         residual = p.residual(ConditionKind.S_DOT_R)
