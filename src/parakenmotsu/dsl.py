@@ -3,7 +3,7 @@
 Grammar, one section per line, `#` starting a comment:
 
     manifold <id>
-    coords <id> <id> ...          an odd number of coordinate names
+    coords <id> <id> ...          an odd number, at least 3, of coordinate names
     n = <int>                     optional; must match (dim - 1) / 2
     frame <id> = <combo of d/d<coord>>
     gram diag <1|-1> ...          one entry per frame member, or instead
@@ -366,6 +366,8 @@ def parse_manifold(text: str) -> ManifoldDocument:
                     raise DocumentError(
                         "dimension must be odd (2n+1 coordinates)", lineno, head.col
                     )
+                if len(coords) < 3:
+                    raise DocumentError("dimension must be at least 3", lineno, head.col)
             elif keyword == "n":
                 pos = _expect_equals(tokens, 1, lineno)
                 if pos != len(tokens) - 1 or tokens[pos].kind != "NUM":

@@ -5,11 +5,11 @@ The central equation is
     (L_xi g)(X,Y) + 2 S(X,Y) + 2 lambda g(X,Y) + 2 mu eta(X) eta(Y) = 0
 
 for exact rational constants (lambda, mu).  The four curvature
-conditions are derivation-style residuals built from R, S and W2; on
-structures satisfying the defining condition each residual is a scalar
-polynomial in mu (after eliminating lambda = 2n - mu) times a fixed
-rational tensor shape, and the polynomial's rational roots are exactly
-the advertised solution sets.
+conditions are one table, `CONDITIONS`, whose row is all the code knows
+of a condition.  On structures satisfying the defining condition each
+residual is a scalar polynomial in mu (after eliminating lambda = 2n - mu)
+times the row's rational shape, and each advertised pair is (2n - r, r)
+for a mu-root r of the paper's factor.
 
 Sign conventions in the derivation-style displays are not consistent
 across circulated write-ups, so the extraction below normalizes the
@@ -24,6 +24,7 @@ import functools
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from parakenmotsu.connection import FrameConnection, koszul_connection
 from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
@@ -158,17 +159,42 @@ _EIGHT_TERM = (
 )
 
 
-def _residual_components(
-    kind: ConditionKind,
-    s: ParacontactStructure,
-    op: Tensor,
-    ricci_tensor: Tensor,
-    paired: str,
-    out: str,
-):
-    """Components of the kind's residual with every term times `paired`."""
-    derivation = kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S)
-    terms = _DERIVATION if derivation else _EIGHT_TERM
+class Condition(NamedTuple):
+    """What the paper states about one curvature condition, as plain data."""
+
+    operator: str  # "R" or "W2"
+    terms: tuple[str, ...]  # _DERIVATION, (0,3); or _EIGHT_TERM, (1,4) and xi-paired
+    sign: int  # the paper's factor is sign * prod(mu - r) over the mu-roots r
+    roots: tuple[tuple[int, int], ...]  # r(n) = a*n + b as (a, b); pair (2n - r, r)
+    paired: str  # factor extraction: the extra factor of every residual term
+    shape: str  # factor extraction: the rational shape, over the residual's letters
+    converse: bool  # the advertised pairs are proven to make the residual vanish
+
+
+_SKEW_SHAPE = "eta[y] g[xz] - eta[z] g[xy] -> xyz"
+
+# The only place that names a kind.  eta and xi enter every paired term of
+# the eight-term kinds, so their factors never build the (1,4) residual.
+CONDITIONS: dict[ConditionKind, Condition] = {
+    ConditionKind.R_DOT_S: Condition(
+        "R", _DERIVATION, 1, ((0, 1),), "",
+        "eta[y] g[xz] + eta[z] g[xy] - 2 eta[x] eta[y] eta[z] -> xyz", True,
+    ),
+    ConditionKind.S_DOT_R: Condition(
+        "R", _EIGHT_TERM, -1, ((4, 1),), "eta[a] xi[w]", _SKEW_SHAPE, False
+    ),
+    ConditionKind.W2_DOT_S: Condition(
+        "W2", _DERIVATION, -1, ((0, 1), (2, 1)), "xi[z]",
+        "- g[xy] + eta[x] eta[y] -> xy", False,
+    ),
+    ConditionKind.S_DOT_W2: Condition(
+        "W2", _EIGHT_TERM, 1, ((0, 1), (2, 1)), "eta[a] xi[w]", _SKEW_SHAPE, False
+    ),
+}
+
+
+def _residual_components(terms, s, op: Tensor, ricci_tensor: Tensor, paired, out: str):
+    """Components of the residual `terms` with every term times `paired`."""
     spec = " ".join(f"{term} {paired}" for term in terms) + f" -> {out}"
     return contract(spec, op=op, S=ricci_tensor, xi=s.xi, eta=s.eta)
 
@@ -176,25 +202,18 @@ def _residual_components(
 def condition_residual(
     kind: ConditionKind, s: ParacontactStructure, op: Tensor, ricci_tensor: Tensor
 ) -> Tensor:
-    """Full residual tensor of the selected curvature condition.
-
-    `op` is the kind's operator: the Riemann tensor for R.S and S.R, the
-    W2 tensor for W2.S and S.W2.
-    """
-    if kind in (ConditionKind.R_DOT_S, ConditionKind.W2_DOT_S):
-        return Tensor.build(
-            s.frame, 0, 3, _residual_components(kind, s, op, ricci_tensor, "", "xyz")
-        )
-    return Tensor.build(
-        s.frame, 1, 4, _residual_components(kind, s, op, ricci_tensor, "", "axyzw")
-    )
+    """Full residual of the kind, whose operator `op` is R or W2 as its row names."""
+    terms = CONDITIONS[kind].terms
+    r, k, out = (1, 4, "axyzw") if terms is _EIGHT_TERM else (0, 3, "xyz")
+    comps = _residual_components(terms, s, op, ricci_tensor, "", out)
+    return Tensor.build(s.frame, r, k, comps)
 
 
 def condition_residual_xi_paired(
     kind: ConditionKind, s: ParacontactStructure, full: Tensor
 ) -> Tensor:
     """(0,4) inner product of the eight-term residual `full` with xi."""
-    if kind not in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
+    if CONDITIONS[kind].terms is not _EIGHT_TERM:
         raise ValenceError("xi pairing applies to the eight-term conditions")
     comps = contract("eta[a] F[axyzw] -> xyzw", eta=s.eta, F=full)
     return Tensor.build(s.frame, 0, 4, comps)
@@ -203,16 +222,11 @@ def condition_residual_xi_paired(
 def theorem_expected(
     kind: ConditionKind, n: int
 ) -> frozenset[tuple[Fraction, Fraction]]:
-    """Exact (lambda, mu) solution sets of the four conditions."""
+    """Exact (lambda, mu) solution sets: (2n - r, r) for each mu-root r."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if kind is ConditionKind.R_DOT_S:
-        pairs = [(2 * n - 1, 1)]
-    elif kind is ConditionKind.S_DOT_R:
-        pairs = [(-2 * n - 1, 4 * n + 1)]
-    else:
-        pairs = [(2 * n - 1, 1), (-1, 2 * n + 1)]
-    return frozenset((Fraction(a), Fraction(b)) for a, b in pairs)
+    roots = (Fraction(a * n + b) for a, b in CONDITIONS[kind].roots)
+    return frozenset((2 * n - r, r) for r in roots)
 
 
 def condition_check(
@@ -240,9 +254,10 @@ def condition_check(
     structure of non-constant curvature has a nonzero S.W2 residual at
     (2n - 1, 1).  Returns None when consistent, else the problem found.
     """
+    cond = CONDITIONS[kind]
     vanishes = residual.is_zero()
     problem = None
-    if kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
+    if cond.terms is _EIGHT_TERM:
         paired = condition_residual_xi_paired(kind, s, residual)
         if paired.is_zero() != vanishes:
             problem = (
@@ -250,7 +265,7 @@ def condition_check(
                 f" {vanishes} vs {paired.is_zero()}"
             )
     expected = (sol.lam, sol.mu) in theorem_expected(kind, s.n)
-    claimed = vanishes or kind is ConditionKind.R_DOT_S  # the proven directions
+    claimed = vanishes or cond.converse  # the proven directions
     if problem is None and claimed and vanishes != expected:
         state = "vanishes" if vanishes else "does not vanish"
         bad = residual.first_nonzero()
@@ -271,23 +286,18 @@ class FactorResult:
         self.scale = scale  # residual = scale * polynomial * shape
 
 
-_MU = ("mu",)
-
-
-def _mu_expr(c0: Fraction, c1: Fraction, c2: Fraction) -> ScalarExpr:
-    mu = ScalarExpr.coordinate("mu", _MU)
-    return ScalarExpr.const(c0, _MU) + mu * c1 + mu * mu * c2
+def _factor(sign: int, roots) -> ScalarExpr:
+    """sign * prod(mu - r) over the roots r, a polynomial in mu."""
+    mu = ScalarExpr.coordinate("mu", ("mu",))
+    poly = ScalarExpr.const(sign, ("mu",))
+    for r in roots:
+        poly = poly * (mu - r)
+    return poly
 
 
 def canonical_factor(kind: ConditionKind, n: int) -> ScalarExpr:
-    """The advertised factor polynomial, lambda already eliminated."""
-    if kind is ConditionKind.R_DOT_S:
-        return _mu_expr(Fraction(-1), Fraction(1), Fraction(0))
-    if kind is ConditionKind.S_DOT_R:
-        return _mu_expr(Fraction(4 * n + 1), Fraction(-1), Fraction(0))
-    if kind is ConditionKind.W2_DOT_S:
-        return _mu_expr(Fraction(-(2 * n + 1)), Fraction(2 * n + 2), Fraction(-1))
-    return _mu_expr(Fraction(2 * n + 1), Fraction(-2 * (n + 1)), Fraction(1))
+    """The paper's factor: sign * prod(mu - r) over the advertised mu."""
+    return _factor(CONDITIONS[kind].sign, (mu for _, mu in theorem_expected(kind, n)))
 
 
 def _mu_coefficients(poly: ScalarExpr) -> tuple[Fraction, Fraction, Fraction]:
@@ -373,20 +383,6 @@ def _ratio_against_shape(values: Components, shape: Components) -> ScalarExpr:
     return poly
 
 
-# The residual terms' extra factor and the fixed rational shape of each kind;
-# the shape's output letters are the residual's.
-_FACTOR_SHAPES = {
-    ConditionKind.R_DOT_S: (
-        "",
-        "eta[y] g[xz] + eta[z] g[xy] - 2 eta[x] eta[y] eta[z] -> xyz",
-    ),
-    ConditionKind.W2_DOT_S: ("xi[z]", "- g[xy] + eta[x] eta[y] -> xy"),
-    # eta and xi enter every term, so the (1,4) residual is never built
-    ConditionKind.S_DOT_R: ("eta[a] xi[w]", "eta[y] g[xz] - eta[z] g[xy] -> xyz"),
-    ConditionKind.S_DOT_W2: ("eta[a] xi[w]", "eta[y] g[xz] - eta[z] g[xy] -> xyz"),
-}
-
-
 def _matched(raw: ScalarExpr, target: ScalarExpr) -> FactorResult:
     """raw as scale * target, for a nonzero rational scale.
 
@@ -413,13 +409,11 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     against the advertised factor up to a rational constant.
     """
     s, conn, riem, mu, ricci_sym, q_sym = _generic(n)
-    op = riem
-    if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2):
-        op = _generic_w2(n)
-    paired, shape = _FACTOR_SHAPES[kind]
-    out = shape.partition("->")[2].strip()
-    values = _residual_components(kind, s, op, ricci_sym, paired, out)
-    raw = _ratio_against_shape(values, contract(shape, **s.operands()))
+    cond = CONDITIONS[kind]
+    op = _generic_w2(n) if cond.operator == "W2" else riem
+    out = cond.shape.partition("->")[2].strip()
+    values = _residual_components(cond.terms, s, op, ricci_sym, cond.paired, out)
+    raw = _ratio_against_shape(values, contract(cond.shape, **s.operands()))
     return _matched(raw, canonical_factor(kind, n))
 
 
@@ -431,7 +425,7 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
     )
     shape = contract("eta[j] delta[ia] - eta[j] eta[i] xi[a] -> ija", **s.operands())
     raw = _ratio_against_shape(image, shape)
-    return _matched(raw, _mu_expr(Fraction(-1), Fraction(1), Fraction(0)))
+    return _matched(raw, _factor(1, (1,)))
 
 
 # -- parallel tensors -------------------------------------------------------

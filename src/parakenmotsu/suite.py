@@ -36,6 +36,7 @@ from parakenmotsu.fixtures import reference_conflict_notes
 from parakenmotsu.geometry import Tensor
 from parakenmotsu.report import CheckReport, SolitonSummary, SuiteResult
 from parakenmotsu.soliton import (
+    CONDITIONS,
     ConditionKind,
     FactorError,
     NoConstantSolution,
@@ -176,8 +177,7 @@ class Products:
 
     def residual(self, kind: ConditionKind) -> Tensor:
         if kind not in self._residuals:
-            w2_kinds = (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2)
-            op = self.w2 if kind in w2_kinds else self.riem
+            op = self.w2 if CONDITIONS[kind].operator == "W2" else self.riem
             self._residuals[kind] = condition_residual(kind, self.s, op, self.ricci)
         return self._residuals[kind]
 

@@ -115,6 +115,7 @@ def test_malformed_documents_exit_two(path):
 def test_parse_errors_carry_positions(tmp_path):
     positioned = {
         "even_coords.pk": "error: 2:1:",
+        "one_coordinate.pk": "error: 2:1:",
         "unknown_symbol.pk": "error: 3:16:",
         "missing_equals.pk": "error: 10:4:",
         "unknown_member.pk": "error: 7:11:",

@@ -110,6 +110,7 @@ xi = E3
 
 PARSE_ERRORS = {
     "even_coords.pk": "2:1: dimension must be odd (2n+1 coordinates)",
+    "one_coordinate.pk": "2:1: dimension must be at least 3",
     "unknown_symbol.pk": "3:16: unknown symbol 'w'; chart symbols are x, y, z",
     "missing_equals.pk": "10:4: expected '='",
     "unknown_member.pk": "7:11: expected frame member target, got 'E9'",

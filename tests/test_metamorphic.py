@@ -1,9 +1,10 @@
 """Metamorphic tests: verdicts must not change under changes of description.
 
-A constant hyperbolic rotation of each (E_{2k-1}, E_{2k}) pair keeps the
-gram diagonal (cosh^2 - sinh^2 = 1) and commutes with phi, which swaps
-the two members; renaming and reordering the coordinates changes the
-chart but not the manifold.  Both leave every check's verdict and the
+A hyperbolic rotation of each (E_{2k-1}, E_{2k}) pair, by a constant
+angle or by one that varies over the manifold, keeps the gram diagonal
+(cosh^2 - sinh^2 = 1) and commutes with phi, which swaps the two members;
+renaming and reordering the coordinates changes the chart but not the
+manifold.  Both leave every check's verdict and the
 soliton constants as they were.
 """
 
@@ -13,11 +14,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parakenmotsu.dsl import ManifoldDocument, load_manifold, parse_manifold
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Chart
+from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.suite import run_suite
+from strategies import nonzero_fracs
 
 COORDS = ("x1", "x2", "x3", "x4", "z")
 COSH, SINH = Fraction(5, 4), Fraction(3, 4)  # (5/4)^2 - (3/4)^2 = 1
@@ -74,8 +79,18 @@ def test_rotated_frame_on_permuted_coordinates_keeps_verdicts():
     assert _verdicts(_warped2_document(True, rename)) == base
 
 
-def _rotate_swapped_pairs(doc: ManifoldDocument) -> ManifoldDocument:
-    """doc with each member E that phi swaps with F replaced by cosh E + sinh F."""
+def _rotate_swapped_pairs(
+    doc: ManifoldDocument, angle: dict[str, Fraction]
+) -> ManifoldDocument:
+    """doc with each member E that phi swaps with F replaced by cosh t E + sinh t F.
+
+    t is the linear form `angle` (coordinate -> coefficient); cosh t and
+    sinh t are written as (e^t + e^-t)/2 and (e^t - e^-t)/2.
+    """
+    symbols = doc.frames[0][1][0][0].symbols
+    up = ScalarExpr.exponential(angle, symbols)
+    down = ScalarExpr.exponential({c: -q for c, q in angle.items()}, symbols)
+    cosh, sinh = (up + down) * Fraction(1, 2), (up - down) * Fraction(1, 2)
     combos = dict(doc.frames)
     partner = {
         member: combo[0][1]
@@ -83,8 +98,8 @@ def _rotate_swapped_pairs(doc: ManifoldDocument) -> ManifoldDocument:
         if len(combo) == 1 and combo[0][1] != member and str(combo[0][0]) == "1"
     }
     frames = tuple(
-        (m, tuple((COSH * c, t) for c, t in combo)
-         + tuple((SINH * c, t) for c, t in combos[partner[m]]))
+        (m, tuple((cosh * c, t) for c, t in combo)
+         + tuple((sinh * c, t) for c, t in combos[partner[m]]))
         if m in partner else (m, combo)
         for m, combo in doc.frames
     )
@@ -94,11 +109,17 @@ def _rotate_swapped_pairs(doc: ManifoldDocument) -> ManifoldDocument:
     )
 
 
+# a nonzero linear form in one or two of the five coordinates, by position
+ANGLES = st.dictionaries(st.integers(0, 4), nonzero_fracs(), min_size=1, max_size=2)
+
+
 @pytest.mark.parametrize("stem", ["ricciflat5", "nonein5"])
-def test_hyperbolic_rotation_of_swapped_pairs_keeps_verdicts(stem):
+@settings(max_examples=4, deadline=None)
+@given(angle=ANGLES)
+def test_hyperbolic_rotation_of_swapped_pairs_keeps_verdicts(stem, angle):
     # documents of non-constant curvature; nonein5 fails L1 and so has no soliton line
     doc = load_manifold(Path(__file__).parent / "data" / f"{stem}.pk")
-    rotated = _rotate_swapped_pairs(doc)
+    rotated = _rotate_swapped_pairs(doc, {doc.coords[i]: q for i, q in angle.items()})
     assert rotated.frames != doc.frames
     base = _verdicts(doc)
     assert _verdicts(rotated) == base

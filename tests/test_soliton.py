@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import ast
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -16,6 +17,7 @@ from parakenmotsu import soliton
 from parakenmotsu.scalar import ScalarExpr, parse_scalar
 from parakenmotsu.suite import Products
 from parakenmotsu.soliton import (
+    CONDITIONS,
     ConditionKind,
     FactorError,
     NoConstantSolution,
@@ -50,11 +52,6 @@ def pipeline(request):
     riem = riemann(conn)
     S = ricci(riem)
     return n, s, conn, riem, S
-
-
-def _operator(kind, riem, w2):
-    """The kind's operator: R for R.S and S.R, W2 for W2.S and S.W2."""
-    return w2 if kind in (ConditionKind.W2_DOT_S, ConditionKind.S_DOT_W2) else riem
 
 
 # -- solving ------------------------------------------------------------------
@@ -135,7 +132,7 @@ def test_quasi_einstein_split_witnesses(pipeline):
 def test_condition_residual_vanishing_pattern(pipeline):
     n, s, conn, riem, S = pipeline
     q = ricci_operator(S)
-    w2 = w2_tensor(riem, q, n)
+    ops = {"R": riem, "W2": w2_tensor(riem, q, n)}
     sol = solve_soliton(s, S)
     expected_zero = {
         ConditionKind.R_DOT_S: True,  # (2n-1, 1) is the advertised pair
@@ -144,7 +141,7 @@ def test_condition_residual_vanishing_pattern(pipeline):
         ConditionKind.S_DOT_W2: True,
     }
     for kind, want in expected_zero.items():
-        residual = condition_residual(kind, s, _operator(kind, riem, w2), S)
+        residual = condition_residual(kind, s, ops[CONDITIONS[kind].operator], S)
         assert residual.is_zero() == want, kind
         assert ((sol.lam, sol.mu) in theorem_expected(kind, n)) == want
         witness = condition_check(kind, s, residual, sol)
@@ -153,19 +150,19 @@ def test_condition_residual_vanishing_pattern(pipeline):
 
 def test_xi_paired_residual_vanishes_with_full(pipeline):
     n, s, conn, riem, S = pipeline
-    w2 = w2_tensor(riem, ricci_operator(S), n)
+    ops = {"R": riem, "W2": w2_tensor(riem, ricci_operator(S), n)}
     for kind in (ConditionKind.S_DOT_R, ConditionKind.S_DOT_W2):
-        full = condition_residual(kind, s, _operator(kind, riem, w2), S)
+        full = condition_residual(kind, s, ops[CONDITIONS[kind].operator], S)
         paired = condition_residual_xi_paired(kind, s, full)
         assert full.is_zero() == paired.is_zero()
 
 
 def test_condition_check_claims_only_the_proven_direction(pipeline):
     n, s, conn, riem, S = pipeline
-    w2 = w2_tensor(riem, ricci_operator(S), n)
+    ops = {"R": riem, "W2": w2_tensor(riem, ricci_operator(S), n)}
     stray = SolitonSolution(Fraction(2 * n), Fraction(0), n)
     for kind in ConditionKind:
-        residual = condition_residual(kind, s, _operator(kind, riem, w2), S)
+        residual = condition_residual(kind, s, ops[CONDITIONS[kind].operator], S)
         witness = condition_check(kind, s, residual, stray)
         # a vanishing residual at constants that are not advertised is refuted
         assert (witness is not None) == residual.is_zero(), kind
@@ -195,6 +192,44 @@ def test_einstein_structure_of_non_constant_curvature_passes_every_condition():
     for kind in ConditionKind:
         witness = condition_check(kind, p.s, p.residual(kind), p.sol)
         assert witness is None, (kind, witness)
+
+
+def _kind_references(tree: ast.AST) -> list[ast.Attribute]:
+    """Every `ConditionKind.<member>` (or `<module>.ConditionKind.<member>`)."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ConditionKind.__members__
+        and (
+            getattr(node.value, "id", None) == "ConditionKind"
+            or getattr(node.value, "attr", None) == "ConditionKind"
+        )
+    ]
+
+
+def test_only_the_condition_table_names_a_kind():
+    # what the paper says about one condition is its row in CONDITIONS, so
+    # no other line of the package decides "which condition am I?"
+    package = Path(soliton.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    (table,) = [
+        node.value
+        for node in ast.walk(trees["soliton.py"])
+        if isinstance(node, ast.AnnAssign)
+        and getattr(node.target, "id", None) == "CONDITIONS"
+    ]
+    assert [key.attr for key in table.keys] == list(ConditionKind.__members__)
+    stray = [
+        f"{name}:{ref.lineno}"
+        for name, tree in trees.items()
+        for ref in _kind_references(tree)
+        if not any(ref is key for key in table.keys)
+    ]
+    assert stray == []
 
 
 # nonzero residual components (R.S, S.R, W2.S, S.W2) per document; nonein5
@@ -257,9 +292,9 @@ def test_condition_residuals_match_oracle_on_generic_structure(n):
         ConditionKind.W2_DOT_S: oracle.derivation_residual(W, S, xi),
         ConditionKind.S_DOT_W2: oracle.eight_term_residual(W, S, xi),
     }
-    w2 = w2_tensor(riem, q_sym, n)
+    ops = {"R": riem, "W2": w2_tensor(riem, q_sym, n)}
     for kind, want in expected.items():
-        got = condition_residual(kind, s, _operator(kind, riem, w2), ricci_sym)
+        got = condition_residual(kind, s, ops[CONDITIONS[kind].operator], ricci_sym)
         assert not got.is_zero(), kind
         assert set(want) == set(itertools.product(range(d), repeat=got.rank))
         for idx, value in want.items():
