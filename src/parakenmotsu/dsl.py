@@ -33,6 +33,7 @@ from parakenmotsu.geometry import (
     Frame,
     Tensor,
     contract,
+    mat_det,
 )
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_TERMS,
@@ -40,6 +41,7 @@ from parakenmotsu.scalar import (
     NonInvertible,
     ScalarExpr,
     Token,
+    TooManyTerms,
     parse_expr_tokens,
     read_only,
     signed_sum,
@@ -577,8 +579,15 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
     try:
         frame = Frame(chart, members, signs)
     except NonInvertible as err:
+        # the inverse has just taken this det, of the same matrix, within the bound
+        det = mat_det(tuple(tuple(members[k, a] for k in range(d)) for a in range(d)), zero)
+        reason = (f"frame determinant {det} is not a unit" if det.terms
+                  else "frame members are not linearly independent")
+        raise DocumentError(reason, *doc.at.get("frame", ())) from err
+    except TooManyTerms as err:
         raise DocumentError(
-            "frame members are not linearly independent", *doc.at.get("frame", ())
+            f"inverting the frame makes an entry of more than {MAX_COEFFICIENT_TERMS} terms",
+            *doc.at.get("frame", ()),
         ) from err
 
     phi = summed(  # [a, i]: the E_a component of phi E_i

@@ -48,7 +48,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from parakenmotsu.scalar import NonInvertible, ScalarExpr, Term, mul_terms, read_only
+from parakenmotsu.scalar import MAX_COEFFICIENT_TERMS, NonInvertible, ScalarExpr, Term
+from parakenmotsu.scalar import mul_terms, read_only
 
 
 class ValenceError(ValueError):
@@ -147,10 +148,6 @@ class Components:
             yield at.get(i, zero)
 
 
-def _matrix_components(m: Matrix) -> Components:
-    return Components([entry for row in m for entry in row], 2, len(m))
-
-
 class Chart:
     """Named coordinates plus optional constant parameters.
 
@@ -206,10 +203,9 @@ class Chart:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the scalar ring, block by block: each square
-# irreducible block gets Berkowitz's division-free characteristic polynomial
-# (Inf. Proc. Letters 18, 1984), hence its determinant and, by Cayley-Hamilton,
-# its inverse.  On a whole rotated frame Berkowitz takes several times longer.
+# Exact linear algebra over the scalar ring: one fraction-free elimination
+# (E. H. Bareiss, Math. Comp. 22, 1968) gives the rank, the determinant and,
+# block by block (several times faster on a rotated frame), the inverse.
 # ---------------------------------------------------------------------------
 
 
@@ -227,90 +223,70 @@ def _blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
     return list(blocks.values())
 
 
-def _charpoly(a: Matrix, zero: ScalarExpr) -> list[ScalarExpr]:
-    """1, c1, ..., ck of det(x I - a).  Bordering the leading block A by a row R,
-    a column C and a corner e multiplies them by the lower-triangular Toeplitz
-    matrix with first column 1, -e, -RC, -RAC, ..., -RA^(k-1)C."""
-    poly = [ScalarExpr.const(1, zero.symbols), -a[0][0]]
-    for k in range(1, len(a)):
-        lead = _matrix_components([r[:k] for r in a[:k]])
-        row, v = Components(a[k][:k], 1, k), Components([r[k] for r in a[:k]], 1, k)
-        column = poly[:1] + [-a[k][k]]
-        for power in range(k):
-            v = contract("a[ij] v[j] -> i", a=lead, v=v) if power else v
-            column.append(-contract("r[i] v[i] ->", r=row, v=v))
-        t = [[column[i - j] if i >= j else zero for j in range(k + 2)] for i in range(k + 2)]
-        p = Components(poly + [zero], 1, k + 2)
-        poly = list(contract("t[ij] p[j] -> i", t=_matrix_components(t), p=p))
-    return poly
+def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, bound=MAX_COEFFICIENT_TERMS,
+               jordan: bool = False):
+    """Eliminate `rows` in place; (rank, sign of the row swaps, last pivot).
 
-
-def _factor(m: Matrix, zero: ScalarExpr):
-    """det m and (rows, columns, block, charpoly) per block; a non-square block gives (0, [])."""
-    blocks = _blocks(m)
-    if any(len(rows) != len(cols) for rows, cols in blocks):
-        return zero, []
-    perm = dict(pair for rows, cols in blocks for pair in zip(rows, cols))
-    swaps = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
-    det, out = ScalarExpr.const((-1) ** swaps, zero.symbols), []
-    for rows, cols in blocks:
-        block = tuple(tuple(m[i][j] for j in cols) for i in rows)
-        poly = _charpoly(block, zero)
-        det = det * (poly[-1] if len(rows) % 2 == 0 else -poly[-1])
-        out.append((rows, cols, block, poly))
-    return det, out
+    A pivot p in row top turns each other row r into (p r - f top) / q, f
+    being r's entry in p's column and q the pivot before (first 1); p's
+    column and each entry q over a zero of top take 0 and p directly.  Each
+    entry is a minor, so the division is exact; it is held to `bound`
+    terms (None: unbounded).  Only rows below p change, unless `jordan`:
+    then the rows are [B | I] for a square B, the pivots come from B and
+    the rows above are cleared too, so an invertible B leaves [c I | c B^-1].
+    """
+    width = len(rows[0]) if rows else 0
+    rank, sign, previous = 0, 1, ScalarExpr.const(1, zero.symbols)
+    for col in range(width // 2 if jordan else width):
+        pick = next((r for r in range(rank, len(rows)) if rows[r][col].terms), None)
+        if pick is None:
+            continue
+        if pick != rank:
+            rows[rank], rows[pick], sign = rows[pick], rows[rank], -sign
+        top = rows[rank]
+        p = top[col]
+        for r in range(0 if jordan else rank + 1, len(rows)):
+            if r != rank:
+                f = rows[r][col]
+                rows[r] = [
+                    zero if j == col
+                    else p if a == previous and not b.terms
+                    else (p * a - f * b).divide(previous, bound)
+                    for j, (a, b) in enumerate(zip(rows[r], top))
+                ]
+        previous, rank = p, rank + 1
+    return rank, sign, previous
 
 
 def mat_det(m: Matrix, zero: ScalarExpr) -> ScalarExpr:
-    """The permutation sign of the blocks times their determinants."""
-    return _factor(m, zero)[0]
-
-
-def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
-    """Inverse; det m must be a unit (the units are q*exp(l), so every block
-    determinant is one).  A block with characteristic polynomial x^k + c1
-    x^(k-1) + ... + ck has the inverse -(A^(k-1) + ... + c(k-1) I) / ck."""
-    det, blocks = _factor(m, zero)
-    try:
-        det.invert()
-    except NonInvertible as exc:
-        raise NonInvertible(f"matrix is not invertible over the ring: det = {det}") from exc
-    out = [[zero] * len(m) for _ in m]
-    for rows, cols, block, poly in blocks:
-        k, u, a = len(rows), -poly[-1].invert(), _matrix_components(block)
-        inv = Components.from_nonzero((((i, i), u) for i in range(k)), 2, k, zero)
-        for c in poly[1:k]:  # Horner, with every coefficient scaled by u
-            inv = contract("a[ij] b[jl] + u c delta[il] -> il", a=a, b=inv, u=u, c=c)
-        for (t, s), value in inv.nonzero():
-            out[cols[t]][rows[s]] = value
-    return tuple(map(tuple, out))
+    """The sign of the row swaps times the last pivot; 0 when the rank is short."""
+    rank, sign, pivot = _eliminate([list(r) for r in m], zero)
+    return pivot * sign if rank == len(m) else zero
 
 
 def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
-    """Rank by fraction-free elimination (valid: the ring is a domain)."""
-    rows = [list(r) for r in m]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col].is_zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = [p * a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank, its entries not held to a bound: check A10, the caller, cannot report one."""
+    return _eliminate([list(r) for r in m], zero, None)[0]
+
+
+def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
+    """Inverse; det m must be a unit q*exp(l), and then so is each block's
+    last pivot c, which scales the block's Gauss-Jordan result c B^-1."""
+    one, out = ScalarExpr.const(1, zero.symbols), [[zero] * len(m) for _ in m]
+    for rows, cols in _blocks(m):
+        k = len(rows)
+        aug = [[m[i][j] for j in cols] + [one if s == t else zero for s in range(k)]
+               for t, i in enumerate(rows)]
+        rank, _, pivot = _eliminate(aug, zero, jordan=True) if len(cols) == k else (0, 1, zero)
+        try:
+            u = (pivot if rank == k else zero).invert()
+        except NonInvertible as exc:
+            det = mat_det(m, zero)
+            raise NonInvertible(f"matrix is not invertible over the ring: det = {det}") from exc
+        for t, row in enumerate(aug):
+            for s, value in enumerate(row[k:]):
+                out[cols[t]][rows[s]] = value * u
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +299,8 @@ class Frame:
     and 0 otherwise, each sign +1 or -1.
 
     `members` is the member matrix m[ka], the coordinate component a of
-    E_k, as a rank-2 `Components`.  It must be invertible over the ring,
-    which is the pointwise linear-independence check.  The metric
+    E_k, as a rank-2 `Components`.  Its determinant must be a unit q*exp(l),
+    so the members are independent at every point.  The metric
     diag(signs) is its own inverse.  Equality and the hash ignore
     `_cache`, which holds values derived from the other fields: the tables
     `contract` reads, each built as `Components` on first use.
@@ -342,7 +318,7 @@ class Frame:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "signs", tuple(int(q) for q in signs))
         object.__setattr__(self, "_cache", {})
-        self.component_inverse()  # raises NonInvertible for dependent members
+        self.component_inverse()  # NonInvertible unless det is a unit; or TooManyTerms
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -365,7 +341,8 @@ class Frame:
         if "cinv" not in self._cache:
             m, d = self.members, self.dim
             columns = tuple(tuple(m[k, a] for k in range(d)) for a in range(d))
-            self._cache["cinv"] = _matrix_components(mat_inverse(columns, self.chart.zero()))
+            inv = mat_inverse(columns, self.chart.zero())
+            self._cache["cinv"] = Components([e for row in inv for e in row], 2, d)
         return self._cache["cinv"]
 
     def metric_tensor(self) -> "Tensor":

@@ -10,8 +10,9 @@ over the chart symbols and l is a linear form in the symbols with rational
 coefficients.  The ring is closed under addition, multiplication and
 partial differentiation, and every expression has a unique canonical form
 (terms sorted by exponent, then monomial), so equality and zero-testing
-are decidable by construction.  Inversion is supported exactly for the
-terms that are units: a single term with empty monomial.
+are decidable by construction.  Division is exact: `divide` returns the
+quotient when the ring holds one, within an optional term budget, and
+raises otherwise; so only the units q*exp(l) invert.
 
 Coefficients, q and those of l, are integer-first: an `int` when integral
 and a `Fraction` only when the denominator is not 1 (:func:`demote`).
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, log2
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class ChartMismatch(ValueError):
@@ -39,6 +40,10 @@ class ChartMismatch(ValueError):
 
 class NonInvertible(ValueError):
     """Raised when an expression has no inverse inside the ring."""
+
+
+class TooManyTerms(ValueError):
+    """Raised when a result would have more terms than its budget."""
 
 
 class UnknownSymbol(ValueError):
@@ -139,17 +144,11 @@ class LinearForm:
         return row
 
     def render(self, symbols: Sequence[str]) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for pos, (i, c) in enumerate(self.coeffs):
-            mag = abs(c)
-            body = symbols[i] if mag == 1 else f"{mag}*{symbols[i]}"
-            if pos == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        parts = []
+        for i, c in self.coeffs:
+            body = symbols[i] if abs(c) == 1 else f"{abs(c)}*{symbols[i]}"
+            parts.append(body if c > 0 else f"-{body}")
+        return signed_sum(parts)
 
 
 class Term:
@@ -185,9 +184,6 @@ class Term:
         for i, k in self.monomial:
             mono[i] = k
         return (self.exponent.dense(width), tuple(mono))
-
-    def degree(self) -> int:
-        return sum(k for _, k in self.monomial)
 
 
 def mul_terms(a: Sequence[Term], b: Sequence[Term]) -> Sequence[Term]:
@@ -320,22 +316,16 @@ class ScalarExpr:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalarExpr.const(other, self.symbols)
-        if not isinstance(other, ScalarExpr):
+        if not isinstance(other, (int, Fraction, ScalarExpr)):
             return NotImplemented
-        return self.__add__(other.__neg__())
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return self.__neg__().__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _coefficient(other)
-            return ScalarExpr.normalize(
-                self.symbols,
-                (Term(t.coeff * q, t.monomial, t.exponent) for t in self.terms),
-            )
+            other = ScalarExpr.const(other, self.symbols)
         if not isinstance(other, ScalarExpr):
             return NotImplemented
         self._check(other)
@@ -358,14 +348,51 @@ class ScalarExpr:
         return result
 
     def invert(self) -> "ScalarExpr":
-        """Exact inverse of a unit q*exp(l); anything else is rejected."""
-        if len(self.terms) != 1:
-            raise NonInvertible(f"not a single-term unit: {self}")
-        t = self.terms[0]
-        if t.monomial:
-            raise NonInvertible(f"monomial factors have no inverse in the ring: {self}")
-        inverse = demote(Fraction(1) / t.coeff)  # 1 / int would be a float
-        return ScalarExpr(self.symbols, (Term(inverse, (), -t.exponent),))
+        """Exact inverse of a unit q*exp(l); anything else raises NonInvertible."""
+        return ScalarExpr.const(1, self.symbols).divide(self)
+
+    def divide(self, other: "ScalarExpr", max_terms: int | None = None) -> "ScalarExpr":
+        """The q with q * other == self: NonInvertible when the ring holds
+        none, TooManyTerms once q is seen to need more than `max_terms` terms.
+
+        A product of terms adds their keys, so each step divides the leading
+        (last) term of the remainder by that of `other`.  Per exp coefficient
+        and per monomial degree, the least and the greatest values over the
+        terms of a product add up (the ring is a domain): a quotient term
+        outside that box, or with a negative exponent, shows that `other`
+        does not divide self.  The box holds finitely many terms, so the loop ends.
+        """
+        self._check(other)
+        if not other.terms:
+            raise NonInvertible("division by zero")
+        if max_terms is not None and len(self.terms) > max_terms * len(other.terms):
+            raise TooManyTerms(f"quotient needs more than {max_terms} terms")
+        width, lead = len(self.symbols), other.terms[-1]
+        shift, down = -lead.exponent, tuple((i, -k) for i, k in lead.monomial)
+
+        def quotient_term(t: Term) -> Term:
+            monomial = _mul_monomials(t.monomial, down)
+            if any(k < 0 for _, k in monomial):
+                raise NonInvertible(f"{other} does not divide {self}")
+            return Term(demote(Fraction(t.coeff) / lead.coeff), monomial, t.exponent + shift)
+
+        if len(other.terms) == 1:  # term by term, which keeps the order
+            return ScalarExpr(self.symbols, tuple(map(quotient_term, self.terms)))
+
+        def columns(e: ScalarExpr):  # per exp coefficient, then per degree
+            return zip(*(sum(t.key(width), ()) for t in e.terms))
+
+        box = [(min(a) - min(b), max(a) - max(b)) for a, b in zip(columns(self), columns(other))]
+        quotient, rest = [], self
+        while rest.terms:
+            t = quotient_term(rest.terms[-1])
+            if not all(lo <= c <= hi for (lo, hi), c in zip(box, sum(t.key(width), ()))):
+                raise NonInvertible(f"{other} does not divide {self}")
+            quotient.append(t)
+            if max_terms is not None and len(quotient) > max_terms:
+                raise TooManyTerms(f"quotient needs more than {max_terms} terms")
+            rest = rest - other * ScalarExpr(self.symbols, (t,))
+        return ScalarExpr(self.symbols, tuple(reversed(quotient)))
 
     def diff(self, name: str) -> "ScalarExpr":
         """Partial derivative with respect to one chart symbol."""
@@ -374,10 +401,7 @@ class ScalarExpr:
         for t in self.terms:
             for j, k in t.monomial:
                 if j == i:
-                    lowered = tuple(
-                        (m, p - 1 if m == i else p) for m, p in t.monomial if not (m == i and p == 1)
-                    )
-                    lowered = tuple((m, p) for m, p in lowered if p)
+                    lowered = tuple((m, p - (m == i)) for m, p in t.monomial if (m, p) != (i, 1))
                     out.append(Term(t.coeff * k, lowered, t.exponent))
             c = t.exponent.coefficient(i)
             if c != 0:
@@ -398,11 +422,9 @@ class ScalarExpr:
 
     def as_rational(self) -> Fraction:
         """The constant as a `Fraction`, whatever the stored coefficient."""
-        if not self.terms:
-            return Fraction(0)
-        if self.is_constant():
-            return Fraction(self.terms[0].coeff)
-        raise NonInvertible(f"not a rational constant: {self}")
+        if not self.is_constant():
+            raise NonInvertible(f"not a rational constant: {self}")
+        return Fraction(self.terms[0].coeff if self.terms else 0)
 
     # -- rendering -------------------------------------------------------
 
@@ -730,7 +752,7 @@ class _Parser:
     def _to_exponential(self, inner: ScalarExpr, at: Token) -> ScalarExpr:
         coeffs: dict[int, Fraction] = {}
         for term in inner.terms:
-            if not term.exponent.is_zero() or term.degree() != 1:
+            if not term.exponent.is_zero() or [k for _, k in term.monomial] != [1]:
                 raise ExprSyntaxError(
                     "exp argument must be a rational linear form in the chart symbols",
                     at.line,

@@ -106,7 +106,7 @@ def test_check_empty_select_is_usage_error(select):
 
 @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
 def test_malformed_documents_exit_two(path):
-    proc = run_cli("check", path)
+    proc = run_cli("check", path, timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode("utf-8").startswith("error:")
@@ -136,6 +136,8 @@ def test_parse_errors_carry_positions(tmp_path):
         "many_terms.pk": "error: 5:228:",
         "many_segments.pk": "error: 6:247:",
         "dependent_frame.pk": "error: 3:1:",
+        "nonunit_frame.pk": "error: 4:1:",
+        "hostile7.pk": "error: 7:1:",
         "not_orthonormal.pk": "error: 6:1:",
         "eta_mismatch.pk": "error: 11:1:",
     }

@@ -145,6 +145,8 @@ def test_malformed_documents_report_positions(name):
 
 STRUCTURE_ERRORS = {
     "dependent_frame.pk": "3:1: frame members are not linearly independent",
+    "nonunit_frame.pk": "4:1: frame determinant -x is not a unit",
+    "hostile7.pk": "7:1: inverting the frame makes an entry of more than 40 terms",
     "eta_mismatch.pk": (
         "11:1: eta does not equal the metric dual of xi: eta(E3) = -1, dual gives 1"
     ),
@@ -161,6 +163,14 @@ def test_oversized_document_is_rejected_within_a_second(stem):
     start = time.perf_counter()
     with pytest.raises(DocumentError):
         load_manifold(DATA / "malformed" / f"{stem}.pk")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_frame_is_rejected_within_a_second():
+    doc = load_manifold(DATA / "malformed" / "hostile7.pk")
+    start = time.perf_counter()
+    with pytest.raises(DocumentError):
+        doc.to_structure()
     assert time.perf_counter() - start < 1.0
 
 

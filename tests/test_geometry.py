@@ -1,6 +1,8 @@
 from fractions import Fraction
+from pathlib import Path
 
 import itertools
+import time
 
 import pytest
 import sympy as sp
@@ -24,7 +26,8 @@ from parakenmotsu.geometry import (
     mat_rank,
     tensor_apply,
 )
-from parakenmotsu.scalar import NonInvertible, parse_scalar
+from parakenmotsu.dsl import load_manifold
+from parakenmotsu.scalar import NonInvertible, ScalarExpr, parse_scalar
 
 
 def sc(text):
@@ -139,9 +142,10 @@ def test_mat_inverse_rejects_singular():
 # -- determinant and inverse against sympy ------------------------------------
 #
 # The oracle writes exp(a*x + b*y + c*z) as E_x^a * E_y^b * E_z^c, so every
-# entry is a Laurent polynomial, and takes sympy's determinant by Gaussian
-# elimination over the fraction field, which shares nothing with the
-# package's block split and Berkowitz recurrence.
+# entry is a Laurent polynomial, and takes sympy's determinant and rank by
+# Gaussian elimination over the fraction field with sympy's own
+# cancellation, which shares nothing with the package's block split,
+# fraction-free elimination and exact division in the scalar ring.
 
 _EXP = dict(zip(CHART3.symbols, sp.symbols("E_x E_y E_z")))
 
@@ -257,6 +261,32 @@ def test_mat_rank_counts_independent_rows():
     rows = [[sc("1"), sc("x")], [sc("2"), sc("2*x")], [sc("0"), sc("exp(z)")]]
     assert mat_rank(rows, zero) == 2
     assert mat_rank([[zero, zero]], zero) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_invertible_matrices(), _singular_matrices()))
+def test_mat_rank_agrees_with_sympy(m):
+    expected = _sympy_matrix(m).rank(iszerofunc=lambda e: sp.cancel(e) == 0)
+    assert mat_rank(m, CHART3.zero()) == expected
+
+
+def test_mat_rank_is_not_held_to_the_term_bound():
+    """Check A10, which ranks phi -+ I, cannot report the bound; 1 - f g has 1,599 terms."""
+    f, g = (sc(" + ".join(f"{v}^{i}" for i in range(40))) for v in "xy")
+    assert mat_rank([[sc("-1"), f], [g, sc("-1")]], CHART3.zero()) == 2
+
+
+def test_dense_six_by_six_determinant_is_fast():
+    """The leading 6 x 6 block of hostile7.pk's rows, L*U for triangular L
+    and U whose diagonals are units, has a single-term determinant."""
+    doc = load_manifold(Path(__file__).parent / "data" / "malformed" / "hostile7.pk")
+    zero = ScalarExpr.zero(doc.coords)
+    rows = [{target[3:]: c for c, target in combo} for _, combo in doc.frames[:6]]
+    m = [[row.get(x, zero) for x in doc.coords[:6]] for row in rows]
+    start = time.perf_counter()
+    det = mat_det(m, zero)
+    assert time.perf_counter() - start < 0.1
+    assert det == parse_scalar("exp(y + u + 2*v + w + t)", doc.coords)
 
 
 @settings(max_examples=120, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import is_zero, to_sympy
+from strategies import scalars
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_BITS,
     MAX_COEFFICIENT_TERMS,
@@ -18,6 +19,7 @@ from parakenmotsu.scalar import (
     NonInvertible,
     ScalarExpr,
     Term,
+    TooManyTerms,
     UnknownSymbol,
     demote,
     parse_expr_tokens,
@@ -70,6 +72,32 @@ def test_invert_rejects_sums_and_monomials():
         sc("2*x").invert()
     with pytest.raises(NonInvertible):
         sc("0").invert()
+
+
+@settings(max_examples=120, deadline=None)
+@given(scalars(max_terms=4), scalars(max_terms=4).filter(lambda b: not b.is_zero()))
+def test_divide_undoes_multiplication(a, b):
+    assert (a * b).divide(b) == a
+
+
+def test_divide_rejects_non_multiples():
+    # exp(x) / (1 + exp(-y)) would be the series exp(x) (1 - exp(-y) + ...),
+    # each of whose terms lies above lowest(a) / lowest(b) in the term order;
+    # the least exp(y) coefficient of a quotient, 0 - (-1), is above the
+    # greatest, 0 - 0, so the division stops at once
+    for a, b in [("x", "y"), ("1", "1 + x"), ("exp(x)", "1 + exp(-y)"), ("x + 1", "x - 1")]:
+        with pytest.raises(NonInvertible):
+            sc(a).divide(sc(b))
+    with pytest.raises(NonInvertible):
+        sc("x").divide(sc("0"))
+
+
+def test_divide_stops_at_its_term_budget():
+    assert len(sc("x^40 - 1").divide(sc("x - 1"), max_terms=40).terms) == 40
+    with pytest.raises(TooManyTerms):
+        sc("x^41 - 1").divide(sc("x - 1"), max_terms=40)
+    with pytest.raises(TooManyTerms):
+        sc("(1 + x)^41").divide(sc("2"), max_terms=40)
 
 
 def test_diff_product_of_power_and_exponential():
