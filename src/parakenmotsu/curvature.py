@@ -89,13 +89,12 @@ def ricci(riem: Tensor) -> Tensor:
     In a pseudo-orthonormal frame the metric pairing contributes the same
     sign eps_i, so the component formula collapses to sum_i R[i,i,j,k].
     """
-    frame = riem.frame
-    d = frame.dim
-    s = Tensor.build(frame, 0, 2, contract("R[iijk] -> jk", R=riem))
-    for j in range(d):
-        for k in range(j + 1, d):
-            if not (s[j, k] - s[k, j]).is_zero():
-                raise CurvatureError(f"Ricci tensor not symmetric at ({j},{k})")
+    s = Tensor.build(riem.frame, 0, 2, contract("R[iijk] -> jk", R=riem))
+    # the skew part's first nonzero entry in row-major order has j < k
+    skew = contract("S[jk] - S[kj] -> jk", S=s).nonzero()
+    if skew:
+        (j, k), _ = skew[0]
+        raise CurvatureError(f"Ricci tensor not symmetric at ({j},{k})")
     return s
 
 

@@ -617,4 +617,12 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
     else:
         eta = Tensor(frame, 0, 1, dual)
 
-    return ParacontactStructure(frame, Tensor(frame, 1, 1, phi), xi, eta, chart.n)
+    s = ParacontactStructure(frame, Tensor(frame, 1, 1, phi), xi, eta, chart.n)
+    try:
+        s.eigen_ranks()  # check A10's elimination, held to the bound here
+    except TooManyTerms as err:
+        raise DocumentError(
+            f"ranking phi -+ I makes an entry of more than {MAX_COEFFICIENT_TERMS} terms",
+            *doc.at.get("phi", ()),
+        ) from err
+    return s

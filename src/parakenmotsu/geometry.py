@@ -8,9 +8,10 @@ E_k, is the only coordinate-basis table; its inverse gives the frame
 components of each d/dx^a.  A vector, xi included, is a rank-1
 `Components` of frame components.
 
-Every sum over frame indices goes through one primitive, `contract`.  Its
-spec is a signed sum of products of named factors, then the output
-indices:
+Every sum over frame indices, and every sum or multiple of tensors, goes
+through one primitive, `contract`; a `Tensor` holds no arithmetic of its
+own.  The spec is a signed sum of products of named factors, then the
+output indices:
 
     contract("S[xm] R[myzw] xi[a] - S[xy] xi[m] R[amzw] -> axyzw",
              S=ricci, R=riem, xi=s.xi)
@@ -134,11 +135,6 @@ class Components:
     def __hash__(self):
         return hash((self.dim, self.rank, self._pairs))
 
-    def map(self, f: Callable[[ScalarExpr], ScalarExpr]) -> "Components":
-        """f of every nonzero entry, dropping the entries where it is zero."""
-        pairs = [(i, v) for i, c in self._pairs if (v := f(c)).terms]
-        return Components.from_nonzero(pairs, self.rank, self.dim, self.zero)
-
     def __len__(self) -> int:
         return self.dim**self.rank
 
@@ -223,15 +219,14 @@ def _blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
     return list(blocks.values())
 
 
-def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, bound=MAX_COEFFICIENT_TERMS,
-               jordan: bool = False):
+def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, jordan: bool = False):
     """Eliminate `rows` in place; (rank, sign of the row swaps, last pivot).
 
     A pivot p in row top turns each other row r into (p r - f top) / q, f
     being r's entry in p's column and q the pivot before (first 1); p's
     column and each entry q over a zero of top take 0 and p directly.  Each
-    entry is a minor, so the division is exact; it is held to `bound`
-    terms (None: unbounded).  Only rows below p change, unless `jordan`:
+    entry is a minor, so the division is exact; past MAX_COEFFICIENT_TERMS
+    terms it raises TooManyTerms.  Only rows below p change, unless `jordan`:
     then the rows are [B | I] for a square B, the pivots come from B and
     the rows above are cleared too, so an invertible B leaves [c I | c B^-1].
     """
@@ -251,7 +246,7 @@ def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, bound=MAX_COEFFIC
                 rows[r] = [
                     zero if j == col
                     else p if a == previous and not b.terms
-                    else (p * a - f * b).divide(previous, bound)
+                    else (p * a - f * b).divide(previous, MAX_COEFFICIENT_TERMS)
                     for j, (a, b) in enumerate(zip(rows[r], top))
                 ]
         previous, rank = p, rank + 1
@@ -265,8 +260,8 @@ def mat_det(m: Matrix, zero: ScalarExpr) -> ScalarExpr:
 
 
 def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
-    """Rank, its entries not held to a bound: check A10, the caller, cannot report one."""
-    return _eliminate([list(r) for r in m], zero, None)[0]
+    """The rank; an entry past the term bound raises TooManyTerms (check A10)."""
+    return _eliminate([list(r) for r in m], zero)[0]
 
 
 def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
@@ -394,7 +389,8 @@ class Tensor:
 
     A frame, the valence and one `Components` over the r + s frame
     indices, in row-major order; for r = 1 the contravariant index comes
-    first.  A one-form such as eta is a (0,1) tensor, read as eta[i].
+    first.  A one-form such as eta is a (0,1) tensor, read as eta[i].  Sums
+    and multiples are contractions, e.g. contract("a[ij] + 2 b[ij] -> ij").
     """
 
     __slots__ = ("frame", "r", "s", "components")
@@ -431,30 +427,6 @@ class Tensor:
             idx = itertools.product(range(frame.dim), repeat=r + s)
             entry = [entry(*i) for i in idx]
         return Tensor(frame, r, s, entry)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return self._merge(other, other.nonzero())
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self._merge(other, (-other).nonzero())
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.frame, self.r, self.s, self.components.map(ScalarExpr.__neg__))
-
-    def scale(self, factor) -> "Tensor":
-        comps = self.components.map(lambda c: c * factor)
-        return Tensor(self.frame, self.r, self.s, comps)
-
-    def _merge(self, other: "Tensor", pairs: Nonzero) -> "Tensor":
-        """This tensor plus the nonzero `pairs` of `other`, entry by entry."""
-        self._match(other)
-        zero = self.components.zero
-        comps = Components.summed(self.nonzero() + pairs, self.rank, self.frame.dim, zero)
-        return Tensor(self.frame, self.r, self.s, comps)
-
-    def _match(self, other: "Tensor") -> None:
-        if self.frame is not other.frame or (self.r, self.s) != (other.r, other.s):
-            raise ValenceError("tensor operands do not share frame and valence")
 
     def nonzero(self) -> Nonzero:
         """(index, component) of each nonzero component, in row-major order."""
@@ -509,7 +481,8 @@ def _components(value, rank: int) -> tuple[Components, int | None]:
     if isinstance(value, Tensor):
         value, d = value.components, value.frame.dim
     elif isinstance(value, ScalarExpr):
-        value, d = Components((value,), 0, 1), None
+        pairs = (((), value),) if value.terms else ()
+        value, d = Components.from_nonzero(pairs, 0, 1, ScalarExpr.zero(value.symbols)), None
     elif isinstance(value, Components):
         d = value.dim
     else:
@@ -661,24 +634,6 @@ def leibniz_spec(r: int, s: int, directed: bool = False) -> str:
         moved = f"t[{letters[:p]}z{letters[p + 1:]}]"
         terms.append(f"+ c[{i}z{l}] {moved}" if p < r else f"- c[{i}{l}z] {moved}")
     return " ".join(terms) + f" -> {i}{letters}"
-
-
-def tensor_apply(t: Tensor, args: Sequence[Components]):
-    """Contract a tensor with vector arguments in frame components.
-
-    Returns a ScalarExpr for valence (0, s) and the frame Components of a
-    vector for (1, s).
-    """
-    if len(args) != t.s:
-        raise ValenceError(f"tensor of valence ({t.r},{t.s}) takes {t.s} arguments")
-    upper = "a" * t.r
-    letters = "bcdefghijklmnopqrstuvwxyz"[: t.s]
-    factors = "".join(f" x{l}[{l}]" for l in letters)
-    return contract(
-        f"t[{upper}{letters}]{factors} -> {upper}" if t.rank else "t ->",
-        t=t,
-        **{f"x{l}": x for l, x in zip(letters, args)},
-    )
 
 
 def exterior_derivative(omega: Tensor) -> Tensor:

@@ -29,13 +29,7 @@ from typing import NamedTuple
 from parakenmotsu.connection import FrameConnection, koszul_connection
 from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import (
-    Components,
-    Tensor,
-    ValenceError,
-    contract,
-    tensor_apply,
-)
+from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu.report import witness_at
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.structure import ParacontactStructure, vanishing_check
@@ -115,10 +109,18 @@ def _split(t: Tensor, g: Tensor, eta: Tensor, error) -> tuple[Fraction, Fraction
     return a, b
 
 
+def _deformation(s: ParacontactStructure, ricci_tensor: Tensor, c=0) -> Tensor:
+    """L_xi g + 2S + c eta x eta: the soliton flow and T2's alpha at c = 0, T1's at 2 mu."""
+    comps = contract(
+        "lg[ij] + 2 S[ij] + c eta[i] eta[j] -> ij",
+        lg=s.lie_metric(), S=ricci_tensor, c=c, eta=s.eta,
+    )
+    return Tensor.build(s.frame, 0, 2, comps)
+
+
 def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolution:
     """Solve L_xi g + 2S + 2 lambda g + 2 mu eta x eta = 0 exactly."""
-    flow = s.lie_metric() + ricci_tensor.scale(2)
-    a, b = _split(flow, s.metric(), s.eta, NoConstantSolution)
+    a, b = _split(_deformation(s, ricci_tensor), s.metric(), s.eta, NoConstantSolution)
     try:
         return SolitonSolution(-a / 2, -b / 2, s.n)
     except ValueError as exc:
@@ -344,9 +346,11 @@ def _generic(n: int):
     conn = koszul_connection(s.frame)
     riem = riemann(conn, verify=False)
     mu = s.chart.coordinate("mu")
-    g = s.metric()
-    ee = s.eta_square()
-    ricci_sym = g.scale(mu - (2 * n + 1)) + ee.scale(s.chart.const(1) - mu)
+    comps = contract(
+        "a g[ij] + b eta[i] eta[j] -> ij",
+        a=mu - (2 * n + 1), g=s.metric(), b=s.chart.const(1) - mu, eta=s.eta,
+    )
+    ricci_sym = Tensor.build(s.frame, 0, 2, comps)
     q_sym = ricci_operator(ricci_sym)
     return s, conn, riem, mu, ricci_sym, q_sym
 
@@ -450,11 +454,11 @@ def parallel_tensor_classify(
     """Verify nabla alpha = 0 and return c with alpha = c * g."""
     if (alpha.r, alpha.s) != (0, 2):
         raise ValenceError("expected a (0,2) tensor")
-    d = s.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not (alpha[i, j] - alpha[j, i]).is_zero():
-                raise ValenceError(f"tensor not symmetric at ({i}, {j})")
+    # the skew part's first nonzero entry in row-major order has j < k
+    skew = contract("S[jk] - S[kj] -> jk", S=alpha).nonzero()
+    if skew:
+        (j, k), _ = skew[0]
+        raise ValenceError(f"tensor not symmetric at ({j}, {k})")
     witness = _first_non_parallel(conn, alpha)
     if witness is not None:
         raise NotParallel(witness)
@@ -476,13 +480,12 @@ def soliton_from_parallel_check(
     parallel, and then lambda = -alpha(xi, xi)/2 must reproduce the
     solver's value.  Returns None when both hold, else the witness.
     """
-    alpha = s.lie_metric() + ricci_tensor.scale(2) + s.eta_square().scale(2 * sol.mu)
+    alpha = _deformation(s, ricci_tensor, 2 * sol.mu)
     problem = _first_non_parallel(conn, alpha)
     if problem is None:
         try:
-            lam = -_as_rational(
-                tensor_apply(alpha, (s.xi, s.xi)), NotMultiple, "alpha(xi, xi)"
-            ) / 2
+            on_xi = contract("a[ij] xi[i] xi[j] ->", a=alpha, xi=s.xi)
+            lam = -_as_rational(on_xi, NotMultiple, "alpha(xi, xi)") / 2
             if lam != sol.lam:
                 problem = f"recovered lambda {lam} differs from solved {sol.lam}"
         except NotMultiple as exc:
@@ -496,8 +499,7 @@ def mu_zero_variant_check(
     ricci_tensor: Tensor,
 ) -> str | None:
     """mu = 0 deformation must NOT be parallel (no plain Ricci soliton)."""
-    alpha = s.lie_metric() + ricci_tensor.scale(2)
-    if _first_non_parallel(conn, alpha) is None:
+    if _first_non_parallel(conn, _deformation(s, ricci_tensor)) is None:
         return "mu = 0 deformation is parallel, so a plain Ricci soliton would exist"
     return None
 

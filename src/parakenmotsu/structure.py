@@ -63,16 +63,30 @@ class ParacontactStructure:
             self._cache["lie_g"] = lie_derivative(self.xi, self.metric())
         return self._cache["lie_g"]
 
-    def xi_components(self) -> Components:
-        """xi itself, which is held in frame components."""
-        return self.xi
-
     def eta_square(self) -> Tensor:
         """The (0,2) tensor eta tensor eta."""
         if "ee" not in self._cache:
-            eta = self.eta
-            self._cache["ee"] = Tensor.build(self.frame, 0, 2, lambda i, j: eta[i] * eta[j])
+            ee = contract("eta[i] eta[j] -> ij", eta=self.eta)
+            self._cache["ee"] = Tensor.build(self.frame, 0, 2, ee)
         return self._cache["ee"]
+
+    def horizontal(self) -> list[int]:
+        """The frame members that eta annihilates."""
+        return [i for i in range(self.dim) if self.eta[i].is_zero()]
+
+    def eigen_ranks(self) -> tuple[int, int]:
+        """Ranks of phi - I and phi + I on the `horizontal` members, cached.
+
+        An entry of their elimination past MAX_COEFFICIENT_TERMS raises
+        TooManyTerms; the DSL reports it where the phi lines are read.
+        """
+        if "ranks" not in self._cache:
+            h, ranks = self.horizontal(), []
+            for c in (-1, 1):
+                m = contract("phi[ai] + c delta[ai] -> ai", phi=self.phi, c=c)
+                ranks.append(mat_rank([[m[a, i] for i in h] for a in h], self.chart.zero()))
+            self._cache["ranks"] = tuple(ranks)
+        return self._cache["ranks"]
 
     def operands(self) -> dict:
         """The structure's contraction operands: g, phi, eta and xi."""
@@ -115,33 +129,20 @@ _AXIOMS = (
 
 def check_axioms(s: ParacontactStructure) -> list[str | None]:
     """Witnesses of the defining axioms A1-A10; never aborts early."""
-    d = s.dim
-    chart = s.chart
-    phi = s.phi
     operands = s.operands()
     witnesses = [vanishing_check(spec, operands) for spec in _AXIOMS]
 
     plus = s.frame.signs.count(1)
-    minus = d - plus
+    minus = s.dim - plus
     ok = (plus, minus) == (s.n + 1, s.n)
     msg = f"signature ({plus}, {minus}), expected ({s.n + 1}, {s.n})"
     witnesses.append(None if ok else msg)
 
-    horizontal = [i for i in range(d) if s.eta[i].is_zero()]
-    ok = len(horizontal) == 2 * s.n
-    msg = f"{len(horizontal)} frame members annihilated by eta, expected {2 * s.n}"
+    horizontal = len(s.horizontal())
+    ok = horizontal == 2 * s.n
+    msg = f"{horizontal} frame members annihilated by eta, expected {2 * s.n}"
     if ok:
-        one = chart.const(1)
-        minus_id = [
-            [phi[a, i] - (one if a == i else chart.zero()) for i in horizontal]
-            for a in horizontal
-        ]
-        plus_id = [
-            [phi[a, i] + (one if a == i else chart.zero()) for i in horizontal]
-            for a in horizontal
-        ]
-        r_minus = mat_rank(minus_id, chart.zero())
-        r_plus = mat_rank(plus_id, chart.zero())
+        r_minus, r_plus = s.eigen_ranks()
         ok = r_minus == s.n and r_plus == s.n
         msg = (
             f"eigendistribution ranks ({r_minus}, {r_plus}),"

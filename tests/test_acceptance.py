@@ -20,7 +20,7 @@ import pytest
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import lie_derivative, ricci, riemann
 from parakenmotsu.dsl import load_manifold
-from parakenmotsu.geometry import tensor_apply
+from parakenmotsu.geometry import Tensor, contract
 from parakenmotsu.report import exit_code
 from parakenmotsu.soliton import (
     ConditionKind,
@@ -119,7 +119,7 @@ def test_criterion_3_curvature_golden_values_and_identities():
     assert (S[2, 2] - const(-2)).is_zero()
 
     eta = [s.eta[i] for i in range(d)]
-    xif = s.xi_components()
+    xif = s.xi
     g = s.metric()
 
     # R(X, Y) xi = eta(X) Y - eta(Y) X on every frame pair
@@ -215,19 +215,19 @@ def test_criterion_5_factor_polynomials_exact_for_n_1_2_3():
 def test_criterion_6_parallel_tensor_oracle_and_lambda_recovery():
     s, conn, riem, S = _r3_pipeline()
     for c in (Fraction(1), Fraction(5), Fraction(-3, 2)):
-        assert parallel_tensor_classify(s.metric().scale(c), conn, s) == c
+        multiple = Tensor.build(s.frame, 0, 2, contract("c g[ij] -> ij", c=c, g=s.metric()))
+        assert parallel_tensor_classify(multiple, conn, s) == c
 
     with pytest.raises(NotParallel) as info:
         parallel_tensor_classify(s.eta_square(), conn, s)
     assert str(info.value) == "nabla along E1 at [E1, E3]: 1"
 
     sol = solve_soliton(s, S)
-    alpha = (
-        lie_derivative(s.xi, s.metric())
-        + S.scale(2)
-        + s.eta_square().scale(2 * sol.mu)
+    alpha = contract(
+        "lg[ij] + 2 S[ij] + c eta[i] eta[j] -> ij",
+        lg=lie_derivative(s.xi, s.metric()), S=S, c=2 * sol.mu, eta=s.eta,
     )
-    recovered = -tensor_apply(alpha, (s.xi, s.xi)).as_rational() / 2
+    recovered = -contract("a[ij] xi[i] xi[j] ->", a=alpha, xi=s.xi).as_rational() / 2
     assert recovered == sol.lam
     assert soliton_from_parallel_check(s, conn, S, sol) is None
     print("criterion 6: PASS  parallel multiples classified exactly;"

@@ -1,11 +1,16 @@
+import signal
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parakenmotsu import scalar
 from parakenmotsu.dsl import DocumentError, load_manifold, parse_manifold
+from parakenmotsu.scalar import ExprSyntaxError
+from parakenmotsu.suite import run_suite
 
 DATA = Path(__file__).parent / "data"
 MANIFOLDS = Path(__file__).parent.parent / "manifolds"
@@ -147,6 +152,7 @@ STRUCTURE_ERRORS = {
     "dependent_frame.pk": "3:1: frame members are not linearly independent",
     "nonunit_frame.pk": "4:1: frame determinant -x is not a unit",
     "hostile7.pk": "7:1: inverting the frame makes an entry of more than 40 terms",
+    "phi_terms.pk": "15:1: ranking phi -+ I makes an entry of more than 40 terms",
     "eta_mismatch.pk": (
         "11:1: eta does not equal the metric dual of xi: eta(E3) = -1, dual gives 1"
     ),
@@ -172,6 +178,77 @@ def test_oversized_frame_is_rejected_within_a_second():
     with pytest.raises(DocumentError):
         doc.to_structure()
     assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_phi_is_rejected_within_a_second():
+    """Check A10's elimination of phi -+ I is held to the term bound where
+    the document is read; unbounded, `check` ran for minutes."""
+    doc = load_manifold(DATA / "malformed" / "phi_terms.pk")
+    start = time.perf_counter()
+    with pytest.raises(DocumentError):
+        doc.to_structure()
+    assert time.perf_counter() - start < 1.0
+
+
+# documents of dimension 5 and 7 whose phi lines are replaced by drawn ones
+PHI_BASES = (
+    MANIFOLDS / "example_r5.pk",
+    DATA / "nonein5.pk",
+    DATA / "ricciflat5.pk",
+    DATA / "rotated5.pk",
+    DATA / "malformed" / "phi_terms.pk",
+)
+PHI_DEADLINE = 5.0  # seconds for parsing, building and the whole suite
+
+
+@st.composite
+def _polynomials(draw, coords):
+    """1 to 12 signed terms c*x^a*y^b*exp(+-z) over the chart."""
+    text = ""
+    for k in range(draw(st.integers(1, 12))):
+        factors = [str(draw(st.integers(1, 3)))]
+        for x in draw(st.lists(st.sampled_from(coords), max_size=2, unique=True)):
+            factors.append(f"{x}^{draw(st.integers(1, 3))}")
+        if draw(st.booleans()):
+            flip = draw(st.sampled_from(("", "-")))
+            factors.append(f"exp({flip}{draw(st.sampled_from(coords))})")
+        sign = draw(st.sampled_from("+-"))
+        text += (f" {sign} " if k else sign.strip("+")) + "*".join(factors)
+    return text
+
+
+@st.composite
+def _drawn_phi_documents(draw):
+    lines = draw(st.sampled_from(PHI_BASES)).read_text(encoding="utf-8").splitlines()
+    coords = next(line for line in lines if line.startswith("coords ")).split()[1:]
+    members = [line.split()[1] for line in lines if line.startswith("frame ")]
+    for at, line in enumerate(lines):
+        if line.startswith("phi "):
+            targets = draw(st.lists(st.sampled_from(members), min_size=1, max_size=3, unique=True))
+            combo = " + ".join(f"({draw(_polynomials(coords))}) {t}" for t in sorted(targets))
+            lines[at] = f"phi {line.split()[1]} -> {combo}"
+    return "\n".join(lines) + "\n"
+
+
+def _late(signum, frame):
+    raise TimeoutError(f"no answer within {PHI_DEADLINE} s")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_drawn_phi_documents())
+def test_drawn_phi_coefficients_end_in_a_verdict_or_a_document_error(text):
+    """Multi-term phi coefficients once made check A10 run for minutes."""
+    previous = signal.signal(signal.SIGALRM, _late)
+    # repeated every 0.5 s: an alarm that lands in a __hash__ or __eq__ run
+    # by a dict lookup is swallowed there, so a later one must follow
+    signal.setitimer(signal.ITIMER_REAL, PHI_DEADLINE, 0.5)
+    try:
+        run_suite(parse_manifold(text).to_structure())
+    except (DocumentError, ExprSyntaxError):
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_ERRORS))

@@ -75,13 +75,19 @@ def test_solution_classification_eta_case():
     assert sol.classification == "quasi-Einstein"
 
 
+def tensor02(s, spec, **operands):
+    """The (0,2) tensor of the contraction `spec` on the frame of `s`."""
+    return Tensor.build(s.frame, 0, 2, contract(spec, **operands))
+
+
 def test_no_constant_solution_on_doctored_ricci(pipeline):
     n, s, conn, riem, S = pipeline
     x = s.frame.chart.coordinate("x1" if n > 1 else "x")
-    doctored = S + Tensor.build(
+    bump = Tensor.build(
         s.frame, 0, 2,
         lambda i, j: x if i == j == 0 else s.frame.chart.zero(),
     )
+    doctored = tensor02(s, "S[ij] + b[ij] -> ij", S=S, b=bump)
     with pytest.raises(NoConstantSolution):
         solve_soliton(s, doctored)
 
@@ -99,7 +105,9 @@ def test_quasi_einstein_split_round_trips(pipeline):
 
 def test_quasi_einstein_split_detects_eta_component(pipeline):
     n, s, conn, riem, S = pipeline
-    shifted = S + s.eta_square().scale(Fraction(5, 2))
+    shifted = tensor02(
+        s, "S[ij] + c eta[i] eta[j] -> ij", S=S, c=Fraction(5, 2), eta=s.eta
+    )
     a, b = quasi_einstein_decompose(shifted, s.metric(), s.eta)
     assert a == Fraction(-2 * n)
     assert b == Fraction(5, 2)
@@ -116,7 +124,8 @@ def test_quasi_einstein_split_witnesses(pipeline):
 
     def bump(at, value):
         zero = s.chart.zero()
-        return S + Tensor.build(s.frame, 0, 2, lambda *idx: value if idx in at else zero)
+        b = Tensor.build(s.frame, 0, 2, lambda *idx: value if idx in at else zero)
+        return tensor02(s, "S[ij] + b[ij] -> ij", S=S, b=b)
 
     # the pivot E1, then xi = E_d, then the first nonzero residual component
     assert witness(bump({(0, 0)}, x)) == f"component [E1, E1]: {-2 * n} + {x}"
@@ -454,7 +463,8 @@ def test_rational_roots_rejects_constant_polynomial():
 def test_parallel_classify_returns_metric_multiple(pipeline):
     n, s, conn, riem, S = pipeline
     for c in (Fraction(1), Fraction(5), Fraction(-3, 2)):
-        assert parallel_tensor_classify(s.metric().scale(c), conn, s) == c
+        multiple = tensor02(s, "c g[ij] -> ij", c=c, g=s.metric())
+        assert parallel_tensor_classify(multiple, conn, s) == c
 
 
 def test_parallel_classify_rejects_eta_square(pipeline):
@@ -478,7 +488,8 @@ def test_parallel_classify_rejects_a_parallel_tensor_off_the_metric_line():
     s = build_flat(1)
     conn = koszul_connection(s.frame)
     with pytest.raises(NotMultiple) as info:
-        parallel_tensor_classify(s.metric() + s.eta_square(), conn, s)
+        alpha = tensor02(s, "g[ij] + eta[i] eta[j] -> ij", **s.operands())
+        parallel_tensor_classify(alpha, conn, s)
     assert str(info.value) == "alpha = 1 g + 1 eta x eta"
 
 
@@ -519,7 +530,7 @@ def shifted():
     s = build_warped(2)
     conn = koszul_connection(s.frame)
     S = ricci(riemann(conn))
-    s_prime = S + s.metric().scale(s.chart.coordinate("z"))
+    s_prime = tensor02(s, "S[ij] + z g[ij] -> ij", S=S, z=s.chart.coordinate("z"), g=s.metric())
     return s, conn, S, s_prime, solve_soliton(s, S)
 
 

@@ -67,6 +67,15 @@ def test_readme_library_example_runs(monkeypatch):
     exec(compile(block, "README.md", "exec"), {})
 
 
+def test_readme_factors_block_is_the_command_output():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Symbolic factor analysis", 1)[1]
+    block = re.search(r"```\n\$ parakenmotsu factors --n 1\n(.*?)```", section, re.DOTALL)
+    golden = ROOT / "tests" / "data" / "golden" / "factors-1-text.out"
+    assert block is not None
+    assert block.group(1) == golden.read_text(encoding="utf-8")
+
+
 def test_every_name_the_tracer_wraps_exists():
     # the benchmark's tracer looks these up by name after import
     for module, function in _traced().SPANNED:
