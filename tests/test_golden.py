@@ -54,7 +54,7 @@ def _cases() -> dict[str, list[str]]:
             for kind in kinds:
                 argv = ["condition", path, "--kind", kind, "--format", fmt]
                 cases[f"condition-{stem}-{kind}-{fmt}"] = argv
-        for n in (1, 2):
+        for n in (1, 2, 3, 4):
             cases[f"factors-{n}-{fmt}"] = ["factors", "--n", str(n), "--format", fmt]
     return cases
 
