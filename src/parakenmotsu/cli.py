@@ -20,7 +20,6 @@ from parakenmotsu.soliton import (
     NoConstantSolution,
     condition_check,
     phi_ricci_prefactor,
-    rational_roots,
     symbolic_factor_check,
     theorem_expected,
 )
@@ -198,14 +197,11 @@ def _cmd_factors(args) -> int:
     try:
         for kind in ConditionKind:
             result = symbolic_factor_check(kind, n)
-            roots = sorted(rational_roots(result.polynomial))
-            pairs = sorted(theorem_expected(kind, n))
-            entries.append((kind.value, result, roots, pairs))
+            entries.append((kind.value, result, sorted(theorem_expected(kind, n))))
         prefactor = phi_ricci_prefactor(n)
     except FactorError as err:
         print(f"factor extraction failed: {err}", file=sys.stderr)
         return 1
-    prefactor_roots = sorted(rational_roots(prefactor.polynomial))
 
     if args.format == "json-like":
         payload = {
@@ -216,23 +212,23 @@ def _cmd_factors(args) -> int:
                     "kind": kind_value,
                     "polynomial": str(result.polynomial),
                     "scale": str(result.scale),
-                    "mu_roots": [str(r) for r in roots],
+                    "mu_roots": [str(r) for r in result.roots],
                     "pairs": [[str(a), str(b)] for a, b in pairs],
                 }
-                for kind_value, result, roots, pairs in entries
+                for kind_value, result, pairs in entries
             ],
             "phi_ricci": {
                 "polynomial": str(prefactor.polynomial),
                 "scale": str(prefactor.scale),
-                "mu_roots": [str(r) for r in prefactor_roots],
+                "mu_roots": [str(r) for r in prefactor.roots],
             },
         }
         _write(json_bytes(payload))
     else:
         lines = [f"factor analysis at n = {n}  (dimension {2 * n + 1})"]
-        width = max(len(v) for v, _, _, _ in entries)
-        for kind_value, result, roots, pairs in entries:
-            root_text = ", ".join(str(r) for r in roots)
+        width = max(len(v) for v, _, _ in entries)
+        for kind_value, result, pairs in entries:
+            root_text = ", ".join(str(r) for r in result.roots)
             pair_text = ", ".join(f"({a}, {b})" for a, b in pairs)
             lines.append(
                 f"  {kind_value.ljust(width)}  polynomial {result.polynomial}"

@@ -33,7 +33,6 @@ from parakenmotsu.geometry import (
     Frame,
     Tensor,
     contract,
-    mat_det,
 )
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_TERMS,
@@ -579,8 +578,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
     try:
         frame = Frame(chart, members, signs)
     except NonInvertible as err:
-        # the inverse has just taken this det, of the same matrix, within the bound
-        det = mat_det(tuple(tuple(members[k, a] for k in range(d)) for a in range(d)), zero)
+        det = err.det  # the inverse took it for its own message
         reason = (f"frame determinant {det} is not a unit" if det.terms
                   else "frame members are not linearly independent")
         raise DocumentError(reason, *doc.at.get("frame", ())) from err

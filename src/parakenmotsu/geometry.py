@@ -224,11 +224,13 @@ def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, jordan: bool = Fa
 
     A pivot p in row top turns each other row r into (p r - f top) / q, f
     being r's entry in p's column and q the pivot before (first 1); p's
-    column and each entry q over a zero of top take 0 and p directly.  Each
-    entry is a minor, so the division is exact; past MAX_COEFFICIENT_TERMS
-    terms it raises TooManyTerms.  Only rows below p change, unless `jordan`:
-    then the rows are [B | I] for a square B, the pivots come from B and
-    the rows above are cleared too, so an invertible B leaves [c I | c B^-1].
+    column and each 0 over a zero of top take 0, and each q over a zero of
+    top takes p, directly.  An entry of p r - f top is normalized once,
+    from the raw terms of both products.  Each entry is a minor, so the
+    division is exact; past MAX_COEFFICIENT_TERMS terms it raises
+    TooManyTerms.  Only rows below p change, unless `jordan`: then the rows
+    are [B | I] for a square B, the pivots come from B and the rows above
+    are cleared too, so an invertible B leaves [c I | c B^-1].
     """
     width = len(rows[0]) if rows else 0
     rank, sign, previous = 0, 1, ScalarExpr.const(1, zero.symbols)
@@ -242,11 +244,13 @@ def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, jordan: bool = Fa
         p = top[col]
         for r in range(0 if jordan else rank + 1, len(rows)):
             if r != rank:
-                f = rows[r][col]
+                minus_f = (-rows[r][col]).terms
                 rows[r] = [
-                    zero if j == col
+                    zero if j == col or not (a.terms or b.terms)
                     else p if a == previous and not b.terms
-                    else (p * a - f * b).divide(previous, MAX_COEFFICIENT_TERMS)
+                    else ScalarExpr.normalize(
+                        zero.symbols, [*mul_terms(p.terms, a.terms), *mul_terms(minus_f, b.terms)]
+                    ).divide(previous, MAX_COEFFICIENT_TERMS)
                     for j, (a, b) in enumerate(zip(rows[r], top))
                 ]
         previous, rank = p, rank + 1
@@ -274,13 +278,15 @@ def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
                for t, i in enumerate(rows)]
         rank, _, pivot = _eliminate(aug, zero, jordan=True) if len(cols) == k else (0, 1, zero)
         try:
-            u = (pivot if rank == k else zero).invert()
+            (pivot if rank == k else zero).invert()  # raises unless c is a unit
         except NonInvertible as exc:
             det = mat_det(m, zero)
-            raise NonInvertible(f"matrix is not invertible over the ring: det = {det}") from exc
+            error = NonInvertible(f"matrix is not invertible over the ring: det = {det}")
+            error.det = det  # for callers that word their own message
+            raise error from exc
         for t, row in enumerate(aug):
             for s, value in enumerate(row[k:]):
-                out[cols[t]][rows[s]] = value * u
+                out[cols[t]][rows[s]] = value.divide(pivot)  # term by term, c a unit
     return tuple(map(tuple, out))
 
 

@@ -383,7 +383,7 @@ class ScalarExpr:
             return zip(*(sum(t.key(width), ()) for t in e.terms))
 
         box = [(min(a) - min(b), max(a) - max(b)) for a, b in zip(columns(self), columns(other))]
-        quotient, rest = [], self
+        quotient, rest, minus = [], self, (-other).terms
         while rest.terms:
             t = quotient_term(rest.terms[-1])
             if not all(lo <= c <= hi for (lo, hi), c in zip(box, sum(t.key(width), ()))):
@@ -391,7 +391,7 @@ class ScalarExpr:
             quotient.append(t)
             if max_terms is not None and len(quotient) > max_terms:
                 raise TooManyTerms(f"quotient needs more than {max_terms} terms")
-            rest = rest - other * ScalarExpr(self.symbols, (t,))
+            rest = ScalarExpr.normalize(self.symbols, [*rest.terms, *mul_terms(minus, (t,))])
         return ScalarExpr(self.symbols, tuple(reversed(quotient)))
 
     def diff(self, name: str) -> "ScalarExpr":

@@ -12,10 +12,10 @@ times the row's rational shape, and each advertised pair is (2n - r, r)
 for a mu-root r of the paper's factor.
 
 Sign conventions in the derivation-style displays are not consistent
-across circulated write-ups, so the extraction below normalizes the
-polynomial to integer coefficients with content 1 and reports the
-rational proportionality constant `scale` separately; the root sets are
-invariant under this normalization.
+across circulated write-ups, so the extraction below solves nothing: it
+builds the paper's factor from the row's sign and mu-roots, proves that
+the residual's polynomial is a rational multiple of it, and reports that
+multiple as `scale`.  The roots it reports are the row's.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from parakenmotsu.connection import FrameConnection, koszul_connection
@@ -283,60 +282,19 @@ def condition_check(
 
 
 class FactorResult:
-    def __init__(self, polynomial: ScalarExpr, scale: Fraction):
+    def __init__(self, polynomial: ScalarExpr, scale: Fraction, roots: tuple):
         self.polynomial = polynomial  # integer-primitive polynomial in mu
         self.scale = scale  # residual = scale * polynomial * shape
+        self.roots = roots  # the mu-roots the polynomial was built from, ascending
 
 
-def _factor(sign: int, roots) -> ScalarExpr:
-    """sign * prod(mu - r) over the roots r, a polynomial in mu."""
-    mu = ScalarExpr.coordinate("mu", ("mu",))
-    poly = ScalarExpr.const(sign, ("mu",))
+def _factor(sign: int, roots, symbols: tuple[str, ...]) -> ScalarExpr:
+    """sign * prod(mu - r) over the roots r, a polynomial in mu over `symbols`."""
+    mu = ScalarExpr.coordinate("mu", symbols)
+    poly = ScalarExpr.const(sign, symbols)
     for r in roots:
         poly = poly * (mu - r)
     return poly
-
-
-def canonical_factor(kind: ConditionKind, n: int) -> ScalarExpr:
-    """The paper's factor: sign * prod(mu - r) over the advertised mu."""
-    return _factor(CONDITIONS[kind].sign, (mu for _, mu in theorem_expected(kind, n)))
-
-
-def _mu_coefficients(poly: ScalarExpr) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (c0, c1, c2) of a polynomial in the symbol mu."""
-    mu_index = poly.symbols.index("mu")
-    coeffs = [Fraction(0), Fraction(0), Fraction(0)]
-    for term in poly.terms:
-        if not term.exponent.is_zero():
-            raise FactorError(f"exponential part in factor polynomial: {poly}")
-        if not term.monomial:
-            coeffs[0] += term.coeff
-        elif len(term.monomial) == 1 and term.monomial[0][0] == mu_index:
-            power = term.monomial[0][1]
-            if power > 2:
-                raise FactorError(f"degree above 2 in factor polynomial: {poly}")
-            coeffs[power] += term.coeff
-        else:
-            raise FactorError(f"non-mu symbol in factor polynomial: {poly}")
-    return tuple(coeffs)
-
-
-def rational_roots(poly: ScalarExpr) -> frozenset[Fraction]:
-    """Rational roots of a polynomial in mu of degree at most two."""
-    c0, c1, c2 = _mu_coefficients(poly)
-    if c2 == 0:
-        if c1 == 0:
-            raise FactorError("constant polynomial has no finite root set")
-        return frozenset({-c0 / c1})
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return frozenset()
-    num, den = disc.numerator, disc.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return frozenset()
-    root = Fraction(rn, rd)
-    return frozenset({(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,21 +345,22 @@ def _ratio_against_shape(values: Components, shape: Components) -> ScalarExpr:
     return poly
 
 
-def _matched(raw: ScalarExpr, target: ScalarExpr) -> FactorResult:
-    """raw as scale * target, for a nonzero rational scale.
+def _matched(raw: ScalarExpr, sign: int, roots) -> FactorResult:
+    """raw as scale * sign * prod(mu - r) over the roots r, for a rational scale.
 
-    The scale is the first ratio of coefficients at a power of mu where the
-    target's coefficient is nonzero.
+    The scale is the ratio of the two leading coefficients; raw must then
+    equal scale times the target as a ring element.
     """
-    have, want = _mu_coefficients(raw), _mu_coefficients(target)
-    scale = next((h / w for h, w in zip(have, want) if w != 0), 0)
-    if scale == 0:
+    if raw.is_zero():
         raise FactorError(f"degenerate factor {raw}")
-    if have != tuple(scale * w for w in want):
+    roots = tuple(sorted(roots))
+    target = _factor(sign, roots, raw.symbols)
+    scale = Fraction(raw.terms[-1].coeff) / target.terms[-1].coeff
+    if raw != target * scale:
         raise FactorError(
             f"extracted factor {raw} is not proportional to the advertised one"
         )
-    return FactorResult(target, scale)
+    return FactorResult(target, scale, roots)
 
 
 def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
@@ -418,7 +377,7 @@ def symbolic_factor_check(kind: ConditionKind, n: int) -> FactorResult:
     out = cond.shape.partition("->")[2].strip()
     values = _residual_components(cond.terms, s, op, ricci_sym, cond.paired, out)
     raw = _ratio_against_shape(values, contract(cond.shape, **s.operands()))
-    return _matched(raw, canonical_factor(kind, n))
+    return _matched(raw, cond.sign, (r for _, r in theorem_expected(kind, n)))
 
 
 def phi_ricci_prefactor(n: int) -> FactorResult:
@@ -429,7 +388,7 @@ def phi_ricci_prefactor(n: int) -> FactorResult:
     )
     shape = contract("eta[j] delta[ia] - eta[j] eta[i] xi[a] -> ija", **s.operands())
     raw = _ratio_against_shape(image, shape)
-    return _matched(raw, _factor(1, (1,)))
+    return _matched(raw, 1, (1,))
 
 
 # -- parallel tensors -------------------------------------------------------

@@ -14,6 +14,7 @@ sympy.simplify is far too slow for randomized use.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import sympy as sp
 
@@ -23,6 +24,15 @@ def to_sympy(expr, coords):
     local = {name: sp.Symbol(name) for name in coords}
     local["exp"] = sp.exp
     return sp.sympify(str(expr).replace("^", "**"), locals=local)
+
+
+def mu_roots(poly) -> tuple[Fraction, ...]:
+    """The roots of a polynomial in mu, ascending, with multiplicity, solved
+    by sympy from the package's rendering; a root that is not rational
+    raises ValueError."""
+    mu = sp.Symbol("mu")
+    roots = sp.roots(sp.Poly(to_sympy(poly, ("mu",)), mu), multiple=True)
+    return tuple(sorted(Fraction(str(r)) for r in roots))
 
 
 def frame_members(frame):

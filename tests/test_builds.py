@@ -9,9 +9,13 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from parakenmotsu import cli, connection, curvature, dsl, geometry, soliton, structure, suite
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
+from parakenmotsu.geometry import Components
+from parakenmotsu.scalar import ScalarExpr
 
 ROOT = Path(__file__).parent.parent
 MODULES = (cli, connection, curvature, soliton, structure, suite)
@@ -146,3 +150,50 @@ def test_full_check_builds_no_dense_components_in_contractions_or_derivatives(
     assert all(c.status == "pass" for c in result.checks)
     assert set(entered) == {"contract", "derivatives", "lie_derivative", "nabla"}
     assert not dense
+
+
+@pytest.mark.parametrize("stem, most", [("rotated5", 25), ("dense9", 600)])
+def test_frame_inverse_normalizes_few_entries(monkeypatch, stem, most):
+    # each eliminated entry p a - f b is normalized once before its exact
+    # division, which takes one normalize per quotient term; an entry 0
+    # over a zero stays 0, and the unit scaling at the end divides term by
+    # term: neither normalizes (57 and 3,507 calls when each was normalized)
+    frame = load_manifold(ROOT / "tests" / "data" / f"{stem}.pk").to_structure().frame
+    d, members = frame.dim, frame.members
+    columns = tuple(tuple(members[k, a] for k in range(d)) for a in range(d))
+    calls = []
+    normalize = ScalarExpr.normalize
+
+    def counted(symbols, terms):
+        calls.append(symbols)
+        return normalize(symbols, terms)
+
+    monkeypatch.setattr(ScalarExpr, "normalize", staticmethod(counted))
+    inv = geometry.mat_inverse(columns, frame.chart.zero())
+    assert len(calls) <= most
+    assert Components([e for row in inv for e in row], 2, d) == frame.component_inverse()
+
+
+@pytest.mark.parametrize(
+    "stem, message, shapes",
+    [
+        ("nonunit_frame", "4:1: frame determinant -x is not a unit", [(1, 2), (3, 3)]),
+        ("dependent_frame", "3:1: frame members are not linearly independent", [(3, 3)]),
+    ],
+)
+def test_singular_frame_determinant_is_eliminated_once(monkeypatch, stem, message, shapes):
+    # (rows, columns) of each elimination: the blocks of the inverse, then
+    # the one determinant that both the inverse and the document error read
+    calls = []
+    eliminate = geometry._eliminate
+
+    def counted(rows, zero, jordan=False):
+        calls.append((len(rows), len(rows[0])))
+        return eliminate(rows, zero, jordan)
+
+    monkeypatch.setattr(geometry, "_eliminate", counted)
+    doc = load_manifold(ROOT / "tests" / "data" / "malformed" / f"{stem}.pk")
+    with pytest.raises(dsl.DocumentError) as info:
+        doc.to_structure()
+    assert str(info.value) == message
+    assert calls == shapes

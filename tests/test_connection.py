@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import oracle
 from strategies import CHART3, frames3, scalars, vector_fields
-from parakenmotsu.connection import koszul_connection
+from parakenmotsu.connection import (
+    ConnectionError_,
+    FrameConnection,
+    _verify_connection,
+    koszul_connection,
+)
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, derivatives
 from parakenmotsu.scalar import parse_scalar
@@ -141,3 +146,22 @@ def test_one_form_derivative_matches_dual_vector(warped3):
         for j in range(3):
             expected = s.metric()[i, j] - s.eta[i] * s.eta[j]
             assert (d_eta[i, j] - expected).is_zero()
+
+
+def _bumped(conn, bumps):
+    """A connection whose gamma is conn's plus the rationals `bumps` at (i, j, k)."""
+    gamma = conn.gamma
+    values = [gamma[idx] + bumps.get(idx, 0) for idx in itertools.product(range(3), repeat=3)]
+    return FrameConnection(conn.frame, Components(values, 3, 3))
+
+
+def test_verify_connection_names_the_first_failing_invariant(warped3):
+    s, conn = warped3
+    g = s.frame.metric_tensor()
+    with pytest.raises(ConnectionError_) as info:
+        _verify_connection(_bumped(conn, {(0, 1, 2): 1}), g)
+    assert str(info.value) == "torsion does not vanish at (0,1,2): 1"
+    # a bump symmetric in (i, j) keeps the torsion zero
+    with pytest.raises(ConnectionError_) as info:
+        _verify_connection(_bumped(conn, {(0, 1, 2): 1, (1, 0, 2): 1}), g)
+    assert str(info.value) == "metric compatibility fails at (0,1,2): -1"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ import oracle
 from strategies import CHART3, frames3, scalars, vector_fields
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import (
+    CurvatureError,
+    _verify_riemann,
     lie_derivative,
     nijenhuis,
     ricci,
@@ -16,7 +19,7 @@ from parakenmotsu.curvature import (
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Tensor, ValenceError, contract
+from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu.scalar import parse_scalar
 
 
@@ -265,3 +268,48 @@ def test_lie_derivatives_match_oracle_on_random_frames(frame, x, phi, t, w):
     )
     for i in range(d):
         assert oracle.is_zero(oracle.to_sympy(got.components[i], coords) - expected[i])
+
+
+@pytest.fixture(scope="module")
+def riem3():
+    return riemann(koszul_connection(build_warped(1).frame))
+
+
+def _bumped(riem, bumps):
+    """riem plus the rationals `bumps` at (a, i, j, k)."""
+    return Tensor.build(riem.frame, 1, 3, lambda *idx: riem[idx] + bumps.get(idx, 0))
+
+
+@pytest.mark.parametrize(
+    "bumps, message",
+    [
+        ({(0, 0, 1, 1): 1}, "curvature not antisymmetric at (0,0,1,1)"),
+        # skew in (i, j), so only the cyclic sum fails
+        ({(0, 0, 1, 2): 1, (0, 1, 0, 2): -1}, "first Bianchi identity fails at (0,0,1,2)"),
+    ],
+)
+def test_verify_riemann_names_the_first_failing_symmetry(riem3, bumps, message):
+    with pytest.raises(CurvatureError) as info:
+        _verify_riemann(_bumped(riem3, bumps))
+    assert str(info.value) == message
+
+
+def test_verify_riemann_names_a_pair_symmetry_failure(riem3):
+    # T(X,Y)Z = d(Y,Z) UX - d(X,Z) UY, with d the identity matrix of the
+    # frame and U E1 = E3, is skew in (X, Y) and satisfies the first
+    # Bianchi identity, but g(T(X,Y)Z, W) is not symmetric in the pairs
+    chart = riem3.frame.chart
+    u = Components(
+        [chart.const(int(at == (2, 0))) for at in itertools.product(range(3), repeat=2)], 2, 3
+    )
+    comps = contract("R[aijk] + delta[jk] U[ai] - delta[ik] U[aj] -> aijk", R=riem3, U=u)
+    with pytest.raises(CurvatureError) as info:
+        _verify_riemann(Tensor.build(riem3.frame, 1, 3, comps))
+    assert str(info.value) == "pair symmetry fails at (0,1,1,2)"
+
+
+def test_ricci_rejects_an_asymmetric_trace(riem3):
+    # R(E1, E2)E3 gains E1: the trace S[1, 2] gains 1 and S[2, 1] does not
+    with pytest.raises(CurvatureError) as info:
+        ricci(_bumped(riem3, {(0, 0, 1, 2): 1}))
+    assert str(info.value) == "Ricci tensor not symmetric at (1,2)"

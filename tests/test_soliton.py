@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 import oracle
 from parakenmotsu.connection import koszul_connection
@@ -27,7 +28,6 @@ from parakenmotsu.soliton import (
     SolitonSolution,
     _generic,
     _ratio_against_shape,
-    canonical_factor,
     condition_check,
     condition_residual,
     condition_residual_xi_paired,
@@ -36,7 +36,6 @@ from parakenmotsu.soliton import (
     phi_ricci_prefactor,
     phi_ricci_symmetric_check,
     quasi_einstein_decompose,
-    rational_roots,
     soliton_from_parallel_check,
     solve_soliton,
     symbolic_factor_check,
@@ -379,7 +378,8 @@ def test_symbolic_factor_polynomials_are_frozen(kind, n):
     text, scale, roots = FROZEN_FACTORS[kind][n]
     assert str(result.polynomial) == text
     assert result.scale == scale
-    assert tuple(sorted(rational_roots(result.polynomial))) == roots
+    # sympy solves the printed polynomial; its roots are the recorded ones
+    assert oracle.mu_roots(result.polynomial) == result.roots == roots
     # roots pair with lambda = 2n - mu into exactly the advertised set
     pairs = {(Fraction(2 * n) - mu, mu) for mu in roots}
     assert pairs == theorem_expected(kind, n)
@@ -389,10 +389,14 @@ def test_symbolic_factor_polynomials_are_frozen(kind, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_factor_polynomials_match_canonical_forms(n):
+    # the paper's factor sign * prod(mu - r), expanded by sympy
+    mu = sp.Symbol("mu")
     for kind in ConditionKind:
-        got = symbolic_factor_check(kind, n).polynomial
-        want = canonical_factor(kind, n)
-        assert (got - want).is_zero()
+        got = oracle.to_sympy(symbolic_factor_check(kind, n).polynomial, ("mu",))
+        want = CONDITIONS[kind].sign
+        for _, r in theorem_expected(kind, n):
+            want *= mu - r
+        assert sp.expand(got - want) == 0, kind
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -400,6 +404,7 @@ def test_phi_ricci_prefactor_is_mu_minus_one(n):
     result = phi_ricci_prefactor(n)
     assert str(result.polynomial) == "-1 + mu"
     assert result.scale == Fraction(-1)
+    assert oracle.mu_roots(result.polynomial) == result.roots == (1,)
 
 
 def test_factor_checks_reject_a_zero_factor(monkeypatch):
@@ -441,20 +446,6 @@ def test_ratio_against_shape_rejects_a_zero_shape():
     with pytest.raises(FactorError) as info:
         _ratio_against_shape(_row("0", "0", "0"), _row("0", "0", "0"))
     assert str(info.value) == "shape tensor is identically zero"
-
-
-def test_rational_roots_examples():
-    syms = ("mu",)
-    poly = parse_scalar("3 - 4*mu + mu^2", syms)
-    assert rational_roots(poly) == {Fraction(1), Fraction(3)}
-    assert rational_roots(parse_scalar("mu^2 + 1", syms)) == frozenset()
-    assert rational_roots(parse_scalar("2*mu - 1", syms)) == {Fraction(1, 2)}
-    assert rational_roots(parse_scalar("mu^2 - 2", syms)) == frozenset()
-
-
-def test_rational_roots_rejects_constant_polynomial():
-    with pytest.raises(FactorError):
-        rational_roots(parse_scalar("7", ("mu",)))
 
 
 # -- parallel tensor classification --------------------------------------------

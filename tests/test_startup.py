@@ -76,6 +76,19 @@ def test_readme_factors_block_is_the_command_output():
     assert block.group(1) == golden.read_text(encoding="utf-8")
 
 
+def test_readme_manifold_block_is_the_shipped_document():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Manifold documents", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL)
+    shipped = (ROOT / "manifolds" / "example_r3.pk").read_text(encoding="utf-8")
+
+    def body(text):
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    assert block is not None
+    assert body(block.group(1)) == body(shipped)
+
+
 def test_every_name_the_tracer_wraps_exists():
     # the benchmark's tracer looks these up by name after import
     for module, function in _traced().SPANNED:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from parakenmotsu import suite
+from parakenmotsu.curvature import CurvatureError
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_flat, build_warped
 from parakenmotsu.geometry import Tensor
@@ -117,6 +118,27 @@ def test_failed_stage_skips_dependents():
     assert by_name["factors/W2.S"].status == "pass"
     assert exit_code(result.checks) == 1
     assert result.soliton is None
+
+
+def test_a_failed_riemann_build_skips_every_stage_that_reads_it(monkeypatch):
+    def broken(products):
+        raise CurvatureError("curvature not antisymmetric at (0,0,1,1)")
+
+    monkeypatch.setattr(suite.Products, "riem", property(broken))
+    result = run_suite(build_warped(1))
+    by_name = {c.name: c for c in result.checks}
+    c2 = by_name["curvature/riemann-symmetries"]
+    assert (c2.status, c2.witness) == ("fail", "curvature not antisymmetric at (0,0,1,1)")
+    downstream = ("curvature-pk", "soliton", "condition", "parallel", "phi-ricci")
+    skipped = {"curvature/ricci-symmetric"} | {
+        name for stage, name, _ in CATALOG if stage in downstream
+    }
+    assert {c.name for c in result.checks if c.status == "skipped"} == skipped
+    # identities read an unverified Riemann tensor of their own instead
+    identities = [by_name[name] for stage, name, _ in CATALOG if stage == "identities"]
+    assert {c.status for c in identities} == {"pass"}
+    assert exit_code(result.checks) == 1
+    assert result.soliton is None and result.notes == ()
 
 
 def test_structure_input_uses_fallback_name():
