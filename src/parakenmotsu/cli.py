@@ -3,6 +3,11 @@
 Exit codes: 0 when every selected check passes, 1 when any selected
 check fails (or a solve/condition/factors run is inconsistent), 2 on a
 parse or semantic error in the document or the arguments.
+
+Each call is a fresh interpreter that compiles what it imports, so the
+document commands import the DSL and the suite in their bodies, the
+suite only once the document has loaded: `factors` and a document that
+fails to parse never compile them.
 """
 
 from __future__ import annotations
@@ -11,9 +16,8 @@ import argparse
 import os
 import sys
 
-from parakenmotsu.dsl import DocumentError, load_manifold
 from parakenmotsu.report import emit_report, exit_code, json_bytes
-from parakenmotsu.scalar import ExprSyntaxError
+from parakenmotsu.scalar import DocumentError, ExprSyntaxError
 from parakenmotsu.soliton import (
     ConditionKind,
     FactorError,
@@ -23,7 +27,6 @@ from parakenmotsu.soliton import (
     symbolic_factor_check,
     theorem_expected,
 )
-from parakenmotsu.suite import Products, run_suite, selectable_names
 
 _KINDS = tuple(kind.value for kind in ConditionKind)
 
@@ -100,7 +103,11 @@ def _write(payload: bytes) -> None:
 
 
 def _cmd_check(args) -> int:
+    from parakenmotsu.dsl import load_manifold
+
     doc = load_manifold(args.file)
+    from parakenmotsu.suite import run_suite, selectable_names
+
     selection = None
     if args.select is not None:
         tokens = [tok.strip() for tok in args.select.split(",") if tok.strip()]
@@ -117,7 +124,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from parakenmotsu.dsl import load_manifold
+
     doc = load_manifold(args.file)
+    from parakenmotsu.suite import Products
+
     products = Products(doc.to_structure())
     try:
         sol = products.sol
@@ -148,7 +159,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_condition(args) -> int:
+    from parakenmotsu.dsl import load_manifold
+
     doc = load_manifold(args.file)
+    from parakenmotsu.suite import Products
+
     kind = ConditionKind(args.kind)
     products = Products(doc.to_structure())
     try:

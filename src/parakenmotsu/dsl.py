@@ -36,6 +36,7 @@ from parakenmotsu.geometry import (
 )
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_TERMS,
+    DocumentError,
     ExprSyntaxError,
     NonInvertible,
     ScalarExpr,
@@ -49,17 +50,6 @@ from parakenmotsu.scalar import (
 from parakenmotsu.structure import ParacontactStructure
 
 Combo = tuple[tuple[ScalarExpr, str], ...]  # ((coefficient, target text), ...)
-
-
-class DocumentError(ValueError):
-    """Parse or semantic error in a manifold document, with position."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        place = "" if line is None else f"{line}:{col or 0}: "
-        super().__init__(f"{place}{message}")
-        self.message = message
-        self.line = line
-        self.col = col
 
 
 class ManifoldDocument:

@@ -488,6 +488,17 @@ class ExprSyntaxError(ValueError):
         self.message = message
 
 
+class DocumentError(ValueError):
+    """Parse or semantic error in a manifold document, with position."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        place = "" if line is None else f"{line}:{col or 0}: "
+        super().__init__(f"{place}{message}")
+        self.message = message
+        self.line = line
+        self.col = col
+
+
 _EXPR_SPEC = [
     ("WS", r"[ \t]+"),
     ("NUM", r"\d+"),

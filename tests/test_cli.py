@@ -289,3 +289,6 @@ def test_factors_rejects_nonpositive_n():
     proc = run_cli("factors", "--n", "0")
     assert proc.returncode == 2
     assert proc.stderr.decode("utf-8").startswith("error:")
+    # the message names the bound; it reads no document, so has no line:col
+    assert proc.stderr.decode("utf-8") == "error: n must be at least 1, got 0\n"
+    assert proc.stdout == b""

@@ -40,11 +40,55 @@ def _traced():
     return traced
 
 
+def _spanned() -> set[str]:
+    return {f"parakenmotsu.{module}" for module, _ in _traced().SPANNED}
+
+
+def _loaded_by_command(*argv: str) -> tuple[int, set[str]]:
+    """Exit code of `cli.main(argv)` in a fresh interpreter, and the modules
+    loaded when it returned."""
+    statement = (
+        "import sys; from parakenmotsu import cli; code = cli.main(sys.argv[1:]);"
+        " print(code, *sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", statement, *argv],
+        capture_output=True,
+        check=True,
+        cwd=ROOT,
+        text=True,
+    )
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
 def test_cli_import_adds_no_heavy_stdlib_modules():
     added = _loaded_after("import parakenmotsu.cli") - _loaded_after("pass")
     heavy = {"dataclasses", "inspect", "json"} & added
     assert not heavy, sorted(heavy)
-    missing = {f"parakenmotsu.{module}" for module, _ in _traced().SPANNED} - added
+    # the tracer imports the suite before it looks the spanned modules up
+    traced = _loaded_after("import parakenmotsu.cli; from parakenmotsu import suite")
+    missing = _spanned() - traced
+    assert not missing, sorted(missing)
+
+
+def test_factors_loads_neither_the_dsl_nor_the_suite():
+    code, loaded = _loaded_by_command("factors", "--n", "1")
+    assert code == 0
+    assert not {"parakenmotsu.dsl", "parakenmotsu.suite"} & loaded
+
+
+def test_a_check_that_fails_to_parse_loads_no_suite():
+    code, loaded = _loaded_by_command("check", "tests/data/malformed/missing_equals.pk")
+    assert code == 2
+    assert "parakenmotsu.dsl" in loaded
+    assert "parakenmotsu.suite" not in loaded
+
+
+def test_a_full_check_loads_every_spanned_module():
+    code, loaded = _loaded_by_command("check", "manifolds/example_r3.pk")
+    assert code == 0
+    missing = _spanned() - loaded
     assert not missing, sorted(missing)
 
 
