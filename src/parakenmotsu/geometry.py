@@ -268,48 +268,25 @@ def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
     return _eliminate([list(r) for r in m], zero)[0]
 
 
-def _permutation_sign(perm: list[int]) -> int:
-    """+1 or -1 as the count of inversions in `perm` is even or odd."""
-    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
-
-
 def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
     """Inverse; det m must be a unit q*exp(l), and then so is each block's
-    last pivot c, which scales the block's Gauss-Jordan result c B^-1.
-
-    Otherwise NonInvertible, whose `det` the blocks give: 0 once a block is
-    not square or short of rank, else the product of the last pivots times
-    the signs of their row swaps and of the block row and column orders.
-    """
+    last pivot c, which scales the block's Gauss-Jordan result c B^-1."""
     one, out = ScalarExpr.const(1, zero.symbols), [[zero] * len(m) for _ in m]
-    blocks, sign, pivots, singular = _blocks(m), 1, [], False
-    for rows, cols in blocks:
+    for rows, cols in _blocks(m):
         k = len(rows)
         aug = [[m[i][j] for j in cols] + [one if s == t else zero for s in range(k)]
                for t, i in enumerate(rows)]
-        rank, swaps, pivot = _eliminate(aug, zero, jordan=True) if len(cols) == k else (0, 1, zero)
-        if rank < k:
-            pivots, singular = [zero], True
-            break
-        sign *= swaps
-        pivots.append(pivot)
+        rank, _, pivot = _eliminate(aug, zero, jordan=True) if len(cols) == k else (0, 1, zero)
         try:
-            pivot.invert()  # raises unless c is a unit
-        except NonInvertible:
-            singular = True
-            continue
+            (pivot if rank == k else zero).invert()  # raises unless c is a unit
+        except NonInvertible as exc:
+            det = mat_det(m, zero)
+            error = NonInvertible(f"matrix is not invertible over the ring: det = {det}")
+            error.det = det  # for callers that word their own message
+            raise error from exc
         for t, row in enumerate(aug):
             for s, value in enumerate(row[k:]):
                 out[cols[t]][rows[s]] = value.divide(pivot)  # term by term, c a unit
-    if singular:
-        for order in zip(*blocks):  # the block row order, then the column order
-            sign *= _permutation_sign([i for part in order for i in part])
-        det = ScalarExpr.const(sign, zero.symbols)
-        for pivot in pivots:
-            det = det * pivot
-        error = NonInvertible(f"matrix is not invertible over the ring: det = {det}")
-        error.det = det  # for callers that word their own message
-        raise error
     return tuple(map(tuple, out))
 
 

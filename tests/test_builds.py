@@ -177,14 +177,13 @@ def test_frame_inverse_normalizes_few_entries(monkeypatch, stem, most):
 @pytest.mark.parametrize(
     "stem, message, shapes",
     [
-        ("nonunit_frame", "4:1: frame determinant -x is not a unit", [(1, 2), (1, 2), (1, 2)]),
-        ("dependent_frame", "3:1: frame members are not linearly independent", []),
+        ("nonunit_frame", "4:1: frame determinant -x is not a unit", [(1, 2), (3, 3)]),
+        ("dependent_frame", "3:1: frame members are not linearly independent", [(3, 3)]),
     ],
 )
 def test_singular_frame_determinant_is_eliminated_once(monkeypatch, stem, message, shapes):
-    # (rows, columns) of each elimination: only the blocks of the inverse,
-    # whose last pivots give the determinant the document error reads; the
-    # first block of dependent_frame.pk is not square, so its det is 0 at once
+    # (rows, columns) of each elimination: the blocks of the inverse, then
+    # the one determinant that both the inverse and the document error read
     calls = []
     eliminate = geometry._eliminate
 

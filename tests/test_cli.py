@@ -138,6 +138,7 @@ def test_parse_errors_carry_positions(tmp_path):
         "dependent_frame.pk": "error: 3:1:",
         "nonunit_frame.pk": "error: 4:1:",
         "hostile7.pk": "error: 7:1:",
+        "diagonal_terms.pk": "error: 5:1:",
         "phi_terms.pk": "error: 15:1:",
         "not_orthonormal.pk": "error: 6:1:",
         "eta_mismatch.pk": "error: 11:1:",

@@ -152,6 +152,7 @@ STRUCTURE_ERRORS = {
     "dependent_frame.pk": "3:1: frame members are not linearly independent",
     "nonunit_frame.pk": "4:1: frame determinant -x is not a unit",
     "hostile7.pk": "7:1: inverting the frame makes an entry of more than 40 terms",
+    "diagonal_terms.pk": "5:1: inverting the frame makes an entry of more than 40 terms",
     "phi_terms.pk": "15:1: ranking phi -+ I makes an entry of more than 40 terms",
     "eta_mismatch.pk": (
         "11:1: eta does not equal the metric dual of xi: eta(E3) = -1, dual gives 1"
@@ -173,11 +174,14 @@ def test_oversized_document_is_rejected_within_a_second(stem):
 
 
 def test_oversized_frame_is_rejected_within_a_second():
-    doc = load_manifold(DATA / "malformed" / "hostile7.pk")
-    start = time.perf_counter()
-    with pytest.raises(DocumentError):
-        doc.to_structure()
-    assert time.perf_counter() - start < 1.0
+    # diagonal_terms.pk: a singular frame whose determinant, three 40-term
+    # members multiplied out, would have 64,000 terms
+    for stem in ("hostile7", "diagonal_terms"):
+        doc = load_manifold(DATA / "malformed" / f"{stem}.pk")
+        start = time.perf_counter()
+        with pytest.raises(DocumentError):
+            doc.to_structure()
+        assert time.perf_counter() - start < 1.0, stem
 
 
 def test_oversized_phi_is_rejected_within_a_second():
