@@ -17,7 +17,7 @@ import os
 import sys
 
 from parakenmotsu.report import emit_report, exit_code, json_bytes
-from parakenmotsu.scalar import DocumentError, ExprSyntaxError
+from parakenmotsu.scalar import DocumentError
 from parakenmotsu.soliton import (
     ConditionKind,
     FactorError,
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, ExprSyntaxError) as err:
+    except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:

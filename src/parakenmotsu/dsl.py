@@ -16,16 +16,20 @@ A combo is a sum of terms `<coeff> <target>` with the coefficient an
 expression in the coordinates; a bare target means coefficient 1.  The
 sections must appear in the order listed above.
 
-A parsed document holds each coefficient and metric entry as a
-`ScalarExpr` over the coordinates, parsed once; `emit` renders them back
-to text and `to_structure` builds from them directly.
+This module holds the package's one token grammar and its one expression
+parser: a coefficient is parsed once, into a `ScalarExpr` over the
+coordinates, under the bounds below, and `to_structure` builds from the
+parsed values directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from math import comb, log2
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 from parakenmotsu.geometry import (
     Chart,
@@ -37,15 +41,12 @@ from parakenmotsu.geometry import (
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_TERMS,
     DocumentError,
-    ExprSyntaxError,
+    LinearForm,
     NonInvertible,
     ScalarExpr,
-    Token,
+    Term,
     TooManyTerms,
-    parse_expr_tokens,
     read_only,
-    signed_sum,
-    tokenize,
 )
 from parakenmotsu.structure import ParacontactStructure
 
@@ -54,9 +55,7 @@ Combo = tuple[tuple[ScalarExpr, str], ...]  # ((coefficient, target text), ...)
 
 class ManifoldDocument:
     """A parsed document.  `at` maps a section keyword to the (line, col) of
-    its first line, for errors found when the structure is built; equality
-    and the hash ignore it, so a document equals its emitted and reparsed
-    self."""
+    its first line, for errors found when the structure is built."""
 
     __setattr__ = __delattr__ = read_only
 
@@ -83,56 +82,295 @@ class ManifoldDocument:
             phi=phi,
             xi=xi,
             eta=eta,
+            at=at or {},
         )
-        object.__setattr__(self, "at", at or {})
-
-    def _fields(self) -> tuple:
-        return tuple(value for key, value in vars(self).items() if key != "at")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
 
-    def emit(self) -> str:
-        lines = [f"manifold {self.name}", "coords " + " ".join(self.coords)]
-        lines.append(f"n = {self.n}")
-        for member, combo in self.frames:
-            lines.append(f"frame {member} = {_render_combo(combo)}")
-        if self.gram is not None:
-            lines.append("gram diag " + " ".join(str(q) for q in self.gram))
-        else:
-            for i, j, value in self.metric:
-                lines.append(f"metric {i} {j} {value}")
-        for member, combo in self.phi:
-            lines.append(f"phi {member} -> {_render_combo(combo)}")
-        lines.append(f"xi = {_render_combo(self.xi)}")
-        if self.eta is not None:
-            lines.append(f"eta = {_render_combo(self.eta)}")
-        return "\n".join(lines) + "\n"
-
     def to_structure(self) -> ParacontactStructure:
         return _build_structure(self)
 
 
-def _render_combo(combo: Combo) -> str:
-    parts = []
-    for coeff, target in combo:
-        text = str(coeff)
-        if text == "1":
-            parts.append(target)
-        elif text == "-1":
-            parts.append(f"-{target}")
-        else:
-            parts.append(f"{text} {target}")
-    return signed_sum(parts)
+# -- tokens and coefficients -------------------------------------------------
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+class ExprSyntaxError(ValueError):
+    """Syntax error in a coefficient, with position; `parse_manifold`
+    reports it as a `DocumentError`."""
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
+        self.line = line
+        self.col = col
+        self.message = message
+
+
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("WS", r"[ \t]+"),
+            ("COMMENT", r"#[^\n]*"),
+            ("ARROW", r"->"),
+            ("DDERIV", r"d/d[A-Za-z_]\w*"),
+            ("NUM", r"\d+"),
+            ("IDENT", r"[A-Za-z_]\w*"),
+            ("EQUALS", r"="),
+            ("OP", r"[-+*^/()]"),
+        )
+    )
+)
+
+
+def tokenize(text: str, line: int) -> list[Token]:
+    tokens: list[Token] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
+        kind = m.lastgroup
+        if kind == "NUM" and m.end() - pos > MAX_LITERAL_DIGITS:
+            raise ExprSyntaxError(
+                f"number literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + 1
+            )
+        if kind not in ("WS", "COMMENT"):
+            tokens.append(Token(kind, m.group(), line, m.start() + 1))
+        pos = m.end()
+    return tokens
+
+
+# Deepest nesting of parentheses, exp( and unary minus in one expression.
+# The parser recurses once per level, so this keeps hostile input far from
+# Python's recursion limit and far above what a real coefficient needs.
+MAX_NESTING = 64
+# Most terms one `*` or `^` in an expression may expand to, counted before
+# the expansion: len(a) * len(b) raw products for a * b, and the
+# C(k+m-1, m-1) monomials of degree k in m terms for an m-term base ^ k.
+# Both grow as a power of the input length, so without them a one-line
+# coefficient can run for minutes.  The power limit is the smaller one
+# because the squarings that build a T-term power multiply up to (T/2)^2
+# pairs.  The shipped, test and generated benchmark documents need at
+# most 4 raw products and 3 power terms.
+MAX_PRODUCT_TERMS = 1000
+MAX_POWER_TERMS = 300
+# Longest number literal, in digits, in expressions and in every other
+# number of a document (the tokenizer checks it), and the widest coefficient
+# one `*` or `^` may make, in bits, estimated before it is computed.  Python
+# refuses to convert an int of more than 4,300 digits to or from text, and
+# 10,000 bits are about 3,000 digits.  Sums are checked after each `+` or
+# `-`, since their width is known only once the common denominator is.
+# The shipped, test and generated documents need 2 digits and 3 bits; the
+# widest test expressions need 6 digits and 1,000 bits.
+MAX_LITERAL_DIGITS = 100
+MAX_COEFFICIENT_BITS = 10_000
+
+
+def _coefficient_bits(e: ScalarExpr) -> float:
+    """log2 of the widest numerator or denominator among e's coefficients."""
+    return max(
+        (log2(max(abs(t.coeff.numerator), t.coeff.denominator)) for t in e.terms),
+        default=0.0,
+    )
+
+
+class _Parser:
+    """Recursive descent over one coefficient's tokens, every value it
+    builds held to MAX_COEFFICIENT_TERMS terms."""
+
+    def __init__(self, tokens: Sequence[Token], pos: int, symbols: tuple[str, ...]):
+        self.tokens = tokens
+        self.pos = pos
+        self.symbols = symbols
+        self.depth = 0
+
+    def bounded(self, value: ScalarExpr, at: Token) -> ScalarExpr:
+        """value, unless it has more than MAX_COEFFICIENT_TERMS terms."""
+        if len(value.terms) > MAX_COEFFICIENT_TERMS:
+            raise ExprSyntaxError(
+                f"coefficient has {len(value.terms)} terms,"
+                f" more than {MAX_COEFFICIENT_TERMS}",
+                at.line,
+                at.col,
+            )
+        return value
+
+    def peek(self) -> Token | None:
+        if self.pos < len(self.tokens):
+            t = self.tokens[self.pos]
+            if t.kind in ("NUM", "IDENT", "OP"):
+                return t
+        return None
+
+    def error(self, message: str) -> ExprSyntaxError:
+        if self.pos < len(self.tokens):
+            t = self.tokens[self.pos]
+            return ExprSyntaxError(message + f" (near {t.text!r})", t.line, t.col)
+        t = self.tokens[self.pos - 1]  # point at the dangling last token
+        return ExprSyntaxError(message + " (at end of input)", t.line, t.col)
+
+    def nested(self, at: Token, parse: Callable[[], ScalarExpr]) -> ScalarExpr:
+        """parse() one nesting level below `at`, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", at.line, at.col
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def take_op(self, ops: str) -> Token | None:
+        t = self.peek()
+        if t is not None and t.kind == "OP" and t.text in ops:
+            self.pos += 1
+            return t
+        return None
+
+    def expect_op(self, op: str) -> Token:
+        t = self.take_op(op)
+        if t is None:
+            raise self.error(f"expected {op!r}")
+        return t
+
+    def parse_expr(self) -> ScalarExpr:
+        value = self.parse_product()
+        while True:
+            t = self.take_op("+-")
+            if t is None:
+                return value
+            rhs = self.parse_product()
+            value = self.bounded(value + rhs if t.text == "+" else value - rhs, t)
+            # a sum of fractions grows its common denominator term by term
+            if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
+                raise ExprSyntaxError(
+                    f"sum has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
+                    t.line,
+                    t.col,
+                )
+
+    def parse_product(self) -> ScalarExpr:
+        value = self.parse_factor()
+        while True:
+            star = self.take_op("*")
+            if star is None:
+                return value
+            rhs = self.parse_factor()
+            if len(value.terms) * len(rhs.terms) > MAX_PRODUCT_TERMS:
+                raise ExprSyntaxError(
+                    f"product of {len(value.terms)} and {len(rhs.terms)} terms"
+                    f" exceeds {MAX_PRODUCT_TERMS} term products",
+                    star.line,
+                    star.col,
+                )
+            if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
+                raise ExprSyntaxError(
+                    f"product has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
+                    star.line,
+                    star.col,
+                )
+            value = self.bounded(value * rhs, star)
+
+    def parse_factor(self) -> ScalarExpr:
+        minus = self.take_op("-")
+        if minus is not None:
+            return -self.nested(minus, self.parse_factor)
+        atom = self.parse_atom()
+        caret = self.take_op("^")
+        if caret is not None:
+            t = self.peek()
+            if t is None or t.kind != "NUM":
+                raise self.error("expected a non-negative integer power after '^'")
+            self.pos += 1
+            power, m = int(t.text), len(atom.terms)
+            if m > 1 and comb(power + m - 1, m - 1) > MAX_POWER_TERMS:
+                raise ExprSyntaxError(
+                    f"power {power} of a {m}-term sum expands to more than"
+                    f" {MAX_POWER_TERMS} terms",
+                    caret.line,
+                    caret.col,
+                )
+            # an m-term power's coefficients also carry multinomials below m^k
+            if m and power * (_coefficient_bits(atom) + log2(m)) > MAX_COEFFICIENT_BITS:
+                raise ExprSyntaxError(
+                    f"power {power} has coefficients wider than"
+                    f" {MAX_COEFFICIENT_BITS} bits",
+                    caret.line,
+                    caret.col,
+                )
+            return self.bounded(atom**power, caret)
+        return atom
+
+    def parse_atom(self) -> ScalarExpr:
+        t = self.peek()
+        if t is None:
+            raise self.error("expected an expression")
+        if t.kind == "NUM":
+            self.pos += 1
+            numer = int(t.text)
+            if self.take_op("/"):
+                d = self.peek()
+                if d is None or d.kind != "NUM":
+                    raise self.error("expected an integer denominator")
+                self.pos += 1
+                if int(d.text) == 0:
+                    raise ExprSyntaxError("zero denominator", d.line, d.col)
+                return ScalarExpr.const(Fraction(numer, int(d.text)), self.symbols)
+            return ScalarExpr.const(numer, self.symbols)
+        if t.kind == "IDENT" and t.text == "exp":
+            self.pos += 1
+            inner = self.nested(self.expect_op("("), self.parse_expr)
+            self.expect_op(")")
+            return self._to_exponential(inner, t)
+        if t.kind == "IDENT":
+            self.pos += 1
+            if t.text not in self.symbols:
+                raise ExprSyntaxError(
+                    f"unknown symbol {t.text!r}; chart symbols are "
+                    + ", ".join(self.symbols),
+                    t.line,
+                    t.col,
+                )
+            return ScalarExpr.coordinate(t.text, self.symbols)
+        if t.kind == "OP" and t.text == "(":
+            self.pos += 1
+            inner = self.nested(t, self.parse_expr)
+            self.expect_op(")")
+            return inner
+        raise self.error("expected an expression")
+
+    def _to_exponential(self, inner: ScalarExpr, at: Token) -> ScalarExpr:
+        coeffs: dict[int, Fraction] = {}
+        for term in inner.terms:
+            if not term.exponent.is_zero() or [k for _, k in term.monomial] != [1]:
+                raise ExprSyntaxError(
+                    "exp argument must be a rational linear form in the chart symbols",
+                    at.line,
+                    at.col,
+                )
+            (i, _), = term.monomial
+            coeffs[i] = coeffs.get(i, 0) + term.coeff
+        form = LinearForm(coeffs.items())
+        return ScalarExpr(inner.symbols, (Term(1, (), form),))
+
+
+def parse_expr_tokens(
+    tokens: Sequence[Token], pos: int, symbols: tuple[str, ...]
+) -> tuple[ScalarExpr, int]:
+    """Parse a document coefficient from tokens[pos:], at most
+    MAX_COEFFICIENT_TERMS terms; returns (expr, next position)."""
+    p = _Parser(tokens, pos, symbols)
+    expr = p.parse_expr()
+    return expr, p.pos
 
 
 # -- parsing ----------------------------------------------------------------
@@ -157,18 +395,18 @@ def _parse_combo(
     symbols: tuple[str, ...],
     is_target,
     what: str,
-    lineno: int,
 ) -> Combo:
     """Split `<coeff> <target> (+|- <coeff> <target>)*` at top level.
 
     A +/- token separates terms only when the token before it is a
-    target, so signs and sums inside coefficients stay untouched.  The
+    target, so signs and sums inside coefficients stay untouched.  A
+    d/d<coord> target must name one of `symbols`, the coordinates.  The
     structure build adds up the coefficients of a target named in more
     than one term, so their sum is held to MAX_COEFFICIENT_TERMS too.
     """
     body = tokens[start:]
     if not body:
-        raise DocumentError(f"expected {what}", lineno, tokens[-1].col if tokens else 0)
+        raise DocumentError(f"expected {what}", tokens[-1].line, tokens[-1].col)
     segments: list[list[Token]] = []
     current: list[Token] = []
     previous_was_target = False
@@ -207,6 +445,10 @@ def _parse_combo(
                 target.line,
                 target.col,
             )
+        if target.kind == "DDERIV" and target.text[3:] not in symbols:
+            raise DocumentError(
+                f"unknown coordinate in {target.text!r}", target.line, target.col
+            )
         coeff_tokens = seg[:-1]
         if coeff_tokens and coeff_tokens[-1].kind == "OP" and coeff_tokens[-1].text == "*":
             coeff_tokens = coeff_tokens[:-1]
@@ -219,7 +461,7 @@ def _parse_combo(
         ):
             coeff = ScalarExpr.const(-1, symbols)
         else:
-            coeff, end = parse_expr_tokens(coeff_tokens, 0, symbols, lineno)
+            coeff, end = parse_expr_tokens(coeff_tokens, 0, symbols)
             if end != len(coeff_tokens):
                 bad = coeff_tokens[end]
                 raise DocumentError(
@@ -240,14 +482,14 @@ def _parse_combo(
     return tuple(combo)
 
 
-def _expect_equals(tokens: list[Token], pos: int, lineno: int) -> int:
+def _expect_equals(tokens: list[Token], pos: int) -> int:
     if pos >= len(tokens) or tokens[pos].kind != "EQUALS":
         where = tokens[pos] if pos < len(tokens) else tokens[-1]
         raise DocumentError("expected '='", where.line, where.col)
     return pos + 1
 
 
-def _signed_rational(tokens: list[Token], pos: int, lineno: int) -> tuple[Fraction, int]:
+def _signed_rational(tokens: list[Token], pos: int) -> tuple[Fraction, int]:
     sign = 1
     if pos < len(tokens) and tokens[pos].kind == "OP" and tokens[pos].text == "-":
         sign = -1
@@ -271,7 +513,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
     coords: tuple[str, ...] | None = None
     declared_n: int | None = None
     frames: list[tuple[str, Combo]] = []
-    frame_ids: list[str] = []
+    frame_at: dict[str, tuple[int, int]] = {}  # member -> position of its frame line
     gram: tuple[Fraction, ...] | None = None
     metric: dict[tuple[int, int], ScalarExpr] = {}
     phi: list[tuple[str, Combo]] = []
@@ -285,15 +527,10 @@ def parse_manifold(text: str) -> ManifoldDocument:
         return tok.kind == "DDERIV"
 
     def is_member(tok: Token) -> bool:
-        return tok.kind == "IDENT" and tok.text in frame_ids
+        return tok.kind == "IDENT" and tok.text in frame_at
 
     def is_member_or_dderiv(tok: Token) -> bool:
         return is_member(tok) or is_dderiv(tok)
-
-    def check_coordinates(combo: Combo, lineno: int, col: int) -> None:
-        for _, target in combo:
-            if target not in frame_ids and target[3:] not in coords:
-                raise DocumentError(f"unknown coordinate in {target!r}", lineno, col)
 
     def is_differential(tok: Token) -> bool:
         return (
@@ -304,9 +541,10 @@ def parse_manifold(text: str) -> ManifoldDocument:
             and tok.text[1:] in coords
         )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            tokens = tokenize(raw, line=lineno, dsl=True)
+            tokens = tokenize(raw, lineno)
         except ExprSyntaxError as err:
             raise DocumentError(err.message, err.line, err.col) from err
         if not tokens:
@@ -360,7 +598,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 if len(coords) < 3:
                     raise DocumentError("dimension must be at least 3", lineno, head.col)
             elif keyword == "n":
-                pos = _expect_equals(tokens, 1, lineno)
+                pos = _expect_equals(tokens, 1)
                 if pos != len(tokens) - 1 or tokens[pos].kind != "NUM":
                     raise DocumentError("expected 'n = <integer>'", lineno, head.col)
                 declared_n = int(tokens[pos].text)
@@ -368,7 +606,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 if len(tokens) < 2 or tokens[1].kind != "IDENT":
                     raise DocumentError("expected 'frame <name> = ...'", lineno, head.col)
                 member = tokens[1].text
-                if member in frame_ids:
+                if member in frame_at:
                     raise DocumentError(
                         f"duplicate frame member {member!r}", tokens[1].line, tokens[1].col
                     )
@@ -378,20 +616,17 @@ def parse_manifold(text: str) -> ManifoldDocument:
                         tokens[1].line,
                         tokens[1].col,
                     )
-                pos = _expect_equals(tokens, 2, lineno)
-                combo = _parse_combo(
-                    tokens, pos, coords, is_dderiv, "d/d<coord>", lineno
-                )
-                check_coordinates(combo, lineno, head.col)
+                pos = _expect_equals(tokens, 2)
+                combo = _parse_combo(tokens, pos, coords, is_dderiv, "d/d<coord>")
                 frames.append((member, combo))
-                frame_ids.append(member)
+                frame_at[member] = (head.line, head.col)
             elif keyword == "gram":
                 if len(tokens) < 3 or tokens[1].text != "diag":
                     raise DocumentError("expected 'gram diag <entries>'", lineno, head.col)
                 entries = []
                 pos = 2
                 while pos < len(tokens):
-                    value, pos = _signed_rational(tokens, pos, lineno)
+                    value, pos = _signed_rational(tokens, pos)
                     if value * value != 1:
                         raise DocumentError(
                             f"gram diagonal entry {value} must be 1 or -1",
@@ -416,7 +651,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                     raise DocumentError(
                         f"metric indices ({i}, {j}) out of range", lineno, head.col
                     )
-                expr, end = parse_expr_tokens(tokens, 3, coords, lineno)
+                expr, end = parse_expr_tokens(tokens, 3, coords)
                 if end != len(tokens):
                     bad = tokens[end]
                     raise DocumentError(
@@ -434,7 +669,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
                         "expected 'phi <member> -> ...'", lineno, head.col
                     )
                 member = tokens[1].text
-                if member not in frame_ids:
+                if member not in frame_at:
                     raise DocumentError(
                         f"unknown frame member {member!r}", tokens[1].line, tokens[1].col
                     )
@@ -444,25 +679,25 @@ def parse_manifold(text: str) -> ManifoldDocument:
                     )
                 if tokens[2].kind != "ARROW":
                     raise DocumentError("expected '->'", tokens[2].line, tokens[2].col)
-                combo = _parse_combo(
-                    tokens, 3, coords, is_member, "frame member", lineno
-                )
+                combo = _parse_combo(tokens, 3, coords, is_member, "frame member")
                 phi.append((member, combo))
                 phi_ids.add(member)
             elif keyword == "xi":
-                pos = _expect_equals(tokens, 1, lineno)
+                pos = _expect_equals(tokens, 1)
                 xi = _parse_combo(
-                    tokens, pos, coords, is_member_or_dderiv,
-                    "frame member or d/d<coord>", lineno,
+                    tokens, pos, coords, is_member_or_dderiv, "frame member or d/d<coord>"
                 )
-                check_coordinates(xi, lineno, head.col)
             elif keyword == "eta":
-                pos = _expect_equals(tokens, 1, lineno)
-                eta = _parse_combo(
-                    tokens, pos, coords, is_differential, "d<coord>", lineno
-                )
+                pos = _expect_equals(tokens, 1)
+                eta = _parse_combo(tokens, pos, coords, is_differential, "d<coord>")
         except ExprSyntaxError as err:
             raise DocumentError(err.message, err.line, err.col) from err
+
+    def missing(section: str, keyword: str) -> DocumentError:
+        """At the first later section's line, else the line after the last."""
+        later = [at[k] for k in at if _SECTION_RANK[k] > _SECTION_RANK[keyword]]
+        place = min(later, default=(len(lines) + 1, 1))
+        return DocumentError(f"missing {section} section", *place)
 
     if name is None:
         raise DocumentError("missing 'manifold' section", 1, 1)
@@ -479,16 +714,16 @@ def parse_manifold(text: str) -> ManifoldDocument:
             f"{len(frames)} frame members declared for dimension {dim}", *at["coords"]
         )
     if gram is None and not metric:
-        raise DocumentError("missing 'gram diag' or 'metric' section")
+        raise missing("'gram diag' or 'metric'", "gram")
     if gram is not None and len(gram) != dim:
         raise DocumentError(
             f"gram diagonal has {len(gram)} entries for dimension {dim}", *at["gram"]
         )
-    missing = [m for m in frame_ids if m not in phi_ids]
-    if missing:
-        raise DocumentError(f"missing phi line for {missing[0]!r}")
+    for member, place in frame_at.items():
+        if member not in phi_ids:
+            raise DocumentError(f"missing phi line for {member!r}", *place)
     if xi is None:
-        raise DocumentError("missing 'xi' section")
+        raise missing("'xi'", "xi")
     metric_tuple = (
         None
         if gram is not None
@@ -527,10 +762,7 @@ def load_manifold(path: str | Path) -> ManifoldDocument:
 
 
 def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
-    try:
-        chart = Chart(doc.coords)
-    except ValueError as err:
-        raise DocumentError(str(err)) from err
+    chart = Chart(doc.coords)  # the parser checked the coordinates
     zero = chart.zero()
     d = chart.dim
     coord = {name: a for a, name in enumerate(doc.coords)}

@@ -47,7 +47,7 @@ import functools
 import itertools
 import re
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from parakenmotsu.scalar import MAX_COEFFICIENT_TERMS, NonInvertible, ScalarExpr, Term
 from parakenmotsu.scalar import mul_terms, read_only
@@ -349,10 +349,9 @@ class Frame:
     def metric_tensor(self) -> "Tensor":
         """The metric diag(signs) as a (0,2) tensor, cached."""
         if "g" not in self._cache:
-            signs, const = self.signs, self.chart.const
-            self._cache["g"] = Tensor.build(
-                self, 0, 2, lambda i, j: const(signs[i] if i == j else 0)
-            )
+            diagonal = [((i, i), self.chart.const(q)) for i, q in enumerate(self.signs)]
+            g = Components.from_nonzero(diagonal, 2, self.dim, self.chart.zero())
+            self._cache["g"] = Tensor.build(self, 0, 2, g)
         return self._cache["g"]
 
     def structure_constants(self) -> Components:
@@ -422,17 +421,10 @@ class Tensor:
         return self.components[idx]
 
     @staticmethod
-    def build(
-        frame: Frame,
-        r: int,
-        s: int,
-        entry: Callable[..., ScalarExpr] | Sequence[ScalarExpr],
-    ) -> "Tensor":
-        """Tensor from entry(*idx), or from its components in row-major order."""
-        if callable(entry):
-            idx = itertools.product(range(frame.dim), repeat=r + s)
-            entry = [entry(*i) for i in idx]
-        return Tensor(frame, r, s, entry)
+    def build(frame: Frame, r: int, s: int, components: Components) -> "Tensor":
+        """The tensor of a computed `Components`: the one constructor of
+        every tensor a stage derives, so a tracer can count them here."""
+        return Tensor(frame, r, s, components)
 
     def nonzero(self) -> Nonzero:
         """(index, component) of each nonzero component, in row-major order."""

@@ -22,16 +22,15 @@ hashing and rendering do not depend on the representation.  A value that
 leaves the ring (`as_rational`) is always a `Fraction`, since `int / int`
 would give a float.
 
-Expression text such as ``2*x^2*exp(-2*z)`` round-trips through
-:func:`parse_scalar` and ``str()``.
+``str()`` renders the canonical form as text, such as
+``2*x^2*exp(-2*z)``, that a document coefficient (`dsl`) reads back as
+the same expression.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from math import comb, log2
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class ChartMismatch(ValueError):
@@ -466,28 +465,6 @@ def _symbol_index(name: str, symbols: tuple[str, ...]) -> int:
         ) from None
 
 
-# ---------------------------------------------------------------------------
-# Expression text: tokenizer and recursive-descent parser.
-# ---------------------------------------------------------------------------
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-class ExprSyntaxError(ValueError):
-    """Syntax error in expression or document text, with position."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-        self.message = message
-
-
 class DocumentError(ValueError):
     """Parse or semantic error in a manifold document, with position."""
 
@@ -499,298 +476,10 @@ class DocumentError(ValueError):
         self.col = col
 
 
-_EXPR_SPEC = [
-    ("WS", r"[ \t]+"),
-    ("NUM", r"\d+"),
-    ("IDENT", r"[A-Za-z_]\w*"),
-    ("OP", r"[-+*^/()]"),
-]
-
-_DSL_SPEC = [
-    ("WS", r"[ \t]+"),
-    ("COMMENT", r"#[^\n]*"),
-    ("ARROW", r"->"),
-    ("DDERIV", r"d/d[A-Za-z_]\w*"),
-    ("NUM", r"\d+"),
-    ("IDENT", r"[A-Za-z_]\w*"),
-    ("EQUALS", r"="),
-    ("OP", r"[-+*^/()]"),
-]
-
-
-def _compile(spec) -> re.Pattern:
-    return re.compile("|".join(f"(?P<{k}>{p})" for k, p in spec))
-
-
-_EXPR_RE = _compile(_EXPR_SPEC)
-_DSL_RE = _compile(_DSL_SPEC)
-
-
-def tokenize(text: str, line: int = 1, dsl: bool = False) -> list[Token]:
-    pattern = _DSL_RE if dsl else _EXPR_RE
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        kind = m.lastgroup
-        if kind == "NUM" and m.end() - pos > MAX_LITERAL_DIGITS:
-            raise ExprSyntaxError(
-                f"number literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + 1
-            )
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, m.group(), line, m.start() + 1))
-        pos = m.end()
-    return tokens
-
-
-_EXPR_TOKENS = {"NUM", "IDENT"}
-_EXPR_OPS = set("-+*^/()")
-# Deepest nesting of parentheses, exp( and unary minus in one expression.
-# The parser recurses once per level, so this keeps hostile input far from
-# Python's recursion limit and far above what a real coefficient needs.
-MAX_NESTING = 64
-# Most terms one `*` or `^` in an expression may expand to, counted before
-# the expansion: len(a) * len(b) raw products for a * b, and the
-# C(k+m-1, m-1) monomials of degree k in m terms for an m-term base ^ k.
-# Both grow as a power of the input length, so without them a one-line
-# coefficient can run for minutes.  The power limit is the smaller one
-# because the squarings that build a T-term power multiply up to (T/2)^2
-# pairs.  The shipped, test and generated benchmark documents need at
-# most 4 raw products and 3 power terms.
-MAX_PRODUCT_TERMS = 1000
-MAX_POWER_TERMS = 300
-# Longest number literal, in digits, in expressions and in every other
-# number of a document (the tokenizer checks it), and the widest coefficient
-# one `*` or `^` may make, in bits, estimated before it is computed.  Python
-# refuses to convert an int of more than 4,300 digits to or from text, and
-# 10,000 bits are about 3,000 digits.  Sums are checked after each `+` or
-# `-`, since their width is known only once the common denominator is.
-# The shipped, test and generated documents need 2 digits and 3 bits; the
-# widest test expressions need 6 digits and 1,000 bits.
-MAX_LITERAL_DIGITS = 100
-MAX_COEFFICIENT_BITS = 10_000
 # Most terms a document coefficient may have, checked at each `+`, `-`, `*`
-# and `^` as it is built.  Every tensor entry multiplies such coefficients,
-# so a 961-term frame coefficient that keeps within the budgets above made
-# `check` run for over a minute.  The shipped, test and generated documents
-# need at most 4 terms.  `parse_scalar` is not bounded: its callers write
-# the expression.
+# and `^` as it is built, and the budget of the frame inverse and of check
+# A10's elimination.  Every tensor entry multiplies such coefficients, so a
+# 961-term frame coefficient that keeps within the parser's other bounds
+# made `check` run for over a minute.  The shipped, test and generated
+# documents need at most 4 terms.
 MAX_COEFFICIENT_TERMS = 40
-
-
-def _coefficient_bits(e: ScalarExpr) -> float:
-    """log2 of the widest numerator or denominator among e's coefficients."""
-    return max(
-        (log2(max(abs(t.coeff.numerator), t.coeff.denominator)) for t in e.terms),
-        default=0.0,
-    )
-
-
-class _Parser:
-    def __init__(
-        self,
-        tokens: Sequence[Token],
-        pos: int,
-        symbols: tuple[str, ...],
-        line: int,
-        max_terms: int | None,
-    ):
-        self.tokens = tokens
-        self.pos = pos
-        self.symbols = symbols
-        self.line = line
-        self.max_terms = max_terms
-        self.depth = 0
-
-    def bounded(self, value: ScalarExpr, at: Token) -> ScalarExpr:
-        """value, unless it has more than `max_terms` terms."""
-        if self.max_terms is not None and len(value.terms) > self.max_terms:
-            raise ExprSyntaxError(
-                f"coefficient has {len(value.terms)} terms, more than {self.max_terms}",
-                at.line,
-                at.col,
-            )
-        return value
-
-    def peek(self) -> Token | None:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            if t.kind in _EXPR_TOKENS or (t.kind == "OP" and t.text in _EXPR_OPS):
-                return t
-        return None
-
-    def error(self, message: str) -> ExprSyntaxError:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return ExprSyntaxError(message + f" (near {t.text!r})", t.line, t.col)
-        if self.pos:  # point at the dangling last token
-            t = self.tokens[self.pos - 1]
-            return ExprSyntaxError(message + " (at end of input)", t.line, t.col)
-        return ExprSyntaxError(message + " (at end of input)", self.line, 0)
-
-    def nested(self, at: Token, parse: Callable[[], ScalarExpr]) -> ScalarExpr:
-        """parse() one nesting level below `at`, at most MAX_NESTING deep."""
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(
-                f"expression nested deeper than {MAX_NESTING} levels", at.line, at.col
-            )
-        self.depth += 1
-        value = parse()
-        self.depth -= 1
-        return value
-
-    def take_op(self, ops: str) -> Token | None:
-        t = self.peek()
-        if t is not None and t.kind == "OP" and t.text in ops:
-            self.pos += 1
-            return t
-        return None
-
-    def expect_op(self, op: str) -> Token:
-        t = self.take_op(op)
-        if t is None:
-            raise self.error(f"expected {op!r}")
-        return t
-
-    def parse_expr(self) -> ScalarExpr:
-        value = self.parse_product()
-        while True:
-            t = self.take_op("+-")
-            if t is None:
-                return value
-            rhs = self.parse_product()
-            value = self.bounded(value + rhs if t.text == "+" else value - rhs, t)
-            # a sum of fractions grows its common denominator term by term
-            if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
-                raise ExprSyntaxError(
-                    f"sum has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
-                    t.line,
-                    t.col,
-                )
-
-    def parse_product(self) -> ScalarExpr:
-        value = self.parse_factor()
-        while True:
-            star = self.take_op("*")
-            if star is None:
-                return value
-            rhs = self.parse_factor()
-            if len(value.terms) * len(rhs.terms) > MAX_PRODUCT_TERMS:
-                raise ExprSyntaxError(
-                    f"product of {len(value.terms)} and {len(rhs.terms)} terms"
-                    f" exceeds {MAX_PRODUCT_TERMS} term products",
-                    star.line,
-                    star.col,
-                )
-            if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
-                raise ExprSyntaxError(
-                    f"product has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
-                    star.line,
-                    star.col,
-                )
-            value = self.bounded(value * rhs, star)
-
-    def parse_factor(self) -> ScalarExpr:
-        minus = self.take_op("-")
-        if minus is not None:
-            return -self.nested(minus, self.parse_factor)
-        atom = self.parse_atom()
-        caret = self.take_op("^")
-        if caret is not None:
-            t = self.peek()
-            if t is None or t.kind != "NUM":
-                raise self.error("expected a non-negative integer power after '^'")
-            self.pos += 1
-            power, m = int(t.text), len(atom.terms)
-            if m > 1 and comb(power + m - 1, m - 1) > MAX_POWER_TERMS:
-                raise ExprSyntaxError(
-                    f"power {power} of a {m}-term sum expands to more than"
-                    f" {MAX_POWER_TERMS} terms",
-                    caret.line,
-                    caret.col,
-                )
-            # an m-term power's coefficients also carry multinomials below m^k
-            if m and power * (_coefficient_bits(atom) + log2(m)) > MAX_COEFFICIENT_BITS:
-                raise ExprSyntaxError(
-                    f"power {power} has coefficients wider than"
-                    f" {MAX_COEFFICIENT_BITS} bits",
-                    caret.line,
-                    caret.col,
-                )
-            return self.bounded(atom**power, caret)
-        return atom
-
-    def parse_atom(self) -> ScalarExpr:
-        t = self.peek()
-        if t is None:
-            raise self.error("expected an expression")
-        if t.kind == "NUM":
-            self.pos += 1
-            numer = int(t.text)
-            if self.take_op("/"):
-                d = self.peek()
-                if d is None or d.kind != "NUM":
-                    raise self.error("expected an integer denominator")
-                self.pos += 1
-                if int(d.text) == 0:
-                    raise ExprSyntaxError("zero denominator", d.line, d.col)
-                return ScalarExpr.const(Fraction(numer, int(d.text)), self.symbols)
-            return ScalarExpr.const(numer, self.symbols)
-        if t.kind == "IDENT" and t.text == "exp":
-            self.pos += 1
-            inner = self.nested(self.expect_op("("), self.parse_expr)
-            self.expect_op(")")
-            return self._to_exponential(inner, t)
-        if t.kind == "IDENT":
-            self.pos += 1
-            if t.text not in self.symbols:
-                raise ExprSyntaxError(
-                    f"unknown symbol {t.text!r}; chart symbols are "
-                    + ", ".join(self.symbols),
-                    t.line,
-                    t.col,
-                )
-            return ScalarExpr.coordinate(t.text, self.symbols)
-        if t.kind == "OP" and t.text == "(":
-            self.pos += 1
-            inner = self.nested(t, self.parse_expr)
-            self.expect_op(")")
-            return inner
-        raise self.error("expected an expression")
-
-    def _to_exponential(self, inner: ScalarExpr, at: Token) -> ScalarExpr:
-        coeffs: dict[int, Fraction] = {}
-        for term in inner.terms:
-            if not term.exponent.is_zero() or [k for _, k in term.monomial] != [1]:
-                raise ExprSyntaxError(
-                    "exp argument must be a rational linear form in the chart symbols",
-                    at.line,
-                    at.col,
-                )
-            (i, _), = term.monomial
-            coeffs[i] = coeffs.get(i, 0) + term.coeff
-        form = LinearForm(coeffs.items())
-        return ScalarExpr(inner.symbols, (Term(1, (), form),))
-
-
-def parse_expr_tokens(
-    tokens: Sequence[Token], pos: int, symbols: tuple[str, ...], line: int = 1
-) -> tuple[ScalarExpr, int]:
-    """Parse a document coefficient from a token slice, at most
-    MAX_COEFFICIENT_TERMS terms; returns (expr, next position)."""
-    p = _Parser(tokens, pos, symbols, line, MAX_COEFFICIENT_TERMS)
-    expr = p.parse_expr()
-    return expr, p.pos
-
-
-def parse_scalar(text: str, symbols: tuple[str, ...]) -> ScalarExpr:
-    """Parse expression text over the given chart symbols."""
-    tokens = tokenize(text)
-    p = _Parser(tokens, 0, symbols, 1, None)
-    expr, end = p.parse_expr(), p.pos
-    if end != len(tokens):
-        t = tokens[end]
-        raise ExprSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.col)
-    return expr

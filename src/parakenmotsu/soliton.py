@@ -42,10 +42,6 @@ class NotInSpan(ValueError):
     """The Ricci tensor is not a constant combination of g and eta x eta."""
 
 
-class NotParallel(ValueError):
-    """The tensor has a nonzero covariant derivative."""
-
-
 class NotMultiple(ValueError):
     """Parallel, but not a constant multiple of the metric."""
 
@@ -405,26 +401,6 @@ def _first_non_parallel(conn: FrameConnection, t: Tensor) -> str | None:
         return None
     (i, *at), value = nonzero[0]
     return f"nabla along E{i + 1} at {witness_at(tuple(at), value)}"
-
-
-def parallel_tensor_classify(
-    alpha: Tensor, conn: FrameConnection, s: ParacontactStructure
-) -> Fraction:
-    """Verify nabla alpha = 0 and return c with alpha = c * g."""
-    if (alpha.r, alpha.s) != (0, 2):
-        raise ValenceError("expected a (0,2) tensor")
-    # the skew part's first nonzero entry in row-major order has j < k
-    skew = contract("S[jk] - S[kj] -> jk", S=alpha).nonzero()
-    if skew:
-        (j, k), _ = skew[0]
-        raise ValenceError(f"tensor not symmetric at ({j}, {k})")
-    witness = _first_non_parallel(conn, alpha)
-    if witness is not None:
-        raise NotParallel(witness)
-    c, b = _split(alpha, s.metric(), s.eta, NotMultiple)
-    if b != 0:
-        raise NotMultiple(f"alpha = {c} g + {b} eta x eta")
-    return c
 
 
 def soliton_from_parallel_check(

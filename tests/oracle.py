@@ -2,7 +2,9 @@
 
 Everything here recomputes connection and curvature data from the
 coordinate metric with textbook formulas, deliberately sharing no code
-with the package under test.  Frame members are given by their
+with the package under test; only `parallel_tensor_classify`, at the
+end, is written with the package's own tensors, as a classifier the
+soliton tests apply to them.  Frame members are given by their
 coordinate components; the coordinate metric is reconstructed from the
 gram matrix, so the oracle works for any invertible frame.
 
@@ -17,6 +19,9 @@ import itertools
 from fractions import Fraction
 
 import sympy as sp
+
+from parakenmotsu.geometry import ValenceError, contract
+from parakenmotsu.soliton import NotMultiple, _first_non_parallel, _split
 
 
 def to_sympy(expr, coords):
@@ -478,3 +483,28 @@ def frame_lie_endomorphism(coords, members, x, t):
         + sum(-T[m, a] * dX[k, m] + T[k, m] * dX[m, a] for m in range(d)),
     )
     return (P_inv * L * P).applyfunc(canon)
+
+
+# -- parallel (0,2) tensors, on the package's tensors -------------------------
+
+
+class NotParallel(ValueError):
+    """The tensor has a nonzero covariant derivative."""
+
+
+def parallel_tensor_classify(alpha, conn, s) -> Fraction:
+    """Verify nabla alpha = 0 and return c with alpha = c * g."""
+    if (alpha.r, alpha.s) != (0, 2):
+        raise ValenceError("expected a (0,2) tensor")
+    # the skew part's first nonzero entry in row-major order has j < k
+    skew = contract("S[jk] - S[kj] -> jk", S=alpha).nonzero()
+    if skew:
+        (j, k), _ = skew[0]
+        raise ValenceError(f"tensor not symmetric at ({j}, {k})")
+    witness = _first_non_parallel(conn, alpha)
+    if witness is not None:
+        raise NotParallel(witness)
+    c, b = _split(alpha, s.metric(), s.eta, NotMultiple)
+    if b != 0:
+        raise NotMultiple(f"alpha = {c} g + {b} eta x eta")
+    return c

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for geometry tests.
+"""Shared hypothesis strategies for geometry tests, and the structures and
+expression text that several test modules build from.
 
 Random frames are lower-triangular in the coordinate basis with
 invertible single-term diagonal entries, so the member matrix is
@@ -8,15 +9,50 @@ Vectors are drawn as frame components.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from parakenmotsu.geometry import Chart, Components, Frame
+from parakenmotsu.dsl import ExprSyntaxError, parse_expr_tokens, tokenize
+from parakenmotsu.fixtures import build_warped
+from parakenmotsu.geometry import Chart, Components, Frame, Tensor
 from parakenmotsu.scalar import LinearForm, ScalarExpr, Term
+from parakenmotsu.structure import ParacontactStructure
 
 CHART3 = Chart(("x", "y", "z"))
 SYMS = CHART3.symbols
+
+
+def parse_scalar(text: str, symbols: tuple[str, ...]) -> ScalarExpr:
+    """Expression text read as a document coefficient, under the same bounds."""
+    tokens = tokenize(text, 1)
+    expr, end = parse_expr_tokens(tokens, 0, symbols)
+    if end != len(tokens):
+        t = tokens[end]
+        raise ExprSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    return expr
+
+
+def tabulate(frame: Frame, r: int, s: int, entry) -> Tensor:
+    """The (r, s) tensor whose component at idx is entry(*idx)."""
+    idx = itertools.product(range(frame.dim), repeat=r + s)
+    return Tensor(frame, r, s, [entry(*i) for i in idx])
+
+
+def build_flat(n: int = 1, params: tuple[str, ...] = ()) -> ParacontactStructure:
+    """The warped structure's phi, xi and eta over the unwarped flat metric,
+    whose frame members drop the factor e^z.  Deliberately NOT
+    para-Kenmotsu; it exists for negative tests."""
+    warped = build_warped(n, params)
+    chart, d = warped.chart, warped.dim
+    members = Components.from_nonzero(
+        [((i, i), chart.const(-1 if i == d - 1 else 1)) for i in range(d)], 2, d, chart.zero()
+    )
+    frame = Frame(chart, members, warped.frame.signs)
+    phi = Tensor(frame, 1, 1, warped.phi.components)
+    eta = Tensor(frame, 0, 1, warped.eta.components)
+    return ParacontactStructure(frame, phi, warped.xi, eta, n)
 
 
 def fracs(lo=-3, hi=3, den=2):

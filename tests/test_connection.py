@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from strategies import CHART3, frames3, scalars, vector_fields
+from strategies import CHART3, frames3, parse_scalar, scalars, vector_fields
 from parakenmotsu.connection import (
     ConnectionError_,
     FrameConnection,
@@ -15,7 +15,6 @@ from parakenmotsu.connection import (
 )
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, derivatives
-from parakenmotsu.scalar import parse_scalar
 
 
 def sc(text):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from strategies import CHART3, frames3, scalars, vector_fields
+from strategies import CHART3, frames3, parse_scalar, scalars, tabulate, vector_fields
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import (
     CurvatureError,
@@ -20,7 +20,6 @@ from parakenmotsu.curvature import (
 )
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
-from parakenmotsu.scalar import parse_scalar
 
 
 @pytest.fixture(scope="module", params=[1, 2])
@@ -190,7 +189,7 @@ def test_nijenhuis_antisymmetry_on_phi_like_tensors():
     # swap with a z-dependent coefficient: integrable no longer, but the
     # tensor must stay antisymmetric in its two arguments
     f = parse_scalar("exp(z)", s.frame.chart.symbols)
-    phi = Tensor.build(
+    phi = tabulate(
         s.frame,
         1,
         1,
@@ -277,7 +276,7 @@ def riem3():
 
 def _bumped(riem, bumps):
     """riem plus the rationals `bumps` at (a, i, j, k)."""
-    return Tensor.build(riem.frame, 1, 3, lambda *idx: riem[idx] + bumps.get(idx, 0))
+    return tabulate(riem.frame, 1, 3, lambda *idx: riem[idx] + bumps.get(idx, 0))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
+import contextlib
 import signal
-import sys
 import time
 from pathlib import Path
 
@@ -7,55 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parakenmotsu import scalar
+from parakenmotsu import dsl
 from parakenmotsu.dsl import DocumentError, load_manifold, parse_manifold
-from parakenmotsu.scalar import ExprSyntaxError
 from parakenmotsu.suite import run_suite
 
 DATA = Path(__file__).parent / "data"
 MANIFOLDS = Path(__file__).parent.parent / "manifolds"
 
 
-# -- round-trips ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("stem", ["example_r3", "example_r5"])
-def test_shipped_documents_round_trip(stem):
-    doc = load_manifold(MANIFOLDS / f"{stem}.pk")
-    assert parse_manifold(doc.emit()) == doc
-    assert doc.name == stem
-    assert doc.dimension == 2 * doc.n + 1
-    built, rebuilt = doc.to_structure(), parse_manifold(doc.emit()).to_structure()
-    assert (built.frame.members, built.frame.signs, built.phi.nonzero()) == (
-        rebuilt.frame.members,
-        rebuilt.frame.signs,
-        rebuilt.phi.nonzero(),
-    )
-
-
 @pytest.mark.parametrize("stem", ["example_r3", "example_r5"])
 def test_structure_build_parses_nothing(monkeypatch, stem):
     calls = []
-    for name in ("parse_scalar", "parse_expr_tokens"):
-        original = getattr(scalar, name)
+    original = dsl.parse_expr_tokens
 
-        def counted(*args, original=original, **kwargs):
-            calls.append(original.__name__)
-            return original(*args, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("parakenmotsu") and (
-                getattr(module, name, None) is original
-            ):
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(dsl, "parse_expr_tokens", counted)
     doc = load_manifold(MANIFOLDS / f"{stem}.pk")
-    assert calls  # the wrappers see the parser's callers
+    assert (doc.name, doc.dimension) == (stem, 2 * doc.n + 1)
+    assert calls  # the wrapper sees the parser's callers
     calls.clear()
     doc.to_structure()
     assert calls == []
 
 
-def test_round_trip_normalizes_coefficients():
+def test_coefficients_are_normalized_when_parsed():
     text = """\
 manifold tiny
 coords x y z
@@ -68,10 +46,8 @@ phi E2 -> E1
 phi E3 -> 0
 xi = E3
 """
-    doc = parse_manifold(text)
-    emitted = doc.emit()
-    assert "1/2 d/dx + d/dy" in emitted
-    assert parse_manifold(emitted) == doc
+    _, combo = parse_manifold(text).frames[0]
+    assert [(str(c), target) for c, target in combo] == [("1/2", "d/dx"), ("1", "d/dy")]
 
 
 def test_metric_mode_computes_gram_diagonal():
@@ -125,7 +101,7 @@ PARSE_ERRORS = {
     "gram_count.pk": "6:1: gram diagonal has 4 entries for dimension 3",
     "frame_count.pk": "2:1: 2 frame members declared for dimension 3",
     "not_utf8.pk": "4:12: byte 0xff is not valid UTF-8",
-    "xi_unknown_coord.pk": "10:1: unknown coordinate in 'd/dw'",
+    "xi_unknown_coord.pk": "10:6: unknown coordinate in 'd/dw'",
     "deep_parens.pk": "3:76: expression nested deeper than 64 levels",
     "deep_negation.pk": "3:76: expression nested deeper than 64 levels",
     "huge_power.pk": "3:34: power 30 of a 4-term sum expands to more than 300 terms",
@@ -238,21 +214,63 @@ def _late(signum, frame):
     raise TimeoutError(f"no answer within {PHI_DEADLINE} s")
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(_drawn_phi_documents())
-def test_drawn_phi_coefficients_end_in_a_verdict_or_a_document_error(text):
-    """Multi-term phi coefficients once made check A10 run for minutes."""
+@contextlib.contextmanager
+def _deadline():
+    """TimeoutError once the block has run PHI_DEADLINE seconds."""
     previous = signal.signal(signal.SIGALRM, _late)
     # repeated every 0.5 s: an alarm that lands in a __hash__ or __eq__ run
     # by a dict lookup is swallowed there, so a later one must follow
     signal.setitimer(signal.ITIMER_REAL, PHI_DEADLINE, 0.5)
     try:
-        run_suite(parse_manifold(text).to_structure())
-    except (DocumentError, ExprSyntaxError):
-        pass
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_drawn_phi_documents())
+def test_drawn_phi_coefficients_end_in_a_verdict_or_a_document_error(text):
+    """Multi-term phi coefficients once made check A10 run for minutes."""
+    with _deadline():
+        try:
+            run_suite(parse_manifold(text).to_structure())
+        except DocumentError:
+            pass
+
+
+EDIT_BASES = sorted(MANIFOLDS.glob("*.pk")) + sorted(DATA.glob("*.pk"))
+EDIT_CHARACTERS = "#\n =+-*/^()019xyzdE_!"
+
+
+@st.composite
+def _edited_documents(draw):
+    """A shipped or test document after 1 to 3 one-character edits: a
+    character inserted, deleted or replaced anywhere, or a `#` that
+    comments out a whole line."""
+    text = draw(st.sampled_from(EDIT_BASES)).read_text(encoding="utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "comment")))
+        if kind == "comment":
+            starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+            at, new = draw(st.sampled_from(starts)), "#"
+        else:
+            at = draw(st.integers(0, len(text)))
+            new = "" if kind == "delete" else draw(st.sampled_from(EDIT_CHARACTERS))
+        text = text[:at] + new + text[at + (kind in ("delete", "replace")):]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_edited_documents())
+def test_edited_documents_end_in_a_structure_or_a_positioned_error(text):
+    """The CLI reports a DocumentError and nothing else as exit 2, so an
+    edited document must build or fail with a DocumentError that has a line."""
+    with _deadline():
+        try:
+            parse_manifold(text).to_structure()
+        except DocumentError as err:
+            assert err.line is not None, str(err)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_ERRORS))
@@ -268,7 +286,9 @@ def test_inline_error_positions():
         ("manifold", "1:1: expected 'manifold <name>'"),
         ("coords x y z", "1:1: document must start with 'manifold <name>'"),
         ("manifold m\ncoords x y z\nframe E1 = d/dw",
-         "3:1: unknown coordinate in 'd/dw'"),
+         "3:12: unknown coordinate in 'd/dw'"),
+        ("manifold m\ncoords x y z\nframe E1 = 2 d/dx + x d/dw",
+         "3:23: unknown coordinate in 'd/dw'"),
         ("manifold m\ncoords x x z", "2:10: duplicate coordinate 'x'"),
         ("manifold m\ncoords x y z\nphi E1 -> E2",
          "3:5: unknown frame member 'E1'"),
@@ -293,6 +313,13 @@ phi E1 -> E2
 phi E2 -> E1
 phi E3 -> 0
 """
-    with pytest.raises(DocumentError) as info:
-        parse_manifold(text)
-    assert "xi" in str(info.value)
+    # a missing section points at the first later one, else past the end
+    for doc, message in (
+        (text, "10:1: missing 'xi' section"),
+        (text + "eta = dz\n", "10:1: missing 'xi' section"),
+        (text.replace("gram diag 1 -1 1\n", ""), "6:1: missing 'gram diag' or 'metric' section"),
+        (text.replace("phi E3 -> 0\n", ""), "5:1: missing phi line for 'E3'"),
+    ):
+        with pytest.raises(DocumentError) as info:
+            parse_manifold(doc)
+        assert str(info.value) == message

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracle
 from oracle import to_sympy
 from strategies import CHART3, frames3, scalars, unit_scalars, vector_fields
+from strategies import parse_scalar, tabulate
 from parakenmotsu.geometry import (
     Chart,
     Components,
@@ -27,7 +28,7 @@ from parakenmotsu.geometry import (
     mat_rank,
 )
 from parakenmotsu.dsl import load_manifold
-from parakenmotsu.scalar import NonInvertible, ScalarExpr, TooManyTerms, parse_scalar
+from parakenmotsu.scalar import NonInvertible, ScalarExpr, TooManyTerms
 
 
 def sc(text):
@@ -335,11 +336,11 @@ def test_frame_rejects_signs_that_are_not_one_unit_per_member():
 
 def test_tensor_first_nonzero_reports_index_and_value():
     frame = _coordinate_frame()
-    t = Tensor.build(frame, 0, 2, lambda i, j: sc("y") if (i, j) == (1, 2) else sc("0"))
+    t = tabulate(frame, 0, 2, lambda i, j: sc("y") if (i, j) == (1, 2) else sc("0"))
     idx, expr = t.first_nonzero()
     assert idx == (1, 2)
     assert expr == sc("y")
-    assert Tensor.build(frame, 0, 1, lambda i: sc("0")).first_nonzero() is None
+    assert tabulate(frame, 0, 1, lambda i: sc("0")).first_nonzero() is None
 
 
 def _coordinate_frame():
@@ -401,7 +402,7 @@ def test_one_form_evaluates_against_frame_expansion():
 
 def test_tensor_getitem_rejects_indices_outside_the_frame():
     frame = _coordinate_frame()
-    t = Tensor.build(frame, 0, 2, lambda i, j: sc("x") if (i, j) == (1, 0) else sc("0"))
+    t = tabulate(frame, 0, 2, lambda i, j: sc("x") if (i, j) == (1, 0) else sc("0"))
     assert t[1, 0] == sc("x")
     for idx in ((0, 3), (3, 0), (-1, 0), (0, -1)):
         with pytest.raises(ValenceError):

@@ -9,13 +9,15 @@ import pytest
 import sympy as sp
 
 import oracle
+from oracle import NotParallel, parallel_tensor_classify
+from strategies import build_flat, parse_scalar, tabulate
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
-from parakenmotsu.fixtures import build_flat, build_warped
+from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu import soliton
-from parakenmotsu.scalar import ScalarExpr, parse_scalar
+from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.suite import Products
 from parakenmotsu.soliton import (
     CONDITIONS,
@@ -24,7 +26,6 @@ from parakenmotsu.soliton import (
     NoConstantSolution,
     NotInSpan,
     NotMultiple,
-    NotParallel,
     SolitonSolution,
     _generic,
     _ratio_against_shape,
@@ -32,7 +33,6 @@ from parakenmotsu.soliton import (
     condition_residual,
     condition_residual_xi_paired,
     mu_zero_variant_check,
-    parallel_tensor_classify,
     phi_ricci_prefactor,
     phi_ricci_symmetric_check,
     quasi_einstein_decompose,
@@ -82,7 +82,7 @@ def tensor02(s, spec, **operands):
 def test_no_constant_solution_on_doctored_ricci(pipeline):
     n, s, conn, riem, S = pipeline
     x = s.frame.chart.coordinate("x1" if n > 1 else "x")
-    bump = Tensor.build(
+    bump = tabulate(
         s.frame, 0, 2,
         lambda i, j: x if i == j == 0 else s.frame.chart.zero(),
     )
@@ -123,7 +123,7 @@ def test_quasi_einstein_split_witnesses(pipeline):
 
     def bump(at, value):
         zero = s.chart.zero()
-        b = Tensor.build(s.frame, 0, 2, lambda *idx: value if idx in at else zero)
+        b = tabulate(s.frame, 0, 2, lambda *idx: value if idx in at else zero)
         return tensor02(s, "S[ij] + b[ij] -> ij", S=S, b=b)
 
     # the pivot E1, then xi = E_d, then the first nonzero residual component
@@ -489,7 +489,7 @@ def test_parallel_classify_valence_and_symmetry_errors():
     conn = koszul_connection(s.frame)
     with pytest.raises(ValenceError):
         parallel_tensor_classify(s.phi, conn, s)
-    lopsided = Tensor.build(
+    lopsided = tabulate(
         s.frame, 0, 2,
         lambda i, j: s.chart.const(1) if (i, j) == (0, 1) else s.chart.zero(),
     )

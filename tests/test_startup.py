@@ -4,6 +4,7 @@ Every `check`, `solve`, `condition` and `factors` call starts a fresh
 interpreter, so each module loaded at import is paid once per call.
 """
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -140,7 +141,7 @@ def test_every_name_the_tracer_wraps_exists():
             getattr(importlib.import_module(f"parakenmotsu.{module}"), function, None)
         ), f"{module}.{function}"
     from parakenmotsu import suite
-    from parakenmotsu.geometry import Tensor
+    from parakenmotsu.geometry import Components, Tensor
     from parakenmotsu.scalar import ScalarExpr
 
     assert set(suite._RUNNERS) == {stage for stage, _, _ in suite.CATALOG}
@@ -156,7 +157,45 @@ def test_every_name_the_tracer_wraps_exists():
     from parakenmotsu.fixtures import build_warped
 
     s = build_warped(1)
-    for t in (s.metric(), s.phi, s.eta, Tensor.build(s.frame, 1, 2, lambda *_: s.chart.zero())):
+    zero = Tensor.build(s.frame, 1, 2, Components.from_nonzero((), 3, s.dim, s.chart.zero()))
+    for t in (s.metric(), s.phi, s.eta, zero):
         entries = list(t.components)
         assert len(t.components) == len(entries) == s.dim**t.rank
         assert sum(not c.is_zero() for c in entries) == len(t.nonzero())
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_src_holds_only_what_it_reads():
+    """Every call compiles what src holds, so src defines nothing that
+    only the tests read: each function, class and method other than a
+    dunder is read somewhere in src, and each module reads every name it
+    imports."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted((ROOT / "src" / "parakenmotsu").glob("*.py"))
+    }
+    read = {module: _names_read(tree) for module, tree in trees.items()}
+    read_anywhere = set().union(*read.values())
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in read_anywhere:
+                    unread.append(f"{module}.{node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read[module]:
+                        unread.append(f"{module} imports {name}")
+    assert not unread, unread

@@ -1,10 +1,11 @@
 import pytest
 
+from strategies import build_flat, tabulate
 from parakenmotsu import suite
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import riemann
-from parakenmotsu.fixtures import build_flat, build_warped
-from parakenmotsu.geometry import Tensor, ValenceError
+from parakenmotsu.fixtures import build_warped
+from parakenmotsu.geometry import ValenceError
 from parakenmotsu.structure import (
     ParacontactStructure,
     check_axioms,
@@ -41,7 +42,7 @@ def test_axioms_pass_with_symbolic_parameter():
 
 def test_identity_phi_square_fails_for_identity_phi():
     s = build_warped(1)
-    ident = Tensor.build(
+    ident = tabulate(
         s.frame, 1, 1,
         lambda a, i: s.frame.chart.const(1 if a == i else 0),
     )
@@ -141,7 +142,7 @@ def test_vanishing_check_witnesses():
     s = build_warped(1)
     chart = s.chart
     values = {(0, 2): 3, (2, 0): 2}
-    t = Tensor.build(
+    t = tabulate(
         s.frame, 0, 2, lambda i, j: chart.const(values.get((i, j), 0))
     )
     # the first nonzero component in the order of the output letters

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from strategies import build_flat, tabulate
 from parakenmotsu import suite
 from parakenmotsu.curvature import CurvatureError
 from parakenmotsu.dsl import load_manifold
-from parakenmotsu.fixtures import build_flat, build_warped
-from parakenmotsu.geometry import Tensor
+from parakenmotsu.fixtures import build_warped
 from parakenmotsu.report import exit_code
 from parakenmotsu.structure import ParacontactStructure
 from parakenmotsu.suite import CATALOG, run_suite, selectable_names
@@ -18,7 +18,7 @@ SOURCES = Path(__file__).parent.parent / "src" / "parakenmotsu"
 
 def _broken_phi(n=1):
     s = build_warped(n)
-    ident = Tensor.build(
+    ident = tabulate(
         s.frame, 1, 1,
         lambda a, i: s.frame.chart.const(1 if a == i else 0),
     )
