@@ -103,17 +103,6 @@ class Token(NamedTuple):
     col: int
 
 
-class ExprSyntaxError(ValueError):
-    """Syntax error in a coefficient, with position; `parse_manifold`
-    reports it as a `DocumentError`."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-        self.message = message
-
-
 _TOKEN = re.compile(
     "|".join(
         f"(?P<{kind}>{pattern})"
@@ -137,10 +126,10 @@ def tokenize(text: str, line: int) -> list[Token]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            raise DocumentError(f"unexpected character {text[pos]!r}", line, pos + 1)
         kind = m.lastgroup
         if kind == "NUM" and m.end() - pos > MAX_LITERAL_DIGITS:
-            raise ExprSyntaxError(
+            raise DocumentError(
                 f"number literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + 1
             )
         if kind not in ("WS", "COMMENT"):
@@ -196,7 +185,7 @@ class _Parser:
     def bounded(self, value: ScalarExpr, at: Token) -> ScalarExpr:
         """value, unless it has more than MAX_COEFFICIENT_TERMS terms."""
         if len(value.terms) > MAX_COEFFICIENT_TERMS:
-            raise ExprSyntaxError(
+            raise DocumentError(
                 f"coefficient has {len(value.terms)} terms,"
                 f" more than {MAX_COEFFICIENT_TERMS}",
                 at.line,
@@ -211,17 +200,17 @@ class _Parser:
                 return t
         return None
 
-    def error(self, message: str) -> ExprSyntaxError:
+    def error(self, message: str) -> DocumentError:
         if self.pos < len(self.tokens):
             t = self.tokens[self.pos]
-            return ExprSyntaxError(message + f" (near {t.text!r})", t.line, t.col)
+            return DocumentError(message + f" (near {t.text!r})", t.line, t.col)
         t = self.tokens[self.pos - 1]  # point at the dangling last token
-        return ExprSyntaxError(message + " (at end of input)", t.line, t.col)
+        return DocumentError(message + " (at end of input)", t.line, t.col)
 
     def nested(self, at: Token, parse: Callable[[], ScalarExpr]) -> ScalarExpr:
         """parse() one nesting level below `at`, at most MAX_NESTING deep."""
         if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(
+            raise DocumentError(
                 f"expression nested deeper than {MAX_NESTING} levels", at.line, at.col
             )
         self.depth += 1
@@ -252,7 +241,7 @@ class _Parser:
             value = self.bounded(value + rhs if t.text == "+" else value - rhs, t)
             # a sum of fractions grows its common denominator term by term
             if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     f"sum has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
                     t.line,
                     t.col,
@@ -266,14 +255,14 @@ class _Parser:
                 return value
             rhs = self.parse_factor()
             if len(value.terms) * len(rhs.terms) > MAX_PRODUCT_TERMS:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     f"product of {len(value.terms)} and {len(rhs.terms)} terms"
                     f" exceeds {MAX_PRODUCT_TERMS} term products",
                     star.line,
                     star.col,
                 )
             if _coefficient_bits(value) + _coefficient_bits(rhs) > MAX_COEFFICIENT_BITS:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     f"product has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
                     star.line,
                     star.col,
@@ -293,7 +282,7 @@ class _Parser:
             self.pos += 1
             power, m = int(t.text), len(atom.terms)
             if m > 1 and comb(power + m - 1, m - 1) > MAX_POWER_TERMS:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     f"power {power} of a {m}-term sum expands to more than"
                     f" {MAX_POWER_TERMS} terms",
                     caret.line,
@@ -301,7 +290,7 @@ class _Parser:
                 )
             # an m-term power's coefficients also carry multinomials below m^k
             if m and power * (_coefficient_bits(atom) + log2(m)) > MAX_COEFFICIENT_BITS:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     f"power {power} has coefficients wider than"
                     f" {MAX_COEFFICIENT_BITS} bits",
                     caret.line,
@@ -323,7 +312,7 @@ class _Parser:
                     raise self.error("expected an integer denominator")
                 self.pos += 1
                 if int(d.text) == 0:
-                    raise ExprSyntaxError("zero denominator", d.line, d.col)
+                    raise DocumentError("zero denominator", d.line, d.col)
                 return ScalarExpr.const(Fraction(numer, int(d.text)), self.symbols)
             return ScalarExpr.const(numer, self.symbols)
         if t.kind == "IDENT" and t.text == "exp":
@@ -334,7 +323,7 @@ class _Parser:
         if t.kind == "IDENT":
             self.pos += 1
             if t.text not in self.symbols:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     f"unknown symbol {t.text!r}; chart symbols are "
                     + ", ".join(self.symbols),
                     t.line,
@@ -352,7 +341,7 @@ class _Parser:
         coeffs: dict[int, Fraction] = {}
         for term in inner.terms:
             if not term.exponent.is_zero() or [k for _, k in term.monomial] != [1]:
-                raise ExprSyntaxError(
+                raise DocumentError(
                     "exp argument must be a rational linear form in the chart symbols",
                     at.line,
                     at.col,
@@ -543,10 +532,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        try:
-            tokens = tokenize(raw, lineno)
-        except ExprSyntaxError as err:
-            raise DocumentError(err.message, err.line, err.col) from err
+        tokens = tokenize(raw, lineno)
         if not tokens:
             continue
         head = tokens[0]
@@ -573,125 +559,122 @@ def parse_manifold(text: str) -> ManifoldDocument:
                 f"section {keyword!r} requires 'coords' first", head.line, head.col
             )
 
-        try:
-            if keyword == "manifold":
-                if len(tokens) != 2 or tokens[1].kind != "IDENT":
-                    raise DocumentError("expected 'manifold <name>'", lineno, head.col)
-                name = tokens[1].text
-            elif keyword == "coords":
-                if len(tokens) < 2 or any(t.kind != "IDENT" for t in tokens[1:]):
+        if keyword == "manifold":
+            if len(tokens) != 2 or tokens[1].kind != "IDENT":
+                raise DocumentError("expected 'manifold <name>'", lineno, head.col)
+            name = tokens[1].text
+        elif keyword == "coords":
+            if len(tokens) < 2 or any(t.kind != "IDENT" for t in tokens[1:]):
+                raise DocumentError(
+                    "expected 'coords <name> <name> ...'", lineno, head.col
+                )
+            seen = set()
+            for t in tokens[1:]:
+                if t.text in seen:
                     raise DocumentError(
-                        "expected 'coords <name> <name> ...'", lineno, head.col
+                        f"duplicate coordinate {t.text!r}", t.line, t.col
                     )
-                seen = set()
-                for t in tokens[1:]:
-                    if t.text in seen:
-                        raise DocumentError(
-                            f"duplicate coordinate {t.text!r}", t.line, t.col
-                        )
-                    seen.add(t.text)
-                coords = tuple(t.text for t in tokens[1:])
-                if len(coords) % 2 == 0:
+                seen.add(t.text)
+            coords = tuple(t.text for t in tokens[1:])
+            if len(coords) % 2 == 0:
+                raise DocumentError(
+                    "dimension must be odd (2n+1 coordinates)", lineno, head.col
+                )
+            if len(coords) < 3:
+                raise DocumentError("dimension must be at least 3", lineno, head.col)
+        elif keyword == "n":
+            pos = _expect_equals(tokens, 1)
+            if pos != len(tokens) - 1 or tokens[pos].kind != "NUM":
+                raise DocumentError("expected 'n = <integer>'", lineno, head.col)
+            declared_n = int(tokens[pos].text)
+        elif keyword == "frame":
+            if len(tokens) < 2 or tokens[1].kind != "IDENT":
+                raise DocumentError("expected 'frame <name> = ...'", lineno, head.col)
+            member = tokens[1].text
+            if member in frame_at:
+                raise DocumentError(
+                    f"duplicate frame member {member!r}", tokens[1].line, tokens[1].col
+                )
+            if member in coords:
+                raise DocumentError(
+                    f"frame member {member!r} collides with a coordinate",
+                    tokens[1].line,
+                    tokens[1].col,
+                )
+            pos = _expect_equals(tokens, 2)
+            combo = _parse_combo(tokens, pos, coords, is_dderiv, "d/d<coord>")
+            frames.append((member, combo))
+            frame_at[member] = (head.line, head.col)
+        elif keyword == "gram":
+            if len(tokens) < 3 or tokens[1].text != "diag":
+                raise DocumentError("expected 'gram diag <entries>'", lineno, head.col)
+            entries = []
+            pos = 2
+            while pos < len(tokens):
+                value, pos = _signed_rational(tokens, pos)
+                if value * value != 1:
                     raise DocumentError(
-                        "dimension must be odd (2n+1 coordinates)", lineno, head.col
-                    )
-                if len(coords) < 3:
-                    raise DocumentError("dimension must be at least 3", lineno, head.col)
-            elif keyword == "n":
-                pos = _expect_equals(tokens, 1)
-                if pos != len(tokens) - 1 or tokens[pos].kind != "NUM":
-                    raise DocumentError("expected 'n = <integer>'", lineno, head.col)
-                declared_n = int(tokens[pos].text)
-            elif keyword == "frame":
-                if len(tokens) < 2 or tokens[1].kind != "IDENT":
-                    raise DocumentError("expected 'frame <name> = ...'", lineno, head.col)
-                member = tokens[1].text
-                if member in frame_at:
-                    raise DocumentError(
-                        f"duplicate frame member {member!r}", tokens[1].line, tokens[1].col
-                    )
-                if member in coords:
-                    raise DocumentError(
-                        f"frame member {member!r} collides with a coordinate",
-                        tokens[1].line,
-                        tokens[1].col,
-                    )
-                pos = _expect_equals(tokens, 2)
-                combo = _parse_combo(tokens, pos, coords, is_dderiv, "d/d<coord>")
-                frames.append((member, combo))
-                frame_at[member] = (head.line, head.col)
-            elif keyword == "gram":
-                if len(tokens) < 3 or tokens[1].text != "diag":
-                    raise DocumentError("expected 'gram diag <entries>'", lineno, head.col)
-                entries = []
-                pos = 2
-                while pos < len(tokens):
-                    value, pos = _signed_rational(tokens, pos)
-                    if value * value != 1:
-                        raise DocumentError(
-                            f"gram diagonal entry {value} must be 1 or -1",
-                            lineno,
-                            head.col,
-                        )
-                    entries.append(value)
-                gram = tuple(entries)
-            elif keyword == "metric":
-                if gram is not None:
-                    raise DocumentError(
-                        "cannot mix 'gram diag' and 'metric' sections",
-                        head.line,
+                        f"gram diagonal entry {value} must be 1 or -1",
+                        lineno,
                         head.col,
                     )
-                if len(tokens) < 4 or tokens[1].kind != "NUM" or tokens[2].kind != "NUM":
-                    raise DocumentError(
-                        "expected 'metric <i> <j> <expr>'", lineno, head.col
-                    )
-                i, j = int(tokens[1].text), int(tokens[2].text)
-                if not (1 <= i <= len(coords) and 1 <= j <= len(coords)):
-                    raise DocumentError(
-                        f"metric indices ({i}, {j}) out of range", lineno, head.col
-                    )
-                expr, end = parse_expr_tokens(tokens, 3, coords)
-                if end != len(tokens):
-                    bad = tokens[end]
-                    raise DocumentError(
-                        f"unexpected token {bad.text!r}", bad.line, bad.col
-                    )
-                key = (min(i, j), max(i, j))
-                if key in metric:
-                    raise DocumentError(
-                        f"duplicate metric entry ({i}, {j})", lineno, head.col
-                    )
-                metric[key] = expr
-            elif keyword == "phi":
-                if len(tokens) < 3 or tokens[1].kind != "IDENT":
-                    raise DocumentError(
-                        "expected 'phi <member> -> ...'", lineno, head.col
-                    )
-                member = tokens[1].text
-                if member not in frame_at:
-                    raise DocumentError(
-                        f"unknown frame member {member!r}", tokens[1].line, tokens[1].col
-                    )
-                if member in phi_ids:
-                    raise DocumentError(
-                        f"duplicate phi line for {member!r}", tokens[1].line, tokens[1].col
-                    )
-                if tokens[2].kind != "ARROW":
-                    raise DocumentError("expected '->'", tokens[2].line, tokens[2].col)
-                combo = _parse_combo(tokens, 3, coords, is_member, "frame member")
-                phi.append((member, combo))
-                phi_ids.add(member)
-            elif keyword == "xi":
-                pos = _expect_equals(tokens, 1)
-                xi = _parse_combo(
-                    tokens, pos, coords, is_member_or_dderiv, "frame member or d/d<coord>"
+                entries.append(value)
+            gram = tuple(entries)
+        elif keyword == "metric":
+            if gram is not None:
+                raise DocumentError(
+                    "cannot mix 'gram diag' and 'metric' sections",
+                    head.line,
+                    head.col,
                 )
-            elif keyword == "eta":
-                pos = _expect_equals(tokens, 1)
-                eta = _parse_combo(tokens, pos, coords, is_differential, "d<coord>")
-        except ExprSyntaxError as err:
-            raise DocumentError(err.message, err.line, err.col) from err
+            if len(tokens) < 4 or tokens[1].kind != "NUM" or tokens[2].kind != "NUM":
+                raise DocumentError(
+                    "expected 'metric <i> <j> <expr>'", lineno, head.col
+                )
+            i, j = int(tokens[1].text), int(tokens[2].text)
+            if not (1 <= i <= len(coords) and 1 <= j <= len(coords)):
+                raise DocumentError(
+                    f"metric indices ({i}, {j}) out of range", lineno, head.col
+                )
+            expr, end = parse_expr_tokens(tokens, 3, coords)
+            if end != len(tokens):
+                bad = tokens[end]
+                raise DocumentError(
+                    f"unexpected token {bad.text!r}", bad.line, bad.col
+                )
+            key = (min(i, j), max(i, j))
+            if key in metric:
+                raise DocumentError(
+                    f"duplicate metric entry ({i}, {j})", lineno, head.col
+                )
+            metric[key] = expr
+        elif keyword == "phi":
+            if len(tokens) < 3 or tokens[1].kind != "IDENT":
+                raise DocumentError(
+                    "expected 'phi <member> -> ...'", lineno, head.col
+                )
+            member = tokens[1].text
+            if member not in frame_at:
+                raise DocumentError(
+                    f"unknown frame member {member!r}", tokens[1].line, tokens[1].col
+                )
+            if member in phi_ids:
+                raise DocumentError(
+                    f"duplicate phi line for {member!r}", tokens[1].line, tokens[1].col
+                )
+            if tokens[2].kind != "ARROW":
+                raise DocumentError("expected '->'", tokens[2].line, tokens[2].col)
+            combo = _parse_combo(tokens, 3, coords, is_member, "frame member")
+            phi.append((member, combo))
+            phi_ids.add(member)
+        elif keyword == "xi":
+            pos = _expect_equals(tokens, 1)
+            xi = _parse_combo(
+                tokens, pos, coords, is_member_or_dderiv, "frame member or d/d<coord>"
+            )
+        elif keyword == "eta":
+            pos = _expect_equals(tokens, 1)
+            eta = _parse_combo(tokens, pos, coords, is_differential, "d<coord>")
 
     def missing(section: str, keyword: str) -> DocumentError:
         """At the first later section's line, else the line after the last."""

@@ -1,17 +1,19 @@
 """Dependency-ordered verification suite for a manifold document.
 
-Checks run in stages.  Selection by name or by group prefix decides what
-is computed: the stages of the selected checks run, together with every
-stage they depend on, and no other stage is computed.  A stage that runs
-still needs every stage it depends on to have passed; otherwise its
-checks are reported as skipped.  Unselected checks always appear as
-skipped, even when their stage ran because a selected check needs it.
-On 3-dimensional documents the reference-table notes read the
-connection, the curvature and the soliton constants, so those stages
-run whatever the selection.
+`_ROWS` is the one table of checks, in report order.  A row is (stage,
+check name, catalog tag, witness); the witness reads what the check
+needs from one `Products` object and returns None when the check holds,
+its witness text when it fails.  `Products` builds each tensor, and each
+batch of checks that share one computation, on first use and keeps it
+for every later reader.
 
-The tensors the stages share live in one `Products` object, which
-builds each on first use and keeps it for every later reader.
+A stage runs only once every stage it depends on has passed; otherwise
+its checks are reported as skipped.  Selection by name or by group
+prefix decides what is computed: a stage computes its selected rows, and
+all of its rows when a stage that computes needs it, or when the
+3-dimensional notes read it (the connection, the curvature and the
+soliton constants).  No other row is computed.  Unselected checks always
+appear as skipped, even when they were computed.
 
 REFERENCE_* at the end records a previously circulated component table
 for the 3-dimensional example.  Some of its entries are mutually
@@ -67,95 +69,21 @@ from parakenmotsu.structure import (
     vanishing_check,
 )
 
-# (stage, check name, catalog tag), in report order: the only place that
-# names or tags a check.  The runner of a stage returns one entry per row
-# of its stage, in this order: None when the check holds, its witness text
-# when it fails, or _SKIPPED when the runner did not run it.
-CATALOG: tuple[tuple[str, str, str], ...] = (
-    ("axioms", "axioms/eta-xi-pairing", "A1"),
-    ("axioms", "axioms/phi-annihilates-xi", "A2"),
-    ("axioms", "axioms/eta-annihilates-phi", "A3"),
-    ("axioms", "axioms/phi-square", "A4"),
-    ("axioms", "axioms/metric-phi-compatibility", "A5"),
-    ("axioms", "axioms/phi-skew-adjoint", "A6"),
-    ("axioms", "axioms/eta-is-metric-dual", "A7"),
-    ("axioms", "axioms/unit-xi", "A8"),
-    ("axioms", "axioms/signature", "A9"),
-    ("axioms", "axioms/eigendistribution-ranks", "A10"),
-    ("connection", "connection/koszul", "C1"),
-    ("para-kenmotsu", "para-kenmotsu/covariant-phi", "K1"),
-    ("identities", "identities/xi-covariant-derivative", "I1"),
-    ("identities", "identities/eta-of-nabla-xi", "I2"),
-    ("identities", "identities/xi-parallel-along-xi", "I3"),
-    ("identities", "identities/curvature-on-xi", "I4"),
-    ("identities", "identities/eta-of-curvature", "I5"),
-    ("identities", "identities/eta-of-curvature-on-xi", "I6"),
-    ("identities", "identities/eta-covariant-derivative", "I7"),
-    ("identities", "identities/eta-parallel-along-xi", "I8"),
-    ("identities", "identities/lie-phi-along-xi", "I9"),
-    ("identities", "identities/lie-eta-along-xi", "I10"),
-    ("identities", "identities/lie-eta-square-along-xi", "I11"),
-    ("identities", "identities/lie-metric-along-xi", "I12"),
-    ("identities", "identities/eta-closed", "I13"),
-    ("identities", "identities/nijenhuis-vanishes", "I14"),
-    ("curvature", "curvature/riemann-symmetries", "C2"),
-    ("curvature", "curvature/ricci-symmetric", "C3"),
-    ("curvature-pk", "curvature/ricci-on-xi", "C4"),
-    ("curvature-pk", "curvature/q-commutes-with-phi", "C5"),
-    ("soliton", "soliton/constants", "L1"),
-    ("soliton", "soliton/quasi-einstein-split", "L2"),
-    ("condition", "condition/R.S", "D1"),
-    ("condition", "condition/S.R", "D2"),
-    ("condition", "condition/W2.S", "D3"),
-    ("condition", "condition/S.W2", "D4"),
-    ("factors", "factors/R.S", "F1"),
-    ("factors", "factors/S.R", "F2"),
-    ("factors", "factors/W2.S", "F3"),
-    ("factors", "factors/S.W2", "F4"),
-    ("factors", "factors/phi-ricci", "F5"),
-    ("parallel", "soliton/parallel-deformation-recovery", "T1"),
-    ("parallel", "soliton/mu-zero-deformation-not-parallel", "T2"),
-    ("phi-ricci", "phi-ricci/phi-square-of-nabla-q", "P1"),
-    ("phi-ricci", "phi-ricci/q-parallel-along-xi", "P2"),
-    ("phi-ricci", "phi-ricci/s-parallel-along-xi", "P3"),
-)
-
-_STAGE_DEPS: dict[str, tuple[str, ...]] = {
-    "axioms": (),
-    "connection": (),
-    "para-kenmotsu": ("axioms", "connection"),
-    "identities": ("para-kenmotsu",),
-    "curvature": ("connection",),
-    "curvature-pk": ("curvature", "para-kenmotsu"),
-    "soliton": ("curvature", "para-kenmotsu"),
-    "condition": ("soliton",),
-    "factors": (),
-    "parallel": ("soliton",),
-    "phi-ricci": ("soliton",),
-}
-
-_STAGE_ORDER = tuple(dict.fromkeys(stage for stage, _, _ in CATALOG))
-_STAGE_ROWS = {
-    stage: [name for st, name, _ in CATALOG if st == stage] for stage in _STAGE_ORDER
-}
-
-_SKIPPED = object()  # a runner's entry for a check it did not run
-
 
 class Products:
     """Derived products of one structure, each built on first use and kept.
 
     The chain structure -> Koszul connection -> Riemann -> Ricci and Q ->
     W2 -> soliton constants -> condition residuals is read through these
-    attributes, so whichever reader asks first pays for a product and
-    every later reader shares it.  A builder's exception is not kept:
-    reading the attribute again retries the build.  `selection` is the
-    check selection, for stages whose checks share no product.
+    attributes, and so are the witnesses of the checks that share one
+    computation (A1-A10, I1-I14, P1-P3, a list each).  Whichever reader
+    asks first pays for a product and every later reader shares it.  A
+    builder's exception is not kept: reading the attribute again retries
+    the build.
     """
 
-    def __init__(self, structure: ParacontactStructure, selection=None):
+    def __init__(self, structure: ParacontactStructure):
         self.s = structure
-        self.selection = selection
         self._residuals: dict[ConditionKind, Tensor] = {}
 
     @cached_property
@@ -188,6 +116,159 @@ class Products:
             self._residuals[kind] = condition_residual(kind, self.s, op, self.ricci)
         return self._residuals[kind]
 
+    @cached_property
+    def axioms(self) -> list[str | None]:
+        return check_axioms(self.s)
+
+    @cached_property
+    def identities(self) -> list[str | None]:
+        try:
+            riem = self.riem
+        except CurvatureError:
+            riem = None  # reported by C2; the identities build an unverified one
+        return kenmotsu_identity_suite(self.s, self.conn, riem)
+
+    @cached_property
+    def phi_ricci(self) -> list[str | None]:
+        return phi_ricci_symmetric_check(self.s, self.conn, self.ricci, self.q, self.sol)
+
+
+# -- witnesses ---------------------------------------------------------------
+
+
+def _raises(errors, read):
+    """Witness: None when read(p) returns, the message when it raises one of errors."""
+
+    def witness(p: Products) -> str | None:
+        try:
+            read(p)
+        except errors as err:
+            return str(err)
+        return None
+
+    return witness
+
+
+def _vanishes(spec: str):
+    """Witness of `vanishing_check(spec)` over the structure, S, Q and 2n."""
+    return lambda p: vanishing_check(
+        spec, dict(p.s.operands(), S=p.ricci, Q=p.q, two_n=2 * p.s.n)
+    )
+
+
+def _split(p: Products) -> str | None:
+    """S = a g + b eta x eta with the (a, b) the soliton constants imply."""
+    try:
+        a, b = quasi_einstein_decompose(p.ricci, p.s.metric(), p.s.eta)
+    except NotInSpan as err:
+        return str(err)
+    expected = (Fraction(-(p.sol.lam + 1)), Fraction(-(p.sol.mu - 1)))
+    if (a, b) != expected:
+        return f"split gives ({a}, {b}), soliton implies {expected}"
+    return None
+
+
+def _condition(kind: ConditionKind):
+    return lambda p: condition_check(kind, p.s, p.residual(kind), p.sol)
+
+
+def _factor(kind: ConditionKind):
+    """Each extraction builds its own generic tensors, from n alone."""
+    return _raises(FactorError, lambda p: symbolic_factor_check(kind, p.s.n))
+
+
+# (stage, check name, catalog tag, witness), in report order: the only
+# place that names or tags a check.  D1-D4 and F1-F4 follow ConditionKind.
+_ROWS = (
+    ("axioms", "axioms/eta-xi-pairing", "A1", lambda p: p.axioms[0]),
+    ("axioms", "axioms/phi-annihilates-xi", "A2", lambda p: p.axioms[1]),
+    ("axioms", "axioms/eta-annihilates-phi", "A3", lambda p: p.axioms[2]),
+    ("axioms", "axioms/phi-square", "A4", lambda p: p.axioms[3]),
+    ("axioms", "axioms/metric-phi-compatibility", "A5", lambda p: p.axioms[4]),
+    ("axioms", "axioms/phi-skew-adjoint", "A6", lambda p: p.axioms[5]),
+    ("axioms", "axioms/eta-is-metric-dual", "A7", lambda p: p.axioms[6]),
+    ("axioms", "axioms/unit-xi", "A8", lambda p: p.axioms[7]),
+    ("axioms", "axioms/signature", "A9", lambda p: p.axioms[8]),
+    ("axioms", "axioms/eigendistribution-ranks", "A10", lambda p: p.axioms[9]),
+    ("connection", "connection/koszul", "C1", _raises(ConnectionError_, lambda p: p.conn)),
+    ("para-kenmotsu", "para-kenmotsu/covariant-phi", "K1",
+     lambda p: check_para_kenmotsu(p.s, p.conn)),
+    ("identities", "identities/xi-covariant-derivative", "I1", lambda p: p.identities[0]),
+    ("identities", "identities/eta-of-nabla-xi", "I2", lambda p: p.identities[1]),
+    ("identities", "identities/xi-parallel-along-xi", "I3", lambda p: p.identities[2]),
+    ("identities", "identities/curvature-on-xi", "I4", lambda p: p.identities[3]),
+    ("identities", "identities/eta-of-curvature", "I5", lambda p: p.identities[4]),
+    ("identities", "identities/eta-of-curvature-on-xi", "I6", lambda p: p.identities[5]),
+    ("identities", "identities/eta-covariant-derivative", "I7", lambda p: p.identities[6]),
+    ("identities", "identities/eta-parallel-along-xi", "I8", lambda p: p.identities[7]),
+    ("identities", "identities/lie-phi-along-xi", "I9", lambda p: p.identities[8]),
+    ("identities", "identities/lie-eta-along-xi", "I10", lambda p: p.identities[9]),
+    ("identities", "identities/lie-eta-square-along-xi", "I11", lambda p: p.identities[10]),
+    ("identities", "identities/lie-metric-along-xi", "I12", lambda p: p.identities[11]),
+    ("identities", "identities/eta-closed", "I13", lambda p: p.identities[12]),
+    ("identities", "identities/nijenhuis-vanishes", "I14", lambda p: p.identities[13]),
+    ("curvature", "curvature/riemann-symmetries", "C2",
+     _raises(CurvatureError, lambda p: p.riem)),
+    ("ricci", "curvature/ricci-symmetric", "C3",
+     _raises(CurvatureError, lambda p: p.ricci)),
+    ("curvature-pk", "curvature/ricci-on-xi", "C4",
+     _vanishes("S[jm] xi[m] + two_n eta[j] -> j")),
+    ("curvature-pk", "curvature/q-commutes-with-phi", "C5",
+     _vanishes("Q[am] phi[mi] - phi[am] Q[mi] -> ai")),
+    ("soliton", "soliton/constants", "L1",
+     _raises((NoConstantSolution, ValueError), lambda p: p.sol)),
+    ("split", "soliton/quasi-einstein-split", "L2", _split),
+    *(
+        ("condition", f"condition/{kind.value}", f"D{i}", _condition(kind))
+        for i, kind in enumerate(ConditionKind, start=1)
+    ),
+    *(
+        ("factors", f"factors/{kind.value}", f"F{i}", _factor(kind))
+        for i, kind in enumerate(ConditionKind, start=1)
+    ),
+    ("factors", "factors/phi-ricci", "F5",
+     _raises(FactorError, lambda p: phi_ricci_prefactor(p.s.n))),
+    ("parallel", "soliton/parallel-deformation-recovery", "T1",
+     lambda p: soliton_from_parallel_check(p.s, p.conn, p.ricci, p.sol)),
+    ("parallel", "soliton/mu-zero-deformation-not-parallel", "T2",
+     lambda p: mu_zero_variant_check(p.s, p.conn, p.ricci)),
+    ("phi-ricci", "phi-ricci/phi-square-of-nabla-q", "P1", lambda p: p.phi_ricci[0]),
+    ("phi-ricci", "phi-ricci/q-parallel-along-xi", "P2", lambda p: p.phi_ricci[1]),
+    ("phi-ricci", "phi-ricci/s-parallel-along-xi", "P3", lambda p: p.phi_ricci[2]),
+)
+CATALOG: tuple[tuple[str, str, str], ...] = tuple(row[:3] for row in _ROWS)
+
+# C3 and L2 have stages of their own, so that a failed C2 skips C3 and a
+# failed L1 skips L2, and the later stages depend on them.
+_STAGE_DEPS: dict[str, tuple[str, ...]] = {
+    "axioms": (),
+    "connection": (),
+    "para-kenmotsu": ("axioms", "connection"),
+    "identities": ("para-kenmotsu",),
+    "curvature": ("connection",),
+    "ricci": ("curvature",),
+    "curvature-pk": ("ricci", "para-kenmotsu"),
+    "soliton": ("ricci", "para-kenmotsu"),
+    "split": ("soliton",),
+    "condition": ("split",),
+    "factors": (),
+    "parallel": ("split",),
+    "phi-ricci": ("split",),
+}
+
+# every stage comes after the stages it depends on
+_STAGE_ORDER = tuple(dict.fromkeys(stage for stage, _, _ in CATALOG))
+
+
+def _run_rows(p: Products, rows) -> dict[str, str | None]:
+    """The witness of each row, by check name."""
+    return {name: witness(p) for _, name, _, witness in rows}
+
+
+# one entry per stage, read at call time, so that perfbench/traced.py can
+# time each stage
+_RUNNERS = dict.fromkeys(_STAGE_ORDER, _run_rows)
+
 
 def selectable_names() -> frozenset[str]:
     names = {name for _, name, _ in CATALOG}
@@ -199,18 +280,6 @@ def _selected(name: str, selection: frozenset[str] | None) -> bool:
     if selection is None:
         return True
     return name in selection or name.split("/")[0] in selection
-
-
-def _needed_stages(selection: frozenset[str] | None, dim: int) -> set[str]:
-    """Stages of the selected checks, closed over `_STAGE_DEPS`."""
-    needed = {stage for stage, name, _ in CATALOG if _selected(name, selection)}
-    if dim == 3:
-        needed.update(("curvature", "soliton"))  # read by the notes
-    # _STAGE_ORDER lists every stage after the stages it depends on
-    for stage in reversed(_STAGE_ORDER):
-        if stage in needed:
-            needed.update(_STAGE_DEPS[stage])
-    return needed
 
 
 def run_suite(
@@ -226,30 +295,41 @@ def run_suite(
         manifold_name = name or "manifold"
     sel = None if selection is None else frozenset(selection)
 
-    p = Products(structure, sel)
-    needed = _needed_stages(sel, structure.dim)
-    stage_passed: dict[str, bool] = {}
-    entries: dict[str, object] = {}  # check name -> entry, for stages that ran
-    for stage in _STAGE_ORDER:
-        if stage in needed and all(
-            stage_passed.get(dep, False) for dep in _STAGE_DEPS[stage]
+    # the stages that compute every row: those the notes read, and every
+    # stage a computing stage depends on
+    whole = {"ricci", "soliton"} if structure.dim == 3 else set()
+    for stage in reversed(_STAGE_ORDER):
+        if stage in whole or any(
+            st == stage and _selected(check, sel) for st, check, _ in CATALOG
         ):
-            ran = _RUNNERS[stage](p)
-            entries.update(zip(_STAGE_ROWS[stage], ran, strict=True))
-            stage_passed[stage] = all(entry is None for entry in ran)
+            whole.update(_STAGE_DEPS[stage])
+
+    p = Products(structure)
+    passed: dict[str, bool] = {}
+    entries: dict[str, str | None] = {}  # check name -> witness, for the rows run
+    for stage in _STAGE_ORDER:
+        rows = [
+            row
+            for row in _ROWS
+            if row[0] == stage and (stage in whole or _selected(row[1], sel))
+        ]
+        if rows and all(passed.get(dep, False) for dep in _STAGE_DEPS[stage]):
+            ran = _RUNNERS[stage](p, rows)
+            entries.update(ran)
+            passed[stage] = all(witness is None for witness in ran.values())
 
     checks = []
     for _, check_name, ref in CATALOG:
-        entry = entries.get(check_name, _SKIPPED)
-        if entry is _SKIPPED or not _selected(check_name, sel):
-            checks.append(CheckReport(check_name, "skipped", ref))
+        if check_name in entries and _selected(check_name, sel):
+            witness = entries[check_name]
+            status = "pass" if witness is None else "fail"
+            checks.append(CheckReport(check_name, status, ref, witness))
         else:
-            status = "pass" if entry is None else "fail"
-            checks.append(CheckReport(check_name, status, ref, entry))
+            checks.append(CheckReport(check_name, "skipped", ref))
 
-    solved = entries.get("soliton/constants", _SKIPPED) is None
+    solved = passed.get("soliton", False)
     notes: tuple[str, ...] = ()
-    if stage_passed.get("curvature"):
+    if passed.get("ricci"):
         pair = (p.sol.lam, p.sol.mu) if solved else None
         notes = tuple(reference_conflict_notes(p.conn, p.riem, p.ricci, pair))
 
@@ -266,115 +346,6 @@ def run_suite(
         notes=notes,
         soliton=soliton,
     )
-
-
-# -- stage runners -----------------------------------------------------------
-
-
-def _attempt(build, errors) -> str | None:
-    """None when build() returns; the message when it raises one of errors."""
-    try:
-        build()
-    except errors as err:
-        return str(err)
-    return None
-
-
-def _run_axioms(p):
-    return check_axioms(p.s)
-
-
-def _run_connection(p):
-    return [_attempt(lambda: p.conn, ConnectionError_)]
-
-
-def _run_para_kenmotsu(p):
-    return [check_para_kenmotsu(p.s, p.conn)]
-
-
-def _run_identities(p):
-    try:
-        riem = p.riem
-    except CurvatureError:
-        riem = None  # reported by the curvature stage; identities need no check
-    return kenmotsu_identity_suite(p.s, p.conn, riem)
-
-
-def _run_curvature(p):
-    symmetries = _attempt(lambda: p.riem, CurvatureError)
-    if symmetries is not None:
-        return [symmetries, _SKIPPED]
-    return [symmetries, _attempt(lambda: p.ricci, CurvatureError)]
-
-
-def _run_curvature_pk(p):
-    ops = dict(p.s.operands(), S=p.ricci, Q=p.q, two_n=2 * p.s.n)
-    return [
-        vanishing_check("S[jm] xi[m] + two_n eta[j] -> j", ops),
-        vanishing_check("Q[am] phi[mi] - phi[am] Q[mi] -> ai", ops),
-    ]
-
-
-def _run_soliton(p):
-    constants = _attempt(lambda: p.sol, (NoConstantSolution, ValueError))
-    if constants is not None:
-        return [constants, _SKIPPED]
-
-    s, sol = p.s, p.sol
-    split = None
-    try:
-        a, b = quasi_einstein_decompose(p.ricci, s.metric(), s.eta)
-        expected = (Fraction(-(sol.lam + 1)), Fraction(-(sol.mu - 1)))
-        if (a, b) != expected:
-            split = f"split gives ({a}, {b}), soliton implies {expected}"
-    except NotInSpan as err:
-        split = str(err)
-    return [constants, split]
-
-
-def _run_condition(p):
-    return [
-        condition_check(kind, p.s, p.residual(kind), p.sol) for kind in ConditionKind
-    ]
-
-
-def _run_factors(p):
-    """Only the selected extractions: each one builds its own generic tensors."""
-    n = p.s.n
-    builds = [
-        lambda kind=kind: symbolic_factor_check(kind, n) for kind in ConditionKind
-    ]
-    builds.append(lambda: phi_ricci_prefactor(n))
-    return [
-        _attempt(build, FactorError) if _selected(check_name, p.selection) else _SKIPPED
-        for check_name, build in zip(_STAGE_ROWS["factors"], builds, strict=True)
-    ]
-
-
-def _run_parallel(p):
-    return [
-        soliton_from_parallel_check(p.s, p.conn, p.ricci, p.sol),
-        mu_zero_variant_check(p.s, p.conn, p.ricci),
-    ]
-
-
-def _run_phi_ricci(p):
-    return phi_ricci_symmetric_check(p.s, p.conn, p.ricci, p.q, p.sol)
-
-
-_RUNNERS = {
-    "axioms": _run_axioms,
-    "connection": _run_connection,
-    "para-kenmotsu": _run_para_kenmotsu,
-    "identities": _run_identities,
-    "curvature": _run_curvature,
-    "curvature-pk": _run_curvature_pk,
-    "soliton": _run_soliton,
-    "condition": _run_condition,
-    "factors": _run_factors,
-    "parallel": _run_parallel,
-    "phi-ricci": _run_phi_ricci,
-}
 
 
 # -- reference table for the 3-dimensional example -----------------------

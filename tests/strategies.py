@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from parakenmotsu.dsl import ExprSyntaxError, parse_expr_tokens, tokenize
+from parakenmotsu.dsl import parse_expr_tokens, tokenize
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Chart, Components, Frame, Tensor
-from parakenmotsu.scalar import LinearForm, ScalarExpr, Term
+from parakenmotsu.scalar import DocumentError, LinearForm, ScalarExpr, Term
 from parakenmotsu.structure import ParacontactStructure
 
 CHART3 = Chart(("x", "y", "z"))
@@ -30,7 +30,7 @@ def parse_scalar(text: str, symbols: tuple[str, ...]) -> ScalarExpr:
     expr, end = parse_expr_tokens(tokens, 0, symbols)
     if end != len(tokens):
         t = tokens[end]
-        raise ExprSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        raise DocumentError(f"unexpected trailing input {t.text!r}", t.line, t.col)
     return expr
 
 

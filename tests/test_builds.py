@@ -55,6 +55,18 @@ def test_condition_command_builds_its_residual_once(monkeypatch, capsys):
     assert counts["condition_residual"] == 1
 
 
+def test_a_selected_condition_builds_only_its_residual(monkeypatch, capsys):
+    counts = Counter()
+    _count(monkeypatch, soliton, "condition_residual", counts)
+    doc = str(ROOT / "manifolds" / "example_r5.pk")
+    assert cli.main(["check", doc, "--select", "condition/S.R"]) == 0
+    assert "  pass  condition/S.R" in capsys.readouterr().out
+    assert counts["condition_residual"] == 1
+    assert cli.main(["check", doc, "--select", "soliton/constants"]) == 0
+    assert "  pass  soliton/constants" in capsys.readouterr().out
+    assert counts["condition_residual"] == 1
+
+
 def test_axioms_selection_builds_no_connection(monkeypatch):
     counts = Counter()
     _count(monkeypatch, connection, "koszul_connection", counts)

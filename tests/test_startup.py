@@ -6,9 +6,12 @@ interpreter, so each module loaded at import is paid once per call.
 
 import ast
 import importlib.util
+import json
+import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -162,6 +165,27 @@ def test_every_name_the_tracer_wraps_exists():
         entries = list(t.components)
         assert len(t.components) == len(entries) == s.dim**t.rank
         assert sum(not c.is_zero() for c in entries) == len(t.nonzero())
+
+
+def test_the_tracer_times_every_stage_of_a_full_check(tmp_path):
+    # the benchmark's traced pass, as its CI step runs it: a fresh
+    # interpreter, because soliton._generic is an lru_cache
+    out = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/traced.py", "spans", str(out), "t", "--",
+         "check", "manifolds/example_r5.pk"],
+        capture_output=True,
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = Counter(name for name, *_ in json.loads(out.read_text())["spans"])
+    from parakenmotsu.suite import CATALOG
+
+    stages = {f"suite.stage:{stage}" for stage, _, _ in CATALOG}
+    assert {name: names[name] for name in stages} == dict.fromkeys(stages, 1)
+    assert names["soliton.condition_residual"] >= 1
 
 
 def _names_read(tree: ast.AST) -> set[str]:

@@ -13,6 +13,8 @@ from parakenmotsu.structure import ParacontactStructure
 from parakenmotsu.suite import CATALOG, run_suite, selectable_names
 
 MANIFOLDS = Path(__file__).parent.parent / "manifolds"
+DATA = Path(__file__).parent / "data"
+DOCUMENTS = sorted(MANIFOLDS.glob("*.pk")) + sorted(DATA.glob("*.pk"))
 SOURCES = Path(__file__).parent.parent / "src" / "parakenmotsu"
 
 
@@ -129,11 +131,22 @@ def test_a_failed_riemann_build_skips_every_stage_that_reads_it(monkeypatch):
     by_name = {c.name: c for c in result.checks}
     c2 = by_name["curvature/riemann-symmetries"]
     assert (c2.status, c2.witness) == ("fail", "curvature not antisymmetric at (0,0,1,1)")
-    downstream = ("curvature-pk", "soliton", "condition", "parallel", "phi-ricci")
-    skipped = {"curvature/ricci-symmetric"} | {
-        name for stage, name, _ in CATALOG if stage in downstream
+    assert {c.name for c in result.checks if c.status == "skipped"} == {
+        "curvature/ricci-symmetric",
+        "curvature/ricci-on-xi",
+        "curvature/q-commutes-with-phi",
+        "soliton/constants",
+        "soliton/quasi-einstein-split",
+        "condition/R.S",
+        "condition/S.R",
+        "condition/W2.S",
+        "condition/S.W2",
+        "soliton/parallel-deformation-recovery",
+        "soliton/mu-zero-deformation-not-parallel",
+        "phi-ricci/phi-square-of-nabla-q",
+        "phi-ricci/q-parallel-along-xi",
+        "phi-ricci/s-parallel-along-xi",
     }
-    assert {c.name for c in result.checks if c.status == "skipped"} == skipped
     # identities read an unverified Riemann tensor of their own instead
     identities = [by_name[name] for stage, name, _ in CATALOG if stage == "identities"]
     assert {c.status for c in identities} == {"pass"}
@@ -147,11 +160,14 @@ def test_structure_input_uses_fallback_name():
     assert run_suite(build_warped(1), selection={"connection"}, name="w").manifold == "w"
 
 
-def test_runner_entries_must_match_the_catalog_rows(monkeypatch):
-    # curvature-pk has two rows (C4, C5); one entry is a miscount
-    monkeypatch.setitem(suite._RUNNERS, "curvature-pk", lambda p: [None])
-    with pytest.raises(ValueError):
-        run_suite(build_warped(1))
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda path: path.stem)
+def test_a_check_selected_alone_reads_as_in_the_full_run(path):
+    # a selection computes fewer rows, never a different verdict or witness
+    doc = load_manifold(path)
+    full = {c.name: (c.status, c.witness) for c in run_suite(doc).checks}
+    for _, name, _ in CATALOG:
+        alone = {c.name: (c.status, c.witness) for c in run_suite(doc, {name}).checks}
+        assert alone[name] == full[name], name
 
 
 def test_check_names_and_tags_are_written_only_in_the_catalog():
