@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -293,3 +294,39 @@ def test_factors_rejects_nonpositive_n():
     # the message names the bound; it reads no document, so has no line:col
     assert proc.stderr.decode("utf-8") == "error: n must be at least 1, got 0\n"
     assert proc.stdout == b""
+
+
+# -- exit routes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", MANIFOLDS / "example_r5.pk"),
+        ("solve", MANIFOLDS / "example_r3.pk"),
+        ("factors", "--n", "2"),
+    ],
+)
+def test_a_reader_that_went_away_ends_the_command_quietly(args):
+    # the read end is closed before the child starts, so its first write
+    # to stdout meets a broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parakenmotsu.cli", *map(str, args)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            cwd=ROOT,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_help_prints_the_usage_on_stdout():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.decode("utf-8").startswith("usage: parakenmotsu ")
+    assert proc.stderr == b""

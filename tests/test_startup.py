@@ -1,7 +1,9 @@
-"""What importing the package and its modules loads, and the README example.
+"""What importing the package and its modules loads, how a process exits,
+and the README example.
 
 Every `check`, `solve`, `condition` and `factors` call starts a fresh
-interpreter, so each module loaded at import is paid once per call.
+interpreter, so each module loaded at import is paid once per call, and
+so is the interpreter's shutdown.
 """
 
 import ast
@@ -64,6 +66,64 @@ def _loaded_by_command(*argv: str) -> tuple[int, set[str]]:
     )
     code, *loaded = proc.stderr.splitlines()[-1].split()
     return int(code), set(loaded)
+
+
+def _frozen_at_exit(entry: str, *argv: str) -> tuple[int, int]:
+    """Exit code of `entry` run in a fresh interpreter on `argv`, and the
+    count of objects that `gc.freeze()` had moved aside when it exited,
+    less those frozen before `entry` ran (3.12 starts with some)."""
+    hook = (
+        "import atexit, gc, sys; start = gc.get_freeze_count();"
+        " atexit.register(lambda: print('frozen', gc.get_freeze_count() - start, file=sys.stderr));"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", f"{hook} {entry}", *argv],
+        capture_output=True,
+        cwd=ROOT,
+        text=True,
+    )
+    word, count = proc.stderr.splitlines()[-1].split()
+    assert word == "frozen", proc.stderr
+    return proc.returncode, int(count)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("factors", "--n", "1"), 0),
+        (("check", "tests/data/malformed/missing_equals.pk"), 2),
+        (("factors", "--n", "x"), 2),  # argparse's SystemExit
+    ],
+)
+def test_the_process_entry_freezes_the_heap_on_its_way_out(argv, code):
+    entry = "import runpy; runpy.run_module('parakenmotsu.cli', run_name='__main__')"
+    exit_code, frozen = _frozen_at_exit(entry, *argv)
+    assert exit_code == code
+    assert frozen > 0
+
+
+def test_main_called_in_process_freezes_nothing():
+    entry = "from parakenmotsu import cli; sys.exit(cli.main(sys.argv[1:]))"
+    assert _frozen_at_exit(entry, "factors", "--n", "1") == (0, 0)
+
+
+def test_the_installed_script_is_the_module_entry():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.fullmatch(r'parakenmotsu = "parakenmotsu\.cli:(\w+)"\s*', scripts)
+    assert target is not None, scripts
+    tree = ast.parse((ROOT / "src" / "parakenmotsu" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    called = {
+        node.func.id
+        for node in ast.walk(block)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert called == {target.group(1)}
 
 
 def test_cli_import_adds_no_heavy_stdlib_modules():
