@@ -19,7 +19,9 @@ sections must appear in the order listed above.
 This module holds the package's one token grammar and its one expression
 parser: a coefficient is parsed once, into a `ScalarExpr` over the
 coordinates, under the bounds below, and `to_structure` builds from the
-parsed values directly.
+parsed values directly.  Parsing reads only the scalar ring: the geometry
+and the structure are imported by the builder when it runs, so a
+document that fails to parse compiles neither.
 """
 
 from __future__ import annotations
@@ -29,15 +31,8 @@ import re
 from fractions import Fraction
 from math import comb, log2
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from parakenmotsu.geometry import (
-    Chart,
-    Components,
-    Frame,
-    Tensor,
-    contract,
-)
 from parakenmotsu.scalar import (
     MAX_COEFFICIENT_TERMS,
     DocumentError,
@@ -48,7 +43,9 @@ from parakenmotsu.scalar import (
     TooManyTerms,
     read_only,
 )
-from parakenmotsu.structure import ParacontactStructure
+
+if TYPE_CHECKING:
+    from parakenmotsu.structure import ParacontactStructure
 
 Combo = tuple[tuple[ScalarExpr, str], ...]  # ((coefficient, target text), ...)
 
@@ -745,6 +742,9 @@ def load_manifold(path: str | Path) -> ManifoldDocument:
 
 
 def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
+    from parakenmotsu.geometry import Chart, Components, Frame, Tensor, contract
+    from parakenmotsu.structure import ParacontactStructure
+
     chart = Chart(doc.coords)  # the parser checked the coordinates
     zero = chart.zero()
     d = chart.dim

@@ -21,7 +21,6 @@ multiple as `scale`.  The roots it reports are the row's.
 from __future__ import annotations
 
 import functools
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from parakenmotsu.connection import FrameConnection, koszul_connection
 from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
+from parakenmotsu.kinds import ConditionKind
 from parakenmotsu.report import witness_at
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.structure import ParacontactStructure, vanishing_check
@@ -60,13 +60,6 @@ class SolitonSolution:
         self.mu = mu
         self.n = n
         self.classification = "Einstein" if mu == 1 else "quasi-Einstein"
-
-
-class ConditionKind(Enum):
-    R_DOT_S = "R.S"
-    S_DOT_R = "S.R"
-    W2_DOT_S = "W2.S"
-    S_DOT_W2 = "S.W2"
 
 
 def _as_rational(expr: ScalarExpr, error, witness: str) -> Fraction:

@@ -11,14 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from parakenmotsu import cli, connection, curvature, dsl, geometry, soliton, structure, suite
+from parakenmotsu import (
+    cli,
+    connection,
+    curvature,
+    dsl,
+    geometry,
+    products,
+    soliton,
+    structure,
+    suite,
+)
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components
 from parakenmotsu.scalar import ScalarExpr
 
 ROOT = Path(__file__).parent.parent
-MODULES = (cli, connection, curvature, soliton, structure, suite)
+MODULES = (cli, connection, curvature, products, soliton, structure, suite)
 
 
 def _count(monkeypatch, module, name, counts: Counter, where=lambda *args: True):

@@ -296,6 +296,18 @@ def test_factors_rejects_nonpositive_n():
     assert proc.stdout == b""
 
 
+def test_factors_rejects_n_above_its_bound():
+    # the factor tables grow too fast with n to run unbounded
+    from parakenmotsu.cli import MAX_FACTORS_N
+
+    proc = run_cli("factors", "--n", MAX_FACTORS_N + 1, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.decode("utf-8") == (
+        f"error: n must be at most {MAX_FACTORS_N}, got {MAX_FACTORS_N + 1}\n"
+    )
+    assert proc.stdout == b""
+
+
 # -- exit routes ---------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ interpreter, so each module loaded at import is paid once per call, and
 so is the interpreter's shutdown.
 """
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -136,24 +137,75 @@ def test_cli_import_adds_no_heavy_stdlib_modules():
     assert not missing, sorted(missing)
 
 
-def test_factors_loads_neither_the_dsl_nor_the_suite():
-    code, loaded = _loaded_by_command("factors", "--n", "1")
-    assert code == 0
-    assert not {"parakenmotsu.dsl", "parakenmotsu.suite"} & loaded
+# what a command compiles is what its path reaches: these malformed
+# documents parse and fail when their structure is built, and every other
+# one fails in the grammar
+_STRUCTURAL = {
+    "dependent_frame", "diagonal_terms", "eta_mismatch", "hostile7",
+    "nonunit_frame", "not_orthonormal", "phi_terms",
+}
+_MALFORMED = sorted(path.stem for path in (ROOT / "tests" / "data" / "malformed").glob("*.pk"))
+_START = {"cli", "kinds", "scalar"}
+
+# (argv, exit code, modules loaded, modules not loaded)
+_LOADS = [
+    *(
+        (("check", f"tests/data/malformed/{stem}.pk"), 2, _START | {"dsl"},
+         set(MODULES) - _START - {"dsl"})
+        for stem in _MALFORMED
+        if stem not in _STRUCTURAL
+    ),
+    *(
+        (("check", f"tests/data/malformed/{stem}.pk"), 2, {"geometry", "structure"},
+         {"fixtures", "products", "soliton", "suite"})
+        for stem in sorted(_STRUCTURAL)
+    ),
+    (("solve", "manifolds/example_r3.pk"), 0, {"products", "soliton"}, {"suite"}),
+    (("condition", "manifolds/example_r3.pk", "--kind", "S.W2"), 0,
+     {"products", "soliton"}, {"suite"}),
+    (("factors", "--n", "1"), 0, {"soliton"}, {"dsl", "suite"}),
+    (("check", "manifolds/example_r3.pk"), 0, {module for module, _ in _traced().SPANNED},
+     set()),
+]
 
 
-def test_a_check_that_fails_to_parse_loads_no_suite():
-    code, loaded = _loaded_by_command("check", "tests/data/malformed/missing_equals.pk")
-    assert code == 2
-    assert "parakenmotsu.dsl" in loaded
-    assert "parakenmotsu.suite" not in loaded
+@pytest.mark.parametrize(
+    "argv, code, loads, skips",
+    _LOADS,
+    ids=[
+        "-".join(
+            Path(arg).stem if arg.endswith(".pk") else arg
+            for arg in argv
+            if not arg.startswith("--")
+        )
+        for argv, *_ in _LOADS
+    ],
+)
+def test_each_command_loads_only_what_its_path_reaches(argv, code, loads, skips):
+    exit_code, loaded = _loaded_by_command(*argv)
+    assert exit_code == code
+    package = {name.split(".", 1)[1] for name in loaded if name.startswith("parakenmotsu.")}
+    assert not skips & package, sorted(skips & package)
+    assert not loads - package, sorted(loads - package)
 
 
-def test_a_full_check_loads_every_spanned_module():
-    code, loaded = _loaded_by_command("check", "manifolds/example_r3.pk")
-    assert code == 0
-    missing = _spanned() - loaded
-    assert not missing, sorted(missing)
+def test_cli_import_loads_no_geometry():
+    loaded = _loaded_after("import parakenmotsu.cli")
+    assert "parakenmotsu.geometry" not in loaded
+    assert {f"parakenmotsu.{module}" for module in _START} <= loaded
+
+
+def test_kind_choices_are_the_condition_table_in_order():
+    from parakenmotsu import cli
+    from parakenmotsu.soliton import CONDITIONS
+
+    (commands,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    (kind,) = [a for a in commands.choices["condition"]._actions if a.dest == "kind"]
+    assert list(kind.choices) == [k.value for k in CONDITIONS]
 
 
 def test_package_import_loads_no_module():
