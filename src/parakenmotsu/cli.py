@@ -149,21 +149,31 @@ def _cmd_check(args) -> int:
     return exit_code(result.checks)
 
 
-def _cmd_solve(args) -> int:
+def _solved(args):
+    """(document, products, soliton constants) of `solve` and `condition`;
+    None, once the reason is on stderr, when there are no constants."""
     from parakenmotsu.dsl import load_manifold
 
     doc = load_manifold(args.file)
     structure = doc.to_structure()
     from parakenmotsu.products import Products
-    from parakenmotsu.report import json_bytes
     from parakenmotsu.soliton import NoConstantSolution
 
     products = Products(structure)
     try:
-        sol = products.sol
+        return doc, products, products.sol
     except NoConstantSolution as err:
         print(f"no constant soliton solution: {err}", file=sys.stderr)
+        return None
+
+
+def _cmd_solve(args) -> int:
+    solved = _solved(args)
+    if solved is None:
         return 1
+    doc, _, sol = solved
+    from parakenmotsu.report import json_bytes
+
     if args.format == "json-like":
         payload = {
             "manifold": doc.name,
@@ -188,25 +198,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    from parakenmotsu.dsl import load_manifold
-
-    doc = load_manifold(args.file)
-    structure = doc.to_structure()
-    from parakenmotsu.products import Products
+    solved = _solved(args)
+    if solved is None:
+        return 1
+    doc, products, sol = solved
     from parakenmotsu.report import json_bytes
-    from parakenmotsu.soliton import (
-        NoConstantSolution,
-        condition_check,
-        theorem_expected,
-    )
+    from parakenmotsu.soliton import condition_check, theorem_expected
 
     kind = ConditionKind(args.kind)
-    products = Products(structure)
-    try:
-        sol = products.sol
-    except NoConstantSolution as err:
-        print(f"no constant soliton solution: {err}", file=sys.stderr)
-        return 1
     residual = products.residual(kind)
     witness = condition_check(kind, products.s, residual, sol)
     residual_zero = residual.is_zero()

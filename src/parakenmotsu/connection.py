@@ -71,10 +71,10 @@ def koszul_connection(frame: Frame) -> FrameConnection:
     On frame members the first three terms vanish: g = diag(signs) is
     constant.
     """
-    g = frame.metric_tensor()
+    g = frame.metric_tensor
     # K[i, j, l] = 2 g(nabla_{E_i} E_j, E_l)
     K = contract(
-        "g[lm] c[ijm] + g[jm] c[lim] - g[im] c[jlm] -> ijl", g=g, c=frame.structure_constants()
+        "g[lm] c[ijm] + g[jm] c[lim] - g[im] c[jlm] -> ijl", g=g, c=frame.structure_constants
     )
     gamma = contract("half g[kl] K[ijl] -> ijk", half=Fraction(1, 2), g=g, K=K)
     conn = FrameConnection(frame, gamma)
@@ -85,7 +85,7 @@ def koszul_connection(frame: Frame) -> FrameConnection:
 def _verify_connection(conn: FrameConnection, g: Tensor) -> None:
     frame = conn.frame
     torsion = contract(
-        "gam[ijk] - gam[jik] - c[ijk] -> ijk", gam=conn.gamma, c=frame.structure_constants()
+        "gam[ijk] - gam[jik] - c[ijk] -> ijk", gam=conn.gamma, c=frame.structure_constants
     ).nonzero()
     if torsion:
         (i, j, k), value = torsion[0]

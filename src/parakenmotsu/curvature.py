@@ -10,7 +10,7 @@ pseudo-orthonormal frame with signs eps_i.  This pairing is the one
 under which the warped fixtures have S = -2n g.
 
 Lie brackets never leave frame components.  With the structure constants
-[E_i, E_j] = c[ijk] E_k from `Frame.structure_constants()` and the frame
+[E_i, E_j] = c[ijk] E_k from `Frame.structure_constants` and the frame
 derivatives E_i(f) of the components (`geometry.derivatives`, one
 contraction with the member matrix), the bracket of two frame-expanded
 fields is
@@ -54,7 +54,7 @@ def riemann(conn: FrameConnection, verify: bool = True) -> Tensor:
         " - c[ijm] gam[mka] -> aijk",
         dgam=derivatives(frame, conn.gamma),  # [i, j, k, a] = E_i(gamma[jka])
         gam=conn.gamma,
-        c=frame.structure_constants(),
+        c=frame.structure_constants,
     )
     riem = Tensor.build(frame, 1, 3, comps)
     if verify:
@@ -76,7 +76,7 @@ def _verify_riemann(riem: Tensor) -> None:
         raise CurvatureError(f"{text} at ({a},{i},{j},{k})")
 
     # g(R(E_i,E_j)E_k, E_l) - g(R(E_k,E_l)E_i, E_j)
-    g = frame.metric_tensor()
+    g = frame.metric_tensor
     pairs = contract("g[la] R[aijk] - g[ja] R[akli] -> ijkl", g=g, R=riem)
     for (i, j, k, l), _ in pairs.nonzero():
         if j > i and l > k:
@@ -102,7 +102,7 @@ def ricci_operator(s: Tensor) -> Tensor:
     """(1,1) operator Q with g(QX, Y) = S(X, Y)."""
     if s.r != 0 or s.s != 2:
         raise ValenceError("ricci_operator expects a (0,2) tensor")
-    comps = contract("g[am] S[mb] -> ab", g=s.frame.metric_tensor(), S=s)
+    comps = contract("g[am] S[mb] -> ab", g=s.frame.metric_tensor, S=s)
     return Tensor.build(s.frame, 1, 1, comps)
 
 
@@ -115,7 +115,7 @@ def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
         "R[aijk] + c g[ik] Q[aj] - c g[jk] Q[ai] -> aijk",
         R=riem,
         c=Fraction(1, 2 * n),
-        g=frame.metric_tensor(),
+        g=frame.metric_tensor,
         Q=q,
     )
     return Tensor.build(frame, 1, 3, comps)
@@ -138,7 +138,7 @@ def _bracket_table(frame: Frame, x: Components) -> Components:
     return contract(
         "x[m] c[mik] - dx[ik] -> ik",
         x=x,
-        c=frame.structure_constants(),
+        c=frame.structure_constants,
         dx=derivatives(frame, x),  # [i, k] = E_i(x^k)
     )
 
@@ -160,7 +160,7 @@ def nijenhuis(phi: Tensor) -> Tensor:
         " - phi[am] phi[qj] c[iqm] - phi[am] dphi[imj]"
         " -> aij",
         phi=phi,
-        c=frame.structure_constants(),
+        c=frame.structure_constants,
         dphi=derivatives(frame, phi.components),  # [p, a, j] = E_p(phi^a_j)
     )
     return Tensor.build(frame, 1, 2, comps)

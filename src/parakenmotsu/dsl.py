@@ -802,10 +802,10 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
     # a member target is a unit vector, a d/d<coord> target a column of the inverse
     unit = summed((((index_of[t],), c) for c, t in doc.xi if t in index_of), 1)
     along = summed((((coord[t[3:]],), c) for c, t in doc.xi if t not in index_of), 1)
-    inv = frame.component_inverse()
+    inv = frame.component_inverse
     xi = contract("u[k] + inv[ka] v[a] -> k", u=unit, inv=inv, v=along)
 
-    dual = contract("g[jm] x[m] -> j", g=frame.metric_tensor(), x=xi)
+    dual = contract("g[jm] x[m] -> j", g=frame.metric_tensor, x=xi)
     if doc.eta is not None:
         coord_eta = summed((((coord[t[1:]],), c) for c, t in doc.eta), 1)
         eta_frame = contract("e[ji] w[i] -> j", e=members, w=coord_eta)
@@ -822,7 +822,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
 
     s = ParacontactStructure(frame, Tensor(frame, 1, 1, phi), xi, eta, chart.n)
     try:
-        s.eigen_ranks()  # check A10's elimination, held to the bound here
+        s.eigen_ranks  # check A10's elimination, held to the bound here
     except TooManyTerms as err:
         raise DocumentError(
             f"ranking phi -+ I makes an entry of more than {MAX_COEFFICIENT_TERMS} terms",

@@ -29,14 +29,12 @@ def build_warped(n: int, params: tuple[str, ...] = ()) -> ParacontactStructure:
     d = 2 * n + 1
     zero, one = chart.zero(), chart.const(1)
     diagonal = [chart.exponential({"z": 1})] * (2 * n) + [chart.const(-1)]
-    members = Components.from_nonzero(
-        [((i, i), c) for i, c in enumerate(diagonal)], 2, d, zero
-    )
+    members = Components([((i, i), c) for i, c in enumerate(diagonal)], 2, d, zero)
     frame = Frame(chart, members, (1, -1) * n + (1,))
-    swap = Components.from_nonzero(  # [a, i]: E_a component of phi E_i
+    swap = Components(  # [a, i]: E_a component of phi E_i
         [((a, a ^ 1), one) for a in range(2 * n)], 2, d, zero
     )
     phi = Tensor.build(frame, 1, 1, swap)
-    xi = Components.from_nonzero((((d - 1,), one),), 1, d, zero)  # E_{2n+1}
+    xi = Components((((d - 1,), one),), 1, d, zero)  # E_{2n+1}
     eta = Tensor(frame, 0, 1, xi)  # the metric dual, as signs[2n] = 1
     return ParacontactStructure(frame, phi, xi, eta, n)

@@ -21,9 +21,10 @@ output indices:
   of that rank, or for a factor without brackets a `ScalarExpr` or a
   rational.  `delta[ij]` is the identity, and a bare integer such as `2`
   is a constant coefficient.  A plain or nested sequence is rejected with
-  `ValenceError`: each table is built as `Components` once, where it is
-  made (the frame's member matrix, metric tensor, brackets and inverse,
-  the connection coefficients, derivative tables).
+  `ValenceError`.  Every table is a `Components`, made once from its
+  nonzero pairs where it is computed: the frame's member matrix, and its
+  metric tensor, brackets and inverse (each a `cached_property` of the
+  frame), the connection coefficients, derivative tables.
 - A letter that is not an output index is summed over `range(d)`; a
   letter repeated inside one factor takes its diagonal.  Every term must
   carry every output index.
@@ -57,42 +58,25 @@ class ValenceError(ValueError):
     """Raised when tensor arguments do not match the declared valence."""
 
 
-Matrix = tuple[tuple[ScalarExpr, ...], ...]
-
-
 Nonzero = tuple[tuple[tuple[int, ...], ScalarExpr], ...]
 
 
 class Components:
     """Frame components over `rank` indices, each in range(dim): the
-    operand shape of `contract`.
+    operand shape of `contract`, and the one table type.
 
-    Only the nonzero (index, component) pairs are stored, in row-major
-    order; every other entry is `zero`, which carries the chart symbols.
-    `Components(values, rank, dim)` scans a dense row-major sequence once;
-    `Components.from_nonzero` takes the pairs when they are known, as in
-    `contract`.  `len()` and iteration are those of the dense sequence.  A
-    rank-0 value is one component.
+    `Components(pairs, rank, dim, zero)` takes the nonzero (index,
+    component) pairs in row-major order, which are all it stores; every
+    other entry is `zero`, which carries the chart symbols.
+    `Components.summed` takes pairs in any order.  `len()`
+    and iteration are those of the dense row-major sequence.  A rank-0
+    value is one component.
     """
 
     __slots__ = ("dim", "rank", "zero", "_pairs", "_at")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, values: Sequence[ScalarExpr], rank: int, dim: int):
-        if len(values) != dim**rank:
-            raise ValenceError(f"{len(values)} components do not fit {rank} indices")
-        idx = itertools.product(range(dim), repeat=rank)
-        pairs = [(i, c) for i, c in zip(idx, values) if c.terms]
-        self._fill(dim, rank, ScalarExpr.zero(values[0].symbols), pairs)
-
-    @classmethod
-    def from_nonzero(cls, pairs, rank: int, dim: int, zero: ScalarExpr) -> "Components":
-        """From the nonzero (index, component) pairs, in row-major order."""
-        self = object.__new__(cls)
-        self._fill(dim, rank, zero, pairs)
-        return self
-
-    def _fill(self, dim, rank, zero, pairs) -> None:
+    def __init__(self, pairs, rank: int, dim: int, zero: ScalarExpr):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "zero", zero)
@@ -124,7 +108,7 @@ class Components:
         for i, c in pairs:
             total[i] = total[i] + c if i in total else c
         nonzero = [(i, total[i]) for i in sorted(total) if total[i].terms]
-        return cls.from_nonzero(nonzero, rank, dim, zero)
+        return cls(nonzero, rank, dim, zero)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -205,12 +189,12 @@ class Chart:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(m: Matrix) -> list[tuple[list[int], list[int]]]:
+def _blocks(m: Components) -> list[tuple[list[int], list[int]]]:
     """(rows, columns) of each component of the graph joining row i to column j
-    when m[i][j] is nonzero; quick-find labels, column j being node d + j."""
-    d, label = len(m), list(range(2 * len(m)))
-    for i, j in itertools.product(range(d), repeat=2):
-        if m[i][j].terms and label[i] != label[d + j]:
+    when m[i, j] is nonzero; quick-find labels, column j being node d + j."""
+    d, label = m.dim, list(range(2 * m.dim))
+    for (i, j), _ in m.nonzero():
+        if label[i] != label[d + j]:
             old, new = label[d + j], label[i]
             label = [new if x == old else x for x in label]
     blocks: dict[int, tuple[list[int], list[int]]] = {}
@@ -257,10 +241,11 @@ def _eliminate(rows: list[list[ScalarExpr]], zero: ScalarExpr, jordan: bool = Fa
     return rank, sign, previous
 
 
-def mat_det(m: Matrix, zero: ScalarExpr) -> ScalarExpr:
+def mat_det(m: Components) -> ScalarExpr:
     """The sign of the row swaps times the last pivot; 0 when the rank is short."""
-    rank, sign, pivot = _eliminate([list(r) for r in m], zero)
-    return pivot * sign if rank == len(m) else zero
+    rows = [[m[i, j] for j in range(m.dim)] for i in range(m.dim)]
+    rank, sign, pivot = _eliminate(rows, m.zero)
+    return pivot * sign if rank == m.dim else m.zero
 
 
 def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
@@ -268,26 +253,30 @@ def mat_rank(m: Sequence[Sequence[ScalarExpr]], zero: ScalarExpr) -> int:
     return _eliminate([list(r) for r in m], zero)[0]
 
 
-def mat_inverse(m: Matrix, zero: ScalarExpr) -> Matrix:
+def mat_inverse(m: Components) -> Components:
     """Inverse; det m must be a unit q*exp(l), and then so is each block's
     last pivot c, which scales the block's Gauss-Jordan result c B^-1."""
-    one, out = ScalarExpr.const(1, zero.symbols), [[zero] * len(m) for _ in m]
+    zero = m.zero
+    one, pairs = ScalarExpr.const(1, zero.symbols), []
     for rows, cols in _blocks(m):
         k = len(rows)
-        aug = [[m[i][j] for j in cols] + [one if s == t else zero for s in range(k)]
+        aug = [[m[i, j] for j in cols] + [one if s == t else zero for s in range(k)]
                for t, i in enumerate(rows)]
         rank, _, pivot = _eliminate(aug, zero, jordan=True) if len(cols) == k else (0, 1, zero)
         try:
             (pivot if rank == k else zero).invert()  # raises unless c is a unit
         except NonInvertible as exc:
-            det = mat_det(m, zero)
+            det = mat_det(m)
             error = NonInvertible(f"matrix is not invertible over the ring: det = {det}")
             error.det = det  # for callers that word their own message
             raise error from exc
-        for t, row in enumerate(aug):
-            for s, value in enumerate(row[k:]):
-                out[cols[t]][rows[s]] = value.divide(pivot)  # term by term, c a unit
-    return tuple(map(tuple, out))
+        pairs += [
+            ((cols[t], rows[s]), value.divide(pivot))  # term by term, c a unit
+            for t, row in enumerate(aug)
+            for s, value in enumerate(row[k:])
+            if value.terms
+        ]
+    return Components(sorted(pairs, key=lambda pair: pair[0]), 2, m.dim, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +291,9 @@ class Frame:
     `members` is the member matrix m[ka], the coordinate component a of
     E_k, as a rank-2 `Components`.  Its determinant must be a unit q*exp(l),
     so the members are independent at every point.  The metric
-    diag(signs) is its own inverse.  Equality and the hash ignore
-    `_cache`, which holds values derived from the other fields: the tables
-    `contract` reads, each built as `Components` on first use.
+    diag(signs) is its own inverse.  The tables `contract` reads are
+    `cached_property`s, each built on first use from the fields above; a
+    frame stays read-only, and equality and the hash ignore them.
     """
 
     __setattr__ = __delattr__ = read_only
@@ -318,8 +307,7 @@ class Frame:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "signs", tuple(int(q) for q in signs))
-        object.__setattr__(self, "_cache", {})
-        self.component_inverse()  # NonInvertible unless det is a unit; or TooManyTerms
+        self.component_inverse  # NonInvertible unless det is a unit; or TooManyTerms
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -337,36 +325,29 @@ class Frame:
     def dim(self) -> int:
         return self.chart.dim
 
+    @functools.cached_property
     def component_inverse(self) -> Components:
         """inv[ka]: the frame component k of d/d(coords[a])."""
-        if "cinv" not in self._cache:
-            m, d = self.members, self.dim
-            columns = tuple(tuple(m[k, a] for k in range(d)) for a in range(d))
-            inv = mat_inverse(columns, self.chart.zero())
-            self._cache["cinv"] = Components([e for row in inv for e in row], 2, d)
-        return self._cache["cinv"]
+        return mat_inverse(contract("m[ka] -> ak", m=self.members))
 
+    @functools.cached_property
     def metric_tensor(self) -> "Tensor":
-        """The metric diag(signs) as a (0,2) tensor, cached."""
-        if "g" not in self._cache:
-            diagonal = [((i, i), self.chart.const(q)) for i, q in enumerate(self.signs)]
-            g = Components.from_nonzero(diagonal, 2, self.dim, self.chart.zero())
-            self._cache["g"] = Tensor.build(self, 0, 2, g)
-        return self._cache["g"]
+        """The metric diag(signs) as a (0,2) tensor."""
+        diagonal = [((i, i), self.chart.const(q)) for i, q in enumerate(self.signs)]
+        g = Components(diagonal, 2, self.dim, self.chart.zero())
+        return Tensor.build(self, 0, 2, g)
 
+    @functools.cached_property
     def structure_constants(self) -> Components:
-        """Frame components c[ijk] of every [E_i, E_j] = c[ijk] E_k, cached.
+        """Frame components c[ijk] of every [E_i, E_j] = c[ijk] E_k.
 
         The coordinate components of [E_i, E_j] are E_i(m[ja]) - E_j(m[ia]);
         they are antisymmetrized first, so that their terms cancel before
         the product with the inverse.
         """
-        if "brackets" not in self._cache:
-            dm = derivatives(self, self.members)  # [i, j, a] = E_i(m[ja])
-            b = contract("dm[ija] - dm[jia] -> ija", dm=dm)
-            inv = self.component_inverse()
-            self._cache["brackets"] = contract("inv[ka] b[ija] -> ijk", inv=inv, b=b)
-        return self._cache["brackets"]
+        dm = derivatives(self, self.members)  # [i, j, a] = E_i(m[ja])
+        b = contract("dm[ija] - dm[jia] -> ija", dm=dm)
+        return contract("inv[ka] b[ija] -> ijk", inv=self.component_inverse, b=b)
 
 
 def derivatives(frame: Frame, comps: Components) -> Components:
@@ -379,7 +360,7 @@ def derivatives(frame: Frame, comps: Components) -> Components:
         for i, c in comps.nonzero()
         if (v := c.diff(name)).terms
     ]
-    p = Components.from_nonzero(partials, comps.rank + 1, comps.dim, comps.zero)
+    p = Components(partials, comps.rank + 1, comps.dim, comps.zero)
     rest = "bcdefghij"[: comps.rank]
     return contract(f"m[ka] p[a{rest}] -> k{rest}", m=frame.members, p=p)
 
@@ -392,20 +373,18 @@ def derivatives(frame: Frame, comps: Components) -> Components:
 class Tensor:
     """Frame-component tensor of valence (r, s) with r in {0, 1}.
 
-    A frame, the valence and one `Components` over the r + s frame
-    indices, in row-major order; for r = 1 the contravariant index comes
-    first.  A one-form such as eta is a (0,1) tensor, read as eta[i].  Sums
+    A frame, the valence and the one `Components` over the r + s frame
+    indices that it is constructed from; for r = 1 the contravariant index
+    comes first.  A one-form such as eta is a (0,1) tensor, read as eta[i].  Sums
     and multiples are contractions, e.g. contract("a[ij] + 2 b[ij] -> ij").
     """
 
     __slots__ = ("frame", "r", "s", "components")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, frame: Frame, r: int, s: int, components: Sequence[ScalarExpr]):
+    def __init__(self, frame: Frame, r: int, s: int, components: Components):
         if r not in (0, 1):
             raise ValenceError("only valences (0,s) and (1,s) are supported")
-        if not isinstance(components, Components):
-            components = Components(components, r + s, frame.dim)
         if (components.rank, components.dim) != (r + s, frame.dim):
             raise ValenceError("component count does not match valence")
         object.__setattr__(self, "frame", frame)
@@ -480,7 +459,7 @@ def _components(value, rank: int) -> tuple[Components, int | None]:
         value, d = value.components, value.frame.dim
     elif isinstance(value, ScalarExpr):
         pairs = (((), value),) if value.terms else ()
-        value, d = Components.from_nonzero(pairs, 0, 1, ScalarExpr.zero(value.symbols)), None
+        value, d = Components(pairs, 0, 1, ScalarExpr.zero(value.symbols)), None
     elif isinstance(value, Components):
         d = value.dim
     else:
@@ -600,7 +579,7 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
         value = ScalarExpr.normalize(syms, acc[idx])
         if value.terms:
             found.append((idx, value))
-    return Components.from_nonzero(found, len(out), d, zero)
+    return Components(found, len(out), d, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +620,6 @@ def exterior_derivative(omega: Tensor) -> Tensor:
         "dw[ij] - dw[ji] - w[k] c[ijk] -> ij",
         dw=derivatives(frame, omega.components),
         w=omega,
-        c=frame.structure_constants(),
+        c=frame.structure_constants,
     )
     return Tensor.build(frame, 0, 2, comps)

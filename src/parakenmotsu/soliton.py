@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from parakenmotsu.connection import FrameConnection, koszul_connection
 from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
-from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu.kinds import ConditionKind
 from parakenmotsu.report import witness_at
@@ -101,7 +100,7 @@ def _deformation(s: ParacontactStructure, ricci_tensor: Tensor, c=0) -> Tensor:
     """L_xi g + 2S + c eta x eta: the soliton flow and T2's alpha at c = 0, T1's at 2 mu."""
     comps = contract(
         "lg[ij] + 2 S[ij] + c eta[i] eta[j] -> ij",
-        lg=s.lie_metric(), S=ricci_tensor, c=c, eta=s.eta,
+        lg=s.lie_metric, S=ricci_tensor, c=c, eta=s.eta,
     )
     return Tensor.build(s.frame, 0, 2, comps)
 
@@ -289,6 +288,8 @@ def _factor(sign: int, roots, symbols: tuple[str, ...]) -> ScalarExpr:
 @functools.lru_cache(maxsize=None)
 def _generic(n: int):
     """Warped structure with symbolic mu and the matching symbolic Ricci."""
+    from parakenmotsu.fixtures import build_warped  # only the factor checks read it
+
     s = build_warped(n, params=("mu",))
     conn = koszul_connection(s.frame)
     riem = riemann(conn, verify=False)

@@ -13,6 +13,8 @@ component must vanish.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.curvature import lie_derivative, nijenhuis, riemann
 from parakenmotsu.geometry import (
@@ -44,7 +46,6 @@ class ParacontactStructure:
         self.xi = xi
         self.eta = eta
         self.n = n
-        self._cache: dict = {}
 
     @property
     def chart(self):
@@ -55,38 +56,35 @@ class ParacontactStructure:
         return self.frame.dim
 
     def metric(self) -> Tensor:
-        return self.frame.metric_tensor()
+        return self.frame.metric_tensor
 
+    @cached_property
     def lie_metric(self) -> Tensor:
-        """L_xi g, read by the soliton solver, I12, T1 and T2."""
-        if "lie_g" not in self._cache:
-            self._cache["lie_g"] = lie_derivative(self.xi, self.metric())
-        return self._cache["lie_g"]
+        """L_xi g, built once: the soliton solver, I12, T1 and T2 read it."""
+        return lie_derivative(self.xi, self.metric())
 
     def eta_square(self) -> Tensor:
         """The (0,2) tensor eta tensor eta."""
-        if "ee" not in self._cache:
-            ee = contract("eta[i] eta[j] -> ij", eta=self.eta)
-            self._cache["ee"] = Tensor.build(self.frame, 0, 2, ee)
-        return self._cache["ee"]
+        ee = contract("eta[i] eta[j] -> ij", eta=self.eta)
+        return Tensor.build(self.frame, 0, 2, ee)
 
     def horizontal(self) -> list[int]:
         """The frame members that eta annihilates."""
         return [i for i in range(self.dim) if self.eta[i].is_zero()]
 
+    @cached_property
     def eigen_ranks(self) -> tuple[int, int]:
-        """Ranks of phi - I and phi + I on the `horizontal` members, cached.
+        """Ranks of phi - I and phi + I on the `horizontal` members, built
+        once: the DSL reads them when it builds the structure, then A10.
 
         An entry of their elimination past MAX_COEFFICIENT_TERMS raises
         TooManyTerms; the DSL reports it where the phi lines are read.
         """
-        if "ranks" not in self._cache:
-            h, ranks = self.horizontal(), []
-            for c in (-1, 1):
-                m = contract("phi[ai] + c delta[ai] -> ai", phi=self.phi, c=c)
-                ranks.append(mat_rank([[m[a, i] for i in h] for a in h], self.chart.zero()))
-            self._cache["ranks"] = tuple(ranks)
-        return self._cache["ranks"]
+        h, ranks = self.horizontal(), []
+        for c in (-1, 1):
+            m = contract("phi[ai] + c delta[ai] -> ai", phi=self.phi, c=c)
+            ranks.append(mat_rank([[m[a, i] for i in h] for a in h], self.chart.zero()))
+        return tuple(ranks)
 
     def operands(self) -> dict:
         """The structure's contraction operands: g, phi, eta and xi."""
@@ -142,7 +140,7 @@ def check_axioms(s: ParacontactStructure) -> list[str | None]:
     ok = horizontal == 2 * s.n
     msg = f"{horizontal} frame members annihilated by eta, expected {2 * s.n}"
     if ok:
-        r_minus, r_plus = s.eigen_ranks()
+        r_minus, r_plus = s.eigen_ranks
         ok = r_minus == s.n and r_plus == s.n
         msg = (
             f"eigendistribution ranks ({r_minus}, {r_plus}),"
@@ -197,7 +195,7 @@ def kenmotsu_identity_suite(
     ops["lie_phi"] = lie_derivative(s.xi, s.phi)
     ops["lie_eta"] = lie_derivative(s.xi, s.eta)
     ops["lie_ee"] = lie_derivative(s.xi, s.eta_square())
-    ops["lie_g"] = s.lie_metric()
+    ops["lie_g"] = s.lie_metric
     ops["d_eta"] = exterior_derivative(s.eta)
     ops["nij"] = nijenhuis(s.phi)
     return [vanishing_check(spec, ops, labels) for spec, labels in _IDENTITIES]

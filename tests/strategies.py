@@ -34,10 +34,19 @@ def parse_scalar(text: str, symbols: tuple[str, ...]) -> ScalarExpr:
     return expr
 
 
+def dense(values, rank: int, dim: int) -> Components:
+    """The Components of a dense row-major sequence of dim**rank values."""
+    values = list(values)
+    assert len(values) == dim**rank, (len(values), rank, dim)
+    idx = itertools.product(range(dim), repeat=rank)
+    pairs = [(i, c) for i, c in zip(idx, values) if c.terms]
+    return Components(pairs, rank, dim, ScalarExpr.zero(values[0].symbols))
+
+
 def tabulate(frame: Frame, r: int, s: int, entry) -> Tensor:
     """The (r, s) tensor whose component at idx is entry(*idx)."""
     idx = itertools.product(range(frame.dim), repeat=r + s)
-    return Tensor(frame, r, s, [entry(*i) for i in idx])
+    return Tensor(frame, r, s, dense([entry(*i) for i in idx], r + s, frame.dim))
 
 
 def build_flat(n: int = 1, params: tuple[str, ...] = ()) -> ParacontactStructure:
@@ -46,7 +55,7 @@ def build_flat(n: int = 1, params: tuple[str, ...] = ()) -> ParacontactStructure
     para-Kenmotsu; it exists for negative tests."""
     warped = build_warped(n, params)
     chart, d = warped.chart, warped.dim
-    members = Components.from_nonzero(
+    members = Components(
         [((i, i), chart.const(-1 if i == d - 1 else 1)) for i in range(d)], 2, d, chart.zero()
     )
     frame = Frame(chart, members, warped.frame.signs)
@@ -90,7 +99,7 @@ def scalars(max_terms=2):
 def vector_fields():
     """Frame components of a vector field on the 3-dimensional chart."""
     return st.tuples(scalars(), scalars(), scalars()).map(
-        lambda comps: Components(comps, 1, 3)
+        lambda comps: dense(comps, 1, 3)
     )
 
 
@@ -116,7 +125,7 @@ def frames3():
             (below[0], diag[1], CHART3.zero()),
             (below[1], below[2], diag[2]),
         )
-        return Frame(CHART3, Components(sum(rows, ()), 2, 3), signs)
+        return Frame(CHART3, dense(sum(rows, ()), 2, 3), signs)
 
     return st.builds(
         build,

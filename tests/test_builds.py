@@ -6,6 +6,7 @@ module that imported it, so the count sees each caller.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from parakenmotsu import (
 )
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Components
 from parakenmotsu.scalar import ScalarExpr
 
 ROOT = Path(__file__).parent.parent
@@ -121,7 +121,7 @@ def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, ca
         curvature,
         "lie_derivative",
         counts,
-        lambda x, t: t is t.frame.metric_tensor(),
+        lambda x, t: t is t.frame.metric_tensor,
     )
     doc = str(ROOT / "manifolds" / "example_r5.pk")
     assert cli.main(["check", doc]) == 0
@@ -129,49 +129,33 @@ def test_full_check_builds_the_lie_derivative_of_the_metric_once(monkeypatch, ca
     assert counts["lie_derivative"] == 1
 
 
-def test_full_check_builds_no_dense_components_in_contractions_or_derivatives(
-    monkeypatch,
-):
-    # a Components scans a dense sequence only where a table enters the
-    # tensor algebra; contract, nabla, lie_derivative and derivatives pass
-    # nonzero pairs along and never build one from a dense sequence
+def test_a_full_check_builds_each_frame_table_once(monkeypatch, capsys):
+    # the document's frame and the generic warped frame of the factor
+    # checks each invert their members and take their derivatives once
     soliton._generic.cache_clear()
     soliton._generic_w2.cache_clear()
-    inside, entered, dense = [], Counter(), Counter()
-    dense_init = geometry.Components.__init__
+    frames, inverses, brackets = [], Counter(), Counter()
+    mat_inverse, derivatives = geometry.mat_inverse, geometry.derivatives
 
-    def counted_init(self, values, rank, dim):
-        if inside:
-            dense[inside[-1]] += 1
-        dense_init(self, values, rank, dim)
+    def inverse(m):
+        frame = sys._getframe(1).f_locals["self"]  # the Frame inverting its members
+        frames.append(frame)
+        inverses[id(frame)] += 1
+        return mat_inverse(m)
 
-    def tracked(name, fn):
-        def wrapped(*args, **kwargs):
-            entered[name] += 1
-            inside.append(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
+    def derived(frame, comps):
+        if comps is frame.members:
+            frames.append(frame)
+            brackets[id(frame)] += 1
+        return derivatives(frame, comps)
 
-        return wrapped
-
-    monkeypatch.setattr(geometry.Components, "__init__", counted_init)
-    for name, owner in (
-        ("contract", geometry),
-        ("derivatives", geometry),
-        ("lie_derivative", curvature),
-    ):
-        original = getattr(owner, name)
-        for mod in (geometry, dsl) + MODULES:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, tracked(name, original))
-    nabla = connection.FrameConnection.nabla
-    monkeypatch.setattr(connection.FrameConnection, "nabla", tracked("nabla", nabla))
-    result = suite.run_suite(build_warped(3))
-    assert all(c.status == "pass" for c in result.checks)
-    assert set(entered) == {"contract", "derivatives", "lie_derivative", "nabla"}
-    assert not dense
+    monkeypatch.setattr(geometry, "mat_inverse", inverse)
+    monkeypatch.setattr(geometry, "derivatives", derived)
+    doc = str(ROOT / "manifolds" / "example_r5.pk")
+    assert cli.main(["check", doc]) == 0
+    assert "summary: 46 pass, 0 fail, 0 skipped" in capsys.readouterr().out
+    assert len(set(map(id, frames))) == 2
+    assert inverses == brackets == dict.fromkeys(map(id, frames), 1)
 
 
 @pytest.mark.parametrize("stem, most", [("rotated5", 25), ("dense9", 600)])
@@ -181,8 +165,7 @@ def test_frame_inverse_normalizes_few_entries(monkeypatch, stem, most):
     # over a zero stays 0, and the unit scaling at the end divides term by
     # term: neither normalizes (57 and 3,507 calls when each was normalized)
     frame = load_manifold(ROOT / "tests" / "data" / f"{stem}.pk").to_structure().frame
-    d, members = frame.dim, frame.members
-    columns = tuple(tuple(members[k, a] for k in range(d)) for a in range(d))
+    transposed = geometry.contract("m[ka] -> ak", m=frame.members)
     calls = []
     normalize = ScalarExpr.normalize
 
@@ -191,9 +174,9 @@ def test_frame_inverse_normalizes_few_entries(monkeypatch, stem, most):
         return normalize(symbols, terms)
 
     monkeypatch.setattr(ScalarExpr, "normalize", staticmethod(counted))
-    inv = geometry.mat_inverse(columns, frame.chart.zero())
+    inv = geometry.mat_inverse(transposed)
     assert len(calls) <= most
-    assert Components([e for row in inv for e in row], 2, d) == frame.component_inverse()
+    assert inv == frame.component_inverse
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from strategies import CHART3, frames3, parse_scalar, scalars, tabulate, vector_fields
+from strategies import CHART3, dense, frames3, parse_scalar, scalars, tabulate, vector_fields
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.curvature import (
     CurvatureError,
@@ -19,7 +19,7 @@ from parakenmotsu.curvature import (
     w2_tensor,
 )
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
+from parakenmotsu.geometry import Tensor, ValenceError, contract
 
 
 @pytest.fixture(scope="module", params=[1, 2])
@@ -155,7 +155,7 @@ def test_lie_derivative_of_metric_along_xi(warped):
 def test_lie_derivative_matches_connection_formula(frame, x):
     # (L_X g)(Y, Z) = g(nabla_Y X, Z) + g(Y, nabla_Z X)
     conn = koszul_connection(frame)
-    g = frame.metric_tensor()
+    g = frame.metric_tensor
     flow = lie_derivative(x, g)
     nx = conn.nabla(Tensor(frame, 1, 0, x))  # [i, m]: nabla_i X
     d = frame.dim
@@ -220,7 +220,7 @@ def _nonconstant(entries):
 @settings(max_examples=8, deadline=None)
 @given(frames3(), st.lists(scalars(), min_size=9, max_size=9).filter(_nonconstant))
 def test_nijenhuis_matches_oracle_on_random_frames(frame, entries):
-    phi = Tensor(frame, 1, 1, tuple(entries))
+    phi = Tensor(frame, 1, 1, dense(entries, 2, 3))
     coords, members = _sympy_frame(frame)
     expected = oracle.frame_nijenhuis(coords, members, _sympy_matrix(phi, coords))
     got = nijenhuis(phi)
@@ -241,9 +241,9 @@ def test_nijenhuis_matches_oracle_on_random_frames(frame, entries):
     st.lists(scalars(), min_size=3, max_size=3),
 )
 def test_lie_derivatives_match_oracle_on_random_frames(frame, x, phi, t, w):
-    phi = Tensor(frame, 1, 1, tuple(phi))
-    t = Tensor(frame, 0, 2, tuple(t))
-    w = Tensor(frame, 0, 1, tuple(w))
+    phi = Tensor(frame, 1, 1, dense(phi, 2, 3))
+    t = Tensor(frame, 0, 2, dense(t, 2, 3))
+    w = Tensor(frame, 0, 1, dense(w, 1, 3))
     coords, members = _sympy_frame(frame)
     d = frame.dim
     # the oracle takes X in coordinates: x^a = x[k] m[ka]
@@ -298,7 +298,7 @@ def test_verify_riemann_names_a_pair_symmetry_failure(riem3):
     # frame and U E1 = E3, is skew in (X, Y) and satisfies the first
     # Bianchi identity, but g(T(X,Y)Z, W) is not symmetric in the pairs
     chart = riem3.frame.chart
-    u = Components(
+    u = dense(
         [chart.const(int(at == (2, 0))) for at in itertools.product(range(3), repeat=2)], 2, 3
     )
     comps = contract("R[aijk] + delta[jk] U[ai] - delta[ik] U[aj] -> aijk", R=riem3, U=u)

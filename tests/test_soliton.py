@@ -10,12 +10,12 @@ import sympy as sp
 
 import oracle
 from oracle import NotParallel, parallel_tensor_classify
-from strategies import build_flat, parse_scalar, tabulate
+from strategies import build_flat, dense, parse_scalar, tabulate
 from parakenmotsu.connection import koszul_connection
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
-from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
+from parakenmotsu.geometry import Tensor, ValenceError, contract
 from parakenmotsu import soliton
 from parakenmotsu.scalar import ScalarExpr
 from parakenmotsu.suite import Products
@@ -130,7 +130,7 @@ def test_quasi_einstein_split_witnesses(pipeline):
     assert witness(bump({(0, 0)}, x)) == f"component [E1, E1]: {-2 * n} + {x}"
     assert witness(bump({(d - 1, d - 1)}, x)) == f"component [xi, xi]: {-2 * n} + {x}"
     assert witness(bump({(0, 1), (1, 0)}, s.chart.const(1))) == "[E1, E2]: 1"
-    nowhere_zero = Tensor(s.frame, 0, 1, [s.chart.const(1)] * d)
+    nowhere_zero = Tensor(s.frame, 0, 1, dense([s.chart.const(1)] * d, 1, d))
     assert witness(S, nowhere_zero) == "no diagonal frame direction annihilated by eta"
 
 
@@ -418,7 +418,7 @@ def test_factor_checks_reject_a_zero_factor(monkeypatch):
 
 def _row(*texts):
     """A Components vector, as contract returns it, over (x, y, mu)."""
-    row = Components([parse_scalar(t, ("x", "y", "mu")) for t in texts], 1, len(texts))
+    row = dense([parse_scalar(t, ("x", "y", "mu")) for t in texts], 1, len(texts))
     return contract("v[i] -> i", v=row)
 
 

@@ -160,10 +160,12 @@ _LOADS = [
          {"fixtures", "products", "soliton", "suite"})
         for stem in sorted(_STRUCTURAL)
     ),
-    (("solve", "manifolds/example_r3.pk"), 0, {"products", "soliton"}, {"suite"}),
+    (("solve", "manifolds/example_r3.pk"), 0, {"products", "soliton"}, {"fixtures", "suite"}),
     (("condition", "manifolds/example_r3.pk", "--kind", "S.W2"), 0,
-     {"products", "soliton"}, {"suite"}),
-    (("factors", "--n", "1"), 0, {"soliton"}, {"dsl", "suite"}),
+     {"products", "soliton"}, {"fixtures", "suite"}),
+    # only the factor checks build the warped family
+    (("check", "manifolds/example_r3.pk", "--select", "axioms"), 0, {"suite"}, {"fixtures"}),
+    (("factors", "--n", "1"), 0, {"fixtures", "soliton"}, {"dsl", "suite"}),
     (("check", "manifolds/example_r3.pk"), 0, {module for module, _ in _traced().SPANNED},
      set()),
 ]
@@ -272,7 +274,7 @@ def test_every_name_the_tracer_wraps_exists():
     from parakenmotsu.fixtures import build_warped
 
     s = build_warped(1)
-    zero = Tensor.build(s.frame, 1, 2, Components.from_nonzero((), 3, s.dim, s.chart.zero()))
+    zero = Tensor.build(s.frame, 1, 2, Components((), 3, s.dim, s.chart.zero()))
     for t in (s.metric(), s.phi, s.eta, zero):
         entries = list(t.components)
         assert len(t.components) == len(entries) == s.dim**t.rank
