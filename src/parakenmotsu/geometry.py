@@ -32,8 +32,12 @@ output indices:
   only those, in row-major order, and is the one place that knows that
   layout; a `Tensor` is read through its `Components`.  Within one call
   each operand is grouped once per pattern of already bound letters, and
-  the join starts from the sparsest factor.  All product terms of an
-  output component are collected first and normalized once.
+  the join starts from the sparsest factor.  The factors of a term but
+  its last multiply into product terms (`mul_terms`); the last one
+  multiplies each of those straight into its output's table of like
+  terms (`scalar.multiply_into`), one call per term of the spec, and
+  each output is made canonical once from its table
+  (`ScalarExpr.collected`).  No `Term` is made for a product that merges.
 - The result is a `Components` built from the nonzero pairs found, or
   one `ScalarExpr` when there are no output letters.
 
@@ -51,7 +55,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from parakenmotsu.scalar import MAX_COEFFICIENT_TERMS, NonInvertible, ScalarExpr, Term
-from parakenmotsu.scalar import mul_terms, read_only
+from parakenmotsu.scalar import multiply_into, mul_terms, read_only
 
 
 class ValenceError(ValueError):
@@ -385,6 +389,8 @@ class Tensor:
     def __init__(self, frame: Frame, r: int, s: int, components: Components):
         if r not in (0, 1):
             raise ValenceError("only valences (0,s) and (1,s) are supported")
+        if not isinstance(components, Components):
+            raise ValenceError(f"components {type(components).__name__} are not a Components")
         if (components.rank, components.dim) != (r + s, frame.dim):
             raise ValenceError("component count does not match valence")
         object.__setattr__(self, "frame", frame)
@@ -530,7 +536,17 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
             groups[key] = table
         return groups[key]
 
-    acc: dict[tuple[int, ...], list[Term]] = {}
+    def bind(part: tuple, slot: dict[str, int]):
+        """The groups of the factor `part` joined next, keyed by the rows'
+        values at the slots it reads; its new letters take the next slots."""
+        name, pattern, letters, _ = part
+        bound = tuple(p for p, l in enumerate(letters) if l in slot)
+        at = [slot[letters[p]] for p in bound]
+        for l in letters:
+            slot.setdefault(l, len(slot))
+        return grouped(name, pattern, bound), at
+
+    sums: dict[tuple[int, ...], dict] = {}
     for sign, factors in terms:
         coeff = sign
         parts = []
@@ -550,33 +566,36 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
         # letters already bound, so only matching components are visited.
         parts.sort(key=lambda part: part[3])
         # A row is the values of the letters bound so far, in binding order,
-        # with the product of its components.
+        # with the product of their components.  The last factor multiplies
+        # each row straight into its output's table of like terms.
         slot: dict[str, int] = {}
         rows = [((), _ONE)]
-        for name, pattern, letters, _ in parts:
-            bound = tuple(p for p, l in enumerate(letters) if l in slot)
-            table = grouped(name, pattern, bound)
-            at = [slot[letters[p]] for p in bound]
+        for part in parts[:-1]:
+            table, at = bind(part, slot)
             rows = [
                 (vals + free, mul_terms(product, t))
                 for vals, product in rows
                 for free, t in table.get(tuple([vals[s] for s in at]), ())
             ]
-            for l in letters:
-                slot.setdefault(l, len(slot))
-        out_slots = [slot[l] for l in out]
-        scale = (Term(coeff),)
-        for vals, product in rows:
-            acc.setdefault(tuple([vals[s] for s in out_slots]), []).extend(
-                product if coeff == 1 else mul_terms(scale, product)
-            )
+        if parts:
+            table, at = bind(parts[-1], slot)
+            out_slots = [slot[l] for l in out]
+            last = [
+                (tuple([row[s] for s in out_slots]), product, t)
+                for vals, product in rows
+                for free, t in table.get(tuple([vals[s] for s in at]), ())
+                for row in [vals + free]
+            ]
+        else:  # no indexed factor, as in "eta[m] xi[m] - 1 ->": the unit product
+            last = [((), _ONE, _ONE)]
+        multiply_into(sums, coeff, last)
 
     zero = ScalarExpr.zero(syms)
     if not out:
-        return ScalarExpr.normalize(syms, acc[()]) if acc else zero
+        return ScalarExpr.collected(syms, sums[()]) if sums else zero
     found = []
-    for idx in sorted(acc):
-        value = ScalarExpr.normalize(syms, acc[idx])
+    for idx in sorted(sums):
+        value = ScalarExpr.collected(syms, sums[idx])
         if value.terms:
             found.append((idx, value))
     return Components(found, len(out), d, zero)

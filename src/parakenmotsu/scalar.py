@@ -10,7 +10,10 @@ over the chart symbols and l is a linear form in the symbols with rational
 coefficients.  The ring is closed under addition, multiplication and
 partial differentiation, and every expression has a unique canonical form
 (terms sorted by exponent, then monomial), so equality and zero-testing
-are decidable by construction.  Division is exact: `divide` returns the
+are decidable by construction.  That form is made in one place,
+`ScalarExpr.collected`, from a table of like terms: `normalize` fills
+one from a list of terms, and `multiply_into` fills one per output of a
+contraction as it multiplies.  Division is exact: `divide` returns the
 quotient when the ring holds one, within an optional term budget, and
 raises otherwise; so only the units q*exp(l) invert.
 
@@ -186,7 +189,9 @@ class Term:
 
 
 def mul_terms(a: Sequence[Term], b: Sequence[Term]) -> Sequence[Term]:
-    """Every product of a term of `a` with a term of `b`, not yet normalized."""
+    """Every product of a term of `a` with a term of `b`, not yet normalized:
+    the products of `*` and `divide`, and of each factor of a contraction
+    but its last (see `multiply_into`)."""
     if len(b) == 1 and not b[0].monomial and not b[0].exponent.coeffs:
         a, b = b, a
     if len(a) == 1 and not a[0].monomial and not a[0].exponent.coeffs:
@@ -218,6 +223,43 @@ def _mul_monomials(
     return tuple(sorted((i, k) for i, k in acc.items() if k))
 
 
+# A table of like terms: (monomial, exponent) -> their summed coefficient.
+Sums = dict[tuple[tuple[tuple[int, int], ...], LinearForm], int | Fraction]
+
+
+def multiply_into(
+    sums: dict[tuple, Sums],
+    coeff: int | Fraction,
+    rows: Iterable[tuple[tuple, Sequence[Term], Sequence[Term]]],
+) -> None:
+    """For each row (key, a, b), add coeff times every product of a term
+    of `a` with a term of `b` to the table `sums[key]`, made when absent.
+
+    Each product is merged into its like terms as it is made, so no `Term`
+    is built for it; `ScalarExpr.collected` makes a table canonical.
+    """
+    for key, a, b in rows:
+        table = sums.get(key)
+        if table is None:
+            table = sums[key] = {}
+        for s in a:
+            sm, se = s.monomial, s.exponent
+            q = s.coeff if coeff == 1 else coeff * s.coeff
+            if not sm and not se.coeffs:  # a rational constant only rescales
+                unit = q == 1
+                for t in b:
+                    k = (t.monomial, t.exponent)
+                    c = t.coeff if unit else q * t.coeff
+                    old = table.get(k)
+                    table[k] = c if old is None else old + c
+                continue
+            for t in b:
+                k = (_mul_monomials(sm, t.monomial), se + t.exponent)
+                c = q * t.coeff
+                old = table.get(k)
+                table[k] = c if old is None else old + c
+
+
 class ScalarExpr:
     """Canonical element of the scalar ring over a fixed symbol tuple."""
 
@@ -240,26 +282,24 @@ class ScalarExpr:
 
     @staticmethod
     def normalize(symbols: tuple[str, ...], terms: Iterable[Term]) -> "ScalarExpr":
-        """Collect like terms, drop zeros, demote coefficients and sort."""
-        firsts: dict[tuple, Term] = {}
-        sums: dict[tuple, int | Fraction] = {}
+        """Merge like terms into one table, then make it canonical (`collected`)."""
+        sums: Sums = {}
         for t in terms:
             k = (t.monomial, t.exponent)
-            if k in sums:
-                sums[k] += t.coeff
-            else:
-                sums[k] = t.coeff
-                firsts[k] = t
-        kept = []
-        for k, c in sums.items():
-            if c == 0:
-                continue
-            t = firsts[k]
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
-            if c is not t.coeff:  # merged with a like term, or demoted
-                t = Term(c, t.monomial, t.exponent)
-            kept.append(t)
+            old = sums.get(k)
+            sums[k] = t.coeff if old is None else old + t.coeff
+        return ScalarExpr.collected(symbols, sums)
+
+    @staticmethod
+    def collected(symbols: tuple[str, ...], sums: Sums) -> "ScalarExpr":
+        """The canonical expression of a table of like terms, (monomial,
+        exponent) -> summed coefficient: zeros dropped, coefficients
+        demoted, terms sorted by `Term.key`."""
+        kept = [
+            Term(c.numerator if c.__class__ is Fraction and c.denominator == 1 else c, m, e)
+            for (m, e), c in sums.items()
+            if c != 0
+        ]
         if len(kept) > 1:
             width = len(symbols)
             kept.sort(key=lambda t: t.key(width))

@@ -179,6 +179,29 @@ def test_frame_inverse_normalizes_few_entries(monkeypatch, stem, most):
     assert inv == frame.component_inverse
 
 
+def test_contract_multiplies_into_its_outputs_without_normalizing(monkeypatch):
+    # the last factor's products are merged into each output's table of
+    # like terms, which is made canonical once: no output is normalized
+    # from a list of raw product terms (one call per output before)
+    frame = load_manifold(ROOT / "tests" / "data" / "rotated5.pk").to_structure().frame
+    g, c = frame.metric_tensor, frame.structure_constants
+    spec = "g[lm] c[ijm] + g[jm] c[lim] - g[im] c[jlm] -> ijl"
+    calls = []
+    normalize = ScalarExpr.normalize
+
+    def counted(symbols, terms):
+        calls.append(symbols)
+        return normalize(symbols, terms)
+
+    monkeypatch.setattr(ScalarExpr, "normalize", staticmethod(counted))
+    koszul = geometry.contract(spec, g=g, c=c)
+    assert calls == []
+    monkeypatch.undo()
+    assert max(len(value.terms) for _, value in koszul.nonzero()) > 1
+    for (i, j, l), value in koszul.nonzero():
+        assert value == g[l, l] * c[i, j, l] + g[j, j] * c[l, i, j] - g[i, i] * c[j, l, i]
+
+
 @pytest.mark.parametrize(
     "stem, message, shapes",
     [

@@ -416,6 +416,17 @@ def test_tensor_getitem_rejects_indices_outside_the_frame():
             t[idx]
 
 
+def test_tensor_rejects_components_that_are_not_a_table():
+    # a plain or nested sequence is refused as `contract` refuses it as an operand
+    frame = _coordinate_frame()
+    one = sc("1")
+    for components in ([one] * 3, (one,) * 3, [[one] * 3] * 3, None):
+        with pytest.raises(ValenceError):
+            Tensor(frame, 0, 1, components)
+    with pytest.raises(ValenceError):
+        Tensor(frame, 0, 1, dense([one] * 9, 2, 3))
+
+
 # -- sparse Components ---------------------------------------------------------
 
 
@@ -567,6 +578,52 @@ def test_contract_agrees_with_written_out_sums(a, b, v):
     assert diagonal.nonzero() == _dense_nonzero(diagonal, 2)
     for (i, j), value in zip(itertools.product(range(3), repeat=2), diagonal):
         assert value == (b[i][i] if i == j else CHART3.zero()) + trace * b[i][j]
+
+
+def _integer_first(value):
+    """Every stored coefficient an `int` unless its denominator is not 1."""
+    return all(t.coeff.__class__ is int or t.coeff.denominator != 1 for t in value.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _matrices(),
+    _matrices(),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.lists(scalars(), min_size=3, max_size=3),
+    st.lists(scalars(), min_size=3, max_size=3),
+)
+def test_contract_cancels_merges_and_demotes_like_written_out_sums(a, other, same, v, u):
+    zero, half = CHART3.zero(), Fraction(1, 2)
+    av = [sum((a[i][j] * v[j] for j in range(3)), zero) for i in range(3)]
+    # b agrees with a on the rows marked `same`: there the two terms cancel,
+    # and the output index is absent from the stored pairs
+    b = tuple(a[i] if same[i] else other[i] for i in range(3))
+    got = contract("a[ij] v[j] - b[ij] v[j] -> i", a=square(a), b=square(b), v=dense(v, 1, 3))
+    for i, value in enumerate(got):
+        bv = sum((b[i][j] * v[j] for j in range(3)), zero)
+        assert value == av[i] - bv
+        assert _integer_first(value)
+    assert got.nonzero() == _dense_nonzero(got, 1)
+    assert not {i for i in range(3) if same[i]} & {i for (i,), _ in got.nonzero()}
+    # two halves of each product: the merged coefficients reach a·v's, and
+    # an integral one, such as 1/2 + 1/2 of an odd coefficient, is an int
+    halves = contract(
+        "half a[ij] v[j] + v[j] a[ij] half -> i", half=half, a=square(a), v=dense(v, 1, 3)
+    )
+    assert tuple(halves) == tuple(av)
+    assert all(_integer_first(value) for value in halves)
+    # a 3-factor term and constant-only terms in one scalar spec
+    scalar = contract(
+        "u[i] a[ij] v[j] - half - 1 - half ->",
+        u=dense(u, 1, 3),
+        a=square(a),
+        v=dense(v, 1, 3),
+        half=half,
+    )
+    want = sum((u[i] * av[i] for i in range(3)), zero) - 2
+    assert scalar == want
+    assert _integer_first(scalar)
 
 
 def test_contract_traces_repeated_letters_and_returns_scalars():
