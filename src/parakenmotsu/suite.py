@@ -13,22 +13,24 @@ all of its rows when a stage that computes needs it, or when the
 soliton constants).  No other row is computed.  Unselected checks always
 appear as skipped, even when they were computed.
 
-REFERENCE_* at the end records a previously circulated component table
-for the 3-dimensional example.  Some of its entries are mutually
-inconsistent with the bracket relations and metric compatibility, so
-the suite recomputes everything from first principles and reports
-disagreements with this table as informational notes rather than
-adopting either side silently.
+REFERENCE_DIM3 at the end is one table of the nabla and R entries of a
+previously circulated component table for the 3-dimensional example;
+its S diagonal and soliton constants stand beside it.  Two of its nabla
+entries contradict every torsion-free metric connection, so the suite
+recomputes everything from first principles and, in one walk over the
+table, reports each listed entry that differs as an informational note
+rather than adopting either side silently.  The anchor rows, the seven
+nabla entries the Koszul formula agrees with, decide whether a document
+is that example: when any of them differs, there are no notes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from parakenmotsu.connection import ConnectionError_, FrameConnection
+from parakenmotsu.connection import ConnectionError_
 from parakenmotsu.curvature import CurvatureError
 from parakenmotsu.dsl import ManifoldDocument
-from parakenmotsu.geometry import Tensor
 from parakenmotsu.kinds import ConditionKind
 from parakenmotsu.products import Products
 from parakenmotsu.report import CheckReport, SolitonSummary, SuiteResult
@@ -248,8 +250,7 @@ def run_suite(
     solved = passed.get("soliton", False)
     notes: tuple[str, ...] = ()
     if passed.get("ricci"):
-        pair = (p.sol.lam, p.sol.mu) if solved else None
-        notes = tuple(reference_conflict_notes(p.conn, p.riem, p.ricci, pair))
+        notes = tuple(reference_conflict_notes(p, solved))
 
     soliton = None
     if solved and _selected("soliton/constants", sel):
@@ -268,44 +269,49 @@ def run_suite(
 
 # -- reference table for the 3-dimensional example -----------------------
 
-# nabla_{E_i} E_j, frame components; entries at i = 2 (derivatives along
-# E3) disagree with what the Koszul formula yields.
-REFERENCE_NABLA_DIM3: dict[tuple[int, int], tuple[int, ...]] = {
-    (0, 0): (0, 0, -1),
-    (0, 1): (0, 0, 0),
-    (0, 2): (1, 0, 0),
-    (1, 0): (0, 0, 0),
-    (1, 1): (0, 0, 1),
-    (1, 2): (0, 1, 0),
-    (2, 0): (1, 0, 0),
-    (2, 1): (0, 1, 0),
-    (2, 2): (0, 0, 0),
-}
 
-# Entries of nabla consistent with the Koszul solution, used to decide
-# whether a parsed 3-dimensional document is this canonical example.
-_ANCHOR_NABLA_DIM3 = {
-    key: value
-    for key, value in REFERENCE_NABLA_DIM3.items()
-    if key not in ((2, 0), (2, 1))
-}
+def _nabla(i: int, j: int, listed: tuple[int, ...], anchor: bool = True):
+    return (
+        f"nabla_{{E{i + 1}}} E{j + 1}",
+        listed,
+        lambda p: [p.conn.coefficient(i, j, a) for a in range(3)],
+        anchor,
+    )
 
-# R(E_i, E_j) E_k, frame components.
-REFERENCE_RIEMANN_DIM3: dict[tuple[int, int, int], tuple[int, ...]] = {
-    (0, 1, 1): (1, 0, 0),
-    (0, 2, 2): (-1, 0, 0),
-    (1, 0, 0): (0, -1, 0),
-    (1, 2, 2): (0, -1, 0),
-    (2, 0, 0): (0, 0, 1),
-    (2, 1, 1): (0, 0, -1),
-}
 
-# S(E_i, E_j) diagonal entries.
-REFERENCE_RICCI_DIM3: dict[tuple[int, int], int] = {
-    (0, 0): 0,
-    (1, 1): 0,
-    (2, 2): -2,
-}
+def _riemann(i: int, j: int, k: int, listed: tuple[int, ...]):
+    return (
+        f"R(E{i + 1}, E{j + 1})E{k + 1}",
+        listed,
+        lambda p: [p.riem[a, i, j, k] for a in range(3)],
+        False,
+    )
+
+
+# (what the table lists, its frame components, the computed components,
+# anchor): nabla_{E_i} E_j, then R(E_i, E_j)E_k, each in sorted order.  The
+# anchor rows are the seven nabla entries the Koszul formula agrees with;
+# the two derivatives along E3 it contradicts are not anchors.
+REFERENCE_DIM3 = (
+    _nabla(0, 0, (0, 0, -1)),
+    _nabla(0, 1, (0, 0, 0)),
+    _nabla(0, 2, (1, 0, 0)),
+    _nabla(1, 0, (0, 0, 0)),
+    _nabla(1, 1, (0, 0, 1)),
+    _nabla(1, 2, (0, 1, 0)),
+    _nabla(2, 0, (1, 0, 0), anchor=False),
+    _nabla(2, 1, (0, 1, 0), anchor=False),
+    _nabla(2, 2, (0, 0, 0)),
+    _riemann(0, 1, 1, (1, 0, 0)),
+    _riemann(0, 2, 2, (-1, 0, 0)),
+    _riemann(1, 0, 0, (0, -1, 0)),
+    _riemann(1, 2, 2, (0, -1, 0)),
+    _riemann(2, 0, 0, (0, 0, 1)),
+    _riemann(2, 1, 1, (0, 0, -1)),
+)
+
+# S(E_i, E_i), the diagonal; the table lists no other entry of S.
+REFERENCE_RICCI_DIM3: tuple[int, ...] = (0, 0, -2)
 
 REFERENCE_SOLITON_DIM3: tuple[int, int] = (-1, 3)
 
@@ -326,63 +332,38 @@ def render_member_combo(comps: list[ScalarExpr]) -> str:
     return signed_sum(parts)
 
 
-def reference_conflict_notes(
-    conn: FrameConnection,
-    riem: Tensor,
-    ricci_tensor: Tensor,
-    soliton_pair: tuple[Fraction, Fraction] | None,
-) -> list[str]:
-    """Informational notes where the computed values differ from the table.
-
-    Emitted only for 3-dimensional structures whose connection matches the
-    table on its self-consistent entries, i.e. documents that actually
-    encode the canonical example.
-    """
-    frame = conn.frame
-    if frame.dim != 3:
+def reference_conflict_notes(p: Products, solved: bool) -> list[str]:
+    """The notes where the computed values differ from the table: none
+    unless the structure is 3-dimensional and matches every anchor row.
+    The soliton constants are compared once they are `solved`."""
+    if p.s.dim != 3:
         return []
-    chart = frame.chart
+    chart = p.s.frame.chart
+    rows = [
+        (what, [chart.const(q) for q in listed], computed(p), anchor)
+        for what, listed, computed, anchor in REFERENCE_DIM3
+    ]
+    if any(anchor and listed != computed for _, listed, computed, anchor in rows):
+        return []
 
-    def matches(computed, expected: tuple[int, ...]) -> bool:
-        return all(
-            (computed[a] - chart.const(q)).is_zero() for a, q in enumerate(expected)
-        )
-
-    for (i, j), expected in sorted(_ANCHOR_NABLA_DIM3.items()):
-        if not matches([conn.coefficient(i, j, a) for a in range(3)], expected):
-            return []
-
-    notes: list[str] = []
-    for (i, j), expected in sorted(REFERENCE_NABLA_DIM3.items()):
-        computed = [conn.coefficient(i, j, a) for a in range(3)]
-        if not matches(computed, expected):
+    notes = [
+        f"reference table lists {what} = {render_member_combo(listed)};"
+        f" computed value is {render_member_combo(computed)}"
+        for what, listed, computed, _ in rows
+        if listed != computed
+    ]
+    for i, listed in enumerate(REFERENCE_RICCI_DIM3):
+        computed = p.ricci[i, i]
+        if computed != chart.const(listed):
             notes.append(
-                f"reference table lists nabla_{{E{i + 1}}} E{j + 1}"
-                f" = {render_member_combo([chart.const(q) for q in expected])};"
-                f" computed value is {render_member_combo(computed)}"
-            )
-    for (i, j, k), expected in sorted(REFERENCE_RIEMANN_DIM3.items()):
-        computed = [riem[a, i, j, k] for a in range(3)]
-        if not matches(computed, expected):
-            notes.append(
-                f"reference table lists R(E{i + 1}, E{j + 1})E{k + 1}"
-                f" = {render_member_combo([chart.const(q) for q in expected])};"
-                f" computed value is {render_member_combo(computed)}"
-            )
-    for (i, j), expected in sorted(REFERENCE_RICCI_DIM3.items()):
-        computed = ricci_tensor[i, j]
-        if not (computed - chart.const(expected)).is_zero():
-            notes.append(
-                f"reference table lists S(E{i + 1}, E{j + 1}) = {expected};"
+                f"reference table lists S(E{i + 1}, E{i + 1}) = {listed};"
                 f" computed value is {computed}"
             )
-    if soliton_pair is not None:
-        lam, mu = soliton_pair
+    if solved and (p.sol.lam, p.sol.mu) != REFERENCE_SOLITON_DIM3:
         ref_lam, ref_mu = REFERENCE_SOLITON_DIM3
-        if (lam, mu) != (ref_lam, ref_mu):
-            notes.append(
-                "reference table lists soliton constants (lambda, mu)"
-                f" = ({ref_lam}, {ref_mu});"
-                f" computed values are ({lam}, {mu})"
-            )
+        notes.append(
+            "reference table lists soliton constants (lambda, mu)"
+            f" = ({ref_lam}, {ref_mu});"
+            f" computed values are ({p.sol.lam}, {p.sol.mu})"
+        )
     return notes

@@ -8,6 +8,7 @@ from parakenmotsu import suite
 from parakenmotsu.curvature import CurvatureError
 from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
+from parakenmotsu.products import Products
 from parakenmotsu.report import exit_code
 from parakenmotsu.structure import ParacontactStructure
 from parakenmotsu.suite import CATALOG, run_suite, selectable_names
@@ -65,6 +66,28 @@ def test_full_suite_passes_on_r5_document():
     assert (result.soliton.lam, result.soliton.mu) == ("3", "1")
     # the reference-table comparison is anchored to the 3-dimensional case
     assert result.notes == ()
+
+
+def test_reference_notes_render_a_coefficient_other_than_one():
+    # the table lists R(E1, E2)E2 = E1; a Riemann tensor bumped there to
+    # 2 E1, beside the unbumped Ricci tensor, renders its value as (2)*E1
+    p = Products(load_manifold(MANIFOLDS / "example_r3.pk").to_structure())
+    riem = p.riem
+    p.ricci = p.ricci  # built from the unbumped tensor, and kept
+    p.riem = tabulate(
+        riem.frame, 1, 3, lambda *idx: riem[idx] + (idx == (0, 0, 1, 1))
+    )
+    assert suite.reference_conflict_notes(p, solved=True) == [
+        "reference table lists nabla_{E3} E1 = E1; computed value is 0",
+        "reference table lists nabla_{E3} E2 = E2; computed value is 0",
+        "reference table lists R(E1, E2)E2 = E1; computed value is (2)*E1",
+        "reference table lists R(E3, E1)E1 = E3; computed value is -E3",
+        "reference table lists R(E3, E2)E2 = -E3; computed value is E3",
+        "reference table lists S(E1, E1) = 0; computed value is -2",
+        "reference table lists S(E2, E2) = 0; computed value is 2",
+        "reference table lists soliton constants (lambda, mu) = (-1, 3);"
+        " computed values are (1, 1)",
+    ]
 
 
 def test_selection_reports_only_chosen_group():
