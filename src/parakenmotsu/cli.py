@@ -10,7 +10,12 @@ and each command imports the rest where its path first needs it: the
 document commands import the structure's products, the suite and the
 report only once the document has parsed and its structure has built,
 `solve` and `condition` never compile the suite's table of checks, and
-`factors` imports the soliton module only once `--n` is in range.  A
+`factors` imports the soliton module only once `--n` is in range.  The
+command line is read from one table, `_COMMANDS`: `main` reads the plain
+spellings itself and hands every other argv to the argparse parser that
+`build_parser` makes from the same table, so argparse, and the gettext
+and locale it loads, are imported only for `--help`, usage errors and
+the valid spellings the plain reading declines, such as `--n=3`.  A
 process enters through `run`, which freezes the heap once `main` has
 returned, so the interpreter's exit skips a collection of every module's
 cycles that frees only what the OS reclaims anyway.
@@ -18,10 +23,10 @@ cycles that frees only what the OS reclaims anyway.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from parakenmotsu.kinds import ConditionKind
@@ -32,64 +37,122 @@ from parakenmotsu.scalar import DocumentError
 # 7 s and 160 MB
 MAX_FACTORS_N = 32
 
+_FORMAT = (
+    "--format", ("text", "json-like"), None, "text", False, "output format (default: text)"
+)
+
+# the command-line grammar, in --help order: per command, its help, whether
+# it takes the positional document, and its options as (name, choices,
+# type, default, required, help)
+_COMMANDS = {
+    "check": (
+        "run the verification suite on a document",
+        True,
+        (
+            ("--select", None, None, None, False,
+             "comma-separated check names or group prefixes to run"),
+            _FORMAT,
+        ),
+    ),
+    "solve": ("solve for the soliton constants", True, (_FORMAT,)),
+    "condition": (
+        "evaluate one curvature-condition residual",
+        True,
+        (
+            ("--kind", tuple(kind.value for kind in ConditionKind), None, None, True, None),
+            _FORMAT,
+        ),
+    ),
+    "factors": (
+        "extract the condition factor polynomials symbolically",
+        False,
+        (
+            ("--n", None, int, None, True, f"half rank, 1 <= n <= {MAX_FACTORS_N}"),
+            _FORMAT,
+        ),
+    ),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="parakenmotsu",
         description="Exact verifier for para-Kenmotsu manifold documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format",
-            choices=("text", "json-like"),
-            default="text",
-            help="output format (default: text)",
-        )
-
-    p_check = sub.add_parser("check", help="run the verification suite on a document")
-    p_check.add_argument("file", help="manifold document (.pk)")
-    p_check.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated check names or group prefixes to run",
-    )
-    add_format(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_solve = sub.add_parser("solve", help="solve for the soliton constants")
-    p_solve.add_argument("file", help="manifold document (.pk)")
-    add_format(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_cond = sub.add_parser(
-        "condition", help="evaluate one curvature-condition residual"
-    )
-    p_cond.add_argument("file", help="manifold document (.pk)")
-    p_cond.add_argument(
-        "--kind", required=True, choices=[kind.value for kind in ConditionKind]
-    )
-    add_format(p_cond)
-    p_cond.set_defaults(func=_cmd_condition)
-
-    p_fact = sub.add_parser(
-        "factors", help="extract the condition factor polynomials symbolically"
-    )
-    p_fact.add_argument(
-        "--n", type=int, required=True, help=f"half rank, 1 <= n <= {MAX_FACTORS_N}"
-    )
-    add_format(p_fact)
-    p_fact.set_defaults(func=_cmd_factors)
-
+    for command, (command_help, takes_file, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        if takes_file:
+            p.add_argument("file", help="manifold document (.pk)")
+        for name, choices, convert, default, required, option_help in options:
+            p.add_argument(
+                name,
+                choices=choices,
+                type=convert,
+                default=default,
+                required=required,
+                help=option_help,
+            )
     return parser
 
 
+def _plain(argv) -> SimpleNamespace | None:
+    """The values argparse reads from `argv` when `argv` is a plain
+    spelling: the command's name, then exact option names each followed by
+    a value and the command's one positional, where no value starts with
+    '-', every choice is offered, every conversion succeeds and nothing is
+    missing or left over. None for every other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, takes_file, options = _COMMANDS[argv[0]]
+    by_name = {option[0]: option for option in options}
+    values = {"command": argv[0]}
+    values.update((name[2:], default) for name, _, _, default, _, _ in options)
+    missing = {name for name, _, _, _, required, _ in options if required}
+    if takes_file:
+        missing.add("file")
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if "file" not in missing:
+                return None
+            values["file"] = token
+            missing.discard("file")
+            continue
+        value = next(tokens, None)
+        if token not in by_name or value is None or value.startswith("-"):
+            return None
+        _, choices, convert, _, _, _ = by_name[token]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[token[2:]] = value
+        missing.discard(token)
+    return None if missing else SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    # looked up when main runs, not at import: the benchmark's tracer
+    # rebinds these module attributes to timed wrappers
+    command = {
+        "check": _cmd_check,
+        "solve": _cmd_solve,
+        "condition": _cmd_condition,
+        "factors": _cmd_factors,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parakenmotsu import cli
 
 ROOT = Path(__file__).parent.parent
 MANIFOLDS = ROOT / "manifolds"
@@ -342,3 +346,137 @@ def test_help_prints_the_usage_on_stdout():
     assert proc.returncode == 0
     assert proc.stdout.decode("utf-8").startswith("usage: parakenmotsu ")
     assert proc.stderr == b""
+
+
+# -- the command line ----------------------------------------------------------
+
+_DOC = str(MANIFOLDS / "example_r3.pk")
+_OPTIONS = ("--select", "--format", "--kind", "--n")
+_VALUES = (
+    "", "-1", " 2", "1_0", "\u0663", "9" * 5000, "0", "3", "x",
+    "text", "json-like", "json", "R.S", "S.R", "W2.S", "S.W2", "R.X",
+    "axioms", "connection,curvature", "check", _DOC, "doc.pk", "-", "--help", "--format",
+)
+_TOKENS = (
+    "check", "solve", "condition", "factors", "chec", "-h", "--",
+    *{option[:end] for option in _OPTIONS for end in range(1, len(option) + 1)},
+    *(f"{option}={value}" for option in _OPTIONS for value in ("", "2", "text", "S.W2")),
+    *_VALUES,
+)
+_FORMATS = ("text", "json-like")
+# per command, its options and values that argparse accepts for them
+_OWN = {
+    "check": {"--select": ("axioms", "connection,curvature", "check", ""), "--format": _FORMATS},
+    "solve": {"--format": _FORMATS},
+    "condition": {"--kind": ("R.S", "S.R", "W2.S", "S.W2"), "--format": _FORMATS},
+    "factors": {"--n": ("0", "3", " 2", "1_0", "\u0663"), "--format": _FORMATS},
+}
+
+_REQUIRED = {
+    "check": [(_DOC,)],
+    "solve": [(_DOC,)],
+    "condition": [(_DOC,), ("--kind", "R.S")],
+    "factors": [("--n", "1")],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command, then in any order: most often what it requires, and a
+    few groups of tokens, each an option of the command with one of its
+    values or with any value, a document or any single token."""
+    command = draw(st.sampled_from((*_OWN, "-h", "chec", "")))
+    own = _OWN.get(command, {"--help": ("",)})
+    pairs = [(option, value) for option, values in own.items() for value in values]
+    groups = [group for group in _REQUIRED.get(command, ()) if draw(st.integers(0, 4))]
+    groups += draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(pairs),
+                st.tuples(st.sampled_from(list(own)), st.sampled_from(_VALUES)),
+                st.sampled_from([(_DOC,), ("doc.pk",)]),
+                st.tuples(st.sampled_from(_TOKENS)),
+            ),
+            max_size=4,
+        )
+    )
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+# the benchmark's and the README's spellings, read without argparse
+_PLAIN = [
+    ["check", _DOC],
+    ["check", _DOC, "--select", "axioms"],
+    ["check", "--select", "connection,curvature", _DOC, "--format", "json-like"],
+    ["solve", _DOC],
+    ["condition", _DOC, "--kind", "S.W2"],
+    ["factors", "--n", "3"],
+    ["factors", "--n", "1", "--n", "2", "--format", "text"],
+]
+
+# handed to argparse, which prints help or a usage error, or reads a valid
+# spelling the plain reading declines
+_DECLINED = [
+    [], ["--help"], ["-h"], ["check", "--help"], ["factors", "--n", "1", "-h"],
+    ["check", _DOC, "--sel", "axioms"], ["factors", "--n=3"], ["check", _DOC, "--format=text"],
+    ["check", "--", _DOC], ["factors", "--n", "-1"], ["check", "-"], ["factors", "--n", "x"],
+    ["factors", "--n", "9" * 5000], ["factors", "--n"], ["factors"],
+    ["condition", _DOC, "--kind", "X"], ["condition", _DOC], ["solve", _DOC, "--kind", "R.S"],
+    ["check"], ["check", _DOC, _DOC], ["check", _DOC, "--select"], ["chec", _DOC],
+    ["check", _DOC, "--select", "--format", "text"],
+    ["check", _DOC, "--format", "json"],
+]
+
+
+def _parsed(argv):
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv!r}")
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_a_plain_spelling_reads_as_argparse_reads_it(argv):
+    plain = cli._plain(argv)
+    if plain is not None:
+        assert vars(plain) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", _PLAIN)
+def test_the_plain_spellings_are_read_without_argparse(argv):
+    plain = cli._plain(argv)
+    assert plain is not None
+    assert vars(plain) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", _DECLINED)
+def test_every_other_spelling_goes_to_argparse(argv):
+    assert cli._plain(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in ("check", "solve", "condition", "factors")),
+        [],
+        ["factors", "--n", "x"],
+        ["condition", _DOC, "--kind", "X"],
+        ["condition", _DOC],
+        ["solve", _DOC, "--kind", "R.S"],
+    ],
+)
+def test_argparse_answers_what_the_plain_reading_declines(argv):
+    # argparse wraps its help to the terminal's width, which COLUMNS fixes
+    env = dict(os.environ, COLUMNS="80")
+    parse = "import sys; from parakenmotsu import cli; cli.build_parser().parse_args(sys.argv[1:])"
+    through_main, direct = (
+        subprocess.run(
+            [sys.executable, *entry, *argv], capture_output=True, cwd=ROOT, env=env
+        )
+        for entry in (["-m", "parakenmotsu.cli"], ["-c", parse])
+    )
+    assert through_main.returncode == direct.returncode
+    assert through_main.stdout == direct.stdout
+    assert through_main.stderr == direct.stderr
