@@ -26,8 +26,6 @@ of [X, E_j].
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from parakenmotsu.geometry import (
     Components,
     Frame,
@@ -36,7 +34,7 @@ from parakenmotsu.geometry import (
     derivatives,
     leibniz_spec,
 )
-from parakenmotsu.scalar import ScalarExpr
+from parakenmotsu.scalar import Rational, ScalarExpr
 
 
 class ConnectionError_(ValueError):
@@ -76,7 +74,7 @@ def koszul_connection(frame: Frame) -> FrameConnection:
     K = contract(
         "g[lm] c[ijm] + g[jm] c[lim] - g[im] c[jlm] -> ijl", g=g, c=frame.structure_constants
     )
-    gamma = contract("half g[kl] K[ijl] -> ijk", half=Fraction(1, 2), g=g, K=K)
+    gamma = contract("half g[kl] K[ijl] -> ijk", half=Rational(1, 2), g=g, K=K)
     conn = FrameConnection(frame, gamma)
     _verify_connection(conn, g)
     return conn

@@ -28,8 +28,6 @@ one-form (a (0,1) tensor) included, takes the same Leibniz expansion.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from parakenmotsu.connection import FrameConnection
 from parakenmotsu.geometry import (
     Components,
@@ -40,6 +38,7 @@ from parakenmotsu.geometry import (
     derivatives,
     leibniz_spec,
 )
+from parakenmotsu.scalar import Rational
 
 
 class CurvatureError(ValueError):
@@ -114,7 +113,7 @@ def w2_tensor(riem: Tensor, q: Tensor, n: int) -> Tensor:
     comps = contract(
         "R[aijk] + c g[ik] Q[aj] - c g[jk] Q[ai] -> aijk",
         R=riem,
-        c=Fraction(1, 2 * n),
+        c=Rational(1, 2 * n),
         g=frame.metric_tensor,
         Q=q,
     )

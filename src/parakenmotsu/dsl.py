@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from math import comb, log2
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -38,6 +37,7 @@ from parakenmotsu.scalar import (
     DocumentError,
     LinearForm,
     NonInvertible,
+    Rational,
     ScalarExpr,
     Term,
     TooManyTerms,
@@ -62,7 +62,7 @@ class ManifoldDocument:
         coords: tuple[str, ...],
         n: int,
         frames: tuple[tuple[str, Combo], ...],
-        gram: tuple[Fraction, ...] | None,
+        gram: tuple[Rational, ...] | None,
         metric: tuple[tuple[int, int, ScalarExpr], ...] | None,
         phi: tuple[tuple[str, Combo], ...],
         xi: Combo,
@@ -236,7 +236,7 @@ class _Parser:
                 return value
             rhs = self.parse_product()
             value = self.bounded(value + rhs if t.text == "+" else value - rhs, t)
-            # a sum of fractions grows its common denominator term by term
+            # a sum of rationals grows its common denominator term by term
             if _coefficient_bits(value) > MAX_COEFFICIENT_BITS:
                 raise DocumentError(
                     f"sum has coefficients wider than {MAX_COEFFICIENT_BITS} bits",
@@ -310,7 +310,7 @@ class _Parser:
                 self.pos += 1
                 if int(d.text) == 0:
                     raise DocumentError("zero denominator", d.line, d.col)
-                return ScalarExpr.const(Fraction(numer, int(d.text)), self.symbols)
+                return ScalarExpr.const(Rational(numer, int(d.text)), self.symbols)
             return ScalarExpr.const(numer, self.symbols)
         if t.kind == "IDENT" and t.text == "exp":
             self.pos += 1
@@ -335,7 +335,7 @@ class _Parser:
         raise self.error("expected an expression")
 
     def _to_exponential(self, inner: ScalarExpr, at: Token) -> ScalarExpr:
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Rational] = {}
         for term in inner.terms:
             if not term.exponent.is_zero() or [k for _, k in term.monomial] != [1]:
                 raise DocumentError(
@@ -475,7 +475,7 @@ def _expect_equals(tokens: list[Token], pos: int) -> int:
     return pos + 1
 
 
-def _signed_rational(tokens: list[Token], pos: int) -> tuple[Fraction, int]:
+def _signed_rational(tokens: list[Token], pos: int) -> tuple[Rational, int]:
     sign = 1
     if pos < len(tokens) and tokens[pos].kind == "OP" and tokens[pos].text == "-":
         sign = -1
@@ -490,8 +490,8 @@ def _signed_rational(tokens: list[Token], pos: int) -> tuple[Fraction, int]:
         if pos >= len(tokens) or tokens[pos].kind != "NUM" or int(tokens[pos].text) == 0:
             where = tokens[pos] if pos < len(tokens) else tokens[-1]
             raise DocumentError("expected a nonzero denominator", where.line, where.col)
-        return Fraction(sign * numer, int(tokens[pos].text)), pos + 1
-    return Fraction(sign * numer), pos
+        return Rational(sign * numer, int(tokens[pos].text)), pos + 1
+    return Rational(sign * numer), pos
 
 
 def parse_manifold(text: str) -> ManifoldDocument:
@@ -500,7 +500,7 @@ def parse_manifold(text: str) -> ManifoldDocument:
     declared_n: int | None = None
     frames: list[tuple[str, Combo]] = []
     frame_at: dict[str, tuple[int, int]] = {}  # member -> position of its frame line
-    gram: tuple[Fraction, ...] | None = None
+    gram: tuple[Rational, ...] | None = None
     metric: dict[tuple[int, int], ScalarExpr] = {}
     phi: list[tuple[str, Combo]] = []
     phi_ids: set[str] = set()
@@ -770,7 +770,7 @@ def _build_structure(doc: ManifoldDocument) -> ParacontactStructure:
         for i, j in itertools.product(range(d), repeat=2):
             entry = flat[i, j]
             ok = entry.is_zero() if i != j else (
-                entry.is_constant() and entry.as_rational() ** 2 == 1
+                entry.is_constant() and entry.as_rational() in (1, -1)
             )
             if not ok:
                 raise DocumentError(

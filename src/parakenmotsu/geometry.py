@@ -51,11 +51,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from fractions import Fraction
 from typing import Sequence
 
 from parakenmotsu.scalar import MAX_COEFFICIENT_TERMS, NonInvertible, ScalarExpr, Term
-from parakenmotsu.scalar import multiply_into, mul_terms, read_only
+from parakenmotsu.scalar import exact, multiply_into, mul_terms, read_only
 
 
 class ValenceError(ValueError):
@@ -307,7 +306,8 @@ class Frame:
         if (members.rank, members.dim) != (2, d):
             raise ValenceError(f"expected a {d} x {d} member matrix")
         if len(signs) != d or any(q not in (1, -1) for q in signs):
-            raise ValenceError(f"frame signs {tuple(signs)} are not {d} entries of +1 or -1")
+            shown = ", ".join(map(str, signs))
+            raise ValenceError(f"frame signs ({shown}) are not {d} entries of +1 or -1")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "signs", tuple(int(q) for q in signs))
@@ -479,15 +479,18 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
     """Evaluate a signed sum of index contractions; see the module docstring."""
     out, terms = _parse_spec(spec)
     flat: dict[str, Components] = {}
+    scalars = {}  # name -> a rational operand, as a coefficient
     dims, symbols = set(), set()
     for _, factors in terms:
         for name, letters in factors:
-            if name in flat or name.isdigit() or name == "delta":
+            if name in flat or name in scalars or name.isdigit() or name == "delta":
                 continue
             value = operands.get(name)
             if value is None:
                 raise ValueError(f"contraction {spec!r} has no operand {name!r}")
-            if isinstance(value, (int, Fraction)) and not letters:
+            q = None if letters else exact(value)
+            if q is not None:
+                scalars[name] = q
                 continue
             flat[name], d = _components(value, len(letters))
             dims.add(d)
@@ -551,11 +554,10 @@ def contract(spec: str, **operands) -> ScalarExpr | Components:
         coeff = sign
         parts = []
         for name, letters in factors:
-            value = operands.get(name)
             if name.isdigit():
                 coeff *= int(name)
-            elif not letters and isinstance(value, (int, Fraction)):
-                coeff *= value
+            elif name in scalars:
+                coeff *= scalars[name]
             else:
                 pattern = tuple(letters.index(l) for l in letters)
                 unique = "".join(dict.fromkeys(letters))

@@ -18,12 +18,14 @@ quotient when the ring holds one, within an optional term budget, and
 raises otherwise; so only the units q*exp(l) invert.
 
 Coefficients, q and those of l, are integer-first: an `int` when integral
-and a `Fraction` only when the denominator is not 1 (:func:`demote`).
+and a `Rational` only when the denominator is not 1 (:func:`demote`).
 Nearly all of them are integers, and `int` arithmetic is far cheaper.
-`Fraction(k) == k`, the two hash alike and print alike, so equality,
+`Rational(k) == k`, the two hash alike and print alike, so equality,
 hashing and rendering do not depend on the representation.  A value that
-leaves the ring (`as_rational`) is always a `Fraction`, since `int / int`
-would give a float.
+leaves the ring (`as_rational`) is always a `Rational`, since `int / int`
+would give a float.  An exact rational a caller passes in, such as the
+standard library's `Fraction`, is converted once where it enters
+(:func:`exact`).
 
 ``str()`` renders the canonical form as text, such as
 ``2*x^2*exp(-2*z)``, that a document coefficient (`dsl`) reads back as
@@ -32,7 +34,8 @@ the same expression.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 
@@ -52,29 +55,220 @@ class UnknownSymbol(ValueError):
     """Raised for a symbol name that is not part of the chart."""
 
 
-def demote(q: int | Fraction) -> int | Fraction:
-    """q as an `int` when it is integral, else q itself."""
-    if q.__class__ is Fraction and q.denominator == 1:
-        return q.numerator
-    return q
-
-
-def _coefficient(value) -> int | Fraction:
-    """An exact rational argument as an integer-first coefficient."""
-    if isinstance(value, (int, Fraction)):
-        return demote(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-_FORMS: dict[tuple, "LinearForm"] = {}  # canonical coefficients -> the interned form
-
-
 def read_only(self, name, *value):
     """`__setattr__` and `__delattr__` of the immutable value types.
 
     Their `__init__` sets each field once, bypassing this method.
     """
     raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+class Rational:
+    """An exact rational `numerator / denominator`: two ints in lowest
+    terms, the denominator positive.
+
+    It does what the package asks of a rational: `+`, `-`, `*`, `/`, unary
+    `-`, `abs`, `int`, truth and the comparisons.  An operand is an `int`,
+    a `Rational` or another exact rational with int `numerator` and
+    `denominator`, such as the standard library's `Fraction`, and the
+    result is a `Rational`; any other operand, a float included, is
+    NotImplemented.  The arithmetic is Knuth's (TAOCP vol. 2, 4.5.1):
+    gcds of the operands' parts keep the products small and leave nothing
+    to reduce at the end.  `str` and the hash are those of `Fraction`, so
+    the two print alike and order a set or a dict alike.
+    """
+
+    __slots__ = ("numerator", "denominator")
+    __setattr__ = __delattr__ = read_only
+
+    def __new__(cls, numerator: int, denominator: int = 1) -> "Rational":
+        if denominator == 0:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        return _rational(numerator // g, denominator // g)
+
+    def __repr__(self) -> str:
+        return f"Rational({self.numerator}, {self.denominator})"
+
+    def __str__(self) -> str:
+        n, d = self.numerator, self.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
+
+    def __hash__(self):
+        # Python's numeric hash: |n| / d modulo the hash modulus, then the sign
+        try:
+            h = hash(hash(abs(self.numerator)) * pow(self.denominator, -1, _HASH_MODULUS))
+        except ValueError:  # the modulus divides the denominator
+            h = _HASH_INF
+        h = h if self.numerator >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __eq__(self, other):
+        if other.__class__ is int:
+            return self.denominator == 1 and self.numerator == other
+        if other.__class__ is Rational:
+            return self.numerator == other.numerator and self.denominator == other.denominator
+        q = _parts(other)
+        return NotImplemented if q is None else (self.numerator, self.denominator) == q
+
+    def __lt__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else self.numerator * q[1] < q[0] * self.denominator
+
+    def __le__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else self.numerator * q[1] <= q[0] * self.denominator
+
+    def __gt__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else self.numerator * q[1] > q[0] * self.denominator
+
+    def __ge__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else self.numerator * q[1] >= q[0] * self.denominator
+
+    def __bool__(self) -> bool:
+        return self.numerator != 0
+
+    def __int__(self) -> int:
+        """Truncated toward zero, as `int` truncates a float."""
+        n, d = self.numerator, self.denominator
+        return -(-n // d) if n < 0 else n // d
+
+    def __neg__(self) -> "Rational":
+        return _rational(-self.numerator, self.denominator)
+
+    def __abs__(self) -> "Rational":
+        return _rational(abs(self.numerator), self.denominator)
+
+    def __add__(self, other):
+        n, d = self.numerator, self.denominator
+        if other.__class__ is int:
+            return _rational(n + other * d, d)  # gcd(n + k*d, d) = gcd(n, d) = 1
+        if other.__class__ is Rational:
+            return _sum(n, d, other.numerator, other.denominator)
+        q = _parts(other)
+        return NotImplemented if q is None else _sum(n, d, *q)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else _sum(self.numerator, self.denominator, -q[0], q[1])
+
+    def __rsub__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else _sum(*q, -self.numerator, self.denominator)
+
+    def __mul__(self, other):
+        n, d = self.numerator, self.denominator
+        if other.__class__ is int:
+            g = gcd(other, d)
+            return _rational(n * (other // g), d // g)
+        if other.__class__ is Rational:
+            return _product(n, d, other.numerator, other.denominator)
+        q = _parts(other)
+        return NotImplemented if q is None else _product(n, d, *q)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else _quotient(self.numerator, self.denominator, *q)
+
+    def __rtruediv__(self, other):
+        q = _parts(other)
+        return NotImplemented if q is None else _quotient(*q, self.numerator, self.denominator)
+
+
+_new_object = object.__new__
+_set_numerator = Rational.numerator.__set__
+_set_denominator = Rational.denominator.__set__
+
+
+def _rational(numerator: int, denominator: int) -> Rational:
+    """The Rational of a numerator and a positive denominator already in
+    lowest terms, without the gcd of `Rational(...)`."""
+    q = _new_object(Rational)
+    _set_numerator(q, numerator)
+    _set_denominator(q, denominator)
+    return q
+
+
+def _parts(value) -> tuple[int, int] | None:
+    """(numerator, denominator) in lowest terms of an exact rational: an
+    int, a Rational or another type with int `numerator` and `denominator`,
+    such as `Fraction`, or a bool; None for anything else."""
+    if value.__class__ is not Rational and value.__class__ is not int:
+        try:
+            n, d = value.numerator, value.denominator
+        except AttributeError:
+            return None
+        if not (isinstance(n, int) and isinstance(d, int)):
+            return None
+        value = Rational(n, d)
+    return value.numerator, value.denominator
+
+
+def _sum(n1: int, d1: int, n2: int, d2: int) -> Rational:
+    """n1/d1 + n2/d2 for two rationals in lowest terms, d1 > 0 and d2 > 0."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return _rational(n1 * d2 + n2 * d1, d1 * d2)
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g = gcd(t, g)  # the only factor t and s * d2 can share
+    return _rational(t // g, s * (d2 // g))
+
+
+def _product(n1: int, d1: int, n2: int, d2: int) -> Rational:
+    """n1/d1 * n2/d2 for two rationals in lowest terms, d1 > 0 and d2 > 0."""
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    return _rational((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
+
+
+def _quotient(n1: int, d1: int, n2: int, d2: int) -> Rational:
+    """(n1/d1) / (n2/d2) for two rationals in lowest terms, d1 > 0 and d2 > 0."""
+    if n2 == 0:
+        raise ZeroDivisionError("division by zero")
+    return _product(n1, d1, d2, n2) if n2 > 0 else _product(n1, d1, -d2, -n2)
+
+
+def demote(q) -> int | Rational:
+    """The coefficient q integer-first: an `int` when it is integral, else a
+    `Rational`.  An exact rational of another type is converted (`exact`)."""
+    if q.__class__ is int:
+        return q
+    if q.__class__ is Rational:
+        return q.numerator if q.denominator == 1 else q
+    return _coefficient(q)
+
+
+def exact(value) -> int | Rational | None:
+    """An exact rational as an integer-first coefficient, converted from
+    another type where needed; None for anything else."""
+    if isinstance(value, int):
+        return value
+    q = _parts(value)
+    if q is None:
+        return None
+    return q[0] if q[1] == 1 else _rational(*q)
+
+
+def _coefficient(value) -> int | Rational:
+    """An exact rational argument as an integer-first coefficient."""
+    q = exact(value)
+    if q is None:
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return q
+
+
+_FORMS: dict[tuple, "LinearForm"] = {}  # canonical coefficients -> the interned form
 
 
 class LinearForm:
@@ -99,7 +293,7 @@ class LinearForm:
     __slots__ = ("coeffs", "_hash", "_dense", "_sums")
     __setattr__ = __delattr__ = read_only
 
-    def __new__(cls, coeffs: Iterable[tuple[int, int | Fraction]] = ()):
+    def __new__(cls, coeffs: Iterable[tuple[int, int | Rational]] = ()):
         key = tuple((i, _coefficient(c)) for i, c in sorted(coeffs) if c != 0)
         form = _FORMS.get(key)
         if form is None:
@@ -129,13 +323,13 @@ class LinearForm:
     def __neg__(self) -> "LinearForm":
         return LinearForm((i, -c) for i, c in self.coeffs)
 
-    def coefficient(self, index: int) -> int | Fraction:
+    def coefficient(self, index: int) -> int | Rational:
         for i, c in self.coeffs:
             if i == index:
                 return c
         return 0
 
-    def dense(self, width: int) -> tuple[int | Fraction, ...]:
+    def dense(self, width: int) -> tuple[int | Rational, ...]:
         row = self._dense
         if row is None or len(row) != width:
             cells = [0] * width
@@ -161,7 +355,7 @@ class Term:
 
     def __init__(
         self,
-        coeff: int | Fraction,
+        coeff: int | Rational,
         monomial: tuple[tuple[int, int], ...] = (),
         exponent: LinearForm = LinearForm(),
     ):
@@ -224,12 +418,12 @@ def _mul_monomials(
 
 
 # A table of like terms: (monomial, exponent) -> their summed coefficient.
-Sums = dict[tuple[tuple[tuple[int, int], ...], LinearForm], int | Fraction]
+Sums = dict[tuple[tuple[tuple[int, int], ...], LinearForm], int | Rational]
 
 
 def multiply_into(
     sums: dict[tuple, Sums],
-    coeff: int | Fraction,
+    coeff: int | Rational,
     rows: Iterable[tuple[tuple, Sequence[Term], Sequence[Term]]],
 ) -> None:
     """For each row (key, a, b), add coeff times every product of a term
@@ -296,7 +490,7 @@ class ScalarExpr:
         exponent) -> summed coefficient: zeros dropped, coefficients
         demoted, terms sorted by `Term.key`."""
         kept = [
-            Term(c.numerator if c.__class__ is Fraction and c.denominator == 1 else c, m, e)
+            Term(c if c.__class__ is int else demote(c), m, e)
             for (m, e), c in sums.items()
             if c != 0
         ]
@@ -322,7 +516,7 @@ class ScalarExpr:
         return ScalarExpr(symbols, (Term(1, ((i, 1),)),))
 
     @staticmethod
-    def exponential(coeffs: Mapping[str, Fraction], symbols: tuple[str, ...]) -> "ScalarExpr":
+    def exponential(coeffs: Mapping[str, Rational], symbols: tuple[str, ...]) -> "ScalarExpr":
         """exp of the linear form given by symbol-name -> coefficient."""
         form = LinearForm(
             (_symbol_index(n, symbols), c) for n, c in coeffs.items()
@@ -338,10 +532,11 @@ class ScalarExpr:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalarExpr.const(other, self.symbols)
         if not isinstance(other, ScalarExpr):
-            return NotImplemented
+            q = exact(other)
+            if q is None:
+                return NotImplemented
+            other = ScalarExpr.const(q, self.symbols)
         self._check(other)
         return ScalarExpr.normalize(self.symbols, self.terms + other.terms)
 
@@ -355,18 +550,21 @@ class ScalarExpr:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, ScalarExpr)):
-            return NotImplemented
+        if not isinstance(other, ScalarExpr):
+            other = exact(other)
+            if other is None:
+                return NotImplemented
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return self.__neg__().__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalarExpr.const(other, self.symbols)
         if not isinstance(other, ScalarExpr):
-            return NotImplemented
+            q = exact(other)
+            if q is None:
+                return NotImplemented
+            other = ScalarExpr.const(q, self.symbols)
         self._check(other)
         return ScalarExpr.normalize(self.symbols, mul_terms(self.terms, other.terms))
 
@@ -413,7 +611,9 @@ class ScalarExpr:
             monomial = _mul_monomials(t.monomial, down)
             if any(k < 0 for _, k in monomial):
                 raise NonInvertible(f"{other} does not divide {self}")
-            return Term(demote(Fraction(t.coeff) / lead.coeff), monomial, t.exponent + shift)
+            q = Rational(t.coeff.numerator * lead.coeff.denominator,
+                         t.coeff.denominator * lead.coeff.numerator)
+            return Term(demote(q), monomial, t.exponent + shift)
 
         if len(other.terms) == 1:  # term by term, which keeps the order
             return ScalarExpr(self.symbols, tuple(map(quotient_term, self.terms)))
@@ -459,11 +659,13 @@ class ScalarExpr:
             and self.terms[0].exponent.is_zero()
         )
 
-    def as_rational(self) -> Fraction:
-        """The constant as a `Fraction`, whatever the stored coefficient."""
+    def as_rational(self) -> Rational:
+        """The constant as a `Rational`, also when it is stored as an `int`,
+        so that dividing it never gives a float."""
         if not self.is_constant():
             raise NonInvertible(f"not a rational constant: {self}")
-        return Fraction(self.terms[0].coeff if self.terms else 0)
+        q = self.terms[0].coeff if self.terms else 0
+        return Rational(q.numerator, q.denominator)
 
     # -- rendering -------------------------------------------------------
 

@@ -21,7 +21,6 @@ multiple as `scale`.  The roots it reports are the row's.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import NamedTuple
 
 from parakenmotsu.connection import FrameConnection, koszul_connection
@@ -29,7 +28,7 @@ from parakenmotsu.curvature import ricci_operator, riemann, w2_tensor
 from parakenmotsu.geometry import Components, Tensor, ValenceError, contract
 from parakenmotsu.kinds import ConditionKind
 from parakenmotsu.report import witness_at
-from parakenmotsu.scalar import ScalarExpr
+from parakenmotsu.scalar import Rational, ScalarExpr
 from parakenmotsu.structure import ParacontactStructure, vanishing_check
 
 
@@ -50,7 +49,7 @@ class FactorError(ValueError):
 
 
 class SolitonSolution:
-    def __init__(self, lam: Fraction, mu: Fraction, n: int):
+    def __init__(self, lam: Rational, mu: Rational, n: int):
         if lam + mu != 2 * n:
             raise ValueError(
                 f"soliton constants ({lam}, {mu}) violate lambda + mu = 2n = {2 * n}"
@@ -61,14 +60,14 @@ class SolitonSolution:
         self.classification = "Einstein" if mu == 1 else "quasi-Einstein"
 
 
-def _as_rational(expr: ScalarExpr, error, witness: str) -> Fraction:
+def _as_rational(expr: ScalarExpr, error, witness: str) -> Rational:
     try:
         return expr.as_rational()
     except ValueError as exc:
         raise error(f"{witness}: {expr}") from exc
 
 
-def _split(t: Tensor, g: Tensor, eta: Tensor, error) -> tuple[Fraction, Fraction]:
+def _split(t: Tensor, g: Tensor, eta: Tensor, error) -> tuple[Rational, Rational]:
     """Constants (a, b) with t = a*g + b*(eta x eta) exactly; else raises `error`.
 
     The frame is pseudo-orthonormal, so g = diag(signs) is its own inverse.
@@ -116,7 +115,7 @@ def solve_soliton(s: ParacontactStructure, ricci_tensor: Tensor) -> SolitonSolut
 
 def quasi_einstein_decompose(
     ricci_tensor: Tensor, g: Tensor, eta: Tensor
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Rational, Rational]:
     """Constants (a, b) with S = a*g + b*(eta x eta), exactly."""
     return _split(ricci_tensor, g, eta, NotInSpan)
 
@@ -210,11 +209,11 @@ def condition_residual_xi_paired(
 
 def theorem_expected(
     kind: ConditionKind, n: int
-) -> frozenset[tuple[Fraction, Fraction]]:
+) -> frozenset[tuple[Rational, Rational]]:
     """Exact (lambda, mu) solution sets: (2n - r, r) for each mu-root r."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    roots = (Fraction(a * n + b) for a, b in CONDITIONS[kind].roots)
+    roots = (Rational(a * n + b) for a, b in CONDITIONS[kind].roots)
     return frozenset((2 * n - r, r) for r in roots)
 
 
@@ -270,7 +269,7 @@ def condition_check(
 
 
 class FactorResult:
-    def __init__(self, polynomial: ScalarExpr, scale: Fraction, roots: tuple):
+    def __init__(self, polynomial: ScalarExpr, scale: Rational, roots: tuple):
         self.polynomial = polynomial  # integer-primitive polynomial in mu
         self.scale = scale  # residual = scale * polynomial * shape
         self.roots = roots  # the mu-roots the polynomial was built from, ascending
@@ -325,7 +324,7 @@ def _ratio_against_shape(values: Components, shape: Components) -> ScalarExpr:
                 f"residual nonzero where the shape vanishes: {value_at[idx]}"
             )
         value = value_at.get(idx, ScalarExpr.zero(coefficient.symbols))
-        scaled = value * (Fraction(1) / coefficient.as_rational())
+        scaled = value * (1 / coefficient.as_rational())
         if poly is None:
             poly = scaled
         elif poly != scaled:
@@ -345,7 +344,8 @@ def _matched(raw: ScalarExpr, sign: int, roots) -> FactorResult:
         raise FactorError(f"degenerate factor {raw}")
     roots = tuple(sorted(roots))
     target = _factor(sign, roots, raw.symbols)
-    scale = Fraction(raw.terms[-1].coeff) / target.terms[-1].coeff
+    lead = raw.terms[-1].coeff
+    scale = Rational(lead.numerator, lead.denominator) / target.terms[-1].coeff
     if raw != target * scale:
         raise FactorError(
             f"extracted factor {raw} is not proportional to the advertised one"

@@ -26,8 +26,6 @@ is that example: when any of them differs, there are no notes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from parakenmotsu.connection import ConnectionError_
 from parakenmotsu.curvature import CurvatureError
 from parakenmotsu.dsl import ManifoldDocument
@@ -82,9 +80,9 @@ def _split(p: Products) -> str | None:
         a, b = quasi_einstein_decompose(p.ricci, p.s.metric(), p.s.eta)
     except NotInSpan as err:
         return str(err)
-    expected = (Fraction(-(p.sol.lam + 1)), Fraction(-(p.sol.mu - 1)))
-    if (a, b) != expected:
-        return f"split gives ({a}, {b}), soliton implies {expected}"
+    lam, mu = -(p.sol.lam + 1), -(p.sol.mu - 1)
+    if (a, b) != (lam, mu):
+        return f"split gives ({a}, {b}), soliton implies ({lam}, {mu})"
     return None
 
 

@@ -27,7 +27,7 @@ from parakenmotsu.geometry import (
     mat_rank,
 )
 from parakenmotsu.dsl import load_manifold
-from parakenmotsu.scalar import NonInvertible, ScalarExpr, TooManyTerms
+from parakenmotsu.scalar import NonInvertible, Rational, ScalarExpr, TooManyTerms
 
 
 def sc(text):
@@ -339,6 +339,11 @@ def test_frame_rejects_signs_that_are_not_one_unit_per_member():
     for signs in ((1, 2, 1), (1, 0, -1), (1, -1), (1, -1, 1, 1)):
         with pytest.raises(ValenceError, match="entries of \\+1 or -1"):
             Frame(CHART3, identity, signs)
+    # each sign prints as a number, and rational +-1s are stored as ints
+    with pytest.raises(ValenceError, match=r"^frame signs \(1, 1/2, -1\) are not 3 entries"):
+        Frame(CHART3, identity, (Fraction(1), Fraction(1, 2), Rational(-1)))
+    signs = Frame(CHART3, identity, (Fraction(1), Rational(-1), 1)).signs
+    assert signs == (1, -1, 1) and {type(q) for q in signs} == {int}
 
 
 def test_tensor_first_nonzero_reports_index_and_value():

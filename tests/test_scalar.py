@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,10 +21,12 @@ from parakenmotsu.scalar import (
     DocumentError,
     LinearForm,
     NonInvertible,
+    Rational,
     ScalarExpr,
     Term,
     TooManyTerms,
     UnknownSymbol,
+    _coefficient,
     demote,
 )
 
@@ -327,15 +331,19 @@ def _coefficients(e):
         yield from (c for _, c in t.exponent.coeffs)
 
 
+def _fraction(q):
+    return Fraction(q.numerator, q.denominator)
+
+
 def _with_fraction_coefficients(e):
     """e with every coefficient stored as a Fraction, integral or not."""
     return ScalarExpr(
         e.symbols,
         tuple(
             Term(
-                Fraction(t.coeff),
+                _fraction(t.coeff),
                 t.monomial,
-                LinearForm(tuple((i, Fraction(c)) for i, c in t.exponent.coeffs)),
+                LinearForm(tuple((i, _fraction(c)) for i, c in t.exponent.coeffs)),
             )
             for t in e.terms
         ),
@@ -358,11 +366,11 @@ def test_coefficients_are_int_first(a, b, k, name, q, form):
     results.append(ScalarExpr.const(q, SYMS) + a - a)
     for e in results:
         for c in _coefficients(e):
-            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+            assert type(c) is int or (type(c) is Rational and c.denominator != 1), c
         same = _with_fraction_coefficients(e)
         assert same == e and hash(same) == hash(e) and str(same) == str(e)
         if e.is_constant():
-            assert type(e.as_rational()) is Fraction
+            assert type(e.as_rational()) is Rational
             assert e.as_rational() == same.as_rational()
 
 
@@ -412,3 +420,80 @@ def test_large_power_is_a_single_term():
     e = sc("x^100000")
     assert e.terms == (Term(Fraction(1), ((0, 100000),)),)
     assert str(e) == "x^100000"
+
+
+# ---------------------------------------------------------------------------
+# The ring's Rational against the standard library's Fraction.
+# ---------------------------------------------------------------------------
+
+_INTS = st.one_of(st.integers(-6, 6), st.integers(-(2**80), 2**80))
+_DENOMINATORS = st.one_of(st.integers(1, 6), st.integers(1, 2**80))
+
+
+def _operands():
+    """An int, a Rational or a Fraction, with its value as a Fraction."""
+    fractions = st.builds(Fraction, _INTS, _DENOMINATORS)
+    return st.one_of(
+        _INTS.map(lambda k: (k, Fraction(k))),
+        fractions.map(lambda q: (Rational(q.numerator, q.denominator), q)),
+        fractions.map(lambda q: (q, q)),
+    )
+
+
+def _same(got, want):
+    assert got == want and want == got
+    assert str(got) == str(want) and hash(got) == hash(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INTS, st.one_of(_DENOMINATORS, _DENOMINATORS.map(lambda d: -d)))
+def test_rational_is_in_lowest_terms(n, d):
+    got, want = Rational(n, d), Fraction(n, d)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    _same(got, want)
+    assert repr(got) == f"Rational({want.numerator}, {want.denominator})"
+    with pytest.raises(ZeroDivisionError):
+        Rational(n, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands(), _operands())
+def test_rational_agrees_with_fraction(x, y):
+    (a, qa), (b, qb) = x, y
+    for v, q in (x, y):
+        if type(v) is Rational:
+            for op in (operator.neg, abs):
+                assert type(op(v)) is Rational
+                _same(op(v), op(q))
+            assert bool(v) == bool(q) and int(v) == math.trunc(q)
+        _same(v, q)
+    if Rational not in (type(a), type(b)):
+        return  # no operand of the ring's type
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and qb == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+            continue
+        got = op(a, b)
+        _same(got, op(qa, qb))
+        assert type(got) is Rational
+    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(a, b) == op(qa, qb)
+    assert sorted([a, b, 0]) == sorted([qa, qb, 0])
+
+
+def test_only_exact_rationals_are_coefficients():
+    assert _coefficient(Fraction(6, 3)) == 2 and type(_coefficient(Fraction(6, 3))) is int
+    assert type(_coefficient(Fraction(1, 3))) is Rational
+    for value in (0.5, 1.0, "1/2", None):
+        with pytest.raises(TypeError, match=rf"^expected an exact rational, got {type(value).__name__}$"):
+            _coefficient(value)
+    half = Rational(1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        with pytest.raises(TypeError):
+            op(half, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, half)
+    assert half != 0.5
+    with pytest.raises(AttributeError, match="read-only"):
+        half.numerator = 3

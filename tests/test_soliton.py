@@ -17,7 +17,7 @@ from parakenmotsu.curvature import ricci, ricci_operator, riemann, w2_tensor
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.geometry import Tensor, ValenceError, contract
 from parakenmotsu import soliton
-from parakenmotsu.scalar import ScalarExpr
+from parakenmotsu.scalar import Rational, ScalarExpr
 from parakenmotsu.suite import Products
 from parakenmotsu.soliton import (
     CONDITIONS,
@@ -548,9 +548,9 @@ def test_parallel_recovery_witnesses(shifted):
 
 def test_solved_constants_are_fractions():
     # coefficients are stored as ints when integral; the constants that
-    # leave the ring stay Fractions, so dividing them never gives a float
+    # leave the ring stay Rationals, so dividing them never gives a float
     path = Path(__file__).parent.parent / "manifolds" / "example_r5.pk"
     s = load_manifold(path).to_structure()
     sol = solve_soliton(s, ricci(riemann(koszul_connection(s.frame))))
     assert (sol.lam, sol.mu) == (3, 1)
-    assert type(sol.lam) is Fraction and type(sol.mu) is Fraction
+    assert type(sol.lam) is Rational and type(sol.mu) is Rational

@@ -129,7 +129,10 @@ def test_the_installed_script_is_the_module_entry():
 
 def test_cli_import_adds_no_heavy_stdlib_modules():
     added = _loaded_after("import parakenmotsu.cli") - _loaded_after("pass")
-    heavy = {"argparse", "dataclasses", "gettext", "inspect", "json"} & added
+    heavy = {
+        "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json",
+        "numbers",
+    } & added
     assert not heavy, sorted(heavy)
     # the tracer imports the suite before it looks the spanned modules up
     traced = _loaded_after("import parakenmotsu.cli; from parakenmotsu import suite")
@@ -188,6 +191,8 @@ def test_each_command_loads_only_what_its_path_reaches(argv, code, loads, skips)
     assert exit_code == code
     # each argv here is a plain spelling, which cli reads without argparse
     assert not {"argparse", "gettext", "locale"} & loaded
+    # the scalar ring's coefficients are its own Rationals
+    assert not {"decimal", "fractions", "numbers"} & loaded
     package = {name.split(".", 1)[1] for name in loaded if name.startswith("parakenmotsu.")}
     assert not skips & package, sorted(skips & package)
     assert not loads - package, sorted(loads - package)

@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from parakenmotsu.dsl import load_manifold
 from parakenmotsu.fixtures import build_warped
 from parakenmotsu.products import Products
 from parakenmotsu.report import exit_code
+from parakenmotsu.soliton import SolitonSolution
 from parakenmotsu.structure import ParacontactStructure
 from parakenmotsu.suite import CATALOG, run_suite, selectable_names
 
@@ -143,6 +145,15 @@ def test_failed_stage_skips_dependents():
     assert by_name["factors/W2.S"].status == "pass"
     assert exit_code(result.checks) == 1
     assert result.soliton is None
+
+
+def test_the_split_witness_prints_both_pairs_as_numbers():
+    # S = -2 g on the warped n = 1 structure; constants (2, 0) imply
+    # S = -3 g + eta x eta, so L2 reports both pairs
+    p = Products(build_warped(1))
+    p.sol = SolitonSolution(Fraction(2), Fraction(0), 1)
+    (witness,) = [read for _, _, tag, read in suite._ROWS if tag == "L2"]
+    assert witness(p) == "split gives (-2, 0), soliton implies (-3, 1)"
 
 
 def test_a_failed_riemann_build_skips_every_stage_that_reads_it(monkeypatch):
